@@ -62,7 +62,6 @@ from .reference import (
     find_nesting_witness,
 )
 from .transform import (
-    MarginTransform,
     assortment_margin,
     margin_breakpoints,
     scaled_margin,

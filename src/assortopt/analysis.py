@@ -29,6 +29,7 @@ from .oracles import NoiseSpec, mnl_revenue, total_weight
 from .reference import ExactSolution, candidate_set_opt
 from .transform import (
     assortment_margin,
+    interval_offsets,
     margin_breakpoints,
     min_margin_member,
     scaled_margin,
@@ -74,7 +75,7 @@ def compute_bounds(
         raise ValidationError("eps_max must lie in [0, 1)", code="bad-noise")
     heaviest = 1.0 + instance.top_weight_sum(capacity)
     opt_weight = total_weight(instance, opt.assortment)
-    delta_cap = heaviest * eps_max / (1.0 - eps_max)
+    delta_cap = slack_cap(instance, capacity, eps_max)
     eta = 4.0 * capacity * eps_max / (1.0 - eps_max)
     f_value = (heaviest / opt_weight) * eta
     return GapBound(
@@ -88,6 +89,11 @@ def compute_bounds(
             delta_cap=delta_cap,
         ),
     )
+
+
+def slack_cap(instance: Instance, capacity: int, eps: float) -> float:
+    """Closed-form estimate-slack cap (1 + top C weights) * eps / (1 - eps)."""
+    return (1.0 + instance.top_weight_sum(capacity)) * eps / (1.0 - eps)
 
 
 def exact_delta_cap(
@@ -131,24 +137,11 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
         raise ValidationError("delta must be >= 0", code="bad-config")
     points = sorted(set(margin_breakpoints(instance)) | set(margin_breakpoints(instance, delta)))
     worst = 0
-    for u in _interval_offsets(points):
+    for u in interval_offsets(points):
         if len(top_margin_set(instance, size, u)) == 0:
             continue
         worst = max(worst, len(top_set_with_slack(instance, size, delta, u)))
     return worst
-
-
-def _interval_offsets(breakpoints: list[float]) -> list[float]:
-    """One probe offset strictly inside each interval of (0, inf)."""
-    positive = [b for b in breakpoints if b > 0.0]
-    samples: list[float] = []
-    prev = 0.0
-    for b in positive:
-        if b > prev:
-            samples.append(prev + (b - prev) / 2.0)
-        prev = b
-    samples.append(prev + 1.0)
-    return samples
 
 
 def max_slack_set_size_grid(
@@ -376,6 +369,7 @@ __all__ = [
     "TraceViolation",
     "MonotonicityReport",
     "compute_bounds",
+    "slack_cap",
     "exact_delta_cap",
     "max_slack_set_size",
     "max_slack_set_size_grid",

@@ -3,16 +3,14 @@
 Each grid cell (N, C, b-rule, eps) runs a batch of seeded random
 instances, solving each with the greedy search and with brute force, and
 aggregates the realized optimality gaps, oracle-call counts versus the
-analytic bound, and the exact-recovery pass rate. Cells are independent
-and derive their seeds from the cell coordinates, so parallel and serial
-sweeps emit identical results; cells run in a thread pool whose size
-comes from ``--jobs`` or the ASSORTOPT_JOBS environment variable.
+analytic bound, and the exact-recovery pass rate. Cells derive their
+seeds from the cell coordinates and run one after another. The CLI's
+``--jobs`` option and the ASSORTOPT_JOBS environment variable have no
+effect: the cells are pure Python, which threads cannot run in parallel.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import compute_bounds, max_slack_set_size
@@ -20,25 +18,13 @@ from .errors import ValidationError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import GreedyConfig, call_count_bound, greedy_opt
 from .oracles import NoiseSpec, make_exact_oracle, make_noisy_oracle, mnl_revenue
-from .reference import brute_force_opt
+from .reference import brute_force_opt, revenues_agree
 
 DEFAULT_NS = (6, 8, 10)
 DEFAULT_CS = (2, 3, 4)
 DEFAULT_B_RULES = ("C", "C+1", "2C")
 DEFAULT_EPSS = (0.0, 0.001, 0.01)
 DEFAULT_SEEDS_PER_CELL = 50
-
-RELATIVE_TOLERANCE = 1e-9
-
-JOBS_ENV_VAR = "ASSORTOPT_JOBS"
-
-
-def default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def resolve_b_rule(rule: str | int, capacity: int) -> int | None:
@@ -120,11 +106,8 @@ def _run_cell(
         worst_bound = max(worst_bound, cell_bound)
         if report.oracle_calls > cell_bound:
             call_violations += 1
-        if exact_passes is not None:
-            if abs(report.best_oracle_revenue - brute.revenue) <= RELATIVE_TOLERANCE * max(
-                1e-300, abs(brute.revenue)
-            ):
-                exact_passes += 1
+        if exact_passes is not None and revenues_agree(report.best_oracle_revenue, brute.revenue):
+            exact_passes += 1
         if gap_violations is not None:
             if bound.f_value >= 1.0:
                 vacuous += 1
@@ -155,7 +138,6 @@ def run_bench(
     epss: tuple[float, ...] = DEFAULT_EPSS,
     seeds_per_cell: int = DEFAULT_SEEDS_PER_CELL,
     base_seed: int = 0,
-    jobs: int | None = None,
 ) -> tuple[list[CellOutcome], dict]:
     """Run a sweep and return (cell outcomes in grid order, summary dict)."""
     if suite == "theorem1":
@@ -169,19 +151,13 @@ def run_bench(
     elif suite != "full":
         raise ValidationError(f"unknown suite {suite!r}", code="bad-config")
 
-    cells = [
-        (n, c, rule, eps) for n in ns for c in cs for rule in b_rules for eps in epss
+    outcomes = [
+        _run_cell(n, c, rule, eps, seeds_per_cell, base_seed)
+        for n in ns
+        for c in cs
+        for rule in b_rules
+        for eps in epss
     ]
-    workers = jobs if jobs is not None else default_jobs()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda cell: _run_cell(*cell, seeds_per_cell, base_seed), cells
-                )
-            )
-    else:
-        outcomes = [_run_cell(*cell, seeds_per_cell, base_seed) for cell in cells]
 
     exact_applicable = sum(o.seeds for o in outcomes if o.exact_passes is not None)
     exact_passed = sum(o.exact_passes for o in outcomes if o.exact_passes is not None)

@@ -17,21 +17,24 @@ import time
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .analysis import check_margin_revenue_equivalence, check_trace_invariants, compute_bounds
+from .analysis import (
+    check_margin_revenue_equivalence,
+    check_trace_invariants,
+    compute_bounds,
+    slack_cap,
+)
 from .errors import ValidationError, VerificationFailure
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import GreedyConfig, greedy_opt
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, RevenueOracle, make_exact_oracle, make_noisy_oracle, mnl_revenue
-from .reference import brute_force_opt, candidate_set_opt
+from .reference import brute_force_opt, candidate_set_opt, revenues_agree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_ASSERTION = 4
 EXIT_IO = 5
-
-RELATIVE_TOLERANCE = 1e-9
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -109,12 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         gap = 0.0 if exact.revenue == 0.0 else (exact.revenue - true_rev) / exact.revenue
         bounds = compute_bounds(instance, capacity, noise.eps_bound, exact)
     if args.trace and result.traces is not None:
-        delta_cap = 0.0
-        if bounds is not None:
-            delta_cap = bounds.inputs.delta_cap
-        elif noise.eps_bound:
-            heaviest = 1.0 + instance.top_weight_sum(capacity)
-            delta_cap = heaviest * noise.eps_bound / (1.0 - noise.eps_bound)
+        delta_cap = slack_cap(instance, capacity, noise.eps_bound)
         violations = sum(
             len(check_trace_invariants(instance, records, delta_cap))
             for _seed, records in result.traces
@@ -136,8 +134,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         raise ValidationError("no --C given and the instance has no capacity", code="bad-config")
     brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
     candidate = candidate_set_opt(instance, capacity)
-    scale = max(1e-300, abs(brute.revenue))
-    agree = abs(brute.revenue - candidate.revenue) <= RELATIVE_TOLERANCE * scale
+    agree = revenues_agree(candidate.revenue, brute.revenue)
     document = {
         "schema_version": io_mod.SCHEMA_VERSION,
         "instance_digest": io_mod.instance_digest(instance),
@@ -163,7 +160,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         epss=tuple(args.eps) if args.eps else bench_mod.DEFAULT_EPSS,
         seeds_per_cell=args.seeds,
         base_seed=args.base_seed,
-        jobs=args.jobs,
     )
     sys.stdout.write(bench_mod.format_table(outcomes, summary))
     if args.output:
@@ -183,9 +179,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     document = io_mod.load_report(args.report)
-    instance, _meta = io_mod.parse_instance(document["instance"])
+    instance, _meta = io_mod.parse_instance(document.get("instance"))
     config, noise = io_mod.config_from_document(document)
-    result = io_mod.solve_report_from_document(document["result"])
+    config.validate(instance.n)
+    result = io_mod.solve_report_from_document(document.get("result"))
     oracle = _build_oracle(instance, noise)
     problems: list[str] = []
 
@@ -196,9 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if oracle.evaluate(result.best_assortment) != result.best_oracle_revenue:
         problems.append("recorded best revenue does not match a fresh oracle evaluation")
 
-    heaviest = 1.0 + instance.top_weight_sum(config.capacity)
-    eps = noise.eps_bound
-    delta_cap = heaviest * eps / (1.0 - eps)
+    delta_cap = slack_cap(instance, config.capacity, noise.eps_bound)
     trace_steps = 0
     if result.traces:
         for _seed, records in result.traces:
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--base-seed", type=int, default=0)
     bench.add_argument(
         "--jobs", type=int, default=None,
-        help=f"worker threads (default: ${bench_mod.JOBS_ENV_VAR} or 1)",
+        help="accepted for compatibility; cells run serially",
     )
     bench.add_argument("-o", "--output", default=None)
     bench.set_defaults(func=cmd_bench)

@@ -44,12 +44,14 @@ class ConfigError(ValidationError):
     code = "bad-config"
 
 
-class EnumerationCapError(AssortoptError):
+class EnumerationCapError(ValidationError):
     """Exhaustive enumeration would exceed the configured cap.
 
     Raised instead of silently sampling: the brute-force solver is the
     test suite's ground truth and must never be approximate.
     """
+
+    code = "enumeration-cap"
 
 
 class UndefinedTopSetError(AssortoptError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, inf
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
@@ -76,6 +76,41 @@ class SolveReport:
     traces: tuple[tuple[Assortment, tuple[IterationRecord, ...]], ...] | None = None
 
 
+def _best_move(
+    current: Assortment,
+    pool: Sequence[int],
+    oracle: RevenueOracle,
+    adds: bool,
+    exchanges: bool,
+) -> tuple[float, Assortment, int, int | None] | None:
+    """Score every allowed move; return (revenue, assortment, entering, leaving).
+
+    Exchanges (pool product in, member out) are scored in (entering,
+    leaving) order, then additions, whose ``leaving`` is None. The winner
+    minimizes (-revenue, is_add, entering, leaving): on equal revenue an
+    exchange beats an addition, then the smaller entering id wins, then the
+    smaller leaving id. Returns None when no move is allowed.
+    """
+    moves: list[tuple[int, int | None]] = []
+    if exchanges:
+        moves += [(entering, leaving) for entering in pool for leaving in current.ids]
+    if adds:
+        moves += [(entering, None) for entering in pool]
+    best_key: tuple[float, bool, int, int | None] | None = None
+    best = None
+    for entering, leaving in moves:
+        if leaving is None:
+            candidate = current.with_product(entering)
+        else:
+            candidate = current.swap(leaving, entering)
+        rev = oracle.evaluate(candidate)
+        key = (-rev, leaving is None, entering, leaving)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (rev, candidate, entering, leaving)
+    return best
+
+
 def _run_add_exchange(
     start: Assortment,
     universe: Sequence[int],
@@ -93,104 +128,40 @@ def _run_add_exchange(
     records: list[IterationRecord] = []
     step = first_step
 
-    while pool:
+    while True:
         pool_before = tuple(pool)
-
-        # best exchange: bring one pool product in, drop one member
-        best_ex_key: tuple[float, int, int] | None = None
-        best_ex: tuple[Assortment, int, int] | None = None  # (set, in, out)
-        for entering in pool:
-            for leaving in current.ids:
-                candidate = current.swap(leaving, entering)
-                rev = oracle.evaluate(candidate)
-                key = (-rev, entering, leaving)
-                if best_ex_key is None or key < best_ex_key:
-                    best_ex_key = key
-                    best_ex = (candidate, entering, leaving)
-        ex_rev = -best_ex_key[0] if best_ex_key is not None else -inf
-
-        # best addition
-        best_add_key: tuple[float, int] | None = None
-        best_add: tuple[Assortment, int] | None = None
-        for entering in pool:
-            candidate = current.with_product(entering)
-            rev = oracle.evaluate(candidate)
-            key = (-rev, entering)
-            if best_add_key is None or key < best_add_key:
-                best_add_key = key
-                best_add = (candidate, entering)
-        add_rev = -best_add_key[0] if best_add_key is not None else -inf
-
-        if (
-            len(current) < size_cap
-            and best_add is not None
-            and add_rev > current_rev
-            and add_rev > ex_rev
-        ):
-            previous = current
-            current, entering = best_add
-            current_rev = add_rev
+        previous = current
+        move = _best_move(current, pool, oracle, adds=len(current) < size_cap, exchanges=True)
+        if move is not None and move[0] > current_rev:
+            current_rev, current, entering, leaving = move
+            action = "add" if leaving is None else "exchange"
             pool.remove(entering)
-            if trace:
-                records.append(
-                    IterationRecord(
-                        step_index=step,
-                        action="add",
-                        added=entering,
-                        removed=None,
-                        revenue_after=current_rev,
-                        assortment_before=previous,
-                        assortment_after=current,
-                        pool_before=pool_before,
-                        universe_size_after=len(pool),
-                        exchange_out_counts=dict(outs),
-                    )
-                )
-        elif best_ex is not None and ex_rev > current_rev:
-            previous = current
-            current, entering, leaving = best_ex
-            current_rev = ex_rev
-            outs[leaving] = outs.get(leaving, 0) + 1
-            pool.remove(entering)
-            if outs[leaving] < budget:
-                # the dropped product may be exchanged back in later
-                pool.append(leaving)
-                pool.sort()
-            if trace:
-                records.append(
-                    IterationRecord(
-                        step_index=step,
-                        action="exchange",
-                        added=entering,
-                        removed=leaving,
-                        revenue_after=current_rev,
-                        assortment_before=previous,
-                        assortment_after=current,
-                        pool_before=pool_before,
-                        universe_size_after=len(pool),
-                        exchange_out_counts=dict(outs),
-                    )
-                )
+            if leaving is not None:
+                outs[leaving] = outs.get(leaving, 0) + 1
+                if outs[leaving] < budget:
+                    # the dropped product may be exchanged back in later
+                    pool.append(leaving)
+                    pool.sort()
         else:
-            break
-        step += 1
-
-    if trace:
-        records.append(
-            IterationRecord(
-                step_index=step,
-                action="terminate",
-                added=None,
-                removed=None,
-                revenue_after=current_rev,
-                assortment_before=current,
-                assortment_after=current,
-                pool_before=tuple(pool),
-                universe_size_after=len(pool),
-                exchange_out_counts=dict(outs),
+            action, entering, leaving = "terminate", None, None
+        if trace:
+            records.append(
+                IterationRecord(
+                    step_index=step,
+                    action=action,
+                    added=entering,
+                    removed=leaving,
+                    revenue_after=current_rev,
+                    assortment_before=previous,
+                    assortment_after=current,
+                    pool_before=pool_before,
+                    universe_size_after=len(pool),
+                    exchange_out_counts=dict(outs),
+                )
             )
-        )
-    return current, current_rev, records
+        if action == "terminate":
+            return current, current_rev, records
+        step += 1
 
 
 def greedy_add_exchange(
@@ -203,12 +174,12 @@ def greedy_add_exchange(
     """Grow ``start`` by at most one product via greedy additions and exchanges.
 
     Each loop pass scores every exchange (pool product in, member out) and
-    every addition through the oracle, then accepts the best strictly
-    improving move; additions are taken only while the one-net-addition
-    size budget is open and the best addition beats both the current value
-    and the best exchange. A product exchanged out returns to the pool
-    until it has been exchanged out ``budget`` times, after which it is
-    retired; the loop stops when the pool empties or no move improves.
+    every addition while the size budget is open (one net addition per
+    invocation) through the oracle, then accepts the best strictly
+    improving move; on equal revenue an exchange beats an addition. A
+    product exchanged out returns to the pool until it has been exchanged
+    out ``budget`` times, after which it is retired; the loop stops when
+    the pool empties or no move improves.
     """
     if budget < 1:
         raise ConfigError(f"exchange budget must be >= 1, got {budget}")
@@ -285,20 +256,12 @@ def naive_greedy(capacity: int, universe: Iterable[int], oracle: RevenueOracle) 
     current = Assortment()
     current_rev = oracle.evaluate(current)
     pool = sorted(set(universe))
-    while len(current) < capacity and pool:
-        best_key = None
-        best_choice = None
-        for entering in pool:
-            rev = oracle.evaluate(current.with_product(entering))
-            key = (-rev, entering)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_choice = entering
-        if best_key is None or -best_key[0] <= current_rev:
+    while len(current) < capacity:
+        move = _best_move(current, pool, oracle, adds=True, exchanges=False)
+        if move is None or move[0] <= current_rev:
             break
-        current = current.with_product(best_choice)
-        current_rev = -best_key[0]
-        pool.remove(best_choice)
+        current_rev, current, entering, _leaving = move
+        pool.remove(entering)
     return current
 
 

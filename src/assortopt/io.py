@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .analysis import GapBound
 from .errors import ValidationError
@@ -34,6 +35,15 @@ def _parse_float(value: Any, what: str, code: str) -> float:
         return float(value)
     except ValueError:
         raise ValidationError(f"{what} is not a valid decimal: {value!r}", code=code) from None
+
+
+@contextmanager
+def _schema_errors(what: str) -> Iterator[None]:
+    """Report a missing field or a badly typed value in ``what`` as a schema error."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}", code="schema") from None
 
 
 def instance_to_document(instance: Instance, metadata: dict | None = None) -> dict:
@@ -160,18 +170,19 @@ def record_to_document(record: IterationRecord) -> dict:
 
 
 def record_from_document(doc: dict) -> IterationRecord:
-    return IterationRecord(
-        step_index=int(doc["step"]),
-        action=str(doc["action"]),
-        added=doc.get("added"),
-        removed=doc.get("removed"),
-        revenue_after=_parse_float(doc["revenue_after"], "revenue_after", "schema"),
-        assortment_before=Assortment.of(doc["assortment_before"]),
-        assortment_after=Assortment.of(doc["assortment_after"]),
-        pool_before=tuple(doc["pool_before"]),
-        universe_size_after=int(doc["universe_size_after"]),
-        exchange_out_counts={int(k): int(v) for k, v in doc["exchange_out_counts"].items()},
-    )
+    with _schema_errors("trace record"):
+        return IterationRecord(
+            step_index=int(doc["step"]),
+            action=str(doc["action"]),
+            added=doc.get("added"),
+            removed=doc.get("removed"),
+            revenue_after=_parse_float(doc["revenue_after"], "revenue_after", "schema"),
+            assortment_before=Assortment.of(doc["assortment_before"]),
+            assortment_after=Assortment.of(doc["assortment_after"]),
+            pool_before=tuple(doc["pool_before"]),
+            universe_size_after=int(doc["universe_size_after"]),
+            exchange_out_counts={int(k): int(v) for k, v in doc["exchange_out_counts"].items()},
+        )
 
 
 def solve_report_to_document(report: SolveReport) -> dict:
@@ -192,22 +203,23 @@ def solve_report_to_document(report: SolveReport) -> dict:
 
 
 def solve_report_from_document(doc: dict) -> SolveReport:
-    traces = None
-    if doc.get("traces") is not None:
-        traces = tuple(
-            (
-                Assortment.of(entry["seed"]),
-                tuple(record_from_document(r) for r in entry["records"]),
+    with _schema_errors("result"):
+        traces = None
+        if doc.get("traces") is not None:
+            traces = tuple(
+                (
+                    Assortment.of(entry["seed"]),
+                    tuple(record_from_document(r) for r in entry["records"]),
+                )
+                for entry in doc["traces"]
             )
-            for entry in doc["traces"]
+        return SolveReport(
+            best_assortment=Assortment.of(doc["best_assortment"]),
+            best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "revenue", "schema"),
+            oracle_calls=int(doc["oracle_calls"]),
+            seeds_explored=int(doc["seeds_explored"]),
+            traces=traces,
         )
-    return SolveReport(
-        best_assortment=Assortment.of(doc["best_assortment"]),
-        best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "revenue", "schema"),
-        oracle_calls=int(doc["oracle_calls"]),
-        seeds_explored=int(doc["seeds_explored"]),
-        traces=traces,
-    )
 
 
 def exact_solution_to_document(solution: ExactSolution) -> dict:
@@ -283,7 +295,8 @@ def config_from_document(doc: dict) -> tuple[GreedyConfig, NoiseSpec]:
     cfg = doc.get("config")
     if not isinstance(cfg, dict):
         raise ValidationError("report has no config object", code="schema")
-    config = GreedyConfig(
-        seed_size=int(cfg["S"]), capacity=int(cfg["C"]), exchange_budget=int(cfg["b"])
-    )
-    return config, noise_from_document(cfg.get("noise", {}))
+    with _schema_errors("config"):
+        config = GreedyConfig(
+            seed_size=int(cfg["S"]), capacity=int(cfg["C"]), exchange_budget=int(cfg["b"])
+        )
+        return config, noise_from_document(cfg.get("noise", {}))

@@ -19,12 +19,20 @@ from .errors import EnumerationCapError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .instance import Assortment, Instance
 from .oracles import RevenueOracle, make_exact_oracle, mnl_revenue
-from .transform import margin_breakpoints, sample_offsets, top_margin_set
+from .transform import interval_offsets, margin_breakpoints, top_margin_set
 
 logger = logging.getLogger(__name__)
 
 #: Refuse exhaustive enumeration beyond this many assortments.
 DEFAULT_ENUMERATION_CAP = 2_000_000
+
+#: Two optimal revenues agree when they differ by at most this fraction.
+RELATIVE_TOLERANCE = 1e-9
+
+
+def revenues_agree(revenue: float, reference: float) -> bool:
+    """True when ``revenue`` is within RELATIVE_TOLERANCE of ``reference``."""
+    return abs(revenue - reference) <= RELATIVE_TOLERANCE * max(1e-300, abs(reference))
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,9 @@ def candidate_set_collection(instance: Instance, size: int) -> list[Assortment]:
     every member of the collection (the empty set appears past the largest
     price). Distinct sets are returned in lexicographic order.
     """
-    samples = sample_offsets(margin_breakpoints(instance))
+    points = margin_breakpoints(instance)
     seen: set[tuple[int, ...]] = set()
-    for u in samples:
+    for u in [0.0, *points, *interval_offsets(points)]:
         seen.add(top_margin_set(instance, size, u).ids)
     return [Assortment(ids) for ids in sorted(seen)]
 

@@ -18,7 +18,6 @@ and the slack-set sizes used in the noise analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .instance import Assortment, Instance
 from .errors import UndefinedTopSetError
@@ -33,20 +32,6 @@ def scaled_margin(instance: Instance, product_id: int, u: float) -> float:
 def assortment_margin(instance: Instance, assortment: Assortment, u: float) -> float:
     """Sum of members' scaled margins at offset u (0 for the empty set)."""
     return math.fsum(scaled_margin(instance, i, u) for i in assortment.ids)
-
-
-@dataclass(frozen=True)
-class MarginTransform:
-    """Convenience view of the transform at a fixed offset u."""
-
-    instance: Instance
-    u: float
-
-    def of_product(self, product_id: int) -> float:
-        return scaled_margin(self.instance, product_id, self.u)
-
-    def of_assortment(self, assortment: Assortment) -> float:
-        return assortment_margin(self.instance, assortment, self.u)
 
 
 def top_margin_set(instance: Instance, size: int, u: float) -> Assortment:
@@ -115,20 +100,18 @@ def margin_breakpoints(instance: Instance, delta: float = 0.0) -> list[float]:
     return sorted(points)
 
 
-def sample_offsets(breakpoints: list[float], lo: float = 0.0) -> list[float]:
-    """Probe offsets covering every breakpoint and every open interval.
+def interval_offsets(breakpoints: list[float]) -> list[float]:
+    """One probe offset strictly inside each interval of (0, inf).
 
-    Includes ``lo``, each breakpoint, the midpoints between consecutive
-    breakpoints, and one point beyond the last breakpoint (where all
-    margins are nonpositive).
+    The midpoint between consecutive positive breakpoints, plus one point
+    beyond the last breakpoint (where all margins are nonpositive).
     """
-    pts = [b for b in breakpoints if b >= lo]
-    samples = [lo]
-    prev = lo
-    for b in pts:
+    positive = [b for b in breakpoints if b > 0.0]
+    samples: list[float] = []
+    prev = 0.0
+    for b in positive:
         if b > prev:
             samples.append(prev + (b - prev) / 2.0)
-        samples.append(b)
         prev = b
     samples.append(prev + 1.0)
     return samples

@@ -153,3 +153,50 @@ class TestBench:
         )
         assert code == 0
         assert "exact recovery pass rate: 100.00% (8/8)" in out
+
+
+
+def _drop_first_pool_before(doc):
+    del doc["result"]["traces"][0]["records"][0]["pool_before"]
+
+
+@pytest.mark.parametrize(
+    "command, tamper, expected_code",
+    [
+        (["exact", "--C", "8"], None, "enumeration-cap"),
+        (["solve", "--C", "8", "--exact"], None, "enumeration-cap"),
+        (["verify"], lambda doc: doc["result"].pop("oracle_calls"), "schema"),
+        (["verify"], lambda doc: doc["config"].update(S="x"), "schema"),
+        (["verify"], _drop_first_pool_before, "schema"),
+        (["verify"], lambda doc: doc["config"].update(C=10**9), "bad-config"),
+    ],
+    ids=[
+        "exact-past-enumeration-cap",
+        "solve-exact-past-enumeration-cap",
+        "verify-without-oracle-calls",
+        "verify-non-integer-S",
+        "verify-record-without-pool-before",
+        "verify-capacity-above-N",
+    ],
+)
+def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):
+    """Each reproduced failure exits 3 with a JSON error on stderr, not a traceback."""
+    if tamper is None:
+        # brute force over N=30, C=8 would enumerate 8,656,937 assortments
+        path = tmp_path / "big.json"
+        run_cli(capsys, "gen", "--N", "30", "--seed", "1", "-o", str(path))
+    else:
+        inst_path = tmp_path / "inst.json"
+        path = tmp_path / "report.json"
+        run_cli(capsys, "gen", "--N", "6", "--seed", "11", "-o", str(inst_path))
+        code, _, _ = run_cli(
+            capsys, "solve", str(inst_path), "--C", "3", "--trace", "-o", str(path)
+        )
+        assert code == 0
+        doc = json.loads(path.read_text())
+        tamper(doc)
+        path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == expected_code

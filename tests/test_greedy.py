@@ -131,6 +131,24 @@ class TestAddExchangeExamples:
         final, _ = greedy_add_exchange(Assortment(), [], 1, make_exact_oracle(THREE))
         assert final.ids == ()
 
+    def test_scores_no_assortment_past_the_size_budget(self):
+        # once the one net addition is taken, additions are no longer scored
+        rng = random.Random(77)
+        for _ in range(20):
+            n = rng.randint(3, 9)
+            inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
+            exact = make_exact_oracle(inst)
+            scored = []
+
+            class Recording:
+                def evaluate(self, assortment):
+                    scored.append(assortment)
+                    return exact.evaluate(assortment)
+
+            start = Assortment.of(rng.sample(list(inst.ids()), rng.randint(0, n - 2)))
+            greedy_add_exchange(start, inst.ids(), 2, Recording())
+            assert max(len(a) for a in scored) <= len(start) + 1
+
 
 class TestSolverExamples:
     def test_single_product_capacity_one(self):
