@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+from math import comb
 
 from . import bench as bench_mod
 from . import io as io_mod
@@ -25,7 +26,7 @@ from .analysis import (
 )
 from .errors import ValidationError, VerificationFailure
 from .generate import GeneratorSpec, derive_seed, generate_instance
-from .greedy import GreedyConfig, greedy_opt
+from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, RevenueOracle, make_exact_oracle, make_noisy_oracle, mnl_revenue
 from .reference import brute_force_opt, candidate_set_opt, revenues_agree
@@ -192,6 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if oracle.evaluate(result.best_assortment) != result.best_oracle_revenue:
         problems.append("recorded best revenue does not match a fresh oracle evaluation")
+    problems.extend(_result_config_problems(instance.n, config, result))
 
     delta_cap = slack_cap(instance, config.capacity, noise.eps_bound)
     trace_steps = 0
@@ -233,6 +235,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if problems:
         raise VerificationFailure(f"{len(problems)} verification problems")
     return EXIT_OK
+
+
+def _result_config_problems(n: int, config: GreedyConfig, result: SolveReport) -> list[str]:
+    """What a report's result claims that its config rules out."""
+    problems = []
+    seeds = comb(n, config.seed_size)
+    if len(result.best_assortment) > config.capacity:
+        problems.append(
+            f"best assortment has {len(result.best_assortment)} products, above C={config.capacity}"
+        )
+    if result.seeds_explored != seeds:
+        problems.append(f"seeds_explored={result.seeds_explored}, expected binom(N, S)={seeds}")
+    if config.seed_size == config.capacity:
+        # no add-exchange invocations: each seed is scored once
+        if result.oracle_calls != seeds:
+            problems.append(f"oracle_calls={result.oracle_calls}, expected binom(N, S)={seeds}")
+    else:
+        bound = call_count_bound(n, config)
+        if not 1 <= result.oracle_calls <= bound:
+            problems.append(f"oracle_calls={result.oracle_calls} outside [1, {bound}]")
+    return problems
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,11 +7,12 @@ terminates. The outer solver seeds the routine with every subset of a
 chosen size ``S`` (just the empty set for S = 0), applies it ``C - S``
 times per seed, and keeps the best final assortment.
 
-Every candidate move is scored through the revenue oracle alone, so the
-search works with any plugged-in choice model, exact or noisy. A pure
-addition-only baseline is included for comparison; it is exactly the
-strategy that breaks when the optimum at one capacity is not nested in
-the optimum at a larger capacity.
+Every candidate move is scored through the revenue oracle alone, one
+batch per loop pass (``oracles.score_moves``), so the search works with
+any plugged-in choice model, exact or noisy. A pure addition-only
+baseline is included for comparison; it is exactly the strategy that
+breaks when the optimum at one capacity is not nested in the optimum at
+a larger capacity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .instance import Assortment
-from .oracles import RevenueOracle, make_counting_oracle
+from .oracles import RevenueOracle, make_counting_oracle, score_moves
 
 
 @dataclass(frozen=True)
@@ -85,30 +86,25 @@ def _best_move(
 ) -> tuple[float, Assortment, int, int | None] | None:
     """Score every allowed move; return (revenue, assortment, entering, leaving).
 
-    Exchanges (pool product in, member out) are scored in (entering,
-    leaving) order, then additions, whose ``leaving`` is None. The winner
-    minimizes (-revenue, is_add, entering, leaving): on equal revenue an
-    exchange beats an addition, then the smaller entering id wins, then the
-    smaller leaving id. Returns None when no move is allowed.
+    Exchanges (pool product in, member out) are listed in (entering,
+    leaving) order, then additions, whose ``leaving`` is None, and the list
+    is scored in one ``score_moves`` call. The winner minimizes (-revenue,
+    is_add, entering, leaving): on equal revenue an exchange beats an
+    addition, then the smaller entering id wins, then the smaller leaving
+    id. With ``pool`` ascending the list is in exactly that order, so the
+    first best value wins. Returns None when no move is allowed.
     """
     moves: list[tuple[int, int | None]] = []
     if exchanges:
         moves += [(entering, leaving) for entering in pool for leaving in current.ids]
     if adds:
         moves += [(entering, None) for entering in pool]
-    best_key: tuple[float, bool, int, int | None] | None = None
-    best = None
-    for entering, leaving in moves:
-        if leaving is None:
-            candidate = current.with_product(entering)
-        else:
-            candidate = current.swap(leaving, entering)
-        rev = oracle.evaluate(candidate)
-        key = (-rev, leaving is None, entering, leaving)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (rev, candidate, entering, leaving)
-    return best
+    if not moves:
+        return None
+    values = score_moves(oracle, current, moves)
+    rev = max(values)
+    entering, leaving = moves[values.index(rev)]
+    return rev, current.after_move(entering, leaving), entering, leaving
 
 
 def _run_add_exchange(

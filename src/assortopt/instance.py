@@ -11,8 +11,10 @@ distinct-call counter both key on it).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidAssortmentError, ValidationError
 
@@ -130,6 +132,40 @@ class Assortment:
     def swap(self, out_id: int, in_id: int) -> "Assortment":
         """Replace ``out_id`` with ``in_id``."""
         return Assortment(tuple(i for i in self.ids if i != out_id) + (in_id,))
+
+    def after_move(self, entering: int, leaving: int | None = None) -> "Assortment":
+        """The offer set after a move: add ``entering`` or, with ``leaving``, swap it in."""
+        if leaving is None:
+            return self.with_product(entering)
+        return self.swap(leaving, entering)
+
+    def encode_moves(self, moves: Sequence[tuple[int, int | None]]) -> list[str]:
+        """Canonical encodings of the sets the moves lead to, without building them.
+
+        Entry i equals ``self.after_move(*moves[i]).encode()`` for every move
+        whose ``entering`` is not a member and whose ``leaving`` (None for an
+        addition) is one.
+        """
+        ids = self.ids
+        texts = [str(i) for i in ids]
+        index = {product_id: j for j, product_id in enumerate(ids)}
+        # per leaving member (None: nobody leaves), the encodings of the rest
+        # cut before each position: heads end in a comma, tails start with one
+        affixes = {}
+        for leaving, rest in [(None, texts)] + [
+            (product_id, texts[:j] + texts[j + 1:]) for j, product_id in enumerate(ids)
+        ]:
+            heads = list(accumulate((t + "," for t in rest), initial=""))
+            tails = list(accumulate(("," + t for t in reversed(rest)), lambda acc, t: t + acc, initial=""))
+            affixes[leaving] = (heads, tails[::-1])
+        encodings = []
+        for entering, leaving in moves:
+            position = bisect_left(ids, entering)
+            if leaving is not None and index[leaving] < position:
+                position -= 1
+            heads, tails = affixes[leaving]
+            encodings.append(heads[position] + str(entering) + tails[position])
+        return encodings
 
     def __contains__(self, product_id: int) -> bool:
         return product_id in self.ids

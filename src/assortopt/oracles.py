@@ -1,8 +1,10 @@
 """Revenue oracles for the multinomial-logit choice model.
 
 The solver only ever talks to an oracle through ``evaluate(assortment) ->
-float``, so any choice model can be plugged in. This module provides the
-built-in implementations:
+float``, so any choice model can be plugged in. An oracle may also offer
+``score_moves(current, moves)``, which scores a whole pass of moves in one
+call (see ``score_moves`` below); without it the solver falls back to
+``evaluate``. This module provides the built-in implementations:
 
 * exact MNL expected revenue,
 * a deterministic multiplicative-noise wrapper that underestimates the
@@ -18,10 +20,10 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import Protocol, Sequence, runtime_checkable
 
-from .errors import InvalidChoiceError, ValidationError
+from .errors import InvalidAssortmentError, InvalidChoiceError, ValidationError
 from .instance import Assortment, Instance
 
 #: Sentinel id for the no-purchase outcome (its weight is always 1).
@@ -29,12 +31,48 @@ NO_PURCHASE = 0
 
 NOISE_MODES = ("none", "fixed", "seeded-uniform")
 
+#: Relative distance below a batch's best value within which ``score_moves``
+#: returns exact ``evaluate`` values. Far wider than the rounding error of the
+#: batched sums (a few ulps per member), so the true best move is always in it.
+CONFIRM_BAND = 1e-9
+
+#: An (entering, leaving) product pair; ``leaving`` None is an addition.
+Move = tuple[int, "int | None"]
+
 
 @runtime_checkable
 class RevenueOracle(Protocol):
     """Anything with ``evaluate(assortment) -> float`` is an oracle."""
 
     def evaluate(self, assortment: Assortment) -> float: ...
+
+
+def score_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
+    """Revenue of ``current.after_move(entering, leaving)`` for each move.
+
+    Uses the oracle's own ``score_moves(current, moves)`` when it has one,
+    else calls ``evaluate`` on each candidate in order. Either way the
+    largest value, and every value within ``CONFIRM_BAND`` of it, is exactly
+    what ``evaluate`` returns for that candidate; the others may differ from
+    it by rounding. Each move counts as one oracle call.
+    """
+    batched = getattr(oracle, "score_moves", None)
+    if batched is not None:
+        return batched(current, moves)
+    return [oracle.evaluate(current.after_move(entering, leaving)) for entering, leaving in moves]
+
+
+def _confirm_top(
+    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move], values: list[float]
+) -> list[float]:
+    """Replace each estimate within the band of the largest by its ``evaluate`` value."""
+    if values:
+        top = max(values)
+        floor = top - CONFIRM_BAND * abs(top)
+        for i, value in enumerate(values):
+            if value >= floor:
+                values[i] = oracle.evaluate(current.after_move(*moves[i]))
+    return values
 
 
 def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
@@ -84,6 +122,8 @@ class NoiseSpec:
     eps_max: float = 0.0
     seed: int = 0
 
+    _hasher: "hashlib.blake2b" = field(init=False, repr=False, compare=False, hash=False)
+
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValidationError(f"unknown noise mode {self.mode!r}", code="bad-noise")
@@ -91,6 +131,11 @@ class NoiseSpec:
             raise ValidationError("eps_fixed must lie in [0, 1)", code="bad-noise")
         if not 0.0 <= self.eps_max < 1.0:
             raise ValidationError("eps_max must lie in [0, 1)", code="bad-noise")
+        object.__setattr__(self, "_hasher", _keyed_hasher(self.seed))
+
+    def __reduce__(self):
+        # a hash state cannot be pickled or deep-copied; __post_init__ rebuilds it
+        return (NoiseSpec, (self.mode, self.eps_fixed, self.eps_max, self.seed))
 
     def epsilon(self, assortment: Assortment) -> float:
         """Relative underestimation factor for one assortment."""
@@ -98,7 +143,14 @@ class NoiseSpec:
             return 0.0
         if self.mode == "fixed":
             return self.eps_fixed
-        return self.eps_max * _unit_hash(self.seed, assortment.encode())
+        return self.eps_max * _unit_hash(self._hasher, assortment.encode())
+
+    def move_epsilons(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
+        """``epsilon(current.after_move(*move))`` for each move, bit for bit."""
+        if self.mode != "seeded-uniform":  # the factor does not depend on the set
+            return [self.epsilon(current)] * len(moves)
+        hasher = self._hasher
+        return [self.eps_max * _unit_hash(hasher, text) for text in current.encode_moves(moves)]
 
     @property
     def eps_bound(self) -> float:
@@ -110,15 +162,22 @@ class NoiseSpec:
         return self.eps_max
 
 
-def _unit_hash(seed: int, encoding: str) -> float:
+def _keyed_hasher(seed: int) -> "hashlib.blake2b":
+    """A BLAKE2b state keyed by the seed, to be copied for each message."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    return hashlib.blake2b(digest_size=8, key=key)
+
+
+def _unit_hash(hasher: "hashlib.blake2b", encoding: str) -> float:
     """Deterministic map of (seed, encoding) into [0, 1).
 
-    Uses keyed BLAKE2 so the value is stable across platforms, processes
-    and Python versions (never the builtin ``hash``).
+    ``hasher`` is the seed's ``_keyed_hasher``. Keyed BLAKE2 keeps the value
+    stable across platforms, processes and Python versions (never the
+    builtin ``hash``).
     """
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(encoding.encode("ascii"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little") / 2.0**64
+    state = hasher.copy()
+    state.update(encoding.encode("ascii"))
+    return int.from_bytes(state.digest(), "little") / 2.0**64
 
 
 class ExactMnlOracle:
@@ -126,9 +185,34 @@ class ExactMnlOracle:
 
     def __init__(self, instance: Instance):
         self.instance = instance
+        self._terms = {p.id: p.price * p.weight for p in instance.products}
+        self._weights = {p.id: p.weight for p in instance.products}
 
     def evaluate(self, assortment: Assortment) -> float:
         return mnl_revenue(self.instance, assortment)
+
+    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
+        """Batched ``evaluate``: one division per move over leave-one-out member sums."""
+        terms, weights = self._terms, self._weights
+        members = current.ids
+        try:
+            # numerator and denominator of current less each member (None: less
+            # nobody); sums of nonnegative terms, so nothing cancels
+            numerators = {
+                leaving: math.fsum([terms[i] for i in members if i != leaving])
+                for leaving in (None, *members)
+            }
+            denominators = {
+                leaving: math.fsum([1.0] + [weights[i] for i in members if i != leaving])
+                for leaving in (None, *members)
+            }
+            values = [
+                (numerators[leaving] + terms[entering]) / (denominators[leaving] + weights[entering])
+                for entering, leaving in moves
+            ]
+        except KeyError as exc:
+            raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
+        return _confirm_top(self, current, moves, values)
 
 
 class NoisyOracle:
@@ -141,38 +225,68 @@ class NoisyOracle:
     def evaluate(self, assortment: Assortment) -> float:
         return (1.0 - self.spec.epsilon(assortment)) * self.base.evaluate(assortment)
 
+    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
+        """The base's batched values, each scaled by its set's noise factor."""
+        base = score_moves(self.base, current, moves)
+        epsilons = self.spec.move_epsilons(current, moves)
+        values = [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
+        return _confirm_top(self, current, moves, values)
+
 
 class OracleStats:
-    """Live call statistics handle for a counting oracle."""
+    """Live call statistics handle for a counting oracle.
 
-    __slots__ = ("call_count", "_seen")
+    Updates and reads are lock-protected. Batches of moves are kept as
+    given and expanded into distinct id tuples only when ``distinct_count``
+    is read.
+    """
+
+    __slots__ = ("call_count", "_seen", "_batches", "_lock")
 
     def __init__(self):
         self.call_count = 0
         self._seen: set[tuple[int, ...]] = set()
+        self._batches: list[tuple[Assortment, Sequence[Move]]] = []
+        self._lock = threading.Lock()
+
+    def record(self, assortment: Assortment) -> None:
+        with self._lock:
+            self.call_count += 1
+            self._seen.add(assortment.ids)
+
+    def record_moves(self, current: Assortment, moves: Sequence[Move]) -> None:
+        """Count one call per move; ``moves`` is kept, not copied, so leave it unchanged."""
+        with self._lock:
+            self.call_count += len(moves)
+            self._batches.append((current, moves))
 
     @property
     def distinct_count(self) -> int:
-        return len(self._seen)
+        with self._lock:
+            for current, moves in self._batches:
+                self._seen.update(current.after_move(*move).ids for move in moves)
+            self._batches.clear()
+            return len(self._seen)
 
 
 class CountingOracle:
-    """Delegates to a base oracle while counting evaluate calls.
+    """Delegates to a base oracle while counting calls, one per scored move.
 
-    Returned values are bit-identical to the base oracle's; statistics
-    updates are lock-protected so concurrent solvers may share a counter.
+    Returned values are bit-identical to the base oracle's; concurrent
+    solvers may share a counter.
     """
 
     def __init__(self, base: RevenueOracle):
         self.base = base
         self.stats = OracleStats()
-        self._lock = threading.Lock()
 
     def evaluate(self, assortment: Assortment) -> float:
-        with self._lock:
-            self.stats.call_count += 1
-            self.stats._seen.add(assortment.ids)
+        self.stats.record(assortment)
         return self.base.evaluate(assortment)
+
+    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
+        self.stats.record_moves(current, moves)
+        return score_moves(self.base, current, moves)
 
 
 def make_exact_oracle(instance: Instance) -> ExactMnlOracle:

@@ -200,3 +200,25 @@ def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, 
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"]["code"] == expected_code
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seeds_explored", 999), ("oracle_calls", 10**12)],
+    ids=["seeds-explored-not-binom-N-S", "oracle-calls-above-bound"],
+)
+def test_verify_rejects_result_that_contradicts_config(tmp_path, capsys, field, value):
+    """binom(6, 0) = 1 seed, and the call count must lie within call_count_bound."""
+    inst_path = tmp_path / "inst.json"
+    path = tmp_path / "report.json"
+    run_cli(capsys, "gen", "--N", "6", "--seed", "11", "-o", str(inst_path))
+    code, _, _ = run_cli(capsys, "solve", str(inst_path), "--C", "3", "--trace", "-o", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["result"][field] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert out.startswith("verify FAIL")
+    assert f"{field}={value}" in out
+    assert json.loads(err)["error"]["code"] == "assertion-failure"

@@ -347,6 +347,62 @@ class TestLoopInvariants:
             assert report.best_oracle_revenue == pytest.approx(brute.revenue, rel=1e-9)
 
 
+# --- batched move scoring against the evaluate fallback --------------------
+
+
+class EvaluateOnly:
+    """Exposes only ``evaluate``, so every move is scored through the fallback."""
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def evaluate(self, assortment):
+        return self._oracle.evaluate(assortment)
+
+
+def differential_cases():
+    rng = random.Random(6060)
+    for _ in range(12):
+        n = rng.randint(1, 40)
+        inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
+        capacity = rng.randint(1, min(n, 8))
+        seed_size = rng.randint(0, min(capacity, 1 if n > 12 else 2))
+        yield inst, GreedyConfig(seed_size, capacity, rng.choice([1, 2, capacity + 1]))
+    # duplicated (weight, price) pairs: exact revenue ties exercise the tie-break
+    pairs = [(rng.uniform(0.1, 5.0), rng.uniform(1.0, 50.0)) for _ in range(5)]
+    twins = Instance.of([(i + 1, *pairs[i % 5]) for i in range(15)])
+    for capacity in (2, 4, 7):
+        yield twins, GreedyConfig(0, capacity, capacity + 1)
+        yield twins, GreedyConfig(1, capacity, 2)
+    # every price 0: every revenue is 0, so every move lands in the confirm band
+    free = Instance.of([(i, rng.uniform(0.1, 5.0), 0.0) for i in range(1, 11)])
+    yield free, GreedyConfig(0, 4, 5)
+    yield free, GreedyConfig(2, 4, 1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NoiseSpec(),
+        NoiseSpec(mode="fixed", eps_fixed=0.01, seed=4),
+        NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=17),
+        NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=18),
+    ],
+    ids=["none", "fixed-0.01", "seeded-uniform-0.001", "seeded-uniform-0.2"],
+)
+def test_batched_scoring_matches_evaluate_fallback(spec):
+    for inst, config in differential_cases():
+        oracle = make_exact_oracle(inst)
+        if spec.mode != "none":
+            oracle = make_noisy_oracle(oracle, spec)
+        batched = greedy_opt(config, inst.ids(), oracle, trace=True)
+        scalar = greedy_opt(config, inst.ids(), EvaluateOnly(oracle), trace=True)
+        assert batched == scalar
+        assert naive_greedy(config.capacity, inst.ids(), oracle) == naive_greedy(
+            config.capacity, inst.ids(), EvaluateOnly(oracle)
+        )
+
+
 class TestNaiveGreedy:
     def test_capacity_one_picks_best_singleton(self):
         best = naive_greedy(1, THREE.ids(), make_exact_oracle(THREE))

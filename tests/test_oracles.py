@@ -7,12 +7,14 @@ import pytest
 
 from assortopt import (
     Assortment,
+    GreedyConfig,
     Instance,
     InvalidAssortmentError,
     InvalidChoiceError,
     NO_PURCHASE,
     NoiseSpec,
     ValidationError,
+    greedy_opt,
     make_counting_oracle,
     make_exact_oracle,
     make_noisy_oracle,
@@ -20,6 +22,7 @@ from assortopt import (
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
+from assortopt.oracles import CONFIRM_BAND, score_moves
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -33,6 +36,23 @@ def random_assortment(rng, instance, max_size=None):
     cap = len(instance.products) if max_size is None else max_size
     size = rng.randint(0, cap)
     return Assortment.of(rng.sample(list(instance.ids()), size))
+
+
+def random_moves(rng, instance, current, count):
+    """``count`` random additions and exchanges on ``current``."""
+    outside = [i for i in instance.ids() if i not in current]
+    return [
+        (rng.choice(outside), rng.choice(current.ids) if current and rng.random() < 0.7 else None)
+        for _ in range(count)
+    ]
+
+
+class EvaluateOnly:
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def evaluate(self, assortment):
+        return self._oracle.evaluate(assortment)
 
 
 class TestMnlRevenue:
@@ -142,6 +162,41 @@ class TestNoisyOracle:
         m = Assortment.of([1, 2])
         assert a.epsilon(m) != b.epsilon(m)
 
+    def test_seeded_values_are_frozen(self):
+        # the noise hash is a stable contract: reports and benches replay it
+        cases = [(42, (1, 3), 0.26173709157937874), (2**63 + 5, (2, 7, 11), 0.2186031100393904),
+                 (0, (), 0.11739587036981847)]
+        for seed, ids, expected in cases:
+            spec = NoiseSpec(mode="seeded-uniform", eps_max=0.5, seed=seed)
+            assert spec.epsilon(Assortment.of(ids)) == expected
+
+    def test_batched_factors_match_scalar_bit_for_bit(self):
+        rng = random.Random(4321)
+        checked = 0
+        while checked < 1000:
+            inst = random_instance(rng, rng.randint(2, 30))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_moves(rng, inst, current, 25)
+            spec = NoiseSpec(mode="seeded-uniform", eps_max=rng.choice([0.001, 0.2, 0.9]),
+                             seed=rng.getrandbits(64))
+            batched = [1.0 - eps for eps in spec.move_epsilons(current, moves)]
+            encodings = current.encode_moves(moves)
+            for move, factor, encoding in zip(moves, batched, encodings):
+                candidate = current.after_move(*move)
+                assert encoding == candidate.encode()
+                assert factor == 1 - spec.epsilon(candidate)
+            checked += len(moves)
+
+    def test_spec_survives_pickle_and_deepcopy(self):
+        import copy
+        import pickle
+
+        spec = NoiseSpec(mode="seeded-uniform", eps_max=0.3, seed=2**64 + 9)
+        m = Assortment.of([2, 4])
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert clone == spec
+            assert clone.epsilon(m) == spec.epsilon(m)
+
     def test_epsilon_depends_only_on_canonical_encoding(self):
         spec = NoiseSpec(mode="seeded-uniform", eps_max=0.3, seed=42)
         assert spec.epsilon(Assortment.of([3, 1])) == spec.epsilon(Assortment.of([1, 3]))
@@ -153,6 +208,61 @@ class TestNoisyOracle:
             NoiseSpec(mode="seeded-uniform", eps_max=-0.1)
         with pytest.raises(ValidationError):
             NoiseSpec(mode="gaussian")
+
+
+class TestScoreMoves:
+    def oracles(self, inst, rng):
+        exact = make_exact_oracle(inst)
+        yield exact
+        yield make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01))
+        yield make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2,
+                                                  seed=rng.getrandbits(32)))
+        yield make_counting_oracle(exact)[0]
+
+    def test_band_is_exact_and_the_rest_is_close(self):
+        rng = random.Random(2468)
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(2, 25))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_moves(rng, inst, current, rng.randint(1, 40))
+            for oracle in self.oracles(inst, rng):
+                values = score_moves(oracle, current, moves)
+                exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
+                top = max(values)
+                assert top == max(exact)
+                for value, truth in zip(values, exact):
+                    if value >= top - CONFIRM_BAND * abs(top):
+                        assert value == truth
+                    else:
+                        assert value == pytest.approx(truth, rel=1e-13)
+
+    def test_near_tie_is_ranked_by_evaluate(self):
+        # the batched sums round (3, 1) below (4, 1) although evaluate ranks it above
+        inst = Instance.of([(1, 0.9, 0.1), (2, 0.4, 0.3), (3, 0.4, 0.1), (4, 1.1, 0.1),
+                            (5, 0.3, 0.1), (6, 1 / 3, 0.1), (7, 0.1, 0.3)])
+        current = Assortment.of([1, 2, 5, 6, 7])
+        moves = [(e, l) for e in (3, 4) for l in current.ids] + [(3, None), (4, None)]
+        for oracle in self.oracles(inst, random.Random(1)):
+            values = score_moves(oracle, current, moves)
+            exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
+            assert max(values) == max(exact)
+            assert values.index(max(values)) == exact.index(max(exact))
+        exact = [make_exact_oracle(inst).evaluate(current.after_move(*m)) for m in moves]
+        assert exact.index(max(exact)) == 0
+
+    def test_fallback_scores_through_evaluate(self):
+        rng = random.Random(97)
+        inst = random_instance(rng, 8)
+        current = Assortment.of([2, 5])
+        moves = [(1, 2), (3, None), (8, 5)]
+        oracle = EvaluateOnly(make_exact_oracle(inst))
+        assert score_moves(oracle, current, moves) == [
+            oracle.evaluate(Assortment.of(ids)) for ids in [(1, 5), (2, 3, 5), (2, 8)]
+        ]
+
+    def test_unknown_product_rejected(self):
+        with pytest.raises(InvalidAssortmentError):
+            score_moves(make_exact_oracle(THREE), Assortment.of([1]), [(9, None)])
 
 
 class TestCountingOracle:
@@ -185,17 +295,56 @@ class TestCountingOracle:
             m = random_assortment(rng, inst)
             assert wrapped.evaluate(m) == base.evaluate(m)
 
+    def test_score_moves_counts_one_call_per_move(self):
+        rng = random.Random(8)
+        inst = random_instance(rng, 12)
+        oracle, stats = make_counting_oracle(make_exact_oracle(inst))
+        total = 0
+        for _ in range(20):
+            current = random_assortment(rng, inst, max_size=6)
+            moves = random_moves(rng, inst, current, rng.randint(0, 30))
+            oracle.score_moves(current, moves)
+            total += len(moves)
+            assert stats.call_count == total
+
+    def test_distinct_count_of_batched_solve_matches_scalar_solve(self):
+        rng = random.Random(55)
+        for _ in range(15):
+            inst = random_instance(rng, rng.randint(2, 14))
+            capacity = rng.randint(1, inst.n)
+            config = GreedyConfig(rng.randint(0, min(capacity, 2)), capacity, rng.randint(1, capacity + 1))
+            batched, batched_stats = make_counting_oracle(make_exact_oracle(inst))
+            scalar, scalar_stats = make_counting_oracle(make_exact_oracle(inst))
+            greedy_opt(config, inst.ids(), batched)
+            greedy_opt(config, inst.ids(), EvaluateOnly(scalar))
+            assert batched_stats.call_count == scalar_stats.call_count
+            assert batched_stats.distinct_count == scalar_stats.distinct_count
+
     def test_stat_updates_are_atomic_under_threads(self):
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
         oracle, stats = make_counting_oracle(make_exact_oracle(THREE))
         assortments = [Assortment.of(ids) for ids in [(1,), (2,), (3,), (1, 2), (1, 3)]]
+        # each batch reaches (1, 2, 3), (2, 3) and (1, 3); the first two are new
+        batch = (Assortment.of([1, 2]), [(3, None), (3, 1), (3, 2)])
+        distinct_sizes = []
 
         def hammer(worker):
             for i in range(400):
                 oracle.evaluate(assortments[(worker + i) % len(assortments)])
+                oracle.score_moves(*batch)
+                if i % 50 == 0:
+                    distinct_sizes.append(stats.distinct_count)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(hammer, range(8)))
-        assert stats.call_count == 8 * 400
-        assert stats.distinct_count == len(assortments)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(hammer, worker) for worker in range(8)]:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.call_count == 8 * 400 * (1 + len(batch[1]))
+        assert stats.distinct_count == len(assortments) + 2
+        assert max(distinct_sizes) <= len(assortments) + 2
