@@ -140,6 +140,8 @@ def run_bench(
     base_seed: int = 0,
 ) -> tuple[list[CellOutcome], dict]:
     """Run a sweep and return (cell outcomes in grid order, summary dict)."""
+    if seeds_per_cell < 1:
+        raise ValidationError(f"need >= 1 seed per cell, got {seeds_per_cell}", code="bad-config")
     if suite == "theorem1":
         b_rules = ("C+1",)
         epss = (0.0,)

@@ -24,7 +24,7 @@ from .analysis import (
     compute_bounds,
     slack_cap,
 )
-from .errors import ValidationError, VerificationFailure
+from .errors import ConfigError, ValidationError, VerificationFailure
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
 from .instance import Assortment, Instance
@@ -133,6 +133,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     capacity = args.C if args.C is not None else instance.capacity_default
     if capacity is None:
         raise ValidationError("no --C given and the instance has no capacity", code="bad-config")
+    if not 0 <= capacity <= instance.n:
+        raise ConfigError(f"need 0 <= C <= N, got C={capacity} N={instance.n}")
     brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
     candidate = candidate_set_opt(instance, capacity)
     agree = revenues_agree(candidate.revenue, brute.revenue)

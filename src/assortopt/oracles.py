@@ -2,9 +2,10 @@
 
 The solver only ever talks to an oracle through ``evaluate(assortment) ->
 float``, so any choice model can be plugged in. An oracle may also offer
-``score_moves(current, moves)``, which scores a whole pass of moves in one
-call (see ``score_moves`` below); without it the solver falls back to
-``evaluate``. This module provides the built-in implementations:
+``score_moves(current, moves)``, estimates for a whole pass of moves that
+need only be accurate to rounding: ``score_moves`` below re-evaluates the
+ones that could win through ``evaluate``, and falls back to it for oracles
+without the method. This module provides the built-in implementations:
 
 * exact MNL expected revenue,
 * a deterministic multiplicative-noise wrapper that underestimates the
@@ -31,9 +32,9 @@ NO_PURCHASE = 0
 
 NOISE_MODES = ("none", "fixed", "seeded-uniform")
 
-#: Relative distance below a batch's best value within which ``score_moves``
-#: returns exact ``evaluate`` values. Far wider than the rounding error of the
-#: batched sums (a few ulps per member), so the true best move is always in it.
+#: Relative distance below a batch's best estimate within which ``score_moves``
+#: re-evaluates values through ``evaluate``. Far wider than the rounding error
+#: of batched sums (a few ulps per member), so the true best move is in it.
 CONFIRM_BAND = 1e-9
 
 #: An (entering, leaving) product pair; ``leaving`` None is an addition.
@@ -50,29 +51,31 @@ class RevenueOracle(Protocol):
 def score_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
     """Revenue of ``current.after_move(entering, leaving)`` for each move.
 
-    Uses the oracle's own ``score_moves(current, moves)`` when it has one,
-    else calls ``evaluate`` on each candidate in order. Either way the
-    largest value, and every value within ``CONFIRM_BAND`` of it, is exactly
-    what ``evaluate`` returns for that candidate; the others may differ from
-    it by rounding. Each move counts as one oracle call.
+    Takes the estimates of the oracle's own ``score_moves(current, moves)``
+    when it has one, which need only be accurate to rounding, and replaces
+    the largest, and every one within ``CONFIRM_BAND`` of it, by what
+    ``evaluate`` returns for that candidate. Without the method it calls
+    ``evaluate`` on each candidate in order. Each move counts as one oracle
+    call: a ``CountingOracle`` records the batch, then its base scores and
+    confirms it, so confirmations are never counted.
     """
+    if isinstance(oracle, CountingOracle):
+        oracle.stats.record_moves(current, moves)
+        oracle = oracle.base
     batched = getattr(oracle, "score_moves", None)
-    if batched is not None:
-        return batched(current, moves)
+    if batched is None:
+        return _evaluate_moves(oracle, current, moves)
+    values = batched(current, moves)
+    top = max(values, default=0.0)
+    floor = top - CONFIRM_BAND * abs(top)
+    return [
+        oracle.evaluate(current.after_move(*move)) if value >= floor else value
+        for move, value in zip(moves, values)
+    ]
+
+
+def _evaluate_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
     return [oracle.evaluate(current.after_move(entering, leaving)) for entering, leaving in moves]
-
-
-def _confirm_top(
-    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move], values: list[float]
-) -> list[float]:
-    """Replace each estimate within the band of the largest by its ``evaluate`` value."""
-    if values:
-        top = max(values)
-        floor = top - CONFIRM_BAND * abs(top)
-        for i, value in enumerate(values):
-            if value >= floor:
-                values[i] = oracle.evaluate(current.after_move(*moves[i]))
-    return values
 
 
 def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
@@ -192,7 +195,7 @@ class ExactMnlOracle:
         return mnl_revenue(self.instance, assortment)
 
     def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """Batched ``evaluate``: one division per move over leave-one-out member sums."""
+        """Estimated ``evaluate``: one division per move over leave-one-out member sums."""
         terms, weights = self._terms, self._weights
         members = current.ids
         try:
@@ -212,7 +215,7 @@ class ExactMnlOracle:
             ]
         except KeyError as exc:
             raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
-        return _confirm_top(self, current, moves, values)
+        return values
 
 
 class NoisyOracle:
@@ -226,11 +229,11 @@ class NoisyOracle:
         return (1.0 - self.spec.epsilon(assortment)) * self.base.evaluate(assortment)
 
     def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """The base's batched values, each scaled by its set's noise factor."""
-        base = score_moves(self.base, current, moves)
+        """The base's estimates, each scaled by its set's noise factor."""
+        batched = getattr(self.base, "score_moves", None)
+        base = batched(current, moves) if batched else _evaluate_moves(self.base, current, moves)
         epsilons = self.spec.move_epsilons(current, moves)
-        values = [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
-        return _confirm_top(self, current, moves, values)
+        return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
 
 
 class OracleStats:
@@ -283,10 +286,6 @@ class CountingOracle:
     def evaluate(self, assortment: Assortment) -> float:
         self.stats.record(assortment)
         return self.base.evaluate(assortment)
-
-    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        self.stats.record_moves(current, moves)
-        return score_moves(self.base, current, moves)
 
 
 def make_exact_oracle(instance: Instance) -> ExactMnlOracle:

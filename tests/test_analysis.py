@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from assortopt import (
@@ -29,10 +30,40 @@ from assortopt import (
     top_set_with_slack,
     total_weight,
 )
-from assortopt.analysis import max_slack_set_size_grid
 from assortopt.generate import GeneratorSpec, generate_instance
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
+
+
+def max_slack_set_size_grid(
+    instance: Instance, size: int, delta: float, points: int = 10_001
+) -> int:
+    """Grid-scan fallback for the slack-set maximum (cross-check path).
+
+    Scans evenly spaced offsets on (0, max price]; exists to validate the
+    breakpoint enumeration, which the tests require to agree with this on
+    generic instances.
+    """
+    if instance.n == 0 or size <= 0:
+        return 0
+    prices = np.array([p.price for p in instance.products])
+    weights = np.array([p.weight for p in instance.products])
+    top = float(prices.max())
+    if top <= 0.0:
+        return 0
+    us = np.linspace(0.0, top, points)[1:]  # the slack set needs u > 0
+    margins = (prices[:, None] - us[None, :]) * weights[:, None]  # (N, P)
+    order = np.sort(margins, axis=0)[::-1]  # descending per column
+    positive_counts = (order > 0.0).sum(axis=0)
+    top_sizes = np.minimum(size, positive_counts)
+    nonempty = top_sizes >= 1
+    if not nonempty.any():
+        return 0
+    cols = np.nonzero(nonempty)[0]
+    anchor = order[top_sizes[cols] - 1, cols]
+    thresholds = anchor - delta * us[cols]
+    slack_sizes = (margins[:, cols] >= thresholds[None, :]).sum(axis=0)
+    return int(slack_sizes.max())
 
 
 def random_instance(rng, n=None):

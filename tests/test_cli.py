@@ -154,6 +154,13 @@ class TestBench:
         assert code == 0
         assert "exact recovery pass rate: 100.00% (8/8)" in out
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_fewer_than_one_seed_rejected(self, capsys, seeds):
+        code, out, err = run_cli(capsys, "bench", "--suite", "theorem1", "--seeds", seeds)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "bad-config"
+
 
 
 def _drop_first_pool_before(doc):
@@ -164,6 +171,8 @@ def _drop_first_pool_before(doc):
     "command, tamper, expected_code",
     [
         (["exact", "--C", "8"], None, "enumeration-cap"),
+        (["exact", "--C", "-1"], None, "bad-config"),
+        (["exact", "--C", "31"], None, "bad-config"),
         (["solve", "--C", "8", "--exact"], None, "enumeration-cap"),
         (["verify"], lambda doc: doc["result"].pop("oracle_calls"), "schema"),
         (["verify"], lambda doc: doc["config"].update(S="x"), "schema"),
@@ -172,6 +181,8 @@ def _drop_first_pool_before(doc):
     ],
     ids=[
         "exact-past-enumeration-cap",
+        "exact-negative-capacity",
+        "exact-capacity-above-N",
         "solve-exact-past-enumeration-cap",
         "verify-without-oracle-calls",
         "verify-non-integer-S",

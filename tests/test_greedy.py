@@ -360,6 +360,16 @@ class EvaluateOnly:
         return self._oracle.evaluate(assortment)
 
 
+class NudgedEstimates(EvaluateOnly):
+    """Adds a ``score_moves`` whose estimates are ``evaluate`` values off by a few ulps."""
+
+    def score_moves(self, current, moves):
+        return [
+            self.evaluate(current.after_move(*move)) * (1.0 + (i % 7 - 3) * 2.0**-52)
+            for i, move in enumerate(moves)
+        ]
+
+
 def differential_cases():
     rng = random.Random(6060)
     for _ in range(12):
@@ -401,6 +411,15 @@ def test_batched_scoring_matches_evaluate_fallback(spec):
         assert naive_greedy(config.capacity, inst.ids(), oracle) == naive_greedy(
             config.capacity, inst.ids(), EvaluateOnly(oracle)
         )
+
+
+def test_solver_confirms_unconfirmed_plug_in_estimates():
+    for inst, config in differential_cases():
+        for oracle in (make_exact_oracle(inst),
+                       make_noisy_oracle(make_exact_oracle(inst),
+                                         NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=5))):
+            nudged = greedy_opt(config, inst.ids(), NudgedEstimates(oracle), trace=True)
+            assert nudged == greedy_opt(config, inst.ids(), EvaluateOnly(oracle), trace=True)
 
 
 class TestNaiveGreedy:

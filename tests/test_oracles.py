@@ -22,7 +22,7 @@ from assortopt import (
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
-from assortopt.oracles import CONFIRM_BAND, score_moves
+from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, score_moves
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -53,6 +53,16 @@ class EvaluateOnly:
 
     def evaluate(self, assortment):
         return self._oracle.evaluate(assortment)
+
+
+class EvaluationCounter(ExactMnlOracle):
+    """Exact oracle that counts its ``evaluate`` calls."""
+
+    evaluations = 0
+
+    def evaluate(self, assortment):
+        self.evaluations += 1
+        return super().evaluate(assortment)
 
 
 class TestMnlRevenue:
@@ -264,6 +274,23 @@ class TestScoreMoves:
         with pytest.raises(InvalidAssortmentError):
             score_moves(make_exact_oracle(THREE), Assortment.of([1]), [(9, None)])
 
+    def test_batch_is_confirmed_once_below_the_counter(self):
+        rng = random.Random(1357)
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(2, 25))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_moves(rng, inst, current, rng.randint(1, 40))
+            base = EvaluationCounter(inst)
+            spec = NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=rng.getrandbits(32))
+            for oracle in (base, make_noisy_oracle(base, spec)):
+                base.evaluations = 0
+                counting, stats = make_counting_oracle(oracle)
+                values = score_moves(counting, current, moves)
+                top = max(values)
+                band = sum(value >= top - CONFIRM_BAND * abs(top) for value in values)
+                assert base.evaluations == band
+                assert stats.call_count == len(moves)
+
 
 class TestCountingOracle:
     def test_fresh_wrapper_counts_nothing(self):
@@ -303,7 +330,7 @@ class TestCountingOracle:
         for _ in range(20):
             current = random_assortment(rng, inst, max_size=6)
             moves = random_moves(rng, inst, current, rng.randint(0, 30))
-            oracle.score_moves(current, moves)
+            score_moves(oracle, current, moves)
             total += len(moves)
             assert stats.call_count == total
 
@@ -333,7 +360,7 @@ class TestCountingOracle:
         def hammer(worker):
             for i in range(400):
                 oracle.evaluate(assortments[(worker + i) % len(assortments)])
-                oracle.score_moves(*batch)
+                score_moves(oracle, *batch)
                 if i % 50 == 0:
                     distinct_sizes.append(stats.distinct_count)
 
