@@ -63,6 +63,10 @@ def _noise_from_args(args: argparse.Namespace) -> NoiseSpec:
         return NoiseSpec(mode="fixed", eps_fixed=args.eps, seed=args.seed)
     if mode == "seeded-uniform":
         return NoiseSpec(mode="seeded-uniform", eps_max=args.eps, seed=args.seed)
+    if args.eps != 0.0:
+        raise ValidationError(
+            f"--eps {args.eps!r} needs --noise-mode fixed or seeded-uniform", code="bad-noise"
+        )
     return NoiseSpec()
 
 

@@ -5,7 +5,10 @@ float``, so any choice model can be plugged in. An oracle may also offer
 ``score_moves(current, moves)``, estimates for a whole pass of moves that
 need only be accurate to rounding: ``score_moves`` below re-evaluates the
 ones that could win through ``evaluate``, and falls back to it for oracles
-without the method. This module provides the built-in implementations:
+without the method. Its values are exact within ``CONFIRM_BAND`` of the
+best; under seeded-uniform noise the moves that cannot reach the band are
+not hashed and get an upper bound below it, so the argmax is unchanged.
+This module provides the built-in implementations:
 
 * exact MNL expected revenue,
 * a deterministic multiplicative-noise wrapper that underestimates the
@@ -58,6 +61,12 @@ def score_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move
     ``evaluate`` on each candidate in order. Each move counts as one oracle
     call: a ``CountingOracle`` records the batch, then its base scores and
     confirms it, so confirmations are never counted.
+
+    Values in the band are exact. The others are estimates, except that a
+    seeded-uniform ``NoisyOracle`` gives the moves that cannot win their
+    noise-free value, an upper bound that stays below the band's floor.
+    Either way no value outside the band can be the best, so the argmax and
+    its tie-break are those of ``evaluate``.
     """
     if isinstance(oracle, CountingOracle):
         oracle.stats.record_moves(current, moves)
@@ -229,11 +238,29 @@ class NoisyOracle:
         return (1.0 - self.spec.epsilon(assortment)) * self.base.evaluate(assortment)
 
     def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """The base's estimates, each scaled by its set's noise factor."""
+        """The base's estimates, each scaled by its set's noise factor.
+
+        In "seeded-uniform" mode only the moves whose base estimate reaches
+        ``(1 - eps_bound) * top * (1 - 4 * CONFIRM_BAND)``, ``top`` being the
+        largest base estimate, are hashed and scaled. Every other move keeps
+        its base estimate. For a nonnegative base that is at least its noisy
+        value, to rounding, and it lies below the confirm band's floor,
+        because the move with base value ``top`` scores at least
+        ``(1 - eps_bound) * top``. So the band, its confirmations and the
+        argmax are those of the unpruned batch, bit for bit.
+        """
         batched = getattr(self.base, "score_moves", None)
         base = batched(current, moves) if batched else _evaluate_moves(self.base, current, moves)
-        epsilons = self.spec.move_epsilons(current, moves)
-        return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
+        spec = self.spec
+        if spec.mode != "seeded-uniform":
+            epsilons = spec.move_epsilons(current, moves)
+            return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
+        top = max(base, default=0.0)
+        # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
+        cut = (1.0 - spec.eps_bound) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
+        kept = [move for move, value in zip(moves, base) if value >= cut]
+        epsilons = iter(spec.move_epsilons(current, kept))
+        return [(1.0 - next(epsilons)) * value if value >= cut else value for value in base]
 
 
 class OracleStats:

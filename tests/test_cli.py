@@ -174,6 +174,7 @@ def _drop_first_pool_before(doc):
         (["exact", "--C", "-1"], None, "bad-config"),
         (["exact", "--C", "31"], None, "bad-config"),
         (["solve", "--C", "8", "--exact"], None, "enumeration-cap"),
+        (["solve", "--C", "3", "--eps", "0.5"], None, "bad-noise"),
         (["verify"], lambda doc: doc["result"].pop("oracle_calls"), "schema"),
         (["verify"], lambda doc: doc["config"].update(S="x"), "schema"),
         (["verify"], _drop_first_pool_before, "schema"),
@@ -184,6 +185,7 @@ def _drop_first_pool_before(doc):
         "exact-negative-capacity",
         "exact-capacity-above-N",
         "solve-exact-past-enumeration-cap",
+        "solve-eps-without-noise-mode",
         "verify-without-oracle-calls",
         "verify-non-integer-S",
         "verify-record-without-pool-before",

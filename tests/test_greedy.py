@@ -397,8 +397,10 @@ def differential_cases():
         NoiseSpec(mode="fixed", eps_fixed=0.01, seed=4),
         NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=17),
         NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=18),
+        # the pruning cut is near 0, so almost every move is hashed
+        NoiseSpec(mode="seeded-uniform", eps_max=0.999, seed=19),
     ],
-    ids=["none", "fixed-0.01", "seeded-uniform-0.001", "seeded-uniform-0.2"],
+    ids=["none", "fixed-0.01", "seeded-uniform-0.001", "seeded-uniform-0.2", "seeded-uniform-0.999"],
 )
 def test_batched_scoring_matches_evaluate_fallback(spec):
     for inst, config in differential_cases():

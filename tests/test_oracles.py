@@ -221,13 +221,16 @@ class TestNoisyOracle:
 
 
 class TestScoreMoves:
-    def oracles(self, inst, rng):
+    def unpruned_oracles(self, inst):
         exact = make_exact_oracle(inst)
         yield exact
         yield make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01))
-        yield make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2,
-                                                  seed=rng.getrandbits(32)))
         yield make_counting_oracle(exact)[0]
+
+    def oracles(self, inst, rng):
+        yield from self.unpruned_oracles(inst)
+        yield make_noisy_oracle(make_exact_oracle(inst), NoiseSpec(
+            mode="seeded-uniform", eps_max=0.2, seed=rng.getrandbits(32)))
 
     def test_band_is_exact_and_the_rest_is_close(self):
         rng = random.Random(2468)
@@ -235,7 +238,7 @@ class TestScoreMoves:
             inst = random_instance(rng, rng.randint(2, 25))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
             moves = random_moves(rng, inst, current, rng.randint(1, 40))
-            for oracle in self.oracles(inst, rng):
+            for oracle in self.unpruned_oracles(inst):
                 values = score_moves(oracle, current, moves)
                 exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
                 top = max(values)
@@ -245,6 +248,53 @@ class TestScoreMoves:
                         assert value == truth
                     else:
                         assert value == pytest.approx(truth, rel=1e-13)
+
+    @pytest.mark.parametrize("eps_max", [0.001, 0.2, 0.5, 0.999])
+    def test_seeded_uniform_band_is_exact_and_the_rest_bounds_it(self, eps_max):
+        # moves pruned before hashing keep their base value: below the band's
+        # floor and, to rounding, at least their noisy value
+        rng = random.Random(1234)
+        for _ in range(200):
+            inst = random_instance(rng, rng.randint(2, 25))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_moves(rng, inst, current, rng.randint(1, 40))
+            exact = make_exact_oracle(inst)
+            oracle = make_noisy_oracle(exact, NoiseSpec(
+                mode="seeded-uniform", eps_max=eps_max, seed=rng.getrandbits(32)))
+            values = score_moves(oracle, current, moves)
+            truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
+            top = max(values)
+            floor = top - CONFIRM_BAND * abs(top)
+            assert top == max(truth)
+            assert values.index(top) == truth.index(max(truth))
+            for move, value, noisy in zip(moves, values, truth):
+                if value >= floor:
+                    assert value == noisy
+                    continue
+                base = exact.evaluate(current.after_move(*move))
+                assert value == pytest.approx(noisy, rel=1e-13) or value == pytest.approx(base, rel=1e-13)
+                assert value >= noisy * (1 - 1e-13)
+
+    def test_seeded_uniform_hashes_only_moves_that_can_win(self, monkeypatch):
+        hashed = []
+        move_epsilons = NoiseSpec.move_epsilons
+
+        def counting_move_epsilons(spec, current, moves):
+            hashed.extend(moves)
+            return move_epsilons(spec, current, moves)
+
+        monkeypatch.setattr(NoiseSpec, "move_epsilons", counting_move_epsilons)
+        rng = random.Random(60)
+        inst = random_instance(rng, 60)
+        current = Assortment.of(rng.sample(inst.ids(), 6))
+        outside = [i for i in inst.ids() if i not in current]
+        moves = [(e, l) for e in outside for l in current.ids] + [(e, None) for e in outside]
+        oracle = make_noisy_oracle(make_exact_oracle(inst),
+                                   NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=3))
+        values = score_moves(oracle, current, moves)
+        assert 0 < len(hashed) < len(moves) / 2
+        truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
+        assert values.index(max(values)) == truth.index(max(truth))
 
     def test_near_tie_is_ranked_by_evaluate(self):
         # the batched sums round (3, 1) below (4, 1) although evaluate ranks it above
