@@ -60,6 +60,7 @@ from .reference import (
     candidate_set_collection,
     candidate_set_opt,
     find_nesting_witness,
+    mnl_opt,
 )
 from .transform import (
     assortment_margin,

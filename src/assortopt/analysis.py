@@ -29,10 +29,10 @@ from .transform import (
     assortment_margin,
     interval_offsets,
     margin_breakpoints,
+    margin_ranking,
     min_margin_member,
     scaled_margin,
     top_margin_set,
-    top_set_with_slack,
 )
 
 #: Absolute-per-unit slack granted to trace checks for float rounding in
@@ -136,9 +136,18 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     points = sorted(set(margin_breakpoints(instance)) | set(margin_breakpoints(instance, delta)))
     worst = 0
     for u in interval_offsets(points):
-        if len(top_margin_set(instance, size, u)) == 0:
+        # one ranking holds the top set (its leading positive margins), the
+        # anchor (the last of them) and, right after them, the outside
+        # products whose margin trails the anchor by at most delta * u
+        ranked = margin_ranking(instance, u)
+        top = sum(neg_margin < 0.0 for neg_margin, _ in ranked[: max(0, size)])
+        if top == 0:
             continue
-        worst = max(worst, len(top_set_with_slack(instance, size, delta, u)))
+        anchor, limit = -ranked[top - 1][0], delta * u
+        within = top
+        while within < len(ranked) and anchor + ranked[within][0] <= limit:
+            within += 1
+        worst = max(worst, within)
     return worst
 
 

@@ -1,12 +1,13 @@
 """Benchmark harness sweeping a grid of solver settings over seeded instances.
 
 Each grid cell (N, C, b-rule, eps) runs a batch of seeded random
-instances, solving each with the greedy search and with brute force, and
-aggregates the realized optimality gaps, oracle-call counts versus the
-analytic bound, and the exact-recovery pass rate. Cells derive their
-seeds from the cell coordinates and run one after another. The CLI's
-``--jobs`` option and the ASSORTOPT_JOBS environment variable have no
-effect: the cells are pure Python, which threads cannot run in parallel.
+instances, solving each with the greedy search and with the exact MNL
+fixed point (``reference.mnl_opt``, polynomial in N), and aggregates the
+realized optimality gaps, oracle-call counts versus the analytic bound,
+and the exact-recovery pass rate. Cells derive their seeds from the cell
+coordinates and run one after another. The CLI's ``--jobs`` option and
+the ASSORTOPT_JOBS environment variable have no effect: the cells are
+pure Python, which threads cannot run in parallel.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .errors import ValidationError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import GreedyConfig, call_count_bound, greedy_opt
 from .oracles import NoiseSpec, make_exact_oracle, make_noisy_oracle, mnl_revenue
-from .reference import brute_force_opt, revenues_agree
+from .reference import mnl_opt, revenues_agree
 
 DEFAULT_NS = (6, 8, 10)
 DEFAULT_CS = (2, 3, 4)
@@ -79,7 +80,7 @@ def _run_cell(
         instance = generate_instance(GeneratorSpec(n, seed=seed))
         ids = instance.ids()
         exact_oracle = make_exact_oracle(instance)
-        brute = brute_force_opt(exact_oracle, ids, capacity)
+        opt = mnl_opt(instance, capacity)
 
         if eps == 0.0:
             noise = NoiseSpec()
@@ -90,7 +91,7 @@ def _run_cell(
             )
             oracle = make_noisy_oracle(exact_oracle, noise)
 
-        bound = compute_bounds(instance, capacity, noise.eps_bound, brute)
+        bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
         budget = resolve_b_rule(b_rule, capacity)
         if budget is None:
             slack_size = max_slack_set_size(instance, capacity, 2.0 * bound.inputs.delta_cap)
@@ -99,14 +100,14 @@ def _run_cell(
 
         report = greedy_opt(config, ids, oracle)
         true_rev = mnl_revenue(instance, report.best_assortment)
-        gap = 0.0 if brute.revenue == 0.0 else (brute.revenue - true_rev) / brute.revenue
+        gap = 0.0 if opt.revenue == 0.0 else (opt.revenue - true_rev) / opt.revenue
         max_gap = max(max_gap, gap)
         max_calls = max(max_calls, report.oracle_calls)
         cell_bound = call_count_bound(n, config)
         worst_bound = max(worst_bound, cell_bound)
         if report.oracle_calls > cell_bound:
             call_violations += 1
-        if exact_passes is not None and revenues_agree(report.best_oracle_revenue, brute.revenue):
+        if exact_passes is not None and revenues_agree(report.best_oracle_revenue, opt.revenue):
             exact_passes += 1
         if gap_violations is not None:
             if bound.f_value >= 1.0:
@@ -232,7 +233,7 @@ def assertion_failures(outcomes: list[CellOutcome], summary: dict) -> list[str]:
     if summary["suite"] == "theorem1" and summary["exact_recovery_applicable"]:
         missed = summary["exact_recovery_applicable"] - summary["exact_recovery_passed"]
         if missed:
-            failures.append(f"{missed} exact-recovery runs missed the brute-force optimum")
+            failures.append(f"{missed} exact-recovery runs missed the exact MNL optimum")
     if summary["gap_bound_violations"]:
         failures.append(
             f"{summary['gap_bound_violations']} noisy runs exceeded the gap bound"

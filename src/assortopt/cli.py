@@ -29,7 +29,7 @@ from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, RevenueOracle, make_exact_oracle, make_noisy_oracle, mnl_revenue
-from .reference import brute_force_opt, candidate_set_opt, revenues_agree
+from .reference import brute_force_opt, candidate_set_opt, mnl_opt, revenues_agree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,7 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     exact = gap = bounds = analysis = None
     if args.exact:
-        exact = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
+        exact = mnl_opt(instance, capacity)
         true_rev = mnl_revenue(instance, result.best_assortment)
         gap = 0.0 if exact.revenue == 0.0 else (exact.revenue - true_rev) / exact.revenue
         bounds = compute_bounds(instance, capacity, noise.eps_bound, exact)
@@ -141,19 +141,22 @@ def cmd_exact(args: argparse.Namespace) -> int:
         raise ConfigError(f"need 0 <= C <= N, got C={capacity} N={instance.n}")
     brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
     candidate = candidate_set_opt(instance, capacity)
-    agree = revenues_agree(candidate.revenue, brute.revenue)
+    fixed_point = mnl_opt(instance, capacity)
+    agree = all(revenues_agree(s.revenue, brute.revenue) for s in (candidate, fixed_point))
     document = {
         "schema_version": io_mod.SCHEMA_VERSION,
         "instance_digest": io_mod.instance_digest(instance),
         "capacity": capacity,
         "brute_force": io_mod.exact_solution_to_document(brute),
         "candidate_set": io_mod.exact_solution_to_document(candidate),
+        "fixed_point": io_mod.exact_solution_to_document(fixed_point),
         "solvers_agree": agree,
     }
     _emit(io_mod.serialize_report(document), args.output)
     if not agree:
         raise VerificationFailure(
-            f"reference solvers disagree: brute={brute.revenue!r} candidate={candidate.revenue!r}"
+            f"reference solvers disagree: brute={brute.revenue!r} "
+            f"candidate={candidate.revenue!r} fixed_point={fixed_point.revenue!r}"
         )
     return EXIT_OK
 
@@ -298,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trace", action="store_true", help="record per-step trace")
     solve.add_argument(
         "--exact", action="store_true",
-        help="embed the brute-force solution, realized gap and gap bound",
+        help="embed the exact MNL optimum (mnl_opt), realized gap and gap bound",
     )
     solve.add_argument("-o", "--output", default=None)
     solve.set_defaults(func=cmd_solve)
 
-    exact = sub.add_parser("exact", help="run and cross-check both reference solvers")
+    exact = sub.add_parser("exact", help="run and cross-check all three reference solvers")
     exact.add_argument("instance")
     exact.add_argument("--C", type=int, default=None)
     exact.add_argument("-o", "--output", default=None)

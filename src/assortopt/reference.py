@@ -1,11 +1,13 @@
-"""Exact reference solvers used as ground truth in tests.
+"""Exact reference solvers: ground truth for the tests, the sweep and the CLI.
 
-Two independent routes to the capacitated optimum: exhaustive
-enumeration against any oracle, and an MNL-specific solver that only
-inspects the candidate collection of top-margin sets (piecewise constant
-in the revenue offset, so finitely many). A third routine searches for
-instances whose per-capacity optima fail to nest, witnessing why the
-pure-addition greedy baseline is not exact.
+Three independent routes to the capacitated optimum: exhaustive
+enumeration against any oracle (desk scale only), an MNL-specific solver
+that only inspects the candidate collection of top-margin sets
+(piecewise constant in the revenue offset, so finitely many), and the MNL
+revenue fixed point, polynomial in N, which ``bench`` and
+``solve --exact`` use. All three break ties the same way. A last routine
+searches for instances whose per-capacity optima fail to nest,
+witnessing why the pure-addition greedy baseline is not exact.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .errors import EnumerationCapError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .instance import Assortment, Instance
-from .oracles import RevenueOracle, make_exact_oracle, mnl_revenue
-from .transform import interval_offsets, margin_breakpoints, top_margin_set
+from .oracles import CONFIRM_BAND, RevenueOracle, make_exact_oracle, mnl_revenue
+from .transform import interval_offsets, margin_breakpoints, margin_ranking, top_margin_set
 
 logger = logging.getLogger(__name__)
 
@@ -94,6 +96,87 @@ def brute_force_opt(
                 best = (assortment, rev)
         per_size[k] = best  # best over sizes <= k: sizes are scanned in order
     return ExactSolution(assortment=best[0], revenue=best[1], per_size_optima=per_size)
+
+
+def mnl_opt(instance: Instance, capacity: int) -> ExactSolution:
+    """MNL optimum by the revenue fixed point, one size cap after another.
+
+    For each k = 1..capacity, iterates u <- R(top_k(u)) starting from the
+    optimum for k - 1, where top_k(u) is the at most k products with the
+    largest positive margin (p - u) * w. This is Dinkelbach's method on the
+    StaticMNL form of Rusmevichientong, Shen & Shmoys (2010): below the
+    optimal revenue the top set earns strictly more than u, and no set earns
+    more than the optimum, so u rises through distinct sets and stops there.
+    Each step ranks the products once.
+
+    ``per_size_optima`` has brute_force_opt's contract, tie-break included:
+    ``_best_tied_set`` scores the sets the ranking at the optimum cannot
+    tell apart, and the fixed point's own set competes with them. That
+    raises EnumerationCapError only when the tied products admit more than
+    DEFAULT_ENUMERATION_CAP mixes, e.g. dozens of products of distinct
+    weights all priced exactly at the optimal revenue.
+    """
+    capacity = max(0, capacity)
+    best = (Assortment(), 0.0)
+    per_size = {0: best}
+    for k in range(1, capacity + 1):
+        assortment, u = best
+        while True:
+            ranked = margin_ranking(instance, u)
+            top = Assortment.of(pid for neg_margin, pid in ranked[:k] if neg_margin < 0.0)
+            rev = mnl_revenue(instance, top)
+            if not rev > u:
+                break
+            assortment, u = top, rev
+        if u > 0.0:  # at u = 0 every price is 0, and the empty set wins every tie
+            best = min(
+                (assortment, u), _best_tied_set(instance, ranked, k, u), key=_brute_force_key
+            )
+        per_size[k] = best
+    return ExactSolution(assortment=best[0], revenue=best[1], per_size_optima=per_size)
+
+
+def _brute_force_key(solution: tuple[Assortment, float]) -> tuple[float, tuple[int, ...]]:
+    return (-solution[1], solution[0].ids)
+
+
+def _best_tied_set(
+    instance: Instance, ranked: list[tuple[float, int]], size: int, u: float
+) -> tuple[Assortment, float]:
+    """Brute force's choice among the sets that tie at the optimal revenue u.
+
+    The optimal sets are those of at most ``size`` products with the largest
+    margin sum at u. They hold every product whose margin is clearly above
+    the size-th largest; when that margin is positive the products tied
+    with it fill the remaining places, and otherwise products priced at u
+    (margin 0) may fill some of them. Margins within ``CONFIRM_BAND`` of the
+    scale count as tied, since rounding may split an exact tie, and so may
+    the revenues of tied sets: each mix of tied products is scored, taking
+    the smallest ids among products of equal price and weight.
+    """
+    band = CONFIRM_BAND * max((p.price + u) * p.weight for p in instance.products)
+    margins = [(-neg_margin, pid) for neg_margin, pid in ranked]
+    edge = margins[size - 1][0] if len(margins) >= size else 0.0
+    if edge <= band:
+        edge = 0.0
+    chosen = [pid for margin, pid in margins if margin > edge + band]
+    slots = size - len(chosen)
+    groups: dict[tuple[float, float], list[int]] = {}
+    for pid in sorted(pid for margin, pid in margins if abs(margin - edge) <= band):
+        product = instance.product(pid)
+        groups.setdefault((product.price, product.weight), []).append(pid)
+    counts = [range(min(len(members), slots) + 1) for members in groups.values()]
+    total = prod(len(c) for c in counts)
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"scoring {total} mixes of tied products exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
+        )
+    tied_sets = (
+        Assortment.of(chosen + [pid for group, n in zip(groups.values(), mix) for pid in group[:n]])
+        for mix in itertools.product(*counts)
+        if (sum(mix) == slots if edge > 0.0 else sum(mix) <= slots)
+    )
+    return min(((s, mnl_revenue(instance, s)) for s in tied_sets), key=_brute_force_key)
 
 
 def candidate_set_collection(instance: Instance, size: int) -> list[Assortment]:

@@ -50,6 +50,16 @@ def top_margin_set(instance: Instance, size: int, u: float) -> Assortment:
     return Assortment.of(chosen)
 
 
+def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
+    """Every product's ``(-margin, id)`` at offset u, in ascending order.
+
+    ``top_margin_set`` takes the leading pairs with a negative first entry
+    (a positive margin); ``(u - price) * weight`` is the exact negation of
+    the margin, so both rank the same way.
+    """
+    return sorted(((u - p.price) * p.weight, p.id) for p in instance.products)
+
+
 def min_margin_member(instance: Instance, top: Assortment, u: float) -> int:
     """Member of a top set with the smallest margin (ties to smaller id)."""
     if len(top) == 0:

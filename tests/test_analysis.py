@@ -22,6 +22,7 @@ from assortopt import (
     exact_delta_cap,
     greedy_opt,
     make_exact_oracle,
+    margin_breakpoints,
     make_noisy_oracle,
     max_slack_set_size,
     mnl_revenue,
@@ -31,6 +32,7 @@ from assortopt import (
     total_weight,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
+from assortopt.transform import interval_offsets
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -202,6 +204,31 @@ class TestMaxSlackSetSize:
             exact = max_slack_set_size(inst, size, delta)
             grid = max_slack_set_size_grid(inst, size, delta)
             assert exact == grid
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.5, 3.0])
+    def test_matches_its_definition(self, delta):
+        """Largest slack set at one offset per interval, where the top set is nonempty."""
+        rng = random.Random(6)
+        for index in range(60):
+            n = rng.randint(1, 9)
+            if index % 2:
+                pool = [(rng.uniform(0.1, 10.0), float(rng.randint(0, 6))) for _ in range(3)]
+                inst = Instance.of([(i, *rng.choice(pool)) for i in range(1, n + 1)])
+            else:
+                inst = random_instance(rng, n)
+            size = rng.randint(1, n)
+            points = sorted(
+                set(margin_breakpoints(inst)) | set(margin_breakpoints(inst, delta))
+            )
+            expected = max(
+                (
+                    len(top_set_with_slack(inst, size, delta, u))
+                    for u in interval_offsets(points)
+                    if len(top_margin_set(inst, size, u)) > 0
+                ),
+                default=0,
+            )
+            assert max_slack_set_size(inst, size, delta) == expected
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValidationError):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from assortopt import candidate_set_opt
 from assortopt.cli import main
-from assortopt.io import load_report
+from assortopt.io import load_instance, load_report
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,10 @@ class TestGenSolveExactFlow:
         assert float(doc["brute_force"]["revenue"]) == float(
             report["exact"]["revenue"]
         )
+        # the fixed point reports brute force's optima, tie-break included
+        assert doc["fixed_point"]["per_size_optima"] == doc["brute_force"]["per_size_optima"]
+        assert doc["fixed_point"]["candidate_collection_size"] is None
+        assert report["exact"] == doc["fixed_point"]
 
     def test_solve_revenue_matches_exact_subcommand(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -173,7 +178,6 @@ def _drop_first_pool_before(doc):
         (["exact", "--C", "8"], None, "enumeration-cap"),
         (["exact", "--C", "-1"], None, "bad-config"),
         (["exact", "--C", "31"], None, "bad-config"),
-        (["solve", "--C", "8", "--exact"], None, "enumeration-cap"),
         (["solve", "--C", "3", "--eps", "0.5"], None, "bad-noise"),
         (["verify"], lambda doc: doc["result"].pop("oracle_calls"), "schema"),
         (["verify"], lambda doc: doc["config"].update(S="x"), "schema"),
@@ -184,7 +188,6 @@ def _drop_first_pool_before(doc):
         "exact-past-enumeration-cap",
         "exact-negative-capacity",
         "exact-capacity-above-N",
-        "solve-exact-past-enumeration-cap",
         "solve-eps-without-noise-mode",
         "verify-without-oracle-calls",
         "verify-non-integer-S",
@@ -235,3 +238,21 @@ def test_verify_rejects_result_that_contradicts_config(tmp_path, capsys, field, 
     assert out.startswith("verify FAIL")
     assert f"{field}={value}" in out
     assert json.loads(err)["error"]["code"] == "assertion-failure"
+
+
+def test_solve_exact_past_enumeration_cap(tmp_path, capsys):
+    """solve --exact needs no enumeration: N=30, C=8 would be 8,656,937 assortments."""
+    path = tmp_path / "big.json"
+    run_cli(capsys, "gen", "--N", "30", "--seed", "1", "-o", str(path))
+    code, out, err = run_cli(capsys, "solve", str(path), "--C", "8", "--exact")
+    assert code == 0
+    assert err == ""
+    exact = json.loads(out)["exact"]
+    instance, _meta = load_instance(str(path))
+    candidate = candidate_set_opt(instance, 8)
+    assert float(exact["revenue"]) == pytest.approx(candidate.revenue, rel=1e-9)
+    assert sorted(exact["per_size_optima"], key=int) == [str(k) for k in range(9)]
+    for k, (assortment, revenue) in candidate.per_size_optima.items():
+        entry = exact["per_size_optima"][str(k)]
+        assert entry["assortment"] == list(assortment.ids)
+        assert float(entry["revenue"]) == pytest.approx(revenue, rel=1e-9)

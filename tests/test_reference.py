@@ -1,4 +1,4 @@
-"""Reference solvers: brute force, candidate-set solver, nesting witnesses."""
+"""Reference solvers: brute force, candidate-set solver, MNL fixed point, nesting witnesses."""
 
 import itertools
 import random
@@ -8,14 +8,18 @@ import pytest
 from assortopt import (
     Assortment,
     EnumerationCapError,
+    GreedyConfig,
     Instance,
     brute_force_opt,
     candidate_set_collection,
     candidate_set_opt,
     find_nesting_witness,
+    greedy_opt,
     make_exact_oracle,
+    mnl_opt,
     mnl_revenue,
     naive_greedy,
+    top_margin_set,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
 
@@ -112,6 +116,126 @@ class TestCandidateSetSolver:
         sets = candidate_set_collection(THREE, 2)
         assert Assortment() in sets
         assert Assortment.of([1, 3]) in sets
+
+
+def brute_force_optima(inst):
+    return brute_force_opt(make_exact_oracle(inst), inst.ids(), inst.n).per_size_optima
+
+
+def plain_fixed_point_optima(inst):
+    """The fixed point alone: u <- R(top_k(u)) from the previous optimum, no tie rule."""
+    best = (Assortment(), 0.0)
+    optima = {0: best}
+    for k in range(1, inst.n + 1):
+        while True:
+            top = top_margin_set(inst, k, best[1])
+            rev = mnl_revenue(inst, top)
+            if not rev > best[1]:
+                break
+            best = (top, rev)
+        optima[k] = best
+    return optima
+
+
+def duplicated_products(rng):
+    pool = [(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(rng.randint(1, 3))]
+    return Instance.of([(i, *rng.choice(pool)) for i in range(1, rng.randint(2, 12) + 1)])
+
+
+def zero_prices(rng):
+    return Instance.of([(i, rng.uniform(0.1, 10.0), 0.0) for i in range(1, rng.randint(1, 12) + 1)])
+
+
+def integer_grid(rng):
+    n = rng.randint(2, 12)
+    return Instance.of([(i, rng.randint(1, 3), rng.randint(0, 5)) for i in range(1, n + 1)])
+
+
+def priced_at_a_set_revenue(rng):
+    """Some products priced at another set's revenue: exact on the grid, rounded off it."""
+    n = rng.randint(2, 11)
+    if rng.random() < 0.5:
+        base = Instance.of([(i, rng.randint(1, 4), rng.randint(0, 9)) for i in range(1, n + 1)])
+    else:
+        base = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
+    members = rng.sample(base.ids(), rng.randint(1, n))
+    if rng.random() < 0.5:  # the revenue of the optimum itself, for a random size cap
+        members = brute_force_optima(base)[rng.randint(1, n)][0].ids or members
+    revenue = mnl_revenue(base, Assortment.of(members))
+    repriced = set(rng.sample(base.ids(), rng.randint(1, n)))
+    return Instance.of(
+        [(p.id, p.weight, revenue if p.id in repriced else p.price) for p in base.products]
+    )
+
+
+TIE_FAMILIES = [duplicated_products, zero_prices, integer_grid, priced_at_a_set_revenue]
+
+
+class TestMnlOpt:
+    def test_matches_brute_force_on_random_instances(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            inst = generate_instance(GeneratorSpec(rng.randint(1, 12), seed=rng.getrandbits(60)))
+            assert mnl_opt(inst, inst.n).per_size_optima == brute_force_optima(inst)
+
+    @pytest.mark.parametrize("family", TIE_FAMILIES, ids=lambda f: f.__name__)
+    def test_matches_brute_force_on_tie_families(self, family):
+        """Sets and float revenues equal brute force's, smallest id tuple among ties."""
+        rng = random.Random(family.__name__)
+        for _ in range(80):
+            inst = family(rng)
+            assert mnl_opt(inst, inst.n).per_size_optima == brute_force_optima(inst)
+
+    def test_tie_split_by_rounding(self):
+        """At u = 3.85 products 5 and 8 tie exactly, (4 - u) * 1 = (3.9 - u) * 3, but their
+        rounded margins differ, so the tie is found only within a band."""
+        inst = Instance.of(
+            [(1, 1, 3.9), (2, 2, 3.9), (3, 4, 3.9), (4, 1, 3.9), (5, 1, 4.0), (6, 2, 3.9),
+             (7, 3, 3.9), (8, 3, 3.9), (9, 1, 3.9), (10, 1, 7.0), (11, 4, 3.9)]
+        )
+        optima = mnl_opt(inst, 5).per_size_optima
+        assert optima == {k: v for k, v in brute_force_optima(inst).items() if k <= 5}
+        assert optima[5] == (Assortment.of([3, 5, 7, 10, 11]), 3.85)
+
+    def test_too_many_tied_mixes_are_refused(self):
+        """Product 1 earns 1.0 alone; 40 products of distinct weights priced at 1.0 leave it
+        unchanged in any of 2**40 mixes, which would all need scoring."""
+        inst = Instance.of([(1, 1.0, 2.0)] + [(i, 1.0 + i / 64, 1.0) for i in range(2, 42)])
+        assert mnl_opt(inst, 1).per_size_optima[1] == (Assortment.of([1]), 1.0)
+        with pytest.raises(EnumerationCapError):
+            mnl_opt(inst, 30)
+
+    def test_tie_families_defeat_the_plain_fixed_point(self):
+        """Without the tie rule the fixed point misses brute force's choice on these families."""
+        rng = random.Random(7)
+        misses = {family.__name__: 0 for family in TIE_FAMILIES}
+        for family in TIE_FAMILIES:
+            for _ in range(80):
+                inst = family(rng)
+                plain = plain_fixed_point_optima(inst)
+                misses[family.__name__] += plain != brute_force_optima(inst)
+        assert sum(misses.values()) > 0, misses
+
+    def test_smaller_capacity_is_a_prefix(self):
+        rng = random.Random(99)
+        for _ in range(30):
+            inst = integer_grid(rng)
+            capacity = rng.randint(0, inst.n)
+            full = mnl_opt(inst, inst.n).per_size_optima
+            sol = mnl_opt(inst, capacity)
+            assert sol.per_size_optima == {k: full[k] for k in range(capacity + 1)}
+            assert (sol.assortment, sol.revenue) == full[capacity]
+
+    def test_agrees_with_candidate_set_opt_at_n60(self):
+        inst = generate_instance(GeneratorSpec(60, seed=60))
+        assert mnl_opt(inst, 8).per_size_optima == candidate_set_opt(inst, 8).per_size_optima
+
+    def test_exact_greedy_recovers_it_at_n100(self):
+        inst = generate_instance(GeneratorSpec(100, seed=100))
+        sol = mnl_opt(inst, 10)
+        report = greedy_opt(GreedyConfig(0, 10, 11), inst.ids(), make_exact_oracle(inst))
+        assert report.best_assortment == sol.assortment
+        assert report.best_oracle_revenue == sol.revenue
 
 
 class TestNestingWitness:
