@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 from .errors import EnumerationCapError
 from .generate import GeneratorSpec, derive_seed, generate_instance
@@ -114,7 +114,9 @@ def mnl_opt(instance: Instance, capacity: int) -> ExactSolution:
     tell apart, and the fixed point's own set competes with them. That
     raises EnumerationCapError only when the tied products admit more than
     DEFAULT_ENUMERATION_CAP mixes, e.g. dozens of products of distinct
-    weights all priced exactly at the optimal revenue.
+    weights all priced exactly at the optimal revenue. Each mix is a
+    distinct set of at most k products, so brute force would refuse that
+    size cap too.
     """
     capacity = max(0, capacity)
     best = (Assortment(), 0.0)
@@ -165,18 +167,48 @@ def _best_tied_set(
     for pid in sorted(pid for margin, pid in margins if abs(margin - edge) <= band):
         product = instance.product(pid)
         groups.setdefault((product.price, product.weight), []).append(pid)
-    counts = [range(min(len(members), slots) + 1) for members in groups.values()]
-    total = prod(len(c) for c in counts)
+    sizes = [len(members) for members in groups.values()]
+    fill = edge > 0.0
+    total = _count_mixes(sizes, slots, fill)
     if total > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
             f"scoring {total} mixes of tied products exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
         )
     tied_sets = (
-        Assortment.of(chosen + [pid for group, n in zip(groups.values(), mix) for pid in group[:n]])
-        for mix in itertools.product(*counts)
-        if (sum(mix) == slots if edge > 0.0 else sum(mix) <= slots)
+        Assortment.of(chosen + picks) for picks in _mixes(list(groups.values()), slots, fill)
     )
     return min(((s, mnl_revenue(instance, s)) for s in tied_sets), key=_brute_force_key)
+
+
+def _count_mixes(sizes: list[int], slots: int, fill: bool) -> int:
+    """How many count vectors 0 <= n[g] <= sizes[g] add up to at most ``slots``
+    (exactly ``slots`` when ``fill``)."""
+    ways = [1] + [0] * slots  # ways[s]: mixes of the groups so far that add s products
+    for size in sizes:
+        sums = list(itertools.accumulate(ways, initial=0))
+        ways = [sums[s + 1] - sums[max(0, s - size)] for s in range(slots + 1)]
+    return ways[slots] if fill else sum(ways)
+
+
+def _mixes(groups: list[list[int]], slots: int, fill: bool):
+    """The products each count vector of ``_count_mixes`` adds: the first n[g] of group g.
+
+    Only groups with n[g] > 0 are visited, and, when ``fill``, only while the
+    groups left can still fill the slots, so the work follows the number of
+    mixes rather than the number of groups.
+    """
+    room = list(itertools.accumulate(reversed([len(g) for g in groups]), initial=0))[::-1]
+    stack = [(0, [], slots)]
+    while stack:
+        start, picks, left = stack.pop()
+        if not (fill and left):
+            yield picks
+        for g in range(start, len(groups) if left else start):
+            if fill and room[g] < left:
+                break
+            for n in range(1, min(len(groups[g]), left) + 1):
+                if not fill or room[g + 1] >= left - n:
+                    stack.append((g + 1, picks + groups[g][:n], left - n))
 
 
 def candidate_set_collection(instance: Instance, size: int) -> list[Assortment]:

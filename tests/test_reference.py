@@ -19,7 +19,6 @@ from assortopt import (
     mnl_opt,
     mnl_revenue,
     naive_greedy,
-    top_margin_set,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
 
@@ -122,21 +121,6 @@ def brute_force_optima(inst):
     return brute_force_opt(make_exact_oracle(inst), inst.ids(), inst.n).per_size_optima
 
 
-def plain_fixed_point_optima(inst):
-    """The fixed point alone: u <- R(top_k(u)) from the previous optimum, no tie rule."""
-    best = (Assortment(), 0.0)
-    optima = {0: best}
-    for k in range(1, inst.n + 1):
-        while True:
-            top = top_margin_set(inst, k, best[1])
-            rev = mnl_revenue(inst, top)
-            if not rev > best[1]:
-                break
-            best = (top, rev)
-        optima[k] = best
-    return optima
-
-
 def duplicated_products(rng):
     pool = [(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(rng.randint(1, 3))]
     return Instance.of([(i, *rng.choice(pool)) for i in range(1, rng.randint(2, 12) + 1)])
@@ -197,24 +181,27 @@ class TestMnlOpt:
         assert optima == {k: v for k, v in brute_force_optima(inst).items() if k <= 5}
         assert optima[5] == (Assortment.of([3, 5, 7, 10, 11]), 3.85)
 
+    def test_product_priced_at_the_optimum_joins_it(self):
+        """{2} and {1, 2} both earn 1.0 at k = 2. The fixed point stops at {2}, since product
+        1's margin is 0 there; brute force picks (1, 2), the smaller id tuple."""
+        inst = Instance.of([(1, 1.0, 1.0), (2, 1.0, 2.0)])
+        assert mnl_opt(inst, 2).per_size_optima == brute_force_optima(inst)
+        assert mnl_opt(inst, 2).per_size_optima[2] == (Assortment.of([1, 2]), 1.0)
+
     def test_too_many_tied_mixes_are_refused(self):
         """Product 1 earns 1.0 alone; 40 products of distinct weights priced at 1.0 leave it
-        unchanged in any of 2**40 mixes, which would all need scoring."""
+        unchanged. Only the mixes that fit the size cap are scored: 41 at C = 2 and 821 at
+        C = 3, but far more than the cap at C = 30, where brute force refuses too."""
         inst = Instance.of([(1, 1.0, 2.0)] + [(i, 1.0 + i / 64, 1.0) for i in range(2, 42)])
-        assert mnl_opt(inst, 1).per_size_optima[1] == (Assortment.of([1]), 1.0)
+        oracle = make_exact_oracle(inst)
+        for capacity in (1, 2, 3):
+            brute = brute_force_opt(oracle, inst.ids(), capacity).per_size_optima
+            assert mnl_opt(inst, capacity).per_size_optima == brute
+        assert brute[3] == (Assortment.of([1]), 1.0)
         with pytest.raises(EnumerationCapError):
             mnl_opt(inst, 30)
-
-    def test_tie_families_defeat_the_plain_fixed_point(self):
-        """Without the tie rule the fixed point misses brute force's choice on these families."""
-        rng = random.Random(7)
-        misses = {family.__name__: 0 for family in TIE_FAMILIES}
-        for family in TIE_FAMILIES:
-            for _ in range(80):
-                inst = family(rng)
-                plain = plain_fixed_point_optima(inst)
-                misses[family.__name__] += plain != brute_force_optima(inst)
-        assert sum(misses.values()) > 0, misses
+        with pytest.raises(EnumerationCapError):
+            brute_force_opt(oracle, inst.ids(), 30)
 
     def test_smaller_capacity_is_a_prefix(self):
         rng = random.Random(99)
