@@ -32,6 +32,7 @@ from .transform import (
     margin_ranking,
     min_margin_member,
     scaled_margin,
+    top_ids,
     top_margin_set,
 )
 
@@ -140,7 +141,7 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
         # anchor (the last of them) and, right after them, the outside
         # products whose margin trails the anchor by at most delta * u
         ranked = margin_ranking(instance, u)
-        top = sum(neg_margin < 0.0 for neg_margin, _ in ranked[: max(0, size)])
+        top = len(top_ids(ranked, size))
         if top == 0:
             continue
         anchor, limit = -ranked[top - 1][0], delta * u

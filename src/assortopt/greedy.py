@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
-from .instance import Assortment
+from .instance import Assortment, optimum_key
 from .oracles import RevenueOracle, make_counting_oracle, score_moves
 
 
@@ -206,8 +206,7 @@ def greedy_opt(
     config.validate(len(ids))
     counting, stats = make_counting_oracle(oracle)
 
-    best: tuple[float, tuple[int, ...]] | None = None
-    best_assortment = Assortment()
+    best: tuple[Assortment, float] | None = None
     traces: list[tuple[Assortment, tuple[IterationRecord, ...]]] = []
     seeds_explored = 0
 
@@ -226,15 +225,12 @@ def greedy_opt(
             rev = counting.evaluate(current)
         if trace:
             traces.append((seed, tuple(records)))
-        key = (-rev, current.ids)
-        if best is None or key < best:
-            best = key
-            best_assortment = current
+        best = (current, rev) if best is None else min(best, (current, rev), key=optimum_key)
 
     assert best is not None
     return SolveReport(
-        best_assortment=best_assortment,
-        best_oracle_revenue=-best[0],
+        best_assortment=best[0],
+        best_oracle_revenue=best[1],
         oracle_calls=stats.call_count,
         seeds_explored=seeds_explored,
         traces=tuple(traces) if trace else None,

@@ -113,14 +113,18 @@ def serialize_instance(instance: Instance, metadata: dict | None = None) -> str:
     return json.dumps(instance_to_document(instance, metadata), indent=2) + "\n"
 
 
-def load_instance(path: str) -> tuple[Instance, dict]:
+def _load_json(path: str) -> Any:
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8 or not JSON are schema errors."""
     with open(path, "rb") as handle:
-        return parse_instance(handle.read().decode("utf-8"))
+        raw = handle.read()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"not valid JSON: {exc}", code="schema") from None
 
 
-def write_instance(path: str, instance: Instance, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_instance(instance, metadata))
+def load_instance(path: str) -> tuple[Instance, dict]:
+    return parse_instance(_load_json(path))
 
 
 def instance_digest(instance: Instance) -> str:
@@ -169,17 +173,25 @@ def record_to_document(record: IterationRecord) -> dict:
     }
 
 
+def _product_id(value: Any) -> int:
+    """A product id as a trace record holds it; anything but an integer is a TypeError."""
+    if type(value) is not int:  # a JSON integer; bool is not one
+        raise TypeError(f"product id must be an integer, got {value!r}")
+    return value
+
+
 def record_from_document(doc: dict) -> IterationRecord:
     with _schema_errors("trace record"):
+        added, removed = doc.get("added"), doc.get("removed")
         return IterationRecord(
             step_index=int(doc["step"]),
             action=str(doc["action"]),
-            added=doc.get("added"),
-            removed=doc.get("removed"),
+            added=None if added is None else _product_id(added),
+            removed=None if removed is None else _product_id(removed),
             revenue_after=_parse_float(doc["revenue_after"], "revenue_after", "schema"),
-            assortment_before=Assortment.of(doc["assortment_before"]),
-            assortment_after=Assortment.of(doc["assortment_after"]),
-            pool_before=tuple(doc["pool_before"]),
+            assortment_before=Assortment.of(map(_product_id, doc["assortment_before"])),
+            assortment_after=Assortment.of(map(_product_id, doc["assortment_after"])),
+            pool_before=tuple(map(_product_id, doc["pool_before"])),
             universe_size_after=int(doc["universe_size_after"]),
             exchange_out_counts={int(k): int(v) for k, v in doc["exchange_out_counts"].items()},
         )
@@ -281,11 +293,7 @@ def serialize_report(document: dict) -> str:
 
 
 def load_report(path: str) -> dict:
-    with open(path, "rb") as handle:
-        try:
-            doc = json.loads(handle.read().decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"not valid JSON: {exc}", code="schema") from None
+    doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError("not a recognizable run report", code="schema")
     return doc

@@ -5,9 +5,13 @@ enumeration against any oracle (desk scale only), an MNL-specific solver
 that only inspects the candidate collection of top-margin sets
 (piecewise constant in the revenue offset, so finitely many), and the MNL
 revenue fixed point, polynomial in N, which ``bench`` and
-``solve --exact`` use. All three break ties the same way. A last routine
-searches for instances whose per-capacity optima fail to nest,
-witnessing why the pure-addition greedy baseline is not exact.
+``solve --exact`` use. One tie rule, ``optimum_key``, picks every
+optimum: the highest revenue, then the smallest id tuple. All three agree
+on the revenue under every size cap, brute force and the fixed point also
+on the set; the candidate collection may miss brute force's choice among
+equal revenues. A last routine searches for instances whose per-capacity
+optima fail to nest, witnessing why the pure-addition greedy baseline is
+not exact.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from math import comb
 
 from .errors import EnumerationCapError
 from .generate import GeneratorSpec, derive_seed, generate_instance
-from .instance import Assortment, Instance
+from .instance import Assortment, Instance, optimum_key
 from .oracles import CONFIRM_BAND, RevenueOracle, make_exact_oracle, mnl_revenue
-from .transform import interval_offsets, margin_breakpoints, margin_ranking, top_margin_set
+from .transform import interval_offsets, margin_breakpoints, margin_ranking, top_ids, top_margin_set
 
 logger = logging.getLogger(__name__)
 
@@ -83,18 +87,13 @@ def brute_force_opt(
             f"enumerating {total} assortments exceeds the cap of {enumeration_cap}"
         )
 
-    per_size: dict[int, tuple[Assortment, float]] = {}
-    best_key: tuple[float, tuple[int, ...]] | None = None
-    best: tuple[Assortment, float] | None = None
-    for k in range(capacity + 1):
-        for members in itertools.combinations(ids, k):
-            assortment = Assortment(members)
-            rev = oracle.evaluate(assortment)
-            key = (-rev, members)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (assortment, rev)
-        per_size[k] = best  # best over sizes <= k: sizes are scanned in order
+    empty = Assortment()
+    best = (empty, oracle.evaluate(empty))
+    per_size = {0: best}
+    for k in range(1, capacity + 1):
+        scored = ((s, oracle.evaluate(s)) for s in map(Assortment, itertools.combinations(ids, k)))
+        best = min(itertools.chain([best], scored), key=optimum_key)  # best over sizes <= k
+        per_size[k] = best
     return ExactSolution(assortment=best[0], revenue=best[1], per_size_optima=per_size)
 
 
@@ -125,21 +124,15 @@ def mnl_opt(instance: Instance, capacity: int) -> ExactSolution:
         assortment, u = best
         while True:
             ranked = margin_ranking(instance, u)
-            top = Assortment.of(pid for neg_margin, pid in ranked[:k] if neg_margin < 0.0)
+            top = Assortment.of(top_ids(ranked, k))
             rev = mnl_revenue(instance, top)
             if not rev > u:
                 break
             assortment, u = top, rev
         if u > 0.0:  # at u = 0 every price is 0, and the empty set wins every tie
-            best = min(
-                (assortment, u), _best_tied_set(instance, ranked, k, u), key=_brute_force_key
-            )
+            best = min((assortment, u), _best_tied_set(instance, ranked, k, u), key=optimum_key)
         per_size[k] = best
     return ExactSolution(assortment=best[0], revenue=best[1], per_size_optima=per_size)
-
-
-def _brute_force_key(solution: tuple[Assortment, float]) -> tuple[float, tuple[int, ...]]:
-    return (-solution[1], solution[0].ids)
 
 
 def _best_tied_set(
@@ -177,7 +170,7 @@ def _best_tied_set(
     tied_sets = (
         Assortment.of(chosen + picks) for picks in _mixes(list(groups.values()), slots, fill)
     )
-    return min(((s, mnl_revenue(instance, s)) for s in tied_sets), key=_brute_force_key)
+    return min(((s, mnl_revenue(instance, s)) for s in tied_sets), key=optimum_key)
 
 
 def _count_mixes(sizes: list[int], slots: int, fill: bool) -> int:
@@ -251,15 +244,7 @@ def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
                     instance.n,
                     capacity,
                 )
-        best_key = None
-        best = None
-        for assortment in candidates:
-            rev = mnl_revenue(instance, assortment)
-            key = (-rev, assortment.ids)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (assortment, rev)
-        per_size[k] = best
+        per_size[k] = min(((s, mnl_revenue(instance, s)) for s in candidates), key=optimum_key)
     final = per_size[capacity]
     return ExactSolution(
         assortment=final[0],

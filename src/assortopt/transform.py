@@ -11,8 +11,10 @@ revenue through
 so at u = revenue(M) the transform has a fixed point. Because the
 per-product margins are lines in u, the "top k by margin" set is
 piecewise constant with breakpoints at pairwise crossings and zero
-crossings; these enumerations drive both the exact candidate-set solver
-and the slack-set sizes used in the noise analysis.
+crossings. ``margin_ranking`` is the only place products are ordered by
+margin and ``top_ids`` the only place a top set is read off that order;
+the candidate-set solver, the revenue fixed point ``mnl_opt`` and the
+slack-set sizes used in the noise analysis all go through both.
 """
 
 from __future__ import annotations
@@ -40,24 +42,23 @@ def top_margin_set(instance: Instance, size: int, u: float) -> Assortment:
     Ties break toward the smaller product id. Returns the empty assortment
     when no margin is positive or size <= 0.
     """
-    if size <= 0:
-        return Assortment()
-    ranked = sorted(
-        ((p.id, (p.price - u) * p.weight) for p in instance.products),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    chosen = [pid for pid, margin in ranked[:size] if margin > 0.0]
-    return Assortment.of(chosen)
+    return Assortment.of(top_ids(margin_ranking(instance, u), size))
 
 
 def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
     """Every product's ``(-margin, id)`` at offset u, in ascending order.
 
-    ``top_margin_set`` takes the leading pairs with a negative first entry
-    (a positive margin); ``(u - price) * weight`` is the exact negation of
-    the margin, so both rank the same way.
+    This is the one place products are ranked by margin: largest margin
+    first, ties to the smaller id. ``(u - price) * weight`` is the exact
+    negation of the margin ``(price - u) * weight``.
     """
     return sorted(((u - p.price) * p.weight, p.id) for p in instance.products)
+
+
+def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:
+    """Ids of the top set in a ``margin_ranking``: the at most ``size`` leading
+    entries with a positive margin (a negative first entry); size < 0 counts as 0."""
+    return [pid for neg_margin, pid in ranked[: max(0, size)] if neg_margin < 0.0]
 
 
 def min_margin_member(instance: Instance, top: Assortment, u: float) -> int:

@@ -135,6 +135,7 @@ class TestTopMarginSet:
 
     def test_size_zero(self):
         assert top_margin_set(THREE, 0, 1.0).ids == ()
+        assert top_margin_set(THREE, -1, 1.0).ids == ()
 
     def test_members_beat_outsiders(self):
         rng = random.Random(55)

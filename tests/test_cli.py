@@ -172,6 +172,10 @@ def _drop_first_pool_before(doc):
     del doc["result"]["traces"][0]["records"][0]["pool_before"]
 
 
+def _set_first_record(**fields):
+    return lambda doc: doc["result"]["traces"][0]["records"][0].update(fields)
+
+
 @pytest.mark.parametrize(
     "command, tamper, expected_code",
     [
@@ -183,6 +187,10 @@ def _drop_first_pool_before(doc):
         (["verify"], lambda doc: doc["config"].update(S="x"), "schema"),
         (["verify"], _drop_first_pool_before, "schema"),
         (["verify"], lambda doc: doc["config"].update(C=10**9), "bad-config"),
+        (["solve", "--C", "2"], b"\xff\xfe", "schema"),
+        (["verify"], b"\xff\xfe", "schema"),
+        (["verify"], _set_first_record(added=[1]), "schema"),
+        (["verify"], _set_first_record(pool_before=[[1]]), "schema"),
     ],
     ids=[
         "exact-past-enumeration-cap",
@@ -193,6 +201,10 @@ def _drop_first_pool_before(doc):
         "verify-non-integer-S",
         "verify-record-without-pool-before",
         "verify-capacity-above-N",
+        "solve-non-utf8-instance",
+        "verify-non-utf8-report",
+        "verify-list-as-added-id",
+        "verify-list-in-pool-before",
     ],
 )
 def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):
@@ -201,6 +213,9 @@ def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, 
         # brute force over N=30, C=8 would enumerate 8,656,937 assortments
         path = tmp_path / "big.json"
         run_cli(capsys, "gen", "--N", "30", "--seed", "1", "-o", str(path))
+    elif isinstance(tamper, bytes):
+        path = tmp_path / "bad.json"
+        path.write_bytes(tamper)
     else:
         inst_path = tmp_path / "inst.json"
         path = tmp_path / "report.json"

@@ -72,6 +72,44 @@ class TestBruteForce:
             assert revenues == sorted(revenues)
 
 
+def brute_force_optima(inst):
+    return brute_force_opt(make_exact_oracle(inst), inst.ids(), inst.n).per_size_optima
+
+
+def duplicated_products(rng):
+    pool = [(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(rng.randint(1, 3))]
+    return Instance.of([(i, *rng.choice(pool)) for i in range(1, rng.randint(2, 12) + 1)])
+
+
+def zero_prices(rng):
+    return Instance.of([(i, rng.uniform(0.1, 10.0), 0.0) for i in range(1, rng.randint(1, 12) + 1)])
+
+
+def integer_grid(rng):
+    n = rng.randint(2, 12)
+    return Instance.of([(i, rng.randint(1, 3), rng.randint(0, 5)) for i in range(1, n + 1)])
+
+
+def priced_at_a_set_revenue(rng):
+    """Some products priced at another set's revenue: exact on the grid, rounded off it."""
+    n = rng.randint(2, 11)
+    if rng.random() < 0.5:
+        base = Instance.of([(i, rng.randint(1, 4), rng.randint(0, 9)) for i in range(1, n + 1)])
+    else:
+        base = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
+    members = rng.sample(base.ids(), rng.randint(1, n))
+    if rng.random() < 0.5:  # the revenue of the optimum itself, for a random size cap
+        members = brute_force_optima(base)[rng.randint(1, n)][0].ids or members
+    revenue = mnl_revenue(base, Assortment.of(members))
+    repriced = set(rng.sample(base.ids(), rng.randint(1, n)))
+    return Instance.of(
+        [(p.id, p.weight, revenue if p.id in repriced else p.price) for p in base.products]
+    )
+
+
+TIE_FAMILIES = [duplicated_products, zero_prices, integer_grid, priced_at_a_set_revenue]
+
+
 class TestCandidateSetSolver:
     def test_single_product(self):
         inst = Instance.of([(1, 1.0, 10.0)])
@@ -116,43 +154,17 @@ class TestCandidateSetSolver:
         assert Assortment() in sets
         assert Assortment.of([1, 3]) in sets
 
-
-def brute_force_optima(inst):
-    return brute_force_opt(make_exact_oracle(inst), inst.ids(), inst.n).per_size_optima
-
-
-def duplicated_products(rng):
-    pool = [(rng.uniform(0.1, 10.0), rng.uniform(1.0, 100.0)) for _ in range(rng.randint(1, 3))]
-    return Instance.of([(i, *rng.choice(pool)) for i in range(1, rng.randint(2, 12) + 1)])
-
-
-def zero_prices(rng):
-    return Instance.of([(i, rng.uniform(0.1, 10.0), 0.0) for i in range(1, rng.randint(1, 12) + 1)])
-
-
-def integer_grid(rng):
-    n = rng.randint(2, 12)
-    return Instance.of([(i, rng.randint(1, 3), rng.randint(0, 5)) for i in range(1, n + 1)])
-
-
-def priced_at_a_set_revenue(rng):
-    """Some products priced at another set's revenue: exact on the grid, rounded off it."""
-    n = rng.randint(2, 11)
-    if rng.random() < 0.5:
-        base = Instance.of([(i, rng.randint(1, 4), rng.randint(0, 9)) for i in range(1, n + 1)])
-    else:
-        base = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
-    members = rng.sample(base.ids(), rng.randint(1, n))
-    if rng.random() < 0.5:  # the revenue of the optimum itself, for a random size cap
-        members = brute_force_optima(base)[rng.randint(1, n)][0].ids or members
-    revenue = mnl_revenue(base, Assortment.of(members))
-    repriced = set(rng.sample(base.ids(), rng.randint(1, n)))
-    return Instance.of(
-        [(p.id, p.weight, revenue if p.id in repriced else p.price) for p in base.products]
-    )
-
-
-TIE_FAMILIES = [duplicated_products, zero_prices, integer_grid, priced_at_a_set_revenue]
+    @pytest.mark.parametrize("family", TIE_FAMILIES, ids=lambda f: f.__name__)
+    def test_revenues_equal_brute_force_on_tie_families(self, family):
+        """Brute force's float revenue under every size cap. The set may be another one of
+        equal revenue: integer_grid's instance 13 gives (3, 7, 10) at k = 3, brute force
+        (1, 3, 10), both at 4.0."""
+        rng = random.Random(family.__name__)
+        for _ in range(80):
+            inst = family(rng)
+            candidate = candidate_set_opt(inst, inst.n).per_size_optima
+            brute = brute_force_optima(inst)
+            assert [r for _, r in candidate.values()] == [r for _, r in brute.values()]
 
 
 class TestMnlOpt:
