@@ -20,7 +20,7 @@ from assortopt import (
     make_exact_oracle,
     make_noisy_oracle,
     max_slack_set_size,
-    mnl_revenue,
+    realized_gap,
 )
 
 capacity = 3
@@ -44,8 +44,7 @@ for eps_max in (0.0005, 0.001, 0.005, 0.01, 0.05):
         solve = greedy_opt(
             GreedyConfig(0, capacity, budget), instance.ids(), make_noisy_oracle(exact, noise)
         )
-        realized = mnl_revenue(instance, solve.best_assortment)
-        gap = (brute.revenue - realized) / brute.revenue
+        gap = realized_gap(instance, solve.best_assortment, brute)
 
         if bound.f_value < 1.0 and gap > worst_gap:
             worst_gap = gap

@@ -16,6 +16,7 @@ from .analysis import (
     compute_bounds,
     exact_delta_cap,
     max_slack_set_size,
+    realized_gap,
 )
 from .errors import (
     AssortoptError,
@@ -37,7 +38,7 @@ from .greedy import (
     greedy_opt,
     naive_greedy,
 )
-from .instance import EMPTY_ASSORTMENT, Assortment, Instance, Product
+from .instance import Assortment, Instance, Product
 from .oracles import (
     NO_PURCHASE,
     CountingOracle,
@@ -49,6 +50,7 @@ from .oracles import (
     make_counting_oracle,
     make_exact_oracle,
     make_noisy_oracle,
+    make_oracle,
     mnl_choice_prob,
     mnl_revenue,
     total_weight,

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
-from .errors import EnumerationCapError, ValidationError
+from .errors import ValidationError
 from .greedy import IterationRecord
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, mnl_revenue, total_weight
-from .reference import ExactSolution, candidate_set_opt
+from .reference import ExactSolution, candidate_set_opt, check_enumeration
 from .transform import (
     assortment_margin,
     interval_offsets,
@@ -59,6 +58,17 @@ class GapBound:
     eta: float
     f_value: float
     inputs: BoundInputs
+
+    def holds(self, gap: float) -> bool | None:
+        """Whether ``gap`` meets the guarantee; None when it is vacuous (f_value >= 1)."""
+        return None if self.f_value >= 1.0 else gap <= self.f_value
+
+
+def realized_gap(instance: Instance, assortment: Assortment, opt: ExactSolution) -> float:
+    """Relative shortfall of ``assortment``'s exact revenue from the optimum's (0 if that is 0)."""
+    if opt.revenue == 0.0:
+        return 0.0
+    return (opt.revenue - mnl_revenue(instance, assortment)) / opt.revenue
 
 
 def compute_bounds(
@@ -95,21 +105,17 @@ def slack_cap(instance: Instance, capacity: int, eps: float) -> float:
     return (1.0 + instance.top_weight_sum(capacity)) * eps / (1.0 - eps)
 
 
-def exact_delta_cap(
-    instance: Instance, capacity: int, noise: NoiseSpec, enumeration_cap: int = 2_000_000
-) -> float:
+def exact_delta_cap(instance: Instance, capacity: int, noise: NoiseSpec) -> float:
     """Exact estimate-slack maximum over all assortments of size <= capacity.
 
     delta(M) = eps(M) * w(M) / (1 - eps(M)) depends on the noise draw for
     each assortment, so this enumerates them all; affordable only at desk
     scale (the closed-form cap in ``compute_bounds`` is what the guarantee
-    uses).
+    uses), and refuses past ``check_enumeration``'s cap.
     """
     ids = instance.ids()
     capacity = min(capacity, len(ids))
-    total = sum(comb(len(ids), k) for k in range(capacity + 1))
-    if total > enumeration_cap:
-        raise EnumerationCapError(f"{total} assortments exceed cap {enumeration_cap}")
+    check_enumeration(len(ids), capacity)
     worst = 0.0
     for k in range(capacity + 1):
         for members in itertools.combinations(ids, k):
@@ -220,7 +226,6 @@ def check_trace_invariants(
     instance: Instance,
     trace: list[IterationRecord] | tuple[IterationRecord, ...],
     delta_cap: float,
-    float_slack: float = FLOAT_SLACK,
 ) -> list[TraceViolation]:
     """Replay a greedy trace against the per-step near-optimality bounds.
 
@@ -229,7 +234,7 @@ def check_trace_invariants(
     pool product's, and (for exchanges) the product dropped must have
     margin within delta_cap * u above every pre-step member's. The exact
     revenue is recomputed from the instance, so the check is meaningful
-    for noisy traces too; ``float_slack`` (scaled by max(1, u)) absorbs
+    for noisy traces too; ``FLOAT_SLACK`` (scaled by max(1, u)) absorbs
     rounding differences between revenue argmax and margin comparison.
     """
     violations: list[TraceViolation] = []
@@ -237,7 +242,7 @@ def check_trace_invariants(
         if record.action == "terminate":
             continue
         u = mnl_revenue(instance, record.assortment_after)
-        slack = delta_cap * u + float_slack * max(1.0, u)
+        slack = delta_cap * u + FLOAT_SLACK * max(1.0, u)
         entered = record.added
         h_entered = scaled_margin(instance, entered, u)
         for other in record.pool_before:
@@ -348,6 +353,7 @@ __all__ = [
     "compute_bounds",
     "slack_cap",
     "exact_delta_cap",
+    "realized_gap",
     "max_slack_set_size",
     "check_margin_revenue_equivalence",
     "check_trace_invariants",

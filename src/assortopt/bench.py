@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import compute_bounds, max_slack_set_size
+from .analysis import compute_bounds, max_slack_set_size, realized_gap
 from .errors import ValidationError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import GreedyConfig, call_count_bound, greedy_opt
-from .oracles import NoiseSpec, make_exact_oracle, make_noisy_oracle, mnl_revenue
+from .oracles import NoiseSpec, make_oracle
 from .reference import mnl_opt, revenues_agree
 
 DEFAULT_NS = (6, 8, 10)
@@ -28,10 +28,8 @@ DEFAULT_EPSS = (0.0, 0.001, 0.01)
 DEFAULT_SEEDS_PER_CELL = 50
 
 
-def resolve_b_rule(rule: str | int, capacity: int) -> int | None:
+def resolve_b_rule(rule: str, capacity: int) -> int | None:
     """Map a b-rule token to a concrete budget; None means per-instance."""
-    if isinstance(rule, int):
-        return rule
     if rule == "C":
         return capacity
     if rule == "C+1":
@@ -79,17 +77,10 @@ def _run_cell(
         seed = derive_seed("bench", base_seed, n, capacity, b_rule, repr(eps), k)
         instance = generate_instance(GeneratorSpec(n, seed=seed))
         ids = instance.ids()
-        exact_oracle = make_exact_oracle(instance)
         opt = mnl_opt(instance, capacity)
-
-        if eps == 0.0:
-            noise = NoiseSpec()
-            oracle = exact_oracle
-        else:
-            noise = NoiseSpec(
-                mode="seeded-uniform", eps_max=eps, seed=derive_seed("noise", seed)
-            )
-            oracle = make_noisy_oracle(exact_oracle, noise)
+        noise = NoiseSpec() if eps == 0.0 else NoiseSpec(
+            mode="seeded-uniform", eps_max=eps, seed=derive_seed("noise", seed)
+        )
 
         bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
         budget = resolve_b_rule(b_rule, capacity)
@@ -98,9 +89,8 @@ def _run_cell(
             budget = max(capacity + 1, slack_size + 1)
         config = GreedyConfig(seed_size=0, capacity=capacity, exchange_budget=budget)
 
-        report = greedy_opt(config, ids, oracle)
-        true_rev = mnl_revenue(instance, report.best_assortment)
-        gap = 0.0 if opt.revenue == 0.0 else (opt.revenue - true_rev) / opt.revenue
+        report = greedy_opt(config, ids, make_oracle(instance, noise))
+        gap = realized_gap(instance, report.best_assortment, opt)
         max_gap = max(max_gap, gap)
         max_calls = max(max_calls, report.oracle_calls)
         cell_bound = call_count_bound(n, config)
@@ -110,10 +100,9 @@ def _run_cell(
         if exact_passes is not None and revenues_agree(report.best_oracle_revenue, opt.revenue):
             exact_passes += 1
         if gap_violations is not None:
-            if bound.f_value >= 1.0:
-                vacuous += 1
-            elif gap > bound.f_value:
-                gap_violations += 1
+            holds = bound.holds(gap)
+            vacuous += holds is None
+            gap_violations += holds is False
 
     return CellOutcome(
         n=n,

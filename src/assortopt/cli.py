@@ -3,8 +3,9 @@
 Subcommands: gen (write a random instance), solve (greedy search, write a
 run report), exact (cross-checked reference solvers), bench (grid sweep),
 verify (replay a run report's trace and invariant checks with no other
-inputs). Exit codes: 0 ok, 2 usage, 3 validation, 4 assertion failure,
-5 I/O; errors are emitted as JSON on stderr.
+inputs, and recompute its exact, gap, bounds and analysis sections the way
+solve writes them). Exit codes: 0 ok, 2 usage, 3 validation, 4 assertion
+failure, 5 I/O; errors are emitted as JSON on stderr.
 """
 
 from __future__ import annotations
@@ -19,17 +20,22 @@ from math import comb
 from . import bench as bench_mod
 from . import io as io_mod
 from .analysis import (
+    GapBound,
+    TraceViolation,
     check_margin_revenue_equivalence,
     check_trace_invariants,
     compute_bounds,
+    realized_gap,
     slack_cap,
 )
 from .errors import ConfigError, ValidationError, VerificationFailure
-from .generate import GeneratorSpec, derive_seed, generate_instance
+from .generate import (
+    DEFAULT_PRICE_RANGE, DEFAULT_WEIGHT_RANGE, GeneratorSpec, derive_seed, generate_instance,
+)
 from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
 from .instance import Assortment, Instance
-from .oracles import NoiseSpec, RevenueOracle, make_exact_oracle, make_noisy_oracle, mnl_revenue
-from .reference import brute_force_opt, candidate_set_opt, mnl_opt, revenues_agree
+from .oracles import NoiseSpec, make_exact_oracle, make_oracle
+from .reference import ExactSolution, brute_force_opt, candidate_set_opt, mnl_opt, revenues_agree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,11 +56,12 @@ def _error_json(code: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": {"code": code, "message": message}}) + "\n")
 
 
-def _build_oracle(instance: Instance, noise: NoiseSpec) -> RevenueOracle:
-    base = make_exact_oracle(instance)
-    if noise.mode == "none":
-        return base
-    return make_noisy_oracle(base, noise)
+def _capacity(args: argparse.Namespace, instance: Instance) -> int:
+    """``--C``, or else the capacity stored in the instance file."""
+    capacity = args.C if args.C is not None else instance.capacity_default
+    if capacity is None:
+        raise ValidationError("no --C given and the instance has no capacity", code="bad-config")
+    return capacity
 
 
 def _noise_from_args(args: argparse.Namespace) -> NoiseSpec:
@@ -98,45 +105,85 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance, _meta = io_mod.load_instance(args.instance)
-    capacity = args.C if args.C is not None else instance.capacity_default
-    if capacity is None:
-        raise ValidationError("no --C given and the instance has no capacity", code="bad-config")
+    capacity = _capacity(args, instance)
     budget = args.b if args.b is not None else capacity + 1
     config = GreedyConfig(seed_size=args.S, capacity=capacity, exchange_budget=budget)
     noise = _noise_from_args(args)
-    oracle = _build_oracle(instance, noise)
+    oracle = make_oracle(instance, noise)
 
     start = time.perf_counter()
     result = greedy_opt(config, instance.ids(), oracle, trace=args.trace)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
 
-    exact = gap = bounds = analysis = None
-    if args.exact:
-        exact = mnl_opt(instance, capacity)
-        true_rev = mnl_revenue(instance, result.best_assortment)
-        gap = 0.0 if exact.revenue == 0.0 else (exact.revenue - true_rev) / exact.revenue
-        bounds = compute_bounds(instance, capacity, noise.eps_bound, exact)
-    if args.trace and result.traces is not None:
-        delta_cap = slack_cap(instance, capacity, noise.eps_bound)
-        violations = sum(
-            len(check_trace_invariants(instance, records, delta_cap))
-            for _seed, records in result.traces
-        )
-        analysis = {"trace_violations": violations, "delta_cap": repr(delta_cap)}
-
+    opt, gap, bound, violations, delta_cap = _derived_sections(
+        instance, capacity, noise, result, args.exact
+    )
     document = io_mod.run_report_document(
-        instance, config, noise, result, exact=exact, gap=gap, bounds=bounds,
-        analysis=analysis, timing_ms=round(elapsed_ms, 3),
+        instance, config, noise, result, exact=opt, gap=gap, bounds=bound,
+        trace_violations=len(violations), delta_cap=delta_cap, timing_ms=round(elapsed_ms, 3),
     )
     _emit(io_mod.serialize_report(document), args.output)
     return EXIT_OK
 
 
+def _derived_sections(
+    instance: Instance, capacity: int, noise: NoiseSpec, result: SolveReport, exact: bool
+) -> tuple[
+    ExactSolution | None, float | None, GapBound | None, list[TraceViolation], float | None
+]:
+    """What a run report derives from its run: (optimum, realized gap, gap bound,
+    trace violations, slack cap), as ``io.derived_sections_to_document`` takes them.
+
+    The first three are None unless ``exact`` is set; with no traces there
+    are no violations and the slack cap is None.
+    """
+    opt = gap = bound = delta_cap = None
+    violations: list[TraceViolation] = []
+    if result.traces is not None:
+        delta_cap = slack_cap(instance, capacity, noise.eps_bound)
+        for _seed, records in result.traces:
+            violations.extend(check_trace_invariants(instance, records, delta_cap))
+    if exact:
+        opt = mnl_opt(instance, capacity)
+        gap = realized_gap(instance, result.best_assortment, opt)
+        bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
+    return opt, gap, bound, violations, delta_cap
+
+
+def _optimum_claim_problems(
+    config: GreedyConfig,
+    noise: NoiseSpec,
+    result: SolveReport,
+    opt: ExactSolution,
+    gap: float,
+    bound: GapBound,
+) -> list[str]:
+    """Where a run misses what is claimed for it, judged as ``bench`` judges it.
+
+    Both claims are for S = 0; a seed of S > 0 products cannot reach an
+    optimum of fewer. Under noise the realized gap stays within a
+    non-vacuous bound. With an exact oracle and b >= C + 1 the search
+    recovers the optimum's revenue to ``revenues_agree``'s tolerance:
+    tied optima can differ by an ulp. A smaller budget claims no recovery.
+    """
+    if config.seed_size != 0:
+        return []
+    if noise.eps_bound > 0.0:
+        if bound.holds(gap) is False:
+            return [f"realized gap {gap!r} exceeds the gap bound {bound.f_value!r}"]
+    elif config.exchange_budget > config.capacity and not revenues_agree(
+        result.best_oracle_revenue, opt.revenue
+    ):
+        return [
+            f"best revenue {result.best_oracle_revenue!r} misses the optimum {opt.revenue!r} "
+            "with an exact oracle and b >= C + 1"
+        ]
+    return []
+
+
 def cmd_exact(args: argparse.Namespace) -> int:
     instance, _meta = io_mod.load_instance(args.instance)
-    capacity = args.C if args.C is not None else instance.capacity_default
-    if capacity is None:
-        raise ValidationError("no --C given and the instance has no capacity", code="bad-config")
+    capacity = _capacity(args, instance)
     if not 0 <= capacity <= instance.n:
         raise ConfigError(f"need 0 <= C <= N, got C={capacity} N={instance.n}")
     brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
@@ -193,7 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config, noise = io_mod.config_from_document(document)
     config.validate(instance.n)
     result = io_mod.solve_report_from_document(document.get("result"))
-    oracle = _build_oracle(instance, noise)
+    oracle = make_oracle(instance, noise)
     problems: list[str] = []
 
     digest = io_mod.instance_digest(instance)
@@ -204,7 +251,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         problems.append("recorded best revenue does not match a fresh oracle evaluation")
     problems.extend(_result_config_problems(instance.n, config, result))
 
-    delta_cap = slack_cap(instance, config.capacity, noise.eps_bound)
     trace_steps = 0
     if result.traces:
         for _seed, records in result.traces:
@@ -215,8 +261,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         problems.append(
                             f"step {record.step_index}: recorded revenue is not reproducible"
                         )
-            violations = check_trace_invariants(instance, records, delta_cap)
-            problems.extend(v.describe() for v in violations)
+    opt, gap, bound, violations, delta_cap = _derived_sections(
+        instance, config.capacity, noise, result, document.get("exact") is not None
+    )
+    problems.extend(v.describe() for v in violations)
+    sections = io_mod.derived_sections_to_document(opt, gap, bound, len(violations), delta_cap)
+    problems.extend(
+        f"{key} does not match its recomputation from the instance, config and result"
+        for key, value in sections.items()
+        if document.get(key) != value
+    )
+    if opt is not None:
+        problems.extend(_optimum_claim_problems(config, noise, result, opt, gap, bound))
 
     rng = random.Random(derive_seed("verify", document.get("instance_digest", ""), noise.seed))
     ids = list(instance.ids())
@@ -256,6 +312,8 @@ def _result_config_problems(n: int, config: GreedyConfig, result: SolveReport) -
         )
     if result.seeds_explored != seeds:
         problems.append(f"seeds_explored={result.seeds_explored}, expected binom(N, S)={seeds}")
+    if result.traces is not None and len(result.traces) != seeds:
+        problems.append(f"{len(result.traces)} traces, expected one per seed: binom(N, S)={seeds}")
     if config.seed_size == config.capacity:
         # no add-exchange invocations: each seed is scored once
         if result.oracle_calls != seeds:
@@ -277,10 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a seeded random instance")
     gen.add_argument("--N", type=int, required=True, help="number of products")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--w-lo", type=float, default=0.1, help="weight range low (log-uniform)")
-    gen.add_argument("--w-hi", type=float, default=10.0, help="weight range high")
-    gen.add_argument("--p-lo", type=float, default=1.0, help="price range low (uniform)")
-    gen.add_argument("--p-hi", type=float, default=100.0, help="price range high")
+    w_lo, w_hi = DEFAULT_WEIGHT_RANGE
+    p_lo, p_hi = DEFAULT_PRICE_RANGE
+    gen.add_argument("--w-lo", type=float, default=w_lo, help="weight range low (log-uniform)")
+    gen.add_argument("--w-hi", type=float, default=w_hi, help="weight range high")
+    gen.add_argument("--p-lo", type=float, default=p_lo, help="price range low (uniform)")
+    gen.add_argument("--p-hi", type=float, default=p_hi, help="price range high")
     gen.add_argument("--capacity", type=int, default=None, help="default capacity stored in the file")
     gen.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     gen.set_defaults(func=cmd_gen)

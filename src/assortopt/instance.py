@@ -177,9 +177,6 @@ class Assortment:
         return len(self.ids)
 
 
-EMPTY_ASSORTMENT = Assortment()
-
-
 def optimum_key(solution: tuple[Assortment, float]) -> tuple[float, tuple[int, ...]]:
     """Tie rule for optima as a sort key: the highest revenue, then the smallest id tuple."""
     assortment, revenue = solution

@@ -183,9 +183,11 @@ def _product_id(value: Any) -> int:
 def record_from_document(doc: dict) -> IterationRecord:
     with _schema_errors("trace record"):
         added, removed = doc.get("added"), doc.get("removed")
+        if doc["action"] not in ("add", "exchange", "terminate"):
+            raise ValueError(f"unknown action {doc['action']!r}")
         return IterationRecord(
             step_index=int(doc["step"]),
-            action=str(doc["action"]),
+            action=doc["action"],
             added=None if added is None else _product_id(added),
             removed=None if removed is None else _product_id(removed),
             revenue_after=_parse_float(doc["revenue_after"], "revenue_after", "schema"),
@@ -258,6 +260,27 @@ def gap_bound_to_document(bound: GapBound) -> dict:
     }
 
 
+def derived_sections_to_document(
+    exact: ExactSolution | None,
+    gap: float | None,
+    bounds: GapBound | None,
+    trace_violations: int,
+    delta_cap: float | None,
+) -> dict:
+    """A run report's ``exact``, ``gap``, ``bounds`` and ``analysis`` sections.
+
+    ``analysis`` is None when ``delta_cap`` is, i.e. when no trace was checked.
+    """
+    return {
+        "exact": exact_solution_to_document(exact) if exact is not None else None,
+        "gap": _format_float(gap) if gap is not None else None,
+        "bounds": gap_bound_to_document(bounds) if bounds is not None else None,
+        "analysis": None if delta_cap is None else {
+            "trace_violations": trace_violations, "delta_cap": _format_float(delta_cap),
+        },
+    }
+
+
 def run_report_document(
     instance: Instance,
     config: GreedyConfig,
@@ -266,7 +289,8 @@ def run_report_document(
     exact: ExactSolution | None = None,
     gap: float | None = None,
     bounds: GapBound | None = None,
-    analysis: dict | None = None,
+    trace_violations: int = 0,
+    delta_cap: float | None = None,
     timing_ms: float | None = None,
 ) -> dict:
     return {
@@ -280,10 +304,7 @@ def run_report_document(
             "noise": noise_to_document(noise),
         },
         "result": solve_report_to_document(result),
-        "exact": exact_solution_to_document(exact) if exact is not None else None,
-        "gap": _format_float(gap) if gap is not None else None,
-        "bounds": gap_bound_to_document(bounds) if bounds is not None else None,
-        "analysis": analysis,
+        **derived_sections_to_document(exact, gap, bounds, trace_violations, delta_cap),
         "timing_ms": timing_ms,
     }
 

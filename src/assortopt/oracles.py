@@ -110,7 +110,7 @@ def mnl_choice_prob(instance: Instance, assortment: Assortment, choice: int) -> 
     ``choice`` is a member product id or ``NO_PURCHASE``. Probabilities over
     the members plus no-purchase sum to 1.
     """
-    denom = math.fsum([1.0] + [instance.product(i).weight for i in assortment.ids])
+    denom = total_weight(instance, assortment)
     if choice == NO_PURCHASE:
         return 1.0 / denom
     if choice not in assortment:
@@ -321,6 +321,12 @@ def make_exact_oracle(instance: Instance) -> ExactMnlOracle:
 
 def make_noisy_oracle(base: RevenueOracle, spec: NoiseSpec) -> NoisyOracle:
     return NoisyOracle(base, spec)
+
+
+def make_oracle(instance: Instance, noise: NoiseSpec) -> RevenueOracle:
+    """The exact MNL oracle, wrapped in ``NoisyOracle`` unless ``noise.mode`` is "none"."""
+    exact = make_exact_oracle(instance)
+    return exact if noise.mode == "none" else make_noisy_oracle(exact, noise)
 
 
 def make_counting_oracle(base: RevenueOracle) -> tuple[CountingOracle, OracleStats]:

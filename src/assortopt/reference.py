@@ -68,6 +68,13 @@ class NestingWitness:
     generator_seed: int | None = None
 
 
+def check_enumeration(n: int, capacity: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """Refuse to enumerate the subsets of at most ``capacity`` of ``n`` products past ``cap``."""
+    total = sum(comb(n, k) for k in range(capacity + 1))
+    if total > cap:
+        raise EnumerationCapError(f"enumerating {total} assortments exceeds the cap of {cap}")
+
+
 def brute_force_opt(
     oracle: RevenueOracle,
     universe,
@@ -81,11 +88,7 @@ def brute_force_opt(
     """
     ids = sorted(set(universe))
     capacity = max(0, capacity)
-    total = sum(comb(len(ids), k) for k in range(capacity + 1))
-    if total > enumeration_cap:
-        raise EnumerationCapError(
-            f"enumerating {total} assortments exceeds the cap of {enumeration_cap}"
-        )
+    check_enumeration(len(ids), capacity, enumeration_cap)
 
     empty = Assortment()
     best = (empty, oracle.evaluate(empty))
@@ -223,15 +226,16 @@ def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
     """MNL-specific optimum via the top-margin candidate collection.
 
     Evaluates exact MNL revenue on every candidate set of each size cap
-    k = 0..capacity and keeps the best; agrees with brute force on the
-    optimal revenue. The collection for the full capacity should hold at
-    most N*C + 1 distinct sets; larger collections are logged, not fatal,
-    since the bound's constant is a working assumption.
+    k = 1..capacity and keeps the best (cap 0 admits only the empty set);
+    agrees with brute force on the optimal revenue. The collection for the
+    full capacity should hold at most N*C + 1 distinct sets; larger
+    collections are logged, not fatal, since the bound's constant is a
+    working assumption.
     """
     capacity = max(0, capacity)
-    per_size: dict[int, tuple[Assortment, float]] = {}
-    collection_size = None
-    for k in range(capacity + 1):
+    per_size = {0: (Assortment(), 0.0)}
+    collection_size = 1
+    for k in range(1, capacity + 1):
         candidates = candidate_set_collection(instance, k)
         if k == capacity:
             collection_size = len(candidates)
@@ -254,14 +258,7 @@ def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
     )
 
 
-def find_nesting_witness(
-    seed: int,
-    n: int,
-    capacity: int,
-    attempts: int,
-    weight_range: tuple[float, float] = (0.1, 10.0),
-    price_range: tuple[float, float] = (1.0, 100.0),
-) -> NestingWitness | None:
+def find_nesting_witness(seed: int, n: int, capacity: int, attempts: int) -> NestingWitness | None:
     """Search random instances for a failure of the nesting property.
 
     Draws instances with per-attempt derived seeds, brute-forces the
@@ -272,15 +269,7 @@ def find_nesting_witness(
     """
     for attempt in range(attempts):
         attempt_seed = derive_seed("nesting-witness", seed, attempt)
-        spec = GeneratorSpec(
-            n,
-            weight_lo=weight_range[0],
-            weight_hi=weight_range[1],
-            price_lo=price_range[0],
-            price_hi=price_range[1],
-            seed=attempt_seed,
-        )
-        instance = generate_instance(spec)
+        instance = generate_instance(GeneratorSpec(n, seed=attempt_seed))
         oracle = make_exact_oracle(instance)
         solution = brute_force_opt(oracle, instance.ids(), capacity)
         for c1 in range(1, capacity):

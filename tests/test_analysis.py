@@ -1,5 +1,7 @@
 """Margin transform, slack sets, gap bounds, and the invariant checkers."""
 
+import dataclasses
+import math
 import random
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from assortopt import (
     Assortment,
+    EnumerationCapError,
     GreedyConfig,
     Instance,
     IterationRecord,
@@ -260,6 +263,16 @@ class TestComputeBounds:
         bound = compute_bounds(inst, 1, 0.1, opt)
         assert bound.inputs.max_offered_weight == 2.0
 
+    def test_holds_up_to_the_bound_and_is_none_when_vacuous(self):
+        inst = Instance.of([(1, 1.0, 50.0), (2, 1.0, 50.0)])
+        opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), 2)
+        bound = compute_bounds(inst, 2, 0.01, opt)
+        assert bound.holds(bound.f_value) is True
+        assert bound.holds(math.nextafter(bound.f_value, 1.0)) is False
+        # f = 1 promises nothing: every gap of a nonnegative revenue is at most 1
+        assert dataclasses.replace(bound, f_value=1.0).holds(0.0) is None
+        assert compute_bounds(inst, 2, 0.2, opt).holds(0.0) is None  # f = 8 * 0.2 / 0.8
+
     def test_eps_out_of_range_rejected(self):
         opt = brute_force_opt(make_exact_oracle(THREE), THREE.ids(), 2)
         with pytest.raises(ValidationError):
@@ -287,6 +300,12 @@ class TestComputeBounds:
             assert exact_delta_cap(inst, capacity, noise) == pytest.approx(
                 bound.inputs.delta_cap, rel=1e-12
             )
+
+    def test_exact_delta_cap_refuses_past_the_enumeration_cap(self):
+        # N = 30, C = 8 would enumerate 8,656,937 assortments
+        inst = generate_instance(GeneratorSpec(30, seed=1))
+        with pytest.raises(EnumerationCapError, match="8656937 assortments exceeds the cap"):
+            exact_delta_cap(inst, 8, NoiseSpec(mode="fixed", eps_fixed=0.01))
 
 
 class TestMarginRevenueEquivalence:

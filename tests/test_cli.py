@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from assortopt import candidate_set_opt
+from assortopt import Instance, candidate_set_opt
 from assortopt.cli import main
-from assortopt.io import load_instance, load_report
+from assortopt.io import load_instance, load_report, serialize_instance
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +114,57 @@ class TestVerify:
         assert code == 0
         assert out.startswith("verify PASS")
 
+    def test_verify_passes_when_seed_size_rules_out_the_optimum(self, tmp_path, capsys):
+        # the optimum of this instance is one product, so every S = C = 2 run misses it;
+        # exact recovery is claimed for S = 0 only
+        inst_path = tmp_path / "inst.json"
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, "gen", "--N", "5", "--seed", "0", "-o", str(inst_path))
+        code, _, _ = run_cli(
+            capsys, "solve", str(inst_path), "--S", "2", "--C", "2", "--exact",
+            "-o", str(report_path),
+        )
+        assert code == 0
+        assert float(load_report(str(report_path))["gap"]) > 0.0
+        code, out, _ = run_cli(capsys, "verify", str(report_path))
+        assert code == 0
+        assert out.startswith("verify PASS")
+
+    @pytest.mark.parametrize("budget", ["1", "4", "5"])
+    def test_verify_passes_honest_exact_run_one_ulp_below_the_optimum(
+        self, tmp_path, capsys, budget
+    ):
+        # {2, 4, 5} and the optimum's set earn 12 in exact arithmetic, but the greedy
+        # set's float revenue is one ulp below: a gap above f = 0 that is no miss
+        inst = Instance.of(
+            [(1, 0.1, 12.0), (2, 2.0, 12.0), (3, 2.0, 5.0), (4, 1.0, 20.0), (5, 0.5, 20.0)]
+        )
+        inst_path = tmp_path / "inst.json"
+        report_path = tmp_path / "report.json"
+        inst_path.write_text(serialize_instance(inst, {}))
+        code, _, _ = run_cli(
+            capsys, "solve", str(inst_path), "--C", "4", "--b", budget, "--trace", "--exact",
+            "-o", str(report_path),
+        )
+        assert code == 0
+        assert 0.0 < float(load_report(str(report_path))["gap"]) < 1e-15
+        code, out, _ = run_cli(capsys, "verify", str(report_path))
+        assert code == 0
+        assert out.startswith("verify PASS")
+
+    def test_verify_rejects_noisy_gap_above_the_bound(self, tmp_path, capsys):
+        report_path = self.make_report(
+            tmp_path, capsys, "--noise-mode", "seeded-uniform", "--eps", "0.01", "--seed", "5",
+            "--exact",
+        )
+        doc = json.loads(report_path.read_text())
+        assert float(doc["bounds"]["f_value"]) < 1.0
+        _drop_best_assortment(doc)
+        report_path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(report_path))
+        assert code == 4
+        assert "realized gap 1.0 exceeds the gap bound" in out
+
     def test_verify_catches_tampered_revenue(self, tmp_path, capsys):
         report_path = self.make_report(tmp_path, capsys)
         doc = json.loads(report_path.read_text())
@@ -191,6 +242,7 @@ def _set_first_record(**fields):
         (["verify"], b"\xff\xfe", "schema"),
         (["verify"], _set_first_record(added=[1]), "schema"),
         (["verify"], _set_first_record(pool_before=[[1]]), "schema"),
+        (["verify"], _set_first_record(action="bogus"), "schema"),
     ],
     ids=[
         "exact-past-enumeration-cap",
@@ -205,6 +257,7 @@ def _set_first_record(**fields):
         "verify-non-utf8-report",
         "verify-list-as-added-id",
         "verify-list-in-pool-before",
+        "verify-bogus-action",
     ],
 )
 def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):
@@ -252,6 +305,53 @@ def test_verify_rejects_result_that_contradicts_config(tmp_path, capsys, field, 
     assert code == 4
     assert out.startswith("verify FAIL")
     assert f"{field}={value}" in out
+    assert json.loads(err)["error"]["code"] == "assertion-failure"
+
+
+def _set(*path, value):
+    def tamper(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return tamper
+
+
+def _drop_best_assortment(doc):
+    doc["result"].update(best_assortment=[], best_oracle_revenue="0.0")
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_set("exact", "revenue", value="999.0"), "exact does not match its recomputation"),
+        (_set("gap", value="0.5"), "gap does not match its recomputation"),
+        (_set("bounds", "eta", value="0.5"), "bounds does not match its recomputation"),
+        (_set("analysis", "trace_violations", value=3), "analysis does not match its recomputation"),
+        (_set("result", "traces", value=[]), "0 traces, expected one per seed"),
+        # reproducible (the empty set earns 0), but S = 0 and b = C + 1 promise the optimum
+        (_drop_best_assortment, "best revenue 0.0 misses the optimum"),
+    ],
+    ids=[
+        "exact-revenue", "gap", "bounds-eta", "analysis-trace-violations", "no-traces",
+        "missed-optimum",
+    ],
+)
+def test_verify_rejects_section_that_contradicts_the_run(tmp_path, capsys, tamper, message):
+    """verify recomputes exact, gap, bounds and analysis, and wants one trace per seed."""
+    inst_path = tmp_path / "inst.json"
+    path = tmp_path / "report.json"
+    run_cli(capsys, "gen", "--N", "6", "--seed", "11", "-o", str(inst_path))
+    code, _, _ = run_cli(
+        capsys, "solve", str(inst_path), "--C", "3", "--trace", "--exact", "-o", str(path)
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert out.startswith("verify FAIL")
+    assert message in out
     assert json.loads(err)["error"]["code"] == "assertion-failure"
 
 
