@@ -28,7 +28,7 @@ from .transform import (
     assortment_margin,
     interval_offsets,
     margin_breakpoints,
-    margin_ranking,
+    margin_rankings,
     min_margin_member,
     scaled_margin,
     top_ids,
@@ -131,22 +131,23 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     The slack set at offset u is the top set plus every product whose
     margin trails the top set's weakest member by at most delta * u. Its
     size is piecewise constant between breakpoints (margin crossings,
-    zero crossings, and delta-shifted crossings), so probing one offset
-    inside every interval maximizes over the regions exactly. Isolated
-    tie points at the breakpoints themselves are not counted: the size
-    there exceeds the neighboring regions only by exact-tie coincidences,
-    which is also what keeps this in agreement with a dense grid scan.
-    Offsets with an empty top set contribute nothing.
+    zero crossings, and delta-shifted crossings), so one offset inside
+    every interval, ranked by one ``margin_rankings`` sweep, maximizes over
+    the regions exactly. Isolated tie points at the breakpoints themselves
+    are not counted: the size there exceeds the neighboring regions only by
+    exact-tie coincidences, which is also what keeps this in agreement with
+    a dense grid scan. Offsets with an empty top set contribute nothing.
+    ``delta`` must be a number >= 0 (inf allowed: every product joins).
     """
-    if delta < 0:
-        raise ValidationError("delta must be >= 0", code="bad-config")
+    if not delta >= 0:
+        raise ValidationError(f"delta must be >= 0, got {delta!r}", code="bad-config")
     points = sorted(set(margin_breakpoints(instance)) | set(margin_breakpoints(instance, delta)))
+    probes = interval_offsets(points)
     worst = 0
-    for u in interval_offsets(points):
+    for u, ranked in zip(probes, margin_rankings(instance, probes)):
         # one ranking holds the top set (its leading positive margins), the
         # anchor (the last of them) and, right after them, the outside
         # products whose margin trails the anchor by at most delta * u
-        ranked = margin_ranking(instance, u)
         top = len(top_ids(ranked, size))
         if top == 0:
             continue

@@ -208,7 +208,16 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: The flags ``run_bench`` overrides for a suite; giving one is refused, not ignored.
+SUITE_FIXED_FLAGS = {"theorem1": ("b", "eps"), "theorem2": ("N", "C", "b")}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    fixed = SUITE_FIXED_FLAGS.get(args.suite, ())
+    given = [f"--{name}" for name in fixed if getattr(args, name) is not None]
+    if given:
+        message = f"--suite {args.suite} sets {' and '.join(given)} itself; drop the flag"
+        raise ValidationError(message, code="bad-config")
     outcomes, summary = bench_mod.run_bench(
         suite=args.suite,
         ns=tuple(args.N) if args.N else bench_mod.DEFAULT_NS,

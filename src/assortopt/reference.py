@@ -3,15 +3,15 @@
 Three independent routes to the capacitated optimum: exhaustive
 enumeration against any oracle (desk scale only), an MNL-specific solver
 that only inspects the candidate collection of top-margin sets
-(piecewise constant in the revenue offset, so finitely many), and the MNL
-revenue fixed point, polynomial in N, which ``bench`` and
-``solve --exact`` use. One tie rule, ``optimum_key``, picks every
-optimum: the highest revenue, then the smallest id tuple. All three agree
-on the revenue under every size cap, brute force and the fixed point also
-on the set; the candidate collection may miss brute force's choice among
-equal revenues. A last routine searches for instances whose per-capacity
-optima fail to nest, witnessing why the pure-addition greedy baseline is
-not exact.
+(piecewise constant in the revenue offset, so finitely many; one margin
+sweep collects them for every size cap at once), and the MNL revenue
+fixed point, polynomial in N, which ``bench`` and ``solve --exact`` use.
+One tie rule, ``optimum_key``, picks every optimum: the highest revenue,
+then the smallest id tuple. All three agree on the revenue under every
+size cap, brute force and the fixed point also on the set; the candidate
+collection may miss brute force's choice among equal revenues. A last
+routine searches for instances whose per-capacity optima fail to nest,
+witnessing why the pure-addition greedy baseline is not exact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ from .errors import EnumerationCapError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .instance import Assortment, Instance, optimum_key
 from .oracles import CONFIRM_BAND, RevenueOracle, make_exact_oracle, mnl_revenue
-from .transform import interval_offsets, margin_breakpoints, margin_ranking, top_ids, top_margin_set
+from .transform import (
+    interval_offsets,
+    margin_breakpoints,
+    margin_ranking,
+    margin_rankings,
+    top_ids,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -208,46 +214,63 @@ def _mixes(groups: list[list[int]], slots: int, fill: bool):
 
 
 def candidate_set_collection(instance: Instance, size: int) -> list[Assortment]:
-    """All distinct top-margin sets of at most ``size`` products over u >= 0.
+    """All distinct top-margin sets of at most ``size`` products over u >= 0,
+    in lexicographic order: the candidate sweep read at cap ``size``."""
+    return [Assortment(ids) for ids in sorted(_candidate_sets(instance, size)[-1])]
 
-    The top set only changes where margin lines cross each other or cross
-    zero, so probing each breakpoint and each interval between them finds
-    every member of the collection (the empty set appears past the largest
-    price). Distinct sets are returned in lexicographic order.
+
+def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ...]]]:
+    """The distinct top sets of every size cap 0..capacity over u >= 0, from one sweep.
+
+    Entry k holds the id tuples of the top sets of at most k products. A top
+    set only changes where margin lines cross each other or cross zero, so
+    ranking 0, each breakpoint and one offset inside each interval between
+    them finds every member (the empty set appears past the largest price).
+    One ``margin_rankings`` sweep ranks the probes. The top set under cap k
+    is the first k of the top set under the capacity, so a probe whose top
+    set under the capacity repeats the previous probe's adds none; probing
+    in ascending order makes most probes such repeats.
     """
+    capacity = max(0, capacity)
+    sets: list[set[tuple[int, ...]]] = [{()}] + [set() for _ in range(capacity)]
+    if capacity == 0:
+        return sets
     points = margin_breakpoints(instance)
-    seen: set[tuple[int, ...]] = set()
-    for u in [0.0, *points, *interval_offsets(points)]:
-        seen.add(top_margin_set(instance, size, u).ids)
-    return [Assortment(ids) for ids in sorted(seen)]
+    previous = None
+    for ranked in margin_rankings(instance, sorted({0.0, *points, *interval_offsets(points)})):
+        top = top_ids(ranked, capacity)
+        if top != previous:
+            previous = top
+            for k in range(1, capacity + 1):
+                sets[k].add(tuple(sorted(top[:k])))
+    return sets
 
 
 def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
     """MNL-specific optimum via the top-margin candidate collection.
 
     Evaluates exact MNL revenue on every candidate set of each size cap
-    k = 1..capacity and keeps the best (cap 0 admits only the empty set);
-    agrees with brute force on the optimal revenue. The collection for the
-    full capacity should hold at most N*C + 1 distinct sets; larger
-    collections are logged, not fatal, since the bound's constant is a
-    working assumption.
+    k = 1..capacity, all from one sweep, and keeps the best (cap 0 admits
+    only the empty set); agrees with brute force on the optimal revenue.
+    The collection for the full capacity should hold at most N*C + 1
+    distinct sets; larger collections are logged, not fatal, since the
+    bound's constant is a working assumption.
     """
     capacity = max(0, capacity)
+    collections = _candidate_sets(instance, capacity)
+    collection_size = len(collections[-1])
+    bound = instance.n * capacity + 1
+    if collection_size > bound:
+        logger.warning(
+            "candidate collection has %d sets, above the working bound %d (N=%d, C=%d)",
+            collection_size,
+            bound,
+            instance.n,
+            capacity,
+        )
     per_size = {0: (Assortment(), 0.0)}
-    collection_size = 1
     for k in range(1, capacity + 1):
-        candidates = candidate_set_collection(instance, k)
-        if k == capacity:
-            collection_size = len(candidates)
-            bound = instance.n * capacity + 1
-            if collection_size > bound:
-                logger.warning(
-                    "candidate collection has %d sets, above the working bound %d (N=%d, C=%d)",
-                    collection_size,
-                    bound,
-                    instance.n,
-                    capacity,
-                )
+        candidates = map(Assortment, collections[k])
         per_size[k] = min(((s, mnl_revenue(instance, s)) for s in candidates), key=optimum_key)
     final = per_size[capacity]
     return ExactSolution(

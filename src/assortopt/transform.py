@@ -12,14 +12,17 @@ so at u = revenue(M) the transform has a fixed point. Because the
 per-product margins are lines in u, the "top k by margin" set is
 piecewise constant with breakpoints at pairwise crossings and zero
 crossings. ``margin_ranking`` is the only place products are ordered by
-margin and ``top_ids`` the only place a top set is read off that order;
-the candidate-set solver, the revenue fixed point ``mnl_opt`` and the
-slack-set sizes used in the noise analysis all go through both.
+margin, ``margin_rankings`` the one sweep of it over many offsets, and
+``top_ids`` the only place a top set is read off a ranking. The revenue
+fixed point ``mnl_opt`` ranks one offset per step; the candidate-set
+solver and the slack-set sizes used in the noise analysis each read one
+sweep.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from .instance import Assortment, Instance
 from .errors import UndefinedTopSetError
@@ -52,7 +55,21 @@ def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
     first, ties to the smaller id. ``(u - price) * weight`` is the exact
     negation of the margin ``(price - u) * weight``.
     """
-    return sorted(((u - p.price) * p.weight, p.id) for p in instance.products)
+    return sorted([((u - p.price) * p.weight, p.id) for p in instance.products])
+
+
+def margin_rankings(
+    instance: Instance, offsets: Iterable[float]
+) -> Iterator[list[tuple[float, int]]]:
+    """``margin_ranking(instance, u)`` for each u in ``offsets``, in turn.
+
+    The one sweep behind every reader of many offsets. Each probe ranks
+    afresh: re-sorting only the pairs whose computed crossing was passed
+    misses the float order flips of nearly parallel lines (weights one ulp
+    apart), which happen away from the computed crossing.
+    """
+    for u in offsets:
+        yield margin_ranking(instance, u)
 
 
 def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:

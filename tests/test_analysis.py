@@ -238,6 +238,18 @@ class TestMaxSlackSetSize:
         with pytest.raises(ValidationError):
             max_slack_set_size(THREE, 1, -0.1)
 
+    def test_nan_delta_rejected(self):
+        """NaN fails every comparison, so ``delta < 0`` alone would let it through."""
+        with pytest.raises(ValidationError) as raised:
+            max_slack_set_size(THREE, 3, float("nan"))
+        assert raised.value.code == "bad-config"
+
+    def test_infinite_delta_reaches_n(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(1, 8))
+            assert max_slack_set_size(inst, rng.randint(1, inst.n), math.inf) == inst.n
+
 
 class TestComputeBounds:
     def test_zero_noise_means_zero_bound(self):

@@ -217,6 +217,33 @@ class TestBench:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "bad-config"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--suite", "theorem2", "--N", "20", "--C", "5"], "--N and --C"),
+            (["--suite", "theorem2", "--b", "C+1"], "--b"),
+            (["--suite", "theorem1", "--b", "2C", "--eps", "0.01"], "--b and --eps"),
+            (["--suite", "theorem1", "--eps", "0.01"], "--eps"),
+        ],
+    )
+    def test_flag_the_suite_overrides_is_refused(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "bench", *argv, "--seeds", "1")
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-config"
+        assert f"sets {named} itself" in error["message"]
+
+    def test_theorem2_keeps_its_positive_eps(self, capsys, tmp_path):
+        out_path = tmp_path / "bench.json"
+        code, _, _ = run_cli(
+            capsys, "bench", "--suite", "theorem2", "--eps", "0.0", "0.02", "--seeds", "1",
+            "-o", str(out_path),
+        )
+        assert code == 0
+        cells = json.loads(out_path.read_text())["cells"]
+        assert [(c["N"], c["C"], c["b"], c["eps"]) for c in cells] == [(8, 3, "auto", "0.02")]
+
 
 
 def _drop_first_pool_before(doc):

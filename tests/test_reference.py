@@ -1,6 +1,7 @@
 """Reference solvers: brute force, candidate-set solver, MNL fixed point, nesting witnesses."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,6 +22,14 @@ from assortopt import (
     naive_greedy,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
+from assortopt.instance import optimum_key
+from assortopt.transform import (
+    interval_offsets,
+    margin_breakpoints,
+    margin_ranking,
+    margin_rankings,
+    top_margin_set,
+)
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -108,6 +117,91 @@ def priced_at_a_set_revenue(rng):
 
 
 TIE_FAMILIES = [duplicated_products, zero_prices, integer_grid, priced_at_a_set_revenue]
+
+
+def generated(rng):
+    return generate_instance(GeneratorSpec(rng.randint(1, 12), seed=rng.getrandbits(60)))
+
+
+def weights_one_ulp_apart(rng):
+    """Nearly parallel margin lines: their float order flips away from the computed
+    crossing, which a sweep that re-sorts only at crossings would miss."""
+    n = rng.randint(2, 12)
+    weights = [rng.uniform(0.5, 3.0)]
+    for _ in range(n - 1):
+        weights.append(math.nextafter(weights[-1], math.inf))
+    rng.shuffle(weights)
+    price = rng.uniform(1.0, 10.0)
+    return Instance.of(
+        [(i, w, rng.choice([price, math.nextafter(price, 0.0), rng.uniform(1.0, 10.0)]))
+         for i, w in enumerate(weights, start=1)]
+    )
+
+
+SWEEP_FAMILIES = [generated, *TIE_FAMILIES, weights_one_ulp_apart]
+
+
+def probe_offsets(inst):
+    """0, every breakpoint and one offset inside each interval between them."""
+    points = margin_breakpoints(inst)
+    return [0.0, *points, *interval_offsets(points)]
+
+
+def candidate_set_collection_per_cap(inst, size):
+    """The candidate collection by one fresh top set per probe, the loop the sweep replaced."""
+    seen = {top_margin_set(inst, size, u).ids for u in probe_offsets(inst)}
+    return [Assortment(ids) for ids in sorted(seen)]
+
+
+class TestCandidateSweep:
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_rankings_equal_fresh_rankings_at_every_probe(self, family):
+        """Ascending, as the solvers probe, and in the unsorted probe order too."""
+        rng = random.Random(family.__name__)
+        for _ in range(60):
+            inst = family(rng)
+            for offsets in (sorted(probe_offsets(inst)), probe_offsets(inst)):
+                fresh = [margin_ranking(inst, u) for u in offsets]
+                assert list(margin_rankings(inst, offsets)) == fresh
+
+    def test_one_ulp_family_flips_float_order_more_than_once(self):
+        """Exact lines cross once; rounded keys of one-ulp-apart weights swap back and forth."""
+        rng = random.Random(weights_one_ulp_apart.__name__)
+        flipped = 0
+        for _ in range(20):
+            inst = weights_one_ulp_apart(rng)
+            rankings = margin_rankings(inst, sorted(probe_offsets(inst)))
+            ranks = [[pid for _, pid in ranked] for ranked in rankings]
+            for a, b in itertools.combinations(inst.ids(), 2):
+                ahead = [r.index(a) < r.index(b) for r in ranks]
+                if sum(x != y for x, y in zip(ahead, ahead[1:])) > 1:
+                    flipped += 1
+                    break
+        assert flipped > 0
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_collection_equals_the_per_cap_probe_loop_at_every_cap(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(40):
+            inst = family(rng)
+            for k in range(-1, inst.n + 2):
+                expected = candidate_set_collection_per_cap(inst, k)
+                assert candidate_set_collection(inst, k) == expected
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_optima_are_the_best_of_the_per_cap_collections(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(40):
+            inst = family(rng)
+            capacity = rng.randint(0, inst.n)
+            sol = candidate_set_opt(inst, capacity)
+            for k in range(1, capacity + 1):
+                candidates = candidate_set_collection_per_cap(inst, k)
+                scored = [(s, mnl_revenue(inst, s)) for s in candidates]
+                assert sol.per_size_optima[k] == min(scored, key=optimum_key)
+            assert sol.candidate_collection_size == len(
+                candidate_set_collection_per_cap(inst, capacity)
+            )
 
 
 class TestCandidateSetSolver:
