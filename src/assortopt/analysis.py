@@ -5,6 +5,7 @@ This module turns the solver's guarantees into executable checks:
 * the margin-transform identity and its equivalence to revenue
   comparisons (checked pairwise),
 * per-step near-optimality of greedy decisions, replayed from traces,
+* the pool and budget bookkeeping of a trace, replayed from its seed,
 * monotonicity and size bounds of top-margin sets,
 * the quantities controlling the optimality gap under multiplicatively
   noisy oracles: the estimate-slack bound, the slack-set size, and the
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ValidationError
-from .greedy import IterationRecord
+from .greedy import GreedyConfig, IterationRecord, accept_move
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, mnl_revenue, total_weight
 from .reference import ExactSolution, candidate_set_opt, check_enumeration
@@ -278,6 +280,69 @@ def check_trace_invariants(
                         )
                     )
     return violations
+
+
+def trace_bookkeeping_problems(
+    universe: Sequence[int],
+    config: GreedyConfig,
+    seed: Assortment,
+    trace: list[IterationRecord] | tuple[IterationRecord, ...],
+) -> list[str]:
+    """Where one seed's trace departs from a replay of its pool and budget bookkeeping.
+
+    Replays the seed's C - S add-exchange invocations from ``seed``, each
+    starting fresh: every product outside the set in the pool, no
+    exchange-outs, room for one addition. Each record must start where the
+    replay stands (its step index, ``assortment_before`` and
+    ``pool_before``), take a pool product in, drop a member (exchange) or
+    nothing with room under the size cap (add), and end where the replay
+    ends (``assortment_after``, ``universe_size_after`` and
+    ``exchange_out_counts``). Each invocation ends in a terminate record,
+    and nothing follows the last. Returns the first departure only, since
+    the replay cannot go on past it.
+    """
+    ids = sorted(set(universe))
+    invocations = config.capacity - config.seed_size
+    records = enumerate(trace)
+    current = seed
+    for invocation in range(1, invocations + 1):
+        pool = [i for i in ids if i not in current.ids]
+        outs: dict[int, int] = {}
+        size_cap = len(current) + 1
+        for position, record in records:
+            where = f"seed {list(seed.ids)} step {record.step_index} ({record.action})"
+            starts = (
+                record.step_index == position
+                and record.assortment_before == current
+                and record.pool_before == tuple(pool)
+            )
+            if not starts:
+                return [f"{where}: does not start where the replay of its seed stands"]
+            if record.action == "terminate":
+                legal = record.added is None and record.removed is None
+            elif record.action == "exchange":
+                legal = record.added in pool and record.removed in current.ids
+            else:
+                legal = record.added in pool and record.removed is None and len(current) < size_cap
+            if not legal:
+                return [f"{where}: move not allowed from the replayed set and pool"]
+            if record.action != "terminate":
+                accept_move(pool, outs, record.added, record.removed, config.exchange_budget)
+                current = current.after_move(record.added, record.removed)
+            ends = (
+                record.assortment_after == current
+                and record.universe_size_after == len(pool)
+                and dict(record.exchange_out_counts) == outs
+            )
+            if not ends:
+                return [f"{where}: does not end where the replay of its seed ends"]
+            if record.action == "terminate":
+                break
+        else:
+            return [f"seed {list(seed.ids)}: trace ends inside invocation {invocation}"]
+    if next(records, None) is not None:
+        return [f"seed {list(seed.ids)}: records after the last invocation (C - S = {invocations})"]
+    return []
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Subcommands: gen (write a random instance), solve (greedy search, write a
 run report), exact (cross-checked reference solvers), bench (grid sweep),
 verify (replay a run report's trace and invariant checks with no other
-inputs, and recompute its exact, gap, bounds and analysis sections the way
+inputs: each seed's pool and budget bookkeeping is replayed from the seed,
+and its exact, gap, bounds and analysis sections are recomputed the way
 solve writes them). Exit codes: 0 ok, 2 usage, 3 validation, 4 assertion
 failure, 5 I/O; errors are emitted as JSON on stderr.
 """
@@ -11,6 +12,7 @@ failure, 5 I/O; errors are emitted as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -27,6 +29,7 @@ from .analysis import (
     compute_bounds,
     realized_gap,
     slack_cap,
+    trace_bookkeeping_problems,
 )
 from .errors import ConfigError, ValidationError, VerificationFailure
 from .generate import (
@@ -262,7 +265,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     trace_steps = 0
     if result.traces:
-        for _seed, records in result.traces:
+        seeds = itertools.combinations(instance.ids(), config.seed_size)
+        for (seed, records), seed_ids in zip(result.traces, seeds):
+            if seed.ids != seed_ids:
+                problems.append(f"trace seed {list(seed.ids)}, expected {list(seed_ids)}")
+            problems.extend(
+                trace_bookkeeping_problems(instance.ids(), config, Assortment(seed_ids), records)
+            )
             for record in records:
                 if record.action != "terminate":
                     trace_steps += 1

@@ -9,10 +9,24 @@ times per seed, and keeps the best final assortment.
 
 Every candidate move is scored through the revenue oracle alone, one
 batch per loop pass (``oracles.score_moves``), so the search works with
-any plugged-in choice model, exact or noisy. A pure addition-only
-baseline is included for comparison; it is exactly the strategy that
-breaks when the optimum at one capacity is not nested in the optimum at
-a larger capacity.
+any plugged-in choice model, exact or noisy. ``evaluate`` must be a pure
+function of the set: the solver confirms a batch's best values through it,
+and it does not score again what a pass has already settled.
+
+Each invocation after a seed's first starts from the set where the
+previous one's terminating pass found no improving move, and so does a
+seed that equals the previous seed's final set. Its first pass therefore
+scores only the moves that pass did not: those whose entering product
+the previous invocation had retired, plus every addition when that pass
+sat at its size cap. It takes the carried revenue instead of evaluating
+the set again. Every skipped move scored at most that revenue and would
+score the same again, so the accepted moves, their tie-breaks and the
+trace are those of a fresh invocation; only fewer moves reach the oracle
+and its call counter.
+
+A pure addition-only baseline is included for comparison; it is exactly
+the strategy that breaks when the optimum at one capacity is not nested
+in the optimum at a larger capacity.
 """
 
 from __future__ import annotations
@@ -77,34 +91,63 @@ class SolveReport:
     traces: tuple[tuple[Assortment, tuple[IterationRecord, ...]], ...] | None = None
 
 
+@dataclass(frozen=True)
+class _SettledPass:
+    """What an invocation's terminating pass showed cannot beat ``revenue``.
+
+    Every exchange of a ``pool`` product for a member of ``assortment``, the
+    set the pass ended at, and, when ``adds``, every addition of a ``pool``
+    product.
+    """
+
+    assortment: Assortment
+    revenue: float
+    pool: frozenset[int]
+    adds: bool
+
+
 def _best_move(
     current: Assortment,
-    pool: Sequence[int],
+    exchange_pool: Sequence[int],
+    add_pool: Sequence[int],
     oracle: RevenueOracle,
-    adds: bool,
-    exchanges: bool,
 ) -> tuple[float, Assortment, int, int | None] | None:
-    """Score every allowed move; return (revenue, assortment, entering, leaving).
+    """Score the given moves; return (revenue, assortment, entering, leaving).
 
-    Exchanges (pool product in, member out) are listed in (entering,
-    leaving) order, then additions, whose ``leaving`` is None, and the list
-    is scored in one ``score_moves`` call. The winner minimizes (-revenue,
-    is_add, entering, leaving): on equal revenue an exchange beats an
-    addition, then the smaller entering id wins, then the smaller leaving
-    id. With ``pool`` ascending the list is in exactly that order, so the
-    first best value wins. Returns None when no move is allowed.
+    Exchanges (an ``exchange_pool`` product in, a member out) are listed in
+    (entering, leaving) order, then additions of ``add_pool`` products,
+    whose ``leaving`` is None, and the list is scored in one
+    ``score_moves`` call. The winner minimizes (-revenue, is_add, entering,
+    leaving): on equal revenue an exchange beats an addition, then the
+    smaller entering id wins, then the smaller leaving id. With both pools
+    ascending the list is in exactly that order, so the first best value
+    wins. Returns None when there is no move.
     """
-    moves: list[tuple[int, int | None]] = []
-    if exchanges:
-        moves += [(entering, leaving) for entering in pool for leaving in current.ids]
-    if adds:
-        moves += [(entering, None) for entering in pool]
+    moves = [(entering, leaving) for entering in exchange_pool for leaving in current.ids]
+    moves += [(entering, None) for entering in add_pool]
     if not moves:
         return None
     values = score_moves(oracle, current, moves)
     rev = max(values)
     entering, leaving = moves[values.index(rev)]
     return rev, current.after_move(entering, leaving), entering, leaving
+
+
+def accept_move(
+    pool: list[int], outs: dict[int, int], entering: int, leaving: int | None, budget: int
+) -> None:
+    """Update an invocation's ascending pool and exchange-out counts for an accepted move.
+
+    The entering product leaves the pool. A product exchanged out returns
+    to it until it has been exchanged out ``budget`` times; then it is
+    retired for the rest of the invocation.
+    """
+    pool.remove(entering)
+    if leaving is not None:
+        outs[leaving] = outs.get(leaving, 0) + 1
+        if outs[leaving] < budget:
+            pool.append(leaving)
+            pool.sort()
 
 
 def _run_add_exchange(
@@ -114,30 +157,38 @@ def _run_add_exchange(
     oracle: RevenueOracle,
     trace: bool,
     first_step: int = 0,
-) -> tuple[Assortment, float, list[IterationRecord]]:
-    """One invocation of the add-exchange loop; also returns the final revenue."""
+    settled: _SettledPass | None = None,
+) -> tuple[Assortment, list[IterationRecord], _SettledPass]:
+    """One invocation of the add-exchange loop.
+
+    Returns the final set, the step records and what the terminating pass
+    settled, the final revenue included. ``settled`` is the previous
+    invocation's terminating pass. When it ended at ``start``, the first
+    pass skips the moves it settled and ``start`` is not evaluated again.
+    """
     current = start
     pool = sorted(set(universe) - set(start.ids))
     outs: dict[int, int] = {}
-    current_rev = oracle.evaluate(current)
     size_cap = len(start) + 1
+    if settled is None or settled.assortment != start:
+        current_rev = oracle.evaluate(current)
+        exchange_pool = add_pool = pool
+    else:
+        # the products retired last time are back in the pool, and unsettled
+        current_rev = settled.revenue
+        exchange_pool = [entering for entering in pool if entering not in settled.pool]
+        add_pool = exchange_pool if settled.adds else pool
     records: list[IterationRecord] = []
     step = first_step
 
     while True:
         pool_before = tuple(pool)
         previous = current
-        move = _best_move(current, pool, oracle, adds=len(current) < size_cap, exchanges=True)
+        move = _best_move(current, exchange_pool, add_pool, oracle)
         if move is not None and move[0] > current_rev:
             current_rev, current, entering, leaving = move
             action = "add" if leaving is None else "exchange"
-            pool.remove(entering)
-            if leaving is not None:
-                outs[leaving] = outs.get(leaving, 0) + 1
-                if outs[leaving] < budget:
-                    # the dropped product may be exchanged back in later
-                    pool.append(leaving)
-                    pool.sort()
+            accept_move(pool, outs, entering, leaving, budget)
         else:
             action, entering, leaving = "terminate", None, None
         if trace:
@@ -156,8 +207,11 @@ def _run_add_exchange(
                 )
             )
         if action == "terminate":
-            return current, current_rev, records
+            settles = _SettledPass(current, current_rev, frozenset(pool), len(current) < size_cap)
+            return current, records, settles
         step += 1
+        exchange_pool = pool
+        add_pool = pool if len(current) < size_cap else ()
 
 
 def greedy_add_exchange(
@@ -179,7 +233,9 @@ def greedy_add_exchange(
     """
     if budget < 1:
         raise ConfigError(f"exchange budget must be >= 1, got {budget}")
-    final, _rev, records = _run_add_exchange(start, sorted(set(universe)), budget, oracle, trace)
+    final, records, _settles = _run_add_exchange(
+        start, sorted(set(universe)), budget, oracle, trace
+    )
     return final, records
 
 
@@ -209,20 +265,20 @@ def greedy_opt(
     best: tuple[Assortment, float] | None = None
     traces: list[tuple[Assortment, tuple[IterationRecord, ...]]] = []
     seeds_explored = 0
+    settled: _SettledPass | None = None
 
     for seed_ids in itertools.combinations(ids, config.seed_size):
         seeds_explored += 1
         seed = Assortment(seed_ids)
         current = seed
         records: list[IterationRecord] = []
-        rev: float | None = None
         for _ in range(config.capacity - config.seed_size):
-            current, rev, recs = _run_add_exchange(
-                current, ids, config.exchange_budget, counting, trace, first_step=len(records)
+            current, recs, settled = _run_add_exchange(
+                current, ids, config.exchange_budget, counting, trace, len(records), settled
             )
             records.extend(recs)
-        if rev is None:  # S == C: no invocations, score the seed itself
-            rev = counting.evaluate(current)
+        # S == C: no invocations, score the seed itself
+        rev = counting.evaluate(current) if settled is None else settled.revenue
         if trace:
             traces.append((seed, tuple(records)))
         best = (current, rev) if best is None else min(best, (current, rev), key=optimum_key)
@@ -249,7 +305,7 @@ def naive_greedy(capacity: int, universe: Iterable[int], oracle: RevenueOracle) 
     current_rev = oracle.evaluate(current)
     pool = sorted(set(universe))
     while len(current) < capacity:
-        move = _best_move(current, pool, oracle, adds=True, exchanges=False)
+        move = _best_move(current, (), pool, oracle)
         if move is None or move[0] <= current_rev:
             break
         current_rev, current, entering, _leaving = move
@@ -262,6 +318,9 @@ def call_count_bound(n: int, config: GreedyConfig) -> int:
 
     Each of the binom(N, S) seeds runs C - S invocations, each invocation
     at most N*b + 1 loop passes, each pass at most C*N + N oracle calls.
+    A first pass that skips settled moves scores fewer, so this stays an
+    upper bound; ``SolveReport.oracle_calls`` counts the moves actually
+    scored.
     """
     s, c, b = config.seed_size, config.capacity, config.exchange_budget
     return (c - s) * comb(n, s) * (n * b + 1) * (c * n + n)

@@ -1,7 +1,10 @@
 """Revenue oracles for the multinomial-logit choice model.
 
 The solver only ever talks to an oracle through ``evaluate(assortment) ->
-float``, so any choice model can be plugged in. An oracle may also offer
+float``, so any choice model can be plugged in. ``evaluate`` must be a pure
+function of the set: ``score_moves`` below confirms a batch's best values
+through it, and the greedy solver does not score again a move that an
+earlier pass from the same set has settled. An oracle may also offer
 ``score_moves(current, moves)``, estimates for a whole pass of moves that
 need only be accurate to rounding: ``score_moves`` below re-evaluates the
 ones that could win through ``evaluate``, and falls back to it for oracles

@@ -34,6 +34,7 @@ from assortopt import (
     top_set_with_slack,
     total_weight,
 )
+from assortopt.analysis import trace_bookkeeping_problems
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.transform import interval_offsets
 
@@ -414,6 +415,48 @@ class TestTraceInvariants:
         )
         violations = check_trace_invariants(THREE, [record], 0.0)
         assert [v.kind for v in violations] == ["entered-not-strongest"]
+
+
+class TestTraceBookkeeping:
+    CONFIG = GreedyConfig(1, 2, 3)
+
+    def seed_two_trace(self):
+        # from seed {2}: add 1, exchange 2 out for 3, stop
+        report = greedy_opt(self.CONFIG, THREE.ids(), make_exact_oracle(THREE), trace=True)
+        traces = dict((seed.ids, records) for seed, records in report.traces)
+        assert [r.action for r in traces[(2,)]] == ["add", "exchange", "terminate"]
+        return list(traces[(2,)])
+
+    def problems(self, records):
+        return trace_bookkeeping_problems(THREE.ids(), self.CONFIG, Assortment.of([2]), records)
+
+    def test_honest_trace_replays(self):
+        assert self.problems(self.seed_two_trace()) == []
+
+    def test_truncated_trace(self):
+        assert self.problems(self.seed_two_trace()[:-1]) == [
+            "seed [2]: trace ends inside invocation 1"
+        ]
+
+    def test_record_past_the_last_invocation(self):
+        records = self.seed_two_trace()
+        assert self.problems(records + records[-1:]) == [
+            "seed [2]: records after the last invocation (C - S = 1)"
+        ]
+
+    def test_exchange_out_of_a_non_member(self):
+        records = self.seed_two_trace()
+        records[1] = dataclasses.replace(records[1], removed=3)
+        assert self.problems(records) == [
+            "seed [2] step 1 (exchange): move not allowed from the replayed set and pool"
+        ]
+
+    def test_forged_exchange_out_counts(self):
+        records = self.seed_two_trace()
+        records[1] = dataclasses.replace(records[1], exchange_out_counts={})
+        assert self.problems(records) == [
+            "seed [2] step 1 (exchange): does not end where the replay of its seed ends"
+        ]
 
 
 class TestTopSetMonotonicity:

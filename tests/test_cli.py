@@ -88,6 +88,30 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+def _first_add(edit):
+    """Apply ``edit`` to the first add record with at least two members after it."""
+    def tamper(records):
+        edit(next(r for r in records if r["action"] == "add" and len(r["assortment_after"]) > 1))
+    return tamper
+
+
+def _add_another_member(record):
+    record["added"] = next(i for i in record["assortment_after"] if i != record["added"])
+
+
+def _every_record(edit):
+    def tamper(records):
+        for record in records:
+            edit(record)
+    return tamper
+
+
+def _blank_bookkeeping(record):
+    record.update(
+        pool_before=[], assortment_before=[], exchange_out_counts={}, universe_size_after=0
+    )
+
+
 class TestVerify:
     def make_report(self, tmp_path, capsys, *extra):
         inst_path = tmp_path / "inst.json"
@@ -189,6 +213,35 @@ class TestVerify:
         report_path.write_text(json.dumps(doc))
         code, _, _ = run_cli(capsys, "verify", str(report_path))
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # an empty pool_before makes the entered-not-strongest check vacuous
+            (_first_add(lambda r: r.update(pool_before=[])), "does not start where the replay"),
+            (_first_add(_add_another_member), "move not allowed from the replayed set and pool"),
+            (_every_record(_blank_bookkeeping), "does not start where the replay"),
+        ],
+        ids=["empty-pool-before", "added-is-another-member", "bookkeeping-blanked"],
+    )
+    def test_verify_replays_trace_bookkeeping(self, tmp_path, capsys, tamper, message):
+        inst_path = tmp_path / "inst.json"
+        report_path = tmp_path / "report.json"
+        run_cli(capsys, "gen", "--N", "200", "--seed", "1", "-o", str(inst_path))
+        code, _, _ = run_cli(
+            capsys, "solve", str(inst_path), "--C", "15", "--b", "16", "--trace",
+            "--noise-mode", "seeded-uniform", "--eps", "0.001", "--seed", "7",
+            "-o", str(report_path),
+        )
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        tamper(doc["result"]["traces"][0]["records"])
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(report_path))
+        assert code == 4
+        assert out.startswith("verify FAIL")
+        assert message in out
+        assert json.loads(err)["error"]["code"] == "assertion-failure"
 
 
 class TestBench:

@@ -4,9 +4,11 @@ iteration and call-count bounds)."""
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+import assortopt.greedy as greedy_module
 from assortopt import (
     Assortment,
     ConfigError,
@@ -20,10 +22,14 @@ from assortopt import (
     make_counting_oracle,
     make_exact_oracle,
     make_noisy_oracle,
+    make_oracle,
     mnl_revenue,
     naive_greedy,
 )
+from assortopt.analysis import trace_bookkeeping_problems
 from assortopt.generate import GeneratorSpec, generate_instance
+from assortopt.instance import optimum_key
+from assortopt.oracles import score_moves
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -390,7 +396,7 @@ def differential_cases():
     yield free, GreedyConfig(2, 4, 1)
 
 
-@pytest.mark.parametrize(
+NOISE_SPECS = pytest.mark.parametrize(
     "spec",
     [
         NoiseSpec(),
@@ -402,6 +408,9 @@ def differential_cases():
     ],
     ids=["none", "fixed-0.01", "seeded-uniform-0.001", "seeded-uniform-0.2", "seeded-uniform-0.999"],
 )
+
+
+@NOISE_SPECS
 def test_batched_scoring_matches_evaluate_fallback(spec):
     for inst, config in differential_cases():
         oracle = make_exact_oracle(inst)
@@ -422,6 +431,133 @@ def test_solver_confirms_unconfirmed_plug_in_estimates():
                                          NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=5))):
             nudged = greedy_opt(config, inst.ids(), NudgedEstimates(oracle), trace=True)
             assert nudged == greedy_opt(config, inst.ids(), EvaluateOnly(oracle), trace=True)
+
+
+# --- carrying the terminating pass into the next invocation -----------------
+
+
+def chained_invocations(config, ids, oracle):
+    """``greedy_opt``'s run as C - S fresh ``greedy_add_exchange`` calls per seed.
+
+    Every pass scores every move. Returns the best (set, revenue), the
+    traces with step indices numbered per seed, and the call statistics.
+    """
+    counting, stats = make_counting_oracle(oracle)
+    best, traces = None, []
+    for seed_ids in itertools.combinations(ids, config.seed_size):
+        current, records = Assortment(seed_ids), []
+        for _ in range(config.capacity - config.seed_size):
+            current, recs = greedy_add_exchange(
+                current, ids, config.exchange_budget, counting, trace=True
+            )
+            records += [replace(r, step_index=r.step_index + len(records)) for r in recs]
+        rev = records[-1].revenue_after if records else counting.evaluate(current)
+        traces.append((Assortment(seed_ids), tuple(records)))
+        best = (current, rev) if best is None else min(best, (current, rev), key=optimum_key)
+    return best, tuple(traces), stats
+
+
+def readmissions(records):
+    """Products retired by one invocation and back in the next one's first pool."""
+    return sum(
+        len(set(after.pool_before) - set(before.pool_before))
+        for before, after in zip(records, records[1:])
+        if before.action == "terminate"
+    )
+
+
+@NOISE_SPECS
+@pytest.mark.parametrize(
+    "wrap", [None, EvaluateOnly, NudgedEstimates], ids=["batched", "evaluate-only", "nudged"]
+)
+def test_solve_matches_chained_fresh_invocations(spec, wrap, monkeypatch):
+    """Skipping the settled moves changes nothing but the calls that repeat them."""
+    counters = []
+
+    def counting_oracle(base):
+        counting, stats = make_counting_oracle(base)
+        counters.append(stats)
+        return counting, stats
+
+    monkeypatch.setattr(greedy_module, "make_counting_oracle", counting_oracle)
+    budgets, readmitted = set(), 0
+    for inst, config in differential_cases():
+        oracle = make_oracle(inst, spec)
+        if wrap is not None:
+            oracle = wrap(oracle)
+        report = greedy_opt(config, inst.ids(), oracle, trace=True)
+        best, traces, chained = chained_invocations(config, inst.ids(), oracle)
+        assert report.traces == traces
+        assert (report.best_assortment, report.best_oracle_revenue) == best
+        assert report.oracle_calls <= chained.call_count
+        assert counters[-1].distinct_count == chained.distinct_count
+        for seed, records in traces:
+            assert trace_bookkeeping_problems(inst.ids(), config, seed, records) == []
+            readmitted += readmissions(records)
+        budgets.add(config.exchange_budget)
+    assert 1 in budgets
+    assert readmitted > 0
+
+
+class RevenueTable:
+    """An evaluate-only oracle with a fixed revenue per listed set and 0 for every other."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def evaluate(self, assortment):
+        return self.table.get(assortment.ids, 0.0)
+
+
+def test_product_retired_by_one_invocation_can_win_the_next_first_pass():
+    # seed {1, 2}, b = 1: add 3, exchange 1 out for 4 and 2 out for 5, which retires
+    # both and empties the pool; the next invocation's first pass must score 1 back in,
+    # since {1, 4, 5} was never scored
+    oracle = RevenueTable(
+        {(1, 2): 1.0, (1, 2, 3): 2.0, (2, 3, 4): 3.0, (3, 4, 5): 4.0, (1, 4, 5): 5.0}
+    )
+    config = GreedyConfig(2, 4, 1)
+    ids = [1, 2, 3, 4, 5]
+    report = greedy_opt(config, ids, oracle, trace=True)
+    best, traces, _stats = chained_invocations(config, ids, oracle)
+    assert report.traces == traces
+    assert (report.best_assortment, report.best_oracle_revenue) == best
+    records = dict((seed.ids, records) for seed, records in traces)[(1, 2)]
+    assert [(r.action, r.added, r.removed) for r in records] == [
+        ("add", 3, None),
+        ("exchange", 4, 1),
+        ("exchange", 5, 2),
+        ("terminate", None, None),
+        ("exchange", 1, 3),
+        ("terminate", None, None),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        make_exact_oracle,
+        lambda inst: make_oracle(inst, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=3)),
+        lambda inst: EvaluateOnly(make_exact_oracle(inst)),
+    ],
+    ids=["exact", "seeded-uniform", "evaluate-only"],
+)
+def test_no_pass_rescores_the_pass_before(make, monkeypatch):
+    batches = []
+
+    def spy(oracle, current, moves):
+        batches.append({(current.ids, move) for move in moves})
+        return score_moves(oracle, current, moves)
+
+    monkeypatch.setattr(greedy_module, "score_moves", spy)
+    pairs = 0
+    for inst, config in differential_cases():
+        batches.clear()
+        greedy_opt(config, inst.ids(), make(inst))
+        for before, after in zip(batches, batches[1:]):
+            assert not before & after
+            pairs += 1
+    assert pairs > 0
 
 
 class TestNaiveGreedy:
