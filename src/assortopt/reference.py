@@ -3,8 +3,9 @@
 Three independent routes to the capacitated optimum: exhaustive
 enumeration against any oracle (desk scale only), an MNL-specific solver
 that only inspects the candidate collection of top-margin sets
-(piecewise constant in the revenue offset, so finitely many; one margin
-sweep collects them for every size cap at once), and the MNL revenue
+(piecewise constant in the revenue offset, so finitely many; one
+certified sweep collects them for every size cap at once, ranking only
+the offsets where the top set can change), and the MNL revenue
 fixed point, polynomial in N, which ``bench`` and ``solve --exact`` use.
 One tie rule, ``optimum_key``, picks every optimum: the highest revenue,
 then the smallest id tuple. All three agree on the revenue under every
@@ -24,12 +25,13 @@ from math import comb
 from .errors import EnumerationCapError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .instance import Assortment, Instance, optimum_key
-from .oracles import CONFIRM_BAND, RevenueOracle, make_exact_oracle, mnl_revenue
+from .oracles import RevenueOracle, make_exact_oracle, mnl_revenue
 from .transform import (
     interval_offsets,
+    margin_band,
     margin_breakpoints,
     margin_ranking,
-    margin_rankings,
+    top_id_sweep,
     top_ids,
 )
 
@@ -153,12 +155,12 @@ def _best_tied_set(
     margin sum at u. They hold every product whose margin is clearly above
     the size-th largest; when that margin is positive the products tied
     with it fill the remaining places, and otherwise products priced at u
-    (margin 0) may fill some of them. Margins within ``CONFIRM_BAND`` of the
-    scale count as tied, since rounding may split an exact tie, and so may
+    (margin 0) may fill some of them. Margins within ``margin_band`` count
+    as tied, since rounding may split an exact tie, and so may
     the revenues of tied sets: each mix of tied products is scored, taking
     the smallest ids among products of equal price and weight.
     """
-    band = CONFIRM_BAND * max((p.price + u) * p.weight for p in instance.products)
+    band = margin_band(instance, u)
     margins = [(-neg_margin, pid) for neg_margin, pid in ranked]
     edge = margins[size - 1][0] if len(margins) >= size else 0.0
     if edge <= band:
@@ -224,12 +226,15 @@ def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ..
 
     Entry k holds the id tuples of the top sets of at most k products. A top
     set only changes where margin lines cross each other or cross zero, so
-    ranking 0, each breakpoint and one offset inside each interval between
+    probing 0, each breakpoint and one offset inside each interval between
     them finds every member (the empty set appears past the largest price).
-    One ``margin_rankings`` sweep ranks the probes. The top set under cap k
-    is the first k of the top set under the capacity, so a probe whose top
-    set under the capacity repeats the previous probe's adds none; probing
-    in ascending order makes most probes such repeats.
+    One ``top_id_sweep`` reads the top list under the capacity at every
+    probe; it ranks only the probes its bisection cannot certify, and a
+    certified stretch takes the list of both its ends, exactly what ranking
+    each probe would give. The top set under cap k is the first k of the
+    top list under the capacity, so a probe whose list repeats the previous
+    probe's adds none; probing in ascending order makes most probes such
+    repeats.
     """
     capacity = max(0, capacity)
     sets: list[set[tuple[int, ...]]] = [{()}] + [set() for _ in range(capacity)]
@@ -237,8 +242,7 @@ def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ..
         return sets
     points = margin_breakpoints(instance)
     previous = None
-    for ranked in margin_rankings(instance, sorted({0.0, *points, *interval_offsets(points)})):
-        top = top_ids(ranked, capacity)
+    for top in top_id_sweep(instance, sorted({0.0, *points, *interval_offsets(points)}), capacity):
         if top != previous:
             previous = top
             for k in range(1, capacity + 1):
@@ -252,6 +256,7 @@ def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
     Evaluates exact MNL revenue on every candidate set of each size cap
     k = 1..capacity, all from one sweep, and keeps the best (cap 0 admits
     only the empty set); agrees with brute force on the optimal revenue.
+    A set in the collections of several caps is scored once.
     The collection for the full capacity should hold at most N*C + 1
     distinct sets; larger collections are logged, not fatal, since the
     bound's constant is a working assumption.
@@ -268,10 +273,11 @@ def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
             instance.n,
             capacity,
         )
+    candidates = map(Assortment, set().union(*collections[1:]))
+    scored = {s.ids: (s, mnl_revenue(instance, s)) for s in candidates}
     per_size = {0: (Assortment(), 0.0)}
     for k in range(1, capacity + 1):
-        candidates = map(Assortment, collections[k])
-        per_size[k] = min(((s, mnl_revenue(instance, s)) for s in candidates), key=optimum_key)
+        per_size[k] = min((scored[ids] for ids in collections[k]), key=optimum_key)
     final = per_size[capacity]
     return ExactSolution(
         assortment=final[0],

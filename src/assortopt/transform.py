@@ -14,18 +14,25 @@ piecewise constant with breakpoints at pairwise crossings and zero
 crossings. ``margin_ranking`` is the only place products are ordered by
 margin, ``margin_rankings`` the one sweep of it over many offsets, and
 ``top_ids`` the only place a top set is read off a ranking. The revenue
-fixed point ``mnl_opt`` ranks one offset per step; the candidate-set
-solver and the slack-set sizes used in the noise analysis each read one
-sweep.
+fixed point ``mnl_opt`` ranks one offset per step; the slack-set sizes
+used in the noise analysis read ``margin_rankings``, and the candidate-set
+solver reads ``top_id_sweep``, which ranks only where a top set can
+change. It bisects the ascending offsets and fills a stretch without
+ranking it when both ends give the same top list with every gap that
+decides it wider than ``margin_band``: those gaps are linear or concave
+in u, so they stay wide inside the stretch, far above the rounding of
+the keys, and every skipped ranking would read the same list.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Iterator
 
 from .instance import Assortment, Instance
 from .errors import UndefinedTopSetError
+from .oracles import CONFIRM_BAND
 
 
 def scaled_margin(instance: Instance, product_id: int, u: float) -> float:
@@ -63,13 +70,85 @@ def margin_rankings(
 ) -> Iterator[list[tuple[float, int]]]:
     """``margin_ranking(instance, u)`` for each u in ``offsets``, in turn.
 
-    The one sweep behind every reader of many offsets. Each probe ranks
-    afresh: re-sorting only the pairs whose computed crossing was passed
+    The sweep for readers that need more than the top list of each ranking
+    (``top_id_sweep`` serves those that do not). Each probe ranks afresh: re-sorting only the pairs whose computed crossing was passed
     misses the float order flips of nearly parallel lines (weights one ulp
     apart), which happen away from the computed crossing.
     """
     for u in offsets:
         yield margin_ranking(instance, u)
+
+
+def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> list[list[int]]:
+    """``top_ids(margin_ranking(instance, u), size)`` for each u in ascending ``offsets``.
+
+    Ranks the first and last offset, then bisects: a stretch between two
+    ranked offsets is filled with their common top list, unranked, when
+    ``_top_is_clear`` holds at both ends, and otherwise its middle offset is
+    ranked. Inside such a stretch each gap the certificate checks stays
+    above half the band: member-to-member and member-to-zero gaps are linear
+    in u, and the gap from the weakest member up to the nearest outsider (or
+    from zero up to it, when fewer than ``size`` margins are positive) is a
+    minimum of lines, so concave. The band dwarfs the rounding of
+    ``(u - price) * weight`` (about 1e-16 of the same scale), so every
+    skipped ranking reads the same list. Filled offsets share one list.
+    """
+    offsets = list(offsets)
+    if not offsets:
+        return []
+    if any(b < a for a, b in zip(offsets, offsets[1:])):
+        raise ValueError("top_id_sweep needs ascending offsets")
+    # floored at the smallest normal float: below it keys round by an absolute
+    # amount rather than a relative one
+    band = max(
+        margin_band(instance, max(abs(offsets[0]), abs(offsets[-1]))), sys.float_info.min
+    )
+    tops: list[list[int]] = [[] for _ in offsets]
+    clear = [False] * len(offsets)
+
+    def rank(i: int) -> None:
+        ranked = margin_ranking(instance, offsets[i])
+        tops[i] = top_ids(ranked, size)
+        clear[i] = _top_is_clear(ranked, tops[i], size, band)
+
+    last = len(offsets) - 1
+    rank(0)
+    rank(last)
+    stretches = [(0, last)]
+    while stretches:
+        i, j = stretches.pop()
+        if j - i < 2:
+            continue
+        if clear[i] and clear[j] and tops[i] == tops[j]:
+            tops[i + 1 : j] = [tops[i]] * (j - i - 1)
+            continue
+        mid = (i + j) // 2
+        rank(mid)
+        stretches += [(mid, j), (i, mid)]
+    return tops
+
+
+def _top_is_clear(ranked: list[tuple[float, int]], top: list[int], size: int, band: float) -> bool:
+    """True when ``top`` is read off ``ranked`` with more than ``band`` to spare.
+
+    Every adjacent key gap among the members and the first outsider exceeds
+    ``band``, the weakest member's key is below ``-band``, and, when fewer
+    than ``size`` margins are positive, the first outsider's key is above
+    ``band``. Written as ``>`` tests so a NaN gap never passes.
+    """
+    keys = [key for key, _ in ranked[: len(top) + 1]]
+    if not all(b - a > band for a, b in zip(keys, keys[1:])):
+        return False
+    if top and not -keys[len(top) - 1] > band:
+        return False
+    return len(top) >= size or len(keys) == len(top) or keys[len(top)] > band
+
+
+def margin_band(instance: Instance, u: float) -> float:
+    """Width within which margins at offsets up to u count as tied: ``CONFIRM_BAND``
+    of the largest ``(price + u) * weight``, the scale of every margin there (0 for
+    no products)."""
+    return CONFIRM_BAND * max(((p.price + u) * p.weight for p in instance.products), default=0.0)
 
 
 def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:

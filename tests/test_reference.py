@@ -21,13 +21,18 @@ from assortopt import (
     mnl_revenue,
     naive_greedy,
 )
+from assortopt import transform
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.instance import optimum_key
+from assortopt.reference import revenues_agree
 from assortopt.transform import (
     interval_offsets,
+    margin_band,
     margin_breakpoints,
     margin_ranking,
     margin_rankings,
+    top_id_sweep,
+    top_ids,
     top_margin_set,
 )
 
@@ -180,6 +185,50 @@ class TestCandidateSweep:
         assert flipped > 0
 
     @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_top_id_sweep_equals_fresh_top_lists_at_every_probe(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(60):
+            inst = family(rng)
+            offsets = sorted(probe_offsets(inst))
+            fresh = [margin_ranking(inst, u) for u in offsets]
+            for k in range(-1, inst.n + 2):
+                assert top_id_sweep(inst, offsets, k) == [top_ids(r, k) for r in fresh]
+
+    def test_top_id_sweep_on_no_products_and_no_offsets(self):
+        empty = Instance(())
+        assert top_id_sweep(empty, [0.0, 1.0, 2.5], 2) == [[], [], []]
+        assert top_id_sweep(THREE, [], 2) == []
+        assert margin_band(empty, 1.0) == 0.0
+        optima = candidate_set_opt(empty, 2).per_size_optima
+        assert optima == {k: (Assortment(), 0.0) for k in range(3)}
+
+    def test_top_id_sweep_with_subnormal_weights(self):
+        """Keys this small round by an absolute amount, not a relative one."""
+        inst = Instance.of([(i, 5e-324 * i, 1.0 + i / 8) for i in range(1, 9)])
+        offsets = sorted(probe_offsets(inst))
+        for k in range(inst.n + 1):
+            expected = [top_ids(margin_ranking(inst, u), k) for u in offsets]
+            assert top_id_sweep(inst, offsets, k) == expected
+
+    def test_top_id_sweep_refuses_descending_offsets(self):
+        with pytest.raises(ValueError):
+            top_id_sweep(THREE, [2.0, 1.0], 2)
+
+    def test_candidate_set_opt_ranks_under_a_third_of_its_probes(self, monkeypatch):
+        inst = generate_instance(GeneratorSpec(60, seed=8))
+        points = margin_breakpoints(inst)
+        probes = len({0.0, *points, *interval_offsets(points)})
+        calls = []
+
+        def counting_ranking(instance, u):
+            calls.append(u)
+            return margin_ranking(instance, u)
+
+        monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
+        candidate_set_opt(inst, 8)
+        assert 0 < len(calls) < probes / 3
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
     def test_collection_equals_the_per_cap_probe_loop_at_every_cap(self, family):
         rng = random.Random(family.__name__)
         for _ in range(40):
@@ -318,6 +367,15 @@ class TestMnlOpt:
             sol = mnl_opt(inst, capacity)
             assert sol.per_size_optima == {k: full[k] for k in range(capacity + 1)}
             assert (sol.assortment, sol.revenue) == full[capacity]
+
+    @pytest.mark.parametrize("n, capacity", [(100, 10), (100, 20), (200, 10), (200, 20)])
+    def test_revenues_agree_with_candidate_set_opt_beyond_desk_scale(self, n, capacity):
+        for seed in (1, 2):
+            inst = generate_instance(GeneratorSpec(n, seed=seed))
+            fixed_point = mnl_opt(inst, capacity).per_size_optima
+            candidate = candidate_set_opt(inst, capacity).per_size_optima
+            for k in range(capacity + 1):
+                assert revenues_agree(candidate[k][1], fixed_point[k][1])
 
     def test_agrees_with_candidate_set_opt_at_n60(self):
         inst = generate_instance(GeneratorSpec(60, seed=60))
