@@ -37,6 +37,7 @@ from .greedy import (
     greedy_add_exchange,
     greedy_opt,
     naive_greedy,
+    same_run_under_budget,
 )
 from .instance import Assortment, Instance, Product
 from .oracles import (

@@ -4,20 +4,32 @@ Each grid cell (N, C, b-rule, eps) runs a batch of seeded random
 instances, solving each with the greedy search and with the exact MNL
 fixed point (``reference.mnl_opt``, polynomial in N), and aggregates the
 realized optimality gaps, oracle-call counts versus the analytic bound,
-and the exact-recovery pass rate. Cells derive their seeds from the cell
-coordinates and run one after another. The CLI's ``--jobs`` option and
-the ASSORTOPT_JOBS environment variable have no effect: the cells are
-pure Python, which threads cannot run in parallel.
+and the exact-recovery pass rate. Instance seeds derive from (N, C, eps)
+and the seed index, not from the b rule, so the rows of every b rule at
+one (N, C, eps) read the same instances: each is generated, solved
+exactly and bounded once. A greedy run stands for every other budget
+that ``greedy.same_run_under_budget`` certifies it never reached, so only
+the budgets that change a run are solved again. Cells run one after
+another. The CLI's ``--jobs`` option and the ASSORTOPT_JOBS environment
+variable have no effect: the cells are pure Python, which threads cannot
+run in parallel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import compute_bounds, max_slack_set_size, realized_gap
 from .errors import ValidationError
 from .generate import GeneratorSpec, derive_seed, generate_instance
-from .greedy import GreedyConfig, call_count_bound, greedy_opt
+from .greedy import (
+    GreedyConfig,
+    SolveReport,
+    call_count_bound,
+    greedy_opt,
+    same_run_under_budget,
+)
 from .oracles import NoiseSpec, make_oracle
 from .reference import mnl_opt, revenues_agree
 
@@ -31,14 +43,20 @@ DEFAULT_SEEDS_PER_CELL = 50
 def resolve_b_rule(rule: str, capacity: int) -> int | None:
     """Map a b-rule token to a concrete budget; None means per-instance."""
     if rule == "C":
-        return capacity
-    if rule == "C+1":
-        return capacity + 1
-    if rule == "2C":
-        return 2 * capacity
-    if rule == "auto":
+        budget = capacity
+    elif rule == "C+1":
+        budget = capacity + 1
+    elif rule == "2C":
+        budget = 2 * capacity
+    elif rule == "auto":
         return None
-    raise ValidationError(f"unknown b rule {rule!r}", code="bad-config")
+    else:
+        raise ValidationError(f"unknown b rule {rule!r}", code="bad-config")
+    if budget < 1:
+        raise ValidationError(
+            f"b rule {rule!r} gives b = {budget} at C = {capacity}", code="bad-config"
+        )
+    return budget
 
 
 @dataclass(frozen=True)
@@ -57,66 +75,84 @@ class CellOutcome:
     vacuous_bounds: int | None
 
 
-def _run_cell(
+class _Run(NamedTuple):
+    """One instance's greedy run under one b rule."""
+
+    gap: float
+    calls: int
+    call_bound: int
+    recovered: bool  # the exact MNL optimum's revenue was reached
+    gap_bound_holds: bool | None  # None when the bound is vacuous
+
+
+def _run_group(
     n: int,
     capacity: int,
-    b_rule: str,
     eps: float,
+    budgets: list[int | None],
     seeds_per_cell: int,
     base_seed: int,
-) -> CellOutcome:
-    max_gap = 0.0
-    max_calls = 0
-    worst_bound = 0
-    call_violations = 0
-    exact_passes: int | None = 0 if eps == 0.0 and b_rule in ("C+1", "2C") else None
-    gap_violations: int | None = 0 if eps > 0.0 else None
-    vacuous: int | None = 0 if eps > 0.0 else None
+) -> list[list[_Run]]:
+    """The runs of every b rule at one (N, C, eps), per rule, on the same instances.
 
+    ``budgets`` are the rules' resolved budgets (None for ``auto``). Each
+    instance is generated, solved exactly and bounded once; a greedy run
+    stands for every other budget ``same_run_under_budget`` certifies.
+    """
+    runs: list[list[_Run]] = [[] for _ in budgets]
     for k in range(seeds_per_cell):
-        seed = derive_seed("bench", base_seed, n, capacity, b_rule, repr(eps), k)
+        seed = derive_seed("bench", base_seed, n, capacity, repr(eps), k)
         instance = generate_instance(GeneratorSpec(n, seed=seed))
-        ids = instance.ids()
         opt = mnl_opt(instance, capacity)
         noise = NoiseSpec() if eps == 0.0 else NoiseSpec(
             mode="seeded-uniform", eps_max=eps, seed=derive_seed("noise", seed)
         )
-
         bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
-        budget = resolve_b_rule(b_rule, capacity)
-        if budget is None:
+        oracle = make_oracle(instance, noise)
+        auto = None
+        if None in budgets:
             slack_size = max_slack_set_size(instance, capacity, 2.0 * bound.inputs.delta_cap)
-            budget = max(capacity + 1, slack_size + 1)
-        config = GreedyConfig(seed_size=0, capacity=capacity, exchange_budget=budget)
+            auto = max(capacity + 1, slack_size + 1)
 
-        report = greedy_opt(config, ids, make_oracle(instance, noise))
-        gap = realized_gap(instance, report.best_assortment, opt)
-        max_gap = max(max_gap, gap)
-        max_calls = max(max_calls, report.oracle_calls)
-        cell_bound = call_count_bound(n, config)
-        worst_bound = max(worst_bound, cell_bound)
-        if report.oracle_calls > cell_bound:
-            call_violations += 1
-        if exact_passes is not None and revenues_agree(report.best_oracle_revenue, opt.revenue):
-            exact_passes += 1
-        if gap_violations is not None:
-            holds = bound.holds(gap)
-            vacuous += holds is None
-            gap_violations += holds is False
+        solved: list[tuple[int, SolveReport]] = []
+        for rule_runs, fixed in zip(runs, budgets):
+            budget = auto if fixed is None else fixed
+            config = GreedyConfig(seed_size=0, capacity=capacity, exchange_budget=budget)
+            report = next(
+                (done for b, done in solved if same_run_under_budget(done, b, budget)), None
+            )
+            if report is None:
+                report = greedy_opt(config, instance.ids(), oracle)
+                solved.append((budget, report))
+            gap = realized_gap(instance, report.best_assortment, opt)
+            rule_runs.append(
+                _Run(
+                    gap=gap,
+                    calls=report.oracle_calls,
+                    call_bound=call_count_bound(n, config),
+                    recovered=revenues_agree(report.best_oracle_revenue, opt.revenue),
+                    gap_bound_holds=bound.holds(gap),
+                )
+            )
+    return runs
 
+
+def _cell_outcome(n: int, capacity: int, b_rule: str, eps: float, runs: list[_Run]) -> CellOutcome:
+    exact = eps == 0.0 and b_rule in ("C+1", "2C")
+    noisy = eps > 0.0
     return CellOutcome(
         n=n,
         capacity=capacity,
         b_rule=b_rule,
         eps=eps,
-        seeds=seeds_per_cell,
-        max_gap=max_gap,
-        max_calls=max_calls,
-        call_bound=worst_bound,
-        call_violations=call_violations,
-        exact_passes=exact_passes,
-        gap_bound_violations=gap_violations,
-        vacuous_bounds=vacuous,
+        seeds=len(runs),
+        max_gap=max([0.0, *(run.gap for run in runs)]),
+        max_calls=max(run.calls for run in runs),
+        call_bound=max(run.call_bound for run in runs),
+        call_violations=sum(run.calls > run.call_bound for run in runs),
+        exact_passes=sum(run.recovered for run in runs) if exact else None,
+        gap_bound_violations=sum(run.gap_bound_holds is False for run in runs) if noisy else None,
+        vacuous_bounds=sum(run.gap_bound_holds is None for run in runs) if noisy else None,
     )
 
 
@@ -142,14 +178,21 @@ def run_bench(
         epss = tuple(e for e in epss if e > 0.0) or (0.001, 0.01)
     elif suite != "full":
         raise ValidationError(f"unknown suite {suite!r}", code="bad-config")
+    # every rule is resolved and checked before the first solve
+    budgets = {c: [resolve_b_rule(rule, c) for rule in b_rules] for c in cs}
 
-    outcomes = [
-        _run_cell(n, c, rule, eps, seeds_per_cell, base_seed)
-        for n in ns
-        for c in cs
-        for rule in b_rules
-        for eps in epss
-    ]
+    outcomes = []
+    for n in ns:
+        for c in cs:
+            groups = [
+                _run_group(n, c, eps, budgets[c], seeds_per_cell, base_seed)
+                for eps in epss
+            ]
+            outcomes += [
+                _cell_outcome(n, c, rule, eps, runs[r])
+                for r, rule in enumerate(b_rules)
+                for eps, runs in zip(epss, groups)
+            ]
 
     exact_applicable = sum(o.seeds for o in outcomes if o.exact_passes is not None)
     exact_passed = sum(o.exact_passes for o in outcomes if o.exact_passes is not None)

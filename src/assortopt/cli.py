@@ -223,10 +223,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValidationError(message, code="bad-config")
     outcomes, summary = bench_mod.run_bench(
         suite=args.suite,
-        ns=tuple(args.N) if args.N else bench_mod.DEFAULT_NS,
-        cs=tuple(args.C) if args.C else bench_mod.DEFAULT_CS,
-        b_rules=tuple(args.b) if args.b else bench_mod.DEFAULT_B_RULES,
-        epss=tuple(args.eps) if args.eps else bench_mod.DEFAULT_EPSS,
+        ns=bench_mod.DEFAULT_NS if args.N is None else tuple(args.N),
+        cs=bench_mod.DEFAULT_CS if args.C is None else tuple(args.C),
+        b_rules=bench_mod.DEFAULT_B_RULES if args.b is None else tuple(args.b),
+        epss=bench_mod.DEFAULT_EPSS if args.eps is None else tuple(args.eps),
         seeds_per_cell=args.seeds,
         base_seed=args.base_seed,
     )
@@ -392,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="sweep a grid of (N, C, b, eps) cells")
     bench.add_argument("--suite", choices=["full", "theorem1", "theorem2"], default="full")
-    bench.add_argument("--N", type=int, nargs="*", default=None)
-    bench.add_argument("--C", type=int, nargs="*", default=None)
-    bench.add_argument("--b", nargs="*", default=None, help="b rules: C, C+1, 2C, auto")
-    bench.add_argument("--eps", type=float, nargs="*", default=None)
+    bench.add_argument("--N", type=int, nargs="+", default=None)
+    bench.add_argument("--C", type=int, nargs="+", default=None)
+    bench.add_argument("--b", nargs="+", default=None, help="b rules: C, C+1, 2C, auto")
+    bench.add_argument("--eps", type=float, nargs="+", default=None)
     bench.add_argument("--seeds", type=int, default=bench_mod.DEFAULT_SEEDS_PER_CELL)
     bench.add_argument("--base-seed", type=int, default=0)
     bench.add_argument(

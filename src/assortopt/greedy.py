@@ -89,6 +89,9 @@ class SolveReport:
     oracle_calls: int
     seeds_explored: int
     traces: tuple[tuple[Assortment, tuple[IterationRecord, ...]], ...] | None = None
+    # the most times any product was exchanged out within one invocation;
+    # None when unknown (a report read back from JSON)
+    max_exchange_outs: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,14 @@ class _SettledPass:
 
     Every exchange of a ``pool`` product for a member of ``assortment``, the
     set the pass ended at, and, when ``adds``, every addition of a ``pool``
-    product.
+    product. ``max_outs`` is the invocation's largest exchange-out count.
     """
 
     assortment: Assortment
     revenue: float
     pool: frozenset[int]
     adds: bool
+    max_outs: int
 
 
 def _best_move(
@@ -207,7 +211,13 @@ def _run_add_exchange(
                 )
             )
         if action == "terminate":
-            settles = _SettledPass(current, current_rev, frozenset(pool), len(current) < size_cap)
+            settles = _SettledPass(
+                current,
+                current_rev,
+                frozenset(pool),
+                len(current) < size_cap,
+                max(outs.values(), default=0),
+            )
             return current, records, settles
         step += 1
         exchange_pool = pool
@@ -265,6 +275,7 @@ def greedy_opt(
     best: tuple[Assortment, float] | None = None
     traces: list[tuple[Assortment, tuple[IterationRecord, ...]]] = []
     seeds_explored = 0
+    max_outs = 0
     settled: _SettledPass | None = None
 
     for seed_ids in itertools.combinations(ids, config.seed_size):
@@ -277,6 +288,7 @@ def greedy_opt(
                 current, ids, config.exchange_budget, counting, trace, len(records), settled
             )
             records.extend(recs)
+            max_outs = max(max_outs, settled.max_outs)
         # S == C: no invocations, score the seed itself
         rev = counting.evaluate(current) if settled is None else settled.revenue
         if trace:
@@ -290,6 +302,7 @@ def greedy_opt(
         oracle_calls=stats.call_count,
         seeds_explored=seeds_explored,
         traces=tuple(traces) if trace else None,
+        max_exchange_outs=max_outs,
     )
 
 
@@ -324,3 +337,16 @@ def call_count_bound(n: int, config: GreedyConfig) -> int:
     """
     s, c, b = config.seed_size, config.capacity, config.exchange_budget
     return (c - s) * comb(n, s) * (n * b + 1) * (c * n + n)
+
+
+def same_run_under_budget(report: SolveReport, budget: int, other: int) -> bool:
+    """True when ``report``, solved with exchange budget ``budget``, is also the run at ``other``.
+
+    The budget enters the search only where ``accept_move`` retires a
+    product on its ``budget``-th exchange-out. When no product reached
+    ``min(budget, other)`` exchange-outs, neither budget retires one, so
+    both runs accept the same moves, score the same sets and return equal
+    reports, traces included. An unknown count certifies nothing.
+    """
+    outs = report.max_exchange_outs
+    return outs is not None and outs < min(budget, other)

@@ -186,14 +186,16 @@ def margin_breakpoints(instance: Instance, delta: float = 0.0) -> list[float]:
     Collects pairwise crossings of the margin lines, their zero crossings
     (u = price), and, for delta > 0, the offsets where one margin trails
     another by exactly delta * u. Between consecutive breakpoints every
-    top set and slack set is constant.
+    top set and slack set is constant. At delta = 0 each unordered pair is
+    visited once: float subtraction is exactly antisymmetric, so (b, a)
+    would give a quotient equal to that of (a, b), which is added first.
     """
     points: set[float] = set()
     products = instance.products
     for prod in products:
         points.add(prod.price)
     for a_idx in range(len(products)):
-        for b_idx in range(len(products)):
+        for b_idx in range(a_idx + 1 if delta == 0.0 else 0, len(products)):
             if a_idx == b_idx:
                 continue
             pa, pb = products[a_idx], products[b_idx]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import assortopt.bench as bench_mod
 from assortopt import Instance, candidate_set_opt
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
@@ -286,6 +287,56 @@ class TestBench:
         error = json.loads(err)["error"]
         assert error["code"] == "bad-config"
         assert f"sets {named} itself" in error["message"]
+
+    @pytest.mark.parametrize("flag", ["--N", "--C", "--b", "--eps"])
+    def test_empty_list_flag_is_a_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, "--seeds", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_rule_giving_b_below_one_is_named_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("solved before the b rules were checked")
+
+        monkeypatch.setattr(bench_mod, "greedy_opt", no_solve)
+        code, out, err = run_cli(
+            capsys, "bench", "--C", "2", "0", "--b", "C+1", "C", "--seeds", "1"
+        )
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "bad-config"
+        assert error["message"] == "b rule 'C' gives b = 0 at C = 0"
+
+    def test_reused_solves_give_the_bytes_of_fresh_ones(self, capsys, tmp_path, monkeypatch):
+        """Each b rule of a cell reads the same instances; solving every budget afresh
+        instead of reusing a certified run changes no byte of the table or bench.json."""
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return greedy_opt(*args, **kwargs)
+
+        greedy_opt = bench_mod.greedy_opt
+        monkeypatch.setattr(bench_mod, "greedy_opt", counted)
+        argv = ["bench", "--suite", "full", "--b", "C", "C+1", "2C", "auto",
+                "--C", "1", "2", "3", "4", "--eps", "0.0", "0.05", "0.3", "--seeds", "4"]
+        runs = []
+        for reuse in (True, False):
+            if not reuse:
+                monkeypatch.setattr(bench_mod, "same_run_under_budget", lambda *_: False)
+            solves.clear()
+            out_path = tmp_path / f"bench-{reuse}.json"
+            code, out, _ = run_cli(capsys, *argv, "-o", str(out_path))
+            assert code == 0
+            runs.append((out, out_path.read_bytes(), len(solves)))
+        (reused_out, reused_doc, reused_solves), (fresh_out, fresh_doc, fresh_solves) = runs
+        assert reused_out == fresh_out
+        assert reused_doc == fresh_doc
+        cells = 3 * 4 * 4 * 3
+        assert fresh_solves == cells * 4
+        assert reused_solves < fresh_solves
 
     def test_theorem2_keeps_its_positive_eps(self, capsys, tmp_path):
         out_path = tmp_path / "bench.json"

@@ -25,11 +25,13 @@ from assortopt import (
     make_oracle,
     mnl_revenue,
     naive_greedy,
+    same_run_under_budget,
 )
 from assortopt.analysis import trace_bookkeeping_problems
-from assortopt.generate import GeneratorSpec, generate_instance
+from assortopt.generate import GeneratorSpec, derive_seed, generate_instance
 from assortopt.instance import optimum_key
 from assortopt.oracles import score_moves
+from test_reference import TIE_FAMILIES
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -558,6 +560,69 @@ def test_no_pass_rescores_the_pass_before(make, monkeypatch):
             assert not before & after
             pairs += 1
     assert pairs > 0
+
+
+# --- one run for every budget it never reached ------------------------------
+
+
+def certificate_cases():
+    rng = random.Random(1414)
+    instances = [generate_instance(GeneratorSpec(rng.randint(2, 10), seed=rng.getrandbits(60)))
+                 for _ in range(25)]
+    instances += [family(rng) for family in TIE_FAMILIES for _ in range(6)]
+    for trial, inst in enumerate(instances):
+        capacity = rng.randint(1, min(inst.n, 4))
+        seed_size = rng.choice([0, 0, min(1, capacity - 1)])
+        for spec in (NoiseSpec(), NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=trial)):
+            yield inst, make_oracle(inst, spec), seed_size, capacity
+
+
+def test_max_exchange_outs_is_the_largest_traced_count():
+    for inst, oracle, seed_size, capacity in certificate_cases():
+        for budget in (1, capacity + 1):
+            report = greedy_opt(GreedyConfig(seed_size, capacity, budget), inst.ids(), oracle,
+                                trace=True)
+            traced = [max(r.exchange_out_counts.values(), default=0)
+                      for _seed, records in report.traces for r in records]
+            assert report.max_exchange_outs == max(traced, default=0)
+
+
+def test_certified_run_equals_the_run_at_the_other_budget():
+    certified = refused = 0
+    for inst, oracle, seed_size, capacity in certificate_cases():
+        budgets = sorted({1, 2, capacity, capacity + 1, 2 * capacity})
+        reports = {
+            b: greedy_opt(GreedyConfig(seed_size, capacity, b), inst.ids(), oracle, trace=True)
+            for b in budgets
+        }
+        for b, other in itertools.permutations(budgets, 2):
+            if same_run_under_budget(reports[b], b, other):
+                assert reports[b] == reports[other]
+                certified += 1
+            else:
+                refused += 1
+    assert certified > 0 and refused > 0
+
+
+def test_certificate_refuses_a_run_that_retired_a_product():
+    # bench's desk instance at N = 10, C = 3, eps = 0, seed k = 7: at b = 1 a product
+    # is exchanged out once and retired, and the b = 2 run scores it again
+    inst = generate_instance(GeneratorSpec(10, seed=derive_seed("bench", 0, 10, 3, "0.0", 7)))
+    oracle = make_exact_oracle(inst)
+    one, two = (greedy_opt(GreedyConfig(0, 3, b), inst.ids(), oracle, trace=True) for b in (1, 2))
+    assert one.max_exchange_outs == 1
+    assert not same_run_under_budget(one, 1, 2)
+    assert one != two
+    assert one.oracle_calls < two.oracle_calls
+    # no product reached 2 exchange-outs at b = 2, so that run stands for every larger budget
+    assert same_run_under_budget(two, 2, 4)
+    assert two == greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), oracle, trace=True)
+
+
+def test_certificate_needs_a_known_count():
+    report = greedy_opt(GreedyConfig(0, 2, 3), THREE.ids(), make_exact_oracle(THREE))
+    assert same_run_under_budget(report, 3, 4)
+    assert not same_run_under_budget(replace(report, max_exchange_outs=None), 3, 4)
 
 
 class TestNaiveGreedy:

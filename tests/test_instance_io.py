@@ -183,6 +183,9 @@ class TestReportRoundTrip:
         assert back.best_oracle_revenue == report.best_oracle_revenue
         assert back.oracle_calls == report.oracle_calls
         assert back.traces == report.traces
+        # the exchange-out count is not written, so a report read back certifies nothing
+        assert "max_exchange_outs" not in doc
+        assert report.max_exchange_outs is not None and back.max_exchange_outs is None
 
     def test_record_document_round_trip(self):
         inst = generate_instance(GeneratorSpec(5, seed=17))

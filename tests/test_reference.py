@@ -169,6 +169,29 @@ class TestCandidateSweep:
                 fresh = [margin_ranking(inst, u) for u in offsets]
                 assert list(margin_rankings(inst, offsets)) == fresh
 
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.1])
+    def test_breakpoints_equal_the_ordered_pair_loop(self, family, delta):
+        """At delta = 0 only unordered pairs are visited; the list, signed zeros included,
+        is the one every ordered pair gives."""
+
+        def ordered_pair_breakpoints(inst):
+            points = {p.price for p in inst.products}
+            for pa, pb in itertools.permutations(inst.products, 2):
+                denom = pa.weight - pb.weight + delta
+                if denom != 0.0:
+                    u = (pa.price * pa.weight - pb.price * pb.weight) / denom
+                    if math.isfinite(u) and u >= 0.0:
+                        points.add(u)
+            return sorted(points)
+
+        rng = random.Random(family.__name__)
+        for _ in range(60):
+            inst = family(rng)
+            assert list(map(repr, margin_breakpoints(inst, delta))) == list(
+                map(repr, ordered_pair_breakpoints(inst))
+            )
+
     def test_one_ulp_family_flips_float_order_more_than_once(self):
         """Exact lines cross once; rounded keys of one-ulp-apart weights swap back and forth."""
         rng = random.Random(weights_one_ulp_apart.__name__)
