@@ -30,8 +30,7 @@ from .transform import (
     assortment_margin,
     interval_offsets,
     margin_breakpoints,
-    margin_rankings,
-    min_margin_member,
+    margin_ranking,
     scaled_margin,
     top_ids,
     top_margin_set,
@@ -134,8 +133,8 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     margin trails the top set's weakest member by at most delta * u. Its
     size is piecewise constant between breakpoints (margin crossings,
     zero crossings, and delta-shifted crossings), so one offset inside
-    every interval, ranked by one ``margin_rankings`` sweep, maximizes over
-    the regions exactly. Isolated tie points at the breakpoints themselves
+    every interval, each ranked by ``margin_ranking``, maximizes over the
+    regions exactly. Isolated tie points at the breakpoints themselves
     are not counted: the size there exceeds the neighboring regions only by
     exact-tie coincidences, which is also what keeps this in agreement with
     a dense grid scan. Offsets with an empty top set contribute nothing.
@@ -144,12 +143,15 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     if not delta >= 0:
         raise ValidationError(f"delta must be >= 0, got {delta!r}", code="bad-config")
     points = sorted(set(margin_breakpoints(instance)) | set(margin_breakpoints(instance, delta)))
-    probes = interval_offsets(points)
     worst = 0
-    for u, ranked in zip(probes, margin_rankings(instance, probes)):
-        # one ranking holds the top set (its leading positive margins), the
+    for u in interval_offsets(points):
+        # each probe ranks afresh: re-sorting only the pairs whose computed
+        # crossing was passed misses the float order flips of nearly parallel
+        # lines (weights one ulp apart), which happen away from the crossing.
+        # One ranking holds the top set (its leading positive margins), the
         # anchor (the last of them) and, right after them, the outside
         # products whose margin trails the anchor by at most delta * u
+        ranked = margin_ranking(instance, u)
         top = len(top_ids(ranked, size))
         if top == 0:
             continue
@@ -424,6 +426,5 @@ __all__ = [
     "check_margin_revenue_equivalence",
     "check_trace_invariants",
     "check_top_set_monotonicity",
-    "min_margin_member",
     "FLOAT_SLACK",
 ]

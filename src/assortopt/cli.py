@@ -118,12 +118,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     result = greedy_opt(config, instance.ids(), oracle, trace=args.trace)
     elapsed_ms = 1000.0 * (time.perf_counter() - start)
 
-    opt, gap, bound, violations, delta_cap = _derived_sections(
-        instance, capacity, noise, result, args.exact
-    )
+    sections, *_ = _derived_sections(instance, capacity, noise, result, args.exact)
     document = io_mod.run_report_document(
-        instance, config, noise, result, exact=opt, gap=gap, bounds=bound,
-        trace_violations=len(violations), delta_cap=delta_cap, timing_ms=round(elapsed_ms, 3),
+        instance, config, noise, result, sections, timing_ms=round(elapsed_ms, 3)
     )
     _emit(io_mod.serialize_report(document), args.output)
     return EXIT_OK
@@ -132,13 +129,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _derived_sections(
     instance: Instance, capacity: int, noise: NoiseSpec, result: SolveReport, exact: bool
 ) -> tuple[
-    ExactSolution | None, float | None, GapBound | None, list[TraceViolation], float | None
+    dict, ExactSolution | None, float | None, GapBound | None, list[TraceViolation]
 ]:
-    """What a run report derives from its run: (optimum, realized gap, gap bound,
-    trace violations, slack cap), as ``io.derived_sections_to_document`` takes them.
+    """What a run report derives from its run: (its ``io.derived_sections_to_document``
+    sections, optimum, realized gap, gap bound, trace violations).
 
-    The first three are None unless ``exact`` is set; with no traces there
-    are no violations and the slack cap is None.
+    The optimum, gap and bound are None unless ``exact`` is set; with no
+    traces there are no violations and the ``analysis`` section is None.
     """
     opt = gap = bound = delta_cap = None
     violations: list[TraceViolation] = []
@@ -150,7 +147,8 @@ def _derived_sections(
         opt = mnl_opt(instance, capacity)
         gap = realized_gap(instance, result.best_assortment, opt)
         bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
-    return opt, gap, bound, violations, delta_cap
+    sections = io_mod.derived_sections_to_document(opt, gap, bound, len(violations), delta_cap)
+    return sections, opt, gap, bound, violations
 
 
 def _optimum_claim_problems(
@@ -279,11 +277,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         problems.append(
                             f"step {record.step_index}: recorded revenue is not reproducible"
                         )
-    opt, gap, bound, violations, delta_cap = _derived_sections(
+    sections, opt, gap, bound, violations = _derived_sections(
         instance, config.capacity, noise, result, document.get("exact") is not None
     )
     problems.extend(v.describe() for v in violations)
-    sections = io_mod.derived_sections_to_document(opt, gap, bound, len(violations), delta_cap)
     problems.extend(
         f"{key} does not match its recomputation from the instance, config and result"
         for key, value in sections.items()
@@ -332,14 +329,11 @@ def _result_config_problems(n: int, config: GreedyConfig, result: SolveReport) -
         problems.append(f"seeds_explored={result.seeds_explored}, expected binom(N, S)={seeds}")
     if result.traces is not None and len(result.traces) != seeds:
         problems.append(f"{len(result.traces)} traces, expected one per seed: binom(N, S)={seeds}")
-    if config.seed_size == config.capacity:
-        # no add-exchange invocations: each seed is scored once
-        if result.oracle_calls != seeds:
-            problems.append(f"oracle_calls={result.oracle_calls}, expected binom(N, S)={seeds}")
-    else:
-        bound = call_count_bound(n, config)
-        if not 1 <= result.oracle_calls <= bound:
-            problems.append(f"oracle_calls={result.oracle_calls} outside [1, {bound}]")
+    bound = call_count_bound(n, config)
+    # at S = C each seed is scored once, and the bound is that count
+    low = bound if config.seed_size == config.capacity else 1
+    if not low <= result.oracle_calls <= bound:
+        problems.append(f"oracle_calls={result.oracle_calls} outside [{low}, {bound}]")
     return problems
 
 

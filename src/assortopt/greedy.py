@@ -327,16 +327,17 @@ def naive_greedy(capacity: int, universe: Iterable[int], oracle: RevenueOracle) 
 
 
 def call_count_bound(n: int, config: GreedyConfig) -> int:
-    """Analytic cap on oracle calls for a full greedy solve with S < C.
+    """Analytic cap on oracle calls for a full greedy solve.
 
     Each of the binom(N, S) seeds runs C - S invocations, each invocation
     at most N*b + 1 loop passes, each pass at most C*N + N oracle calls.
     A first pass that skips settled moves scores fewer, so this stays an
     upper bound; ``SolveReport.oracle_calls`` counts the moves actually
-    scored.
+    scored. At S = C there are no invocations and each seed is scored
+    once, so the cap is binom(N, S) and the count equals it.
     """
     s, c, b = config.seed_size, config.capacity, config.exchange_budget
-    return (c - s) * comb(n, s) * (n * b + 1) * (c * n + n)
+    return comb(n, s) * max(1, (c - s) * (n * b + 1) * (c * n + n))
 
 
 def same_run_under_budget(report: SolveReport, budget: int, other: int) -> bool:

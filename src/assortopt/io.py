@@ -286,13 +286,10 @@ def run_report_document(
     config: GreedyConfig,
     noise: NoiseSpec,
     result: SolveReport,
-    exact: ExactSolution | None = None,
-    gap: float | None = None,
-    bounds: GapBound | None = None,
-    trace_violations: int = 0,
-    delta_cap: float | None = None,
+    sections: dict,
     timing_ms: float | None = None,
 ) -> dict:
+    """A run report; ``sections`` are its ``derived_sections_to_document`` sections."""
     return {
         "schema_version": SCHEMA_VERSION,
         "instance_digest": instance_digest(instance),
@@ -304,7 +301,7 @@ def run_report_document(
             "noise": noise_to_document(noise),
         },
         "result": solve_report_to_document(result),
-        **derived_sections_to_document(exact, gap, bounds, trace_violations, delta_cap),
+        **sections,
         "timing_ms": timing_ms,
     }
 

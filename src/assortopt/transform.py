@@ -12,12 +12,11 @@ so at u = revenue(M) the transform has a fixed point. Because the
 per-product margins are lines in u, the "top k by margin" set is
 piecewise constant with breakpoints at pairwise crossings and zero
 crossings. ``margin_ranking`` is the only place products are ordered by
-margin, ``margin_rankings`` the one sweep of it over many offsets, and
-``top_ids`` the only place a top set is read off a ranking. The revenue
-fixed point ``mnl_opt`` ranks one offset per step; the slack-set sizes
-used in the noise analysis read ``margin_rankings``, and the candidate-set
-solver reads ``top_id_sweep``, which ranks only where a top set can
-change. It bisects the ascending offsets and fills a stretch without
+margin, and ``top_ids`` the only place a top set is read off a ranking.
+The revenue fixed point ``mnl_opt`` ranks one offset per step, and the
+slack-set sizes used in the noise analysis rank every probe; the
+candidate-set solver reads ``top_id_sweep``, which ranks only where a top
+set can change. It bisects the ascending offsets and fills a stretch without
 ranking it when both ends give the same top list with every gap that
 decides it wider than ``margin_band``: those gaps are linear or concave
 in u, so they stay wide inside the stretch, far above the rounding of
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .instance import Assortment, Instance
 from .errors import UndefinedTopSetError
@@ -63,20 +62,6 @@ def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
     negation of the margin ``(price - u) * weight``.
     """
     return sorted([((u - p.price) * p.weight, p.id) for p in instance.products])
-
-
-def margin_rankings(
-    instance: Instance, offsets: Iterable[float]
-) -> Iterator[list[tuple[float, int]]]:
-    """``margin_ranking(instance, u)`` for each u in ``offsets``, in turn.
-
-    The sweep for readers that need more than the top list of each ranking
-    (``top_id_sweep`` serves those that do not). Each probe ranks afresh: re-sorting only the pairs whose computed crossing was passed
-    misses the float order flips of nearly parallel lines (weights one ulp
-    apart), which happen away from the computed crossing.
-    """
-    for u in offsets:
-        yield margin_ranking(instance, u)
 
 
 def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> list[list[int]]:

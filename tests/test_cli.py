@@ -257,6 +257,18 @@ class TestBench:
         doc = json.loads(out_path.read_text())
         assert doc["summary"]["call_violations"] == 0
 
+    def test_capacity_zero_keeps_within_the_call_bound(self, capsys, tmp_path):
+        """At C = 0 each run scores the empty seed once, and the bound is that one call."""
+        out_path = tmp_path / "bench.json"
+        code, out, _ = run_cli(
+            capsys, "bench", "--N", "3", "--C", "0", "--b", "C+1", "auto", "--seeds", "1",
+            "-o", str(out_path),
+        )
+        assert code == 0
+        assert "call-count violations: 0" in out
+        cells = json.loads(out_path.read_text())["cells"]
+        assert {(c["max_calls"], c["call_bound"]) for c in cells} == {(1, 1)}
+
     def test_theorem1_suite_reports_full_pass_rate(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--suite", "theorem1", "--N", "5", "6", "--C", "2", "--seeds", "4"
@@ -436,6 +448,25 @@ def test_verify_rejects_result_that_contradicts_config(tmp_path, capsys, field, 
     assert code == 4
     assert out.startswith("verify FAIL")
     assert f"{field}={value}" in out
+    assert json.loads(err)["error"]["code"] == "assertion-failure"
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_verify_wants_one_call_per_seed_at_s_equal_c(tmp_path, capsys, fixtures_dir, delta):
+    """At S = C every one of the binom(N, S) seeds is scored once, no more and no fewer."""
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "solve", str(fixtures_dir / "generated_n8_seed7.json"), "--S", "2", "--C", "2",
+        "-o", str(path),
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["result"]["oracle_calls"] == 28
+    doc["result"]["oracle_calls"] = 28 + delta
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert f"oracle_calls={28 + delta} outside [28, 28]" in out
     assert json.loads(err)["error"]["code"] == "assertion-failure"
 
 

@@ -336,12 +336,20 @@ class TestLoopInvariants:
             n = rng.randint(2, 8)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
             capacity = rng.randint(1, n)
-            # the bound counts invocation work, so it needs S < C
             seed_size = rng.randint(0, capacity - 1)
             budget = rng.randint(1, capacity + 2)
             config = GreedyConfig(seed_size, capacity, budget)
             report = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
             assert report.oracle_calls <= call_count_bound(n, config)
+
+    @pytest.mark.parametrize("n, size", [(0, 0), (3, 0), (5, 2), (6, 3), (4, 4)])
+    def test_call_count_bound_is_the_seed_count_at_s_equal_c(self, n, size):
+        """No invocations run at S = C: each of the binom(N, S) seeds is scored once."""
+        inst = generate_instance(GeneratorSpec(n, seed=n + size))
+        for budget in (1, size + 1):
+            config = GreedyConfig(size, size, budget)
+            report = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
+            assert call_count_bound(n, config) == report.oracle_calls
 
     def test_exact_oracle_recovers_optimum_spot_check(self):
         rng = random.Random(4096)
