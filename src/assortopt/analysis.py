@@ -8,8 +8,8 @@ This module turns the solver's guarantees into executable checks:
 * the pool and budget bookkeeping of a trace, replayed from its seed,
 * monotonicity and size bounds of top-margin sets,
 * the quantities controlling the optimality gap under multiplicatively
-  noisy oracles: the estimate-slack bound, the slack-set size, and the
-  relative gap guarantee.
+  noisy oracles: the estimate-slack bound, the slack-set size (a reader
+  of ``transform.certified_sweep``), and the relative gap guarantee.
 
 All functions are pure; reports are plain dataclasses ready for JSON
 serialization.
@@ -28,12 +28,12 @@ from .oracles import NoiseSpec, mnl_revenue, total_weight
 from .reference import ExactSolution, candidate_set_opt, check_enumeration
 from .transform import (
     assortment_margin,
+    certified_sweep,
     interval_offsets,
     margin_breakpoints,
-    margin_ranking,
     scaled_margin,
-    top_ids,
     top_margin_set,
+    top_with_gaps,
 )
 
 #: Absolute-per-unit slack granted to trace checks for float rounding in
@@ -130,11 +130,11 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     """Largest slack-set cardinality over all positive offsets.
 
     The slack set at offset u is the top set plus every product whose
-    margin trails the top set's weakest member by at most delta * u. Its
-    size is piecewise constant between breakpoints (margin crossings,
-    zero crossings, and delta-shifted crossings), so one offset inside
-    every interval, each ranked by ``margin_ranking``, maximizes over the
-    regions exactly. Isolated tie points at the breakpoints themselves
+    margin trails the top set's weakest member (the anchor) by at most
+    delta * u. Its size is piecewise constant between breakpoints (margin
+    crossings, zero crossings, and delta-shifted crossings), so one offset
+    inside every interval, each read by ``certified_sweep``, maximizes over
+    the regions exactly. Isolated tie points at the breakpoints themselves
     are not counted: the size there exceeds the neighboring regions only by
     exact-tie coincidences, which is also what keeps this in agreement with
     a dense grid scan. Offsets with an empty top set contribute nothing.
@@ -142,25 +142,30 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     """
     if not delta >= 0:
         raise ValidationError(f"delta must be >= 0, got {delta!r}", code="bad-config")
-    points = sorted(set(margin_breakpoints(instance)) | set(margin_breakpoints(instance, delta)))
-    worst = 0
-    for u in interval_offsets(points):
-        # each probe ranks afresh: re-sorting only the pairs whose computed
-        # crossing was passed misses the float order flips of nearly parallel
-        # lines (weights one ulp apart), which happen away from the crossing.
-        # One ranking holds the top set (its leading positive margins), the
-        # anchor (the last of them) and, right after them, the outside
-        # products whose margin trails the anchor by at most delta * u
-        ranked = margin_ranking(instance, u)
-        top = len(top_ids(ranked, size))
-        if top == 0:
-            continue
-        anchor, limit = -ranked[top - 1][0], delta * u
-        within = top
+    points = margin_breakpoints(instance)
+    if delta != 0.0:
+        points = sorted(set(points) | set(margin_breakpoints(instance, delta)))
+
+    def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list[float]]:
+        # the value is the top list and the slack set, a prefix of the ranking:
+        # anchor + key, how far a margin trails the anchor, is monotone along it.
+        # The slack gaps delta * u - (anchor + key) either side of its boundary
+        # are lines in u while the anchor holds
+        top, gaps = top_with_gaps(ranked, size)
+        if not top:
+            return (top, frozenset()), gaps
+        anchor, limit = -ranked[len(top) - 1][0], delta * u
+        within = len(top)
         while within < len(ranked) and anchor + ranked[within][0] <= limit:
             within += 1
-        worst = max(worst, within)
-    return worst
+        if within > len(top):
+            gaps.append(limit - (anchor + ranked[within - 1][0]))
+        if within < len(ranked):
+            gaps.append(anchor + ranked[within][0] - limit)
+        return (top, frozenset(pid for _, pid in ranked[:within])), gaps
+
+    sweep = certified_sweep(instance, interval_offsets(points), read)
+    return max((len(slack) for _, slack in sweep), default=0)
 
 
 @dataclass(frozen=True)

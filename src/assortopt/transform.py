@@ -13,21 +13,21 @@ per-product margins are lines in u, the "top k by margin" set is
 piecewise constant with breakpoints at pairwise crossings and zero
 crossings. ``margin_ranking`` is the only place products are ordered by
 margin, and ``top_ids`` the only place a top set is read off a ranking.
-The revenue fixed point ``mnl_opt`` ranks one offset per step, and the
-slack-set sizes used in the noise analysis rank every probe; the
-candidate-set solver reads ``top_id_sweep``, which ranks only where a top
-set can change. It bisects the ascending offsets and fills a stretch without
-ranking it when both ends give the same top list with every gap that
-decides it wider than ``margin_band``: those gaps are linear or concave
-in u, so they stay wide inside the stretch, far above the rounding of
-the keys, and every skipped ranking would read the same list.
+The revenue fixed point ``mnl_opt`` ranks one offset per step. The
+candidate sets (``top_id_sweep``) and the slack-set sizes of the noise
+analysis are two readers of ``certified_sweep``, which ranks only where a
+reader's value can change. It bisects the ascending offsets and fills a
+stretch without ranking it when both ends give the same value with every
+gap that decides it wider than ``margin_band``: those gaps are linear or
+concave in u, so they stay wide inside the stretch, far above the
+rounding of the keys, and every skipped ranking would read the same value.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from .instance import Assortment, Instance
 from .errors import UndefinedTopSetError
@@ -64,37 +64,36 @@ def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
     return sorted([((u - p.price) * p.weight, p.id) for p in instance.products])
 
 
-def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> list[list[int]]:
-    """``top_ids(margin_ranking(instance, u), size)`` for each u in ascending ``offsets``.
+def certified_sweep(instance: Instance, offsets: Iterable[float], read: Callable) -> list[Any]:
+    """The value ``read(u, margin_ranking(instance, u))`` gives at each u in ascending ``offsets``.
 
-    Ranks the first and last offset, then bisects: a stretch between two
-    ranked offsets is filled with their common top list, unranked, when
-    ``_top_is_clear`` holds at both ends, and otherwise its middle offset is
-    ranked. Inside such a stretch each gap the certificate checks stays
-    above half the band: member-to-member and member-to-zero gaps are linear
-    in u, and the gap from the weakest member up to the nearest outsider (or
-    from zero up to it, when fewer than ``size`` margins are positive) is a
-    minimum of lines, so concave. The band dwarfs the rounding of
-    ``(u - price) * weight`` (about 1e-16 of the same scale), so every
-    skipped ranking reads the same list. Filled offsets share one list.
+    ``read`` returns a value and the gaps that decide it. The sweep ranks
+    the first and last offset, then bisects: a stretch between two ranked
+    offsets is filled with their common value, unranked, when every gap at
+    both ends exceeds the band (``margin_band`` at the largest |offset|),
+    and otherwise its middle offset is ranked. Each gap must be a line in
+    u, or a minimum of lines, while the value holds, so it is concave and
+    stays above the band inside the stretch. The band dwarfs the rounding
+    of ``(u - price) * weight`` (about 1e-16 of the same scale), so every
+    skipped ranking reads the same value. Gaps are tested with ``>``, so a
+    NaN never certifies. Filled offsets share one value.
     """
     offsets = list(offsets)
     if not offsets:
         return []
     if any(b < a for a, b in zip(offsets, offsets[1:])):
-        raise ValueError("top_id_sweep needs ascending offsets")
+        raise ValueError("certified_sweep needs ascending offsets")
     # floored at the smallest normal float: below it keys round by an absolute
     # amount rather than a relative one
     band = max(
         margin_band(instance, max(abs(offsets[0]), abs(offsets[-1]))), sys.float_info.min
     )
-    tops: list[list[int]] = [[] for _ in offsets]
+    values: list[Any] = [None] * len(offsets)
     clear = [False] * len(offsets)
 
     def rank(i: int) -> None:
-        ranked = margin_ranking(instance, offsets[i])
-        tops[i] = top_ids(ranked, size)
-        clear[i] = _top_is_clear(ranked, tops[i], size, band)
+        values[i], gaps = read(offsets[i], margin_ranking(instance, offsets[i]))
+        clear[i] = all(gap > band for gap in gaps)
 
     last = len(offsets) - 1
     rank(0)
@@ -104,29 +103,33 @@ def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> lis
         i, j = stretches.pop()
         if j - i < 2:
             continue
-        if clear[i] and clear[j] and tops[i] == tops[j]:
-            tops[i + 1 : j] = [tops[i]] * (j - i - 1)
+        if clear[i] and clear[j] and values[i] == values[j]:
+            values[i + 1 : j] = [values[i]] * (j - i - 1)
             continue
         mid = (i + j) // 2
         rank(mid)
         stretches += [(mid, j), (i, mid)]
-    return tops
+    return values
 
 
-def _top_is_clear(ranked: list[tuple[float, int]], top: list[int], size: int, band: float) -> bool:
-    """True when ``top`` is read off ``ranked`` with more than ``band`` to spare.
+def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> list[list[int]]:
+    """``top_ids(margin_ranking(instance, u), size)`` at each u in ascending ``offsets``."""
+    return certified_sweep(instance, offsets, lambda u, ranked: top_with_gaps(ranked, size))
 
-    Every adjacent key gap among the members and the first outsider exceeds
-    ``band``, the weakest member's key is below ``-band``, and, when fewer
-    than ``size`` margins are positive, the first outsider's key is above
-    ``band``. Written as ``>`` tests so a NaN gap never passes.
-    """
+
+def top_with_gaps(ranked: list[tuple[float, int]], size: int) -> tuple[list[int], list[float]]:
+    """``top_ids(ranked, size)`` and the gaps that decide it: each adjacent key gap among
+    the members and the first outsider, the weakest member's margin and, when fewer than
+    ``size`` margins are positive, the first outsider's key. A gap up to the first outsider
+    is a minimum of lines in u, every other gap a line."""
+    top = top_ids(ranked, size)
     keys = [key for key, _ in ranked[: len(top) + 1]]
-    if not all(b - a > band for a, b in zip(keys, keys[1:])):
-        return False
-    if top and not -keys[len(top) - 1] > band:
-        return False
-    return len(top) >= size or len(keys) == len(top) or keys[len(top)] > band
+    gaps = [b - a for a, b in zip(keys, keys[1:])]
+    if top:
+        gaps.append(-keys[len(top) - 1])
+    if len(top) < size and len(keys) > len(top):
+        gaps.append(keys[len(top)])
+    return top, gaps
 
 
 def margin_band(instance: Instance, u: float) -> float:

@@ -633,6 +633,53 @@ def test_certificate_needs_a_known_count():
     assert not same_run_under_budget(replace(report, max_exchange_outs=None), 3, 4)
 
 
+# --- a witness where the budget binds past b = 1 -----------------------------
+
+#: Each set is one exchange from the next and no earlier set is one move from a
+#: later one, so the search walks the path; product 1 leaves at the first step
+#: and again at the last, and at b = 1 it is retired before (1, 5, 6)
+BUDGET_PATH = [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (1, 5, 6), (1, 6, 7), (1, 7, 8),
+               (7, 8, 9)]
+
+
+def budget_path_table():
+    return RevenueTable({ids: 10.0 + step for step, ids in enumerate(BUDGET_PATH)})
+
+
+@pytest.mark.parametrize("budget, final, records, pool_after, outs_of_1", [
+    (1, (4, 5, 6), 4, 3, 1),
+    (2, (7, 8, 9), 8, 5, 2),
+    (3, (7, 8, 9), 8, 6, 2),
+])
+def test_budget_path_binds_past_one_exchange_out(budget, final, records, pool_after, outs_of_1):
+    result, trace = greedy_add_exchange(
+        Assortment(BUDGET_PATH[0]), range(1, 10), budget, budget_path_table(), trace=True
+    )
+    assert result.ids == final
+    assert len(trace) == records
+    assert [r.assortment_after.ids for r in trace[:-1]] == BUDGET_PATH[1:records]
+    assert trace[-1].universe_size_after == pool_after
+    assert trace[-1].exchange_out_counts[1] == outs_of_1
+
+
+def test_budget_path_solves_within_the_call_bound_and_refuses_the_certificate():
+    ids = list(range(1, 10))
+    oracle = budget_path_table()
+    reports = {}
+    for budget, outs, calls in [(1, 1, 5_234), (2, 2, 8_743), (3, 2, 8_771)]:
+        config = GreedyConfig(3, 4, budget)
+        report = greedy_opt(config, ids, oracle, trace=True)
+        assert report.max_exchange_outs == outs
+        assert report.oracle_calls == calls <= call_count_bound(len(ids), config)
+        assert report.best_assortment.ids == BUDGET_PATH[-1]
+        for seed, records in report.traces:
+            assert trace_bookkeeping_problems(ids, config, seed, records) == []
+        assert greedy_opt(config, ids, oracle, trace=True) == report
+        reports[budget] = report
+    assert not same_run_under_budget(reports[1], 1, 2)
+    assert not same_run_under_budget(reports[2], 2, 3)
+
+
 class TestNaiveGreedy:
     def test_capacity_one_picks_best_singleton(self):
         best = naive_greedy(1, THREE.ids(), make_exact_oracle(THREE))

@@ -11,17 +11,20 @@ from assortopt import (
     EnumerationCapError,
     GreedyConfig,
     Instance,
+    UndefinedTopSetError,
     brute_force_opt,
     candidate_set_collection,
     candidate_set_opt,
     find_nesting_witness,
     greedy_opt,
     make_exact_oracle,
+    max_slack_set_size,
     mnl_opt,
     mnl_revenue,
     naive_greedy,
 )
 from assortopt import transform
+from assortopt.analysis import slack_cap
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.instance import optimum_key
 from assortopt.reference import revenues_agree
@@ -33,6 +36,7 @@ from assortopt.transform import (
     top_id_sweep,
     top_ids,
     top_margin_set,
+    top_set_with_slack,
 )
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -263,6 +267,76 @@ class TestCandidateSweep:
             assert sol.candidate_collection_size == len(
                 candidate_set_collection_per_cap(inst, capacity)
             )
+
+
+def on_the_slack_line(rng, delta):
+    """Outsiders on one product's slack line up to rounding: weight a few ulps from
+    w_a + delta and price p_a * w_a / w, so their margin trails the anchor's by
+    delta * u, give or take rounding, at every offset u."""
+    base = generated(rng)
+    anchor = rng.choice(base.products)
+    products = [(p.id, p.weight, p.price) for p in base.products]
+    for pid in range(base.n + 1, base.n + rng.randint(1, 4) + 1):
+        weight = anchor.weight + delta
+        steps = rng.randint(-3, 3)
+        for _ in range(abs(steps)):
+            weight = math.nextafter(weight, math.copysign(math.inf, steps))
+        products.append((pid, weight, anchor.price * anchor.weight / weight))
+    return Instance.of(products)
+
+
+def max_slack_set_size_per_probe(inst, size, delta):
+    """The largest ``top_set_with_slack`` at each ``interval_offsets`` probe with a
+    nonempty top set: the definition the certified slack sweep must meet."""
+    points = sorted(set(margin_breakpoints(inst)) | set(margin_breakpoints(inst, delta)))
+    sizes = [0]
+    for u in interval_offsets(points):
+        try:
+            sizes.append(len(top_set_with_slack(inst, size, delta, u)))
+        except UndefinedTopSetError:
+            pass
+    return max(sizes)
+
+
+SLACK_DELTAS = [0.0, 1e-3, 0.01, 0.1, 0.5, 3.0]
+
+
+class TestSlackSweep:
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("delta", [*SLACK_DELTAS, math.inf])
+    def test_equals_the_per_probe_definition(self, family, delta):
+        rng = random.Random(family.__name__)
+        for _ in range(12):
+            inst = family(rng)
+            for size in range(-1, inst.n + 2):
+                expected = max_slack_set_size_per_probe(inst, size, delta)
+                assert max_slack_set_size(inst, size, delta) == expected
+
+    @pytest.mark.parametrize("delta", SLACK_DELTAS)
+    def test_equals_the_per_probe_definition_on_the_slack_line(self, delta):
+        """Slack gaps near zero at every offset: a certificate that skips one misfills."""
+        rng = random.Random(repr(delta))
+        for _ in range(50):
+            inst = on_the_slack_line(rng, delta)
+            for size in range(-1, inst.n + 2):
+                expected = max_slack_set_size_per_probe(inst, size, delta)
+                assert max_slack_set_size(inst, size, delta) == expected
+
+    def test_ranks_under_a_fifth_of_its_probes(self, monkeypatch):
+        inst = generate_instance(GeneratorSpec(100, seed=1))
+        delta = 2.0 * slack_cap(inst, 10, 0.01)
+        points = sorted(set(margin_breakpoints(inst)) | set(margin_breakpoints(inst, delta)))
+        probes = len(interval_offsets(points))
+        calls = []
+
+        def counting_ranking(instance, u):
+            calls.append(u)
+            return margin_ranking(instance, u)
+
+        monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
+        max_slack_set_size(inst, 10, delta)
+        assert probes == 11_268
+        assert 0 < len(calls) < probes / 5
 
 
 class TestCandidateSetSolver:
