@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .greedy import GreedyConfig, IterationRecord, accept_move
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, mnl_revenue, total_weight
-from .reference import ExactSolution, candidate_set_opt, check_enumeration
+from .reference import ExactSolution, assortment_count, candidate_set_opt, check_enumeration
 from .transform import (
     assortment_margin,
     certified_sweep,
@@ -116,7 +116,7 @@ def exact_delta_cap(instance: Instance, capacity: int, noise: NoiseSpec) -> floa
     """
     ids = instance.ids()
     capacity = min(capacity, len(ids))
-    check_enumeration(len(ids), capacity)
+    check_enumeration(assortment_count(len(ids), capacity))
     worst = 0.0
     for k in range(capacity + 1):
         for members in itertools.combinations(ids, k):

@@ -1,23 +1,29 @@
 """Benchmark harness sweeping a grid of solver settings over seeded instances.
 
+This module is the one home of the grid: ``DEFAULT_GRID`` holds the
+default values of its four axes (``N``, ``C``, ``b`` and ``eps``, named as
+the CLI flags and the bench.json cells name them), and ``SUITES`` holds
+the axes each suite sets itself. ``run_bench`` refuses a given axis that
+its suite sets, rather than ignoring it.
+
 Each grid cell (N, C, b-rule, eps) runs a batch of seeded random
 instances, solving each with the greedy search and with the exact MNL
 fixed point (``reference.mnl_opt``, polynomial in N), and aggregates the
 realized optimality gaps, oracle-call counts versus the analytic bound,
-and the exact-recovery pass rate. Instance seeds derive from (N, C, eps)
-and the seed index, not from the b rule, so the rows of every b rule at
-one (N, C, eps) read the same instances: each is generated, solved
-exactly and bounded once. A greedy run stands for every other budget
-that ``greedy.same_run_under_budget`` certifies it never reached, so only
-the budgets that change a run are solved again. Cells run one after
-another. The CLI's ``--jobs`` option and the ASSORTOPT_JOBS environment
-variable have no effect: the cells are pure Python, which threads cannot
-run in parallel.
+and the exact-recovery pass rate into the cell's bench.json document.
+Instance seeds derive from (N, C, eps) and the seed index, not from the
+b rule, so the rows of every b rule at one (N, C, eps) read the same
+instances: each is generated, solved exactly and bounded once. A greedy
+run stands for every other budget that ``greedy.same_run_under_budget``
+certifies it never reached, so only the budgets that change a run are
+solved again. Cells run one after another. The CLI's ``--jobs`` option
+and the ASSORTOPT_JOBS environment variable have no effect: the cells are
+pure Python, which threads cannot run in parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .analysis import compute_bounds, max_slack_set_size, realized_gap
@@ -33,10 +39,16 @@ from .greedy import (
 from .oracles import NoiseSpec, make_oracle
 from .reference import mnl_opt, revenues_agree
 
-DEFAULT_NS = (6, 8, 10)
-DEFAULT_CS = (2, 3, 4)
-DEFAULT_B_RULES = ("C", "C+1", "2C")
-DEFAULT_EPSS = (0.0, 0.001, 0.01)
+#: Each grid axis and the values it takes unless given.
+DEFAULT_GRID = {
+    "N": (6, 8, 10), "C": (2, 3, 4), "b": ("C", "C+1", "2C"), "eps": (0.0, 0.001, 0.01),
+}
+#: The axes each suite sets itself; theorem2 also keeps only the positive eps it is given.
+SUITES = {
+    "full": {},
+    "theorem1": {"b": ("C+1",), "eps": (0.0,)},
+    "theorem2": {"N": (8,), "C": (3,), "b": ("auto",)},
+}
 DEFAULT_SEEDS_PER_CELL = 50
 
 
@@ -59,22 +71,6 @@ def resolve_b_rule(rule: str, capacity: int) -> int | None:
     return budget
 
 
-@dataclass(frozen=True)
-class CellOutcome:
-    n: int
-    capacity: int
-    b_rule: str
-    eps: float
-    seeds: int
-    max_gap: float
-    max_calls: int
-    call_bound: int
-    call_violations: int
-    exact_passes: int | None  # None when the cell is not an exact-recovery cell
-    gap_bound_violations: int | None  # None when eps == 0
-    vacuous_bounds: int | None
-
-
 class _Run(NamedTuple):
     """One instance's greedy run under one b rule."""
 
@@ -83,6 +79,13 @@ class _Run(NamedTuple):
     call_bound: int
     recovered: bool  # the exact MNL optimum's revenue was reached
     gap_bound_holds: bool | None  # None when the bound is vacuous
+
+
+def _noise(eps: float, seed: int) -> NoiseSpec:
+    """The oracle noise at ``eps`` for the instance drawn from ``seed``."""
+    if eps == 0.0:
+        return NoiseSpec()
+    return NoiseSpec(mode="seeded-uniform", eps_max=eps, seed=derive_seed("noise", seed))
 
 
 def _run_group(
@@ -104,9 +107,7 @@ def _run_group(
         seed = derive_seed("bench", base_seed, n, capacity, repr(eps), k)
         instance = generate_instance(GeneratorSpec(n, seed=seed))
         opt = mnl_opt(instance, capacity)
-        noise = NoiseSpec() if eps == 0.0 else NoiseSpec(
-            mode="seeded-uniform", eps_max=eps, seed=derive_seed("noise", seed)
-        )
+        noise = _noise(eps, seed)
         bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
         oracle = make_oracle(instance, noise)
         auto = None
@@ -137,109 +138,113 @@ def _run_group(
     return runs
 
 
-def _cell_outcome(n: int, capacity: int, b_rule: str, eps: float, runs: list[_Run]) -> CellOutcome:
+def _cell_outcome(n: int, capacity: int, b_rule: str, eps: float, runs: list[_Run]) -> dict:
+    """One cell's bench.json document; floats are kept as their ``repr``."""
     exact = eps == 0.0 and b_rule in ("C+1", "2C")
     noisy = eps > 0.0
-    return CellOutcome(
-        n=n,
-        capacity=capacity,
-        b_rule=b_rule,
-        eps=eps,
-        seeds=len(runs),
-        max_gap=max([0.0, *(run.gap for run in runs)]),
-        max_calls=max(run.calls for run in runs),
-        call_bound=max(run.call_bound for run in runs),
-        call_violations=sum(run.calls > run.call_bound for run in runs),
-        exact_passes=sum(run.recovered for run in runs) if exact else None,
-        gap_bound_violations=sum(run.gap_bound_holds is False for run in runs) if noisy else None,
-        vacuous_bounds=sum(run.gap_bound_holds is None for run in runs) if noisy else None,
-    )
+    return {
+        "N": n,
+        "C": capacity,
+        "b": b_rule,
+        "eps": repr(eps),
+        "seeds": len(runs),
+        "max_gap": repr(max([0.0, *(run.gap for run in runs)])),
+        "max_calls": max(run.calls for run in runs),
+        "call_bound": max(run.call_bound for run in runs),
+        "call_violations": sum(run.calls > run.call_bound for run in runs),
+        # None where the cell is not an exact-recovery cell, or is not noisy
+        "exact_passes": sum(run.recovered for run in runs) if exact else None,
+        "gap_bound_violations": (
+            sum(run.gap_bound_holds is False for run in runs) if noisy else None
+        ),
+        "vacuous_bounds": sum(run.gap_bound_holds is None for run in runs) if noisy else None,
+    }
+
+
+def _suite_grid(suite: str, grid: Mapping[str, tuple]) -> dict[str, tuple]:
+    """The grid ``suite`` runs: the given axes over ``DEFAULT_GRID``, then the suite's own.
+
+    An unknown suite or axis, or a given axis the suite sets itself, is refused.
+    """
+    if suite not in SUITES:
+        raise ValidationError(f"unknown suite {suite!r}", code="bad-config")
+    unknown = sorted(set(grid) - set(DEFAULT_GRID))
+    if unknown:
+        raise ValidationError(f"unknown grid axes {unknown}", code="bad-config")
+    given = [f"--{axis}" for axis in SUITES[suite] if axis in grid]
+    if given:
+        message = f"--suite {suite} sets {' and '.join(given)} itself; drop the flag"
+        raise ValidationError(message, code="bad-config")
+    grid = {**DEFAULT_GRID, **grid, **SUITES[suite]}
+    if suite == "theorem2":
+        grid["eps"] = tuple(e for e in grid["eps"] if e > 0.0) or (0.001, 0.01)
+    return grid
 
 
 def run_bench(
     suite: str = "full",
-    ns: tuple[int, ...] = DEFAULT_NS,
-    cs: tuple[int, ...] = DEFAULT_CS,
-    b_rules: tuple[str, ...] = DEFAULT_B_RULES,
-    epss: tuple[float, ...] = DEFAULT_EPSS,
+    grid: Mapping[str, tuple] | None = None,
     seeds_per_cell: int = DEFAULT_SEEDS_PER_CELL,
     base_seed: int = 0,
-) -> tuple[list[CellOutcome], dict]:
-    """Run a sweep and return (cell outcomes in grid order, summary dict)."""
+) -> tuple[list[dict], dict]:
+    """Run a sweep and return (bench.json cell documents in grid order, summary dict).
+
+    ``grid`` gives some of the ``DEFAULT_GRID`` axes; the others keep
+    their defaults. The suite, the seed count, every b rule, every (N, C)
+    pair and every eps are checked before the first solve.
+    """
+    grid = _suite_grid(suite, grid or {})
     if seeds_per_cell < 1:
         raise ValidationError(f"need >= 1 seed per cell, got {seeds_per_cell}", code="bad-config")
-    if suite == "theorem1":
-        b_rules = ("C+1",)
-        epss = (0.0,)
-    elif suite == "theorem2":
-        ns = (8,)
-        cs = (3,)
-        b_rules = ("auto",)
-        epss = tuple(e for e in epss if e > 0.0) or (0.001, 0.01)
-    elif suite != "full":
-        raise ValidationError(f"unknown suite {suite!r}", code="bad-config")
-    # every rule is resolved and checked before the first solve
-    budgets = {c: [resolve_b_rule(rule, c) for rule in b_rules] for c in cs}
+    budgets = {c: [resolve_b_rule(rule, c) for rule in grid["b"]] for c in grid["C"]}
+    for n in grid["N"]:
+        for c in grid["C"]:  # sizes first: b = C+1 is a valid budget once 0 <= C
+            GreedyConfig(seed_size=0, capacity=c, exchange_budget=c + 1).validate(n)
+    for eps in grid["eps"]:
+        _noise(eps, base_seed)  # refuses an eps outside [0, 1)
 
-    outcomes = []
-    for n in ns:
-        for c in cs:
+    cells = []
+    for n in grid["N"]:
+        for c in grid["C"]:
             groups = [
                 _run_group(n, c, eps, budgets[c], seeds_per_cell, base_seed)
-                for eps in epss
+                for eps in grid["eps"]
             ]
-            outcomes += [
+            cells += [
                 _cell_outcome(n, c, rule, eps, runs[r])
-                for r, rule in enumerate(b_rules)
-                for eps, runs in zip(epss, groups)
+                for r, rule in enumerate(grid["b"])
+                for eps, runs in zip(grid["eps"], groups)
             ]
 
-    exact_applicable = sum(o.seeds for o in outcomes if o.exact_passes is not None)
-    exact_passed = sum(o.exact_passes for o in outcomes if o.exact_passes is not None)
+    exact = [cell for cell in cells if cell["exact_passes"] is not None]
+    noisy = [cell for cell in cells if cell["gap_bound_violations"] is not None]
     summary = {
         "suite": suite,
-        "cells": len(outcomes),
-        "call_violations": sum(o.call_violations for o in outcomes),
-        "exact_recovery_passed": exact_passed,
-        "exact_recovery_applicable": exact_applicable,
-        "gap_bound_violations": sum(
-            o.gap_bound_violations for o in outcomes if o.gap_bound_violations is not None
-        ),
-        "vacuous_bounds": sum(o.vacuous_bounds for o in outcomes if o.vacuous_bounds is not None),
+        "cells": len(cells),
+        "call_violations": sum(cell["call_violations"] for cell in cells),
+        "exact_recovery_passed": sum(cell["exact_passes"] for cell in exact),
+        "exact_recovery_applicable": sum(cell["seeds"] for cell in exact),
+        "gap_bound_violations": sum(cell["gap_bound_violations"] for cell in noisy),
+        "vacuous_bounds": sum(cell["vacuous_bounds"] for cell in noisy),
     }
-    return outcomes, summary
+    return cells, summary
 
 
-def outcome_to_document(outcome: CellOutcome) -> dict:
-    return {
-        "N": outcome.n,
-        "C": outcome.capacity,
-        "b": outcome.b_rule,
-        "eps": repr(outcome.eps),
-        "seeds": outcome.seeds,
-        "max_gap": repr(outcome.max_gap),
-        "max_calls": outcome.max_calls,
-        "call_bound": outcome.call_bound,
-        "call_violations": outcome.call_violations,
-        "exact_passes": outcome.exact_passes,
-        "gap_bound_violations": outcome.gap_bound_violations,
-        "vacuous_bounds": outcome.vacuous_bounds,
-    }
-
-
-def format_table(outcomes: list[CellOutcome], summary: dict) -> str:
+def format_table(cells: list[dict], summary: dict) -> str:
     """Fixed-width summary table; deterministic byte-for-byte."""
     header = (
         f"{'N':>4} {'C':>3} {'b':>5} {'eps':>7} {'seeds':>6} "
         f"{'max_gap':>12} {'max_calls':>10} {'call_bound':>11} {'exact':>8} {'gap_viol':>9}"
     )
     lines = [header, "-" * len(header)]
-    for o in outcomes:
-        exact = "-" if o.exact_passes is None else f"{o.exact_passes}/{o.seeds}"
-        gap_viol = "-" if o.gap_bound_violations is None else str(o.gap_bound_violations)
+    for cell in cells:
+        passes, violations = cell["exact_passes"], cell["gap_bound_violations"]
+        exact = "-" if passes is None else f"{passes}/{cell['seeds']}"
+        gap_viol = "-" if violations is None else str(violations)
         lines.append(
-            f"{o.n:>4} {o.capacity:>3} {o.b_rule:>5} {o.eps:>7g} {o.seeds:>6} "
-            f"{o.max_gap:>12.3e} {o.max_calls:>10} {o.call_bound:>11} {exact:>8} {gap_viol:>9}"
+            f"{cell['N']:>4} {cell['C']:>3} {cell['b']:>5} {float(cell['eps']):>7g} "
+            f"{cell['seeds']:>6} {float(cell['max_gap']):>12.3e} {cell['max_calls']:>10} "
+            f"{cell['call_bound']:>11} {exact:>8} {gap_viol:>9}"
         )
     lines.append("")
     lines.append(f"call-count violations: {summary['call_violations']}")
@@ -257,7 +262,7 @@ def format_table(outcomes: list[CellOutcome], summary: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def assertion_failures(outcomes: list[CellOutcome], summary: dict) -> list[str]:
+def assertion_failures(summary: dict) -> list[str]:
     """Violated guarantees that should make the CLI exit nonzero."""
     failures = []
     if summary["call_violations"]:

@@ -209,36 +209,24 @@ def cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: The flags ``run_bench`` overrides for a suite; giving one is refused, not ignored.
-SUITE_FIXED_FLAGS = {"theorem1": ("b", "eps"), "theorem2": ("N", "C", "b")}
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    fixed = SUITE_FIXED_FLAGS.get(args.suite, ())
-    given = [f"--{name}" for name in fixed if getattr(args, name) is not None]
-    if given:
-        message = f"--suite {args.suite} sets {' and '.join(given)} itself; drop the flag"
-        raise ValidationError(message, code="bad-config")
-    outcomes, summary = bench_mod.run_bench(
-        suite=args.suite,
-        ns=bench_mod.DEFAULT_NS if args.N is None else tuple(args.N),
-        cs=bench_mod.DEFAULT_CS if args.C is None else tuple(args.C),
-        b_rules=bench_mod.DEFAULT_B_RULES if args.b is None else tuple(args.b),
-        epss=bench_mod.DEFAULT_EPSS if args.eps is None else tuple(args.eps),
-        seeds_per_cell=args.seeds,
-        base_seed=args.base_seed,
-    )
-    sys.stdout.write(bench_mod.format_table(outcomes, summary))
+    grid = {
+        axis: tuple(values)
+        for axis in bench_mod.DEFAULT_GRID
+        if (values := getattr(args, axis)) is not None
+    }
+    cells, summary = bench_mod.run_bench(args.suite, grid, args.seeds, args.base_seed)
+    sys.stdout.write(bench_mod.format_table(cells, summary))
     if args.output:
         document = {
             "schema_version": io_mod.SCHEMA_VERSION,
             "suite": summary["suite"],
             "base_seed": args.base_seed,
-            "cells": [bench_mod.outcome_to_document(o) for o in outcomes],
+            "cells": cells,
             "summary": summary,
         }
         _emit(io_mod.serialize_report(document), args.output)
-    failures = bench_mod.assertion_failures(outcomes, summary)
+    failures = bench_mod.assertion_failures(summary)
     if failures:
         raise VerificationFailure("; ".join(failures))
     return EXIT_OK
@@ -385,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     exact.set_defaults(func=cmd_exact)
 
     bench = sub.add_parser("bench", help="sweep a grid of (N, C, b, eps) cells")
-    bench.add_argument("--suite", choices=["full", "theorem1", "theorem2"], default="full")
+    bench.add_argument("--suite", choices=list(bench_mod.SUITES), default="full")
     bench.add_argument("--N", type=int, nargs="+", default=None)
     bench.add_argument("--C", type=int, nargs="+", default=None)
     bench.add_argument("--b", nargs="+", default=None, help="b rules: C, C+1, 2C, auto")

@@ -126,9 +126,6 @@ class Assortment:
     def with_product(self, product_id: int) -> "Assortment":
         return Assortment(self.ids + (product_id,))
 
-    def without(self, product_id: int) -> "Assortment":
-        return Assortment(tuple(i for i in self.ids if i != product_id))
-
     def swap(self, out_id: int, in_id: int) -> "Assortment":
         """Replace ``out_id`` with ``in_id``."""
         return Assortment(tuple(i for i in self.ids if i != out_id) + (in_id,))

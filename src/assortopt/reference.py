@@ -76,11 +76,17 @@ class NestingWitness:
     generator_seed: int | None = None
 
 
-def check_enumeration(n: int, capacity: int, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """Refuse to enumerate the subsets of at most ``capacity`` of ``n`` products past ``cap``."""
-    total = sum(comb(n, k) for k in range(capacity + 1))
+def assortment_count(n: int, capacity: int) -> int:
+    """How many assortments of at most ``capacity`` of ``n`` products there are."""
+    return sum(comb(n, k) for k in range(capacity + 1))
+
+
+def check_enumeration(
+    total: int, action: str = "enumerating {} assortments", cap: int = DEFAULT_ENUMERATION_CAP
+) -> None:
+    """Refuse an exhaustive ``action`` (``{}`` stands for ``total``) past the cap."""
     if total > cap:
-        raise EnumerationCapError(f"enumerating {total} assortments exceeds the cap of {cap}")
+        raise EnumerationCapError(f"{action.format(total)} exceeds the cap of {cap}")
 
 
 def brute_force_opt(
@@ -96,7 +102,7 @@ def brute_force_opt(
     """
     ids = sorted(set(universe))
     capacity = max(0, capacity)
-    check_enumeration(len(ids), capacity, enumeration_cap)
+    check_enumeration(assortment_count(len(ids), capacity), cap=enumeration_cap)
 
     empty = Assortment()
     best = (empty, oracle.evaluate(empty))
@@ -173,11 +179,7 @@ def _best_tied_set(
         groups.setdefault((product.price, product.weight), []).append(pid)
     sizes = [len(members) for members in groups.values()]
     fill = edge > 0.0
-    total = _count_mixes(sizes, slots, fill)
-    if total > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"scoring {total} mixes of tied products exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
-        )
+    check_enumeration(_count_mixes(sizes, slots, fill), "scoring {} mixes of tied products")
     tied_sets = (
         Assortment.of(chosen + picks) for picks in _mixes(list(groups.values()), slots, fill)
     )

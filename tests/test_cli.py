@@ -5,7 +5,7 @@ import json
 import pytest
 
 import assortopt.bench as bench_mod
-from assortopt import Instance, candidate_set_opt
+from assortopt import Instance, ValidationError, candidate_set_opt
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
 
@@ -359,6 +359,60 @@ class TestBench:
         assert code == 0
         cells = json.loads(out_path.read_text())["cells"]
         assert [(c["N"], c["C"], c["b"], c["eps"]) for c in cells] == [(8, 3, "auto", "0.02")]
+
+
+class TestRunBench:
+    """The library refuses what the CLI refuses, before any solve."""
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(bench_mod, "greedy_opt", no_solve)
+
+    def test_axis_the_suite_sets_is_refused(self, no_solve):
+        with pytest.raises(ValidationError) as exc:
+            bench_mod.run_bench("theorem1", grid={"b": ("2C",)}, seeds_per_cell=1)
+        assert exc.value.code == "bad-config"
+        assert str(exc.value) == "--suite theorem1 sets --b itself; drop the flag"
+
+    def test_suite_axis_is_refused_before_the_seed_count(self, no_solve):
+        with pytest.raises(ValidationError, match="sets --N itself"):
+            bench_mod.run_bench("theorem2", grid={"N": (8,)}, seeds_per_cell=0)
+
+    @pytest.mark.parametrize(
+        "suite, grid, message",
+        [
+            ("bogus", {}, "unknown suite 'bogus'"),
+            ("full", {"B": ("C",)}, "unknown grid axes ['B']"),
+        ],
+    )
+    def test_unknown_suite_or_axis_is_refused(self, no_solve, suite, grid, message):
+        with pytest.raises(ValidationError) as exc:
+            bench_mod.run_bench(suite, grid=grid, seeds_per_cell=1)
+        assert exc.value.code == "bad-config"
+        assert str(exc.value) == message
+
+    def test_theorem2_keeps_only_its_positive_eps(self):
+        cells, summary = bench_mod.run_bench("theorem2", {"eps": (0.0, 0.02)}, 1)
+        assert [(c["N"], c["C"], c["b"], c["eps"]) for c in cells] == [(8, 3, "auto", "0.02")]
+        assert summary["cells"] == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["--N", "10", "3", "--C", "4"],
+             "bad-config", "need 0 <= S <= C <= N, got S=0 C=4 N=3"),
+            (["--N", "6", "--C", "2", "--eps", "0", "1.5"],
+             "bad-noise", "eps_max must lie in [0, 1)"),
+        ],
+    )
+    def test_whole_grid_is_checked_before_any_solve(self, capsys, no_solve, argv, code, message):
+        exit_code, out, err = run_cli(capsys, "bench", *argv, "--seeds", "1")
+        assert exit_code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {"code": code, "message": message}
 
 
 

@@ -67,7 +67,6 @@ class TestAssortment:
     def test_set_operations(self):
         m = Assortment.of([1, 3])
         assert m.with_product(2).ids == (1, 2, 3)
-        assert m.without(3).ids == (1,)
         assert m.swap(1, 5).ids == (3, 5)
 
     def test_ordering_is_lexicographic(self):

@@ -439,7 +439,9 @@ class TestMnlOpt:
             brute = brute_force_opt(oracle, inst.ids(), capacity).per_size_optima
             assert mnl_opt(inst, capacity).per_size_optima == brute
         assert brute[3] == (Assortment.of([1]), 1.0)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(
+            EnumerationCapError, match=r"^scoring \d+ mixes of tied products exceeds the cap of"
+        ):
             mnl_opt(inst, 30)
         with pytest.raises(EnumerationCapError):
             brute_force_opt(oracle, inst.ids(), 30)
