@@ -43,7 +43,8 @@ from .reference import mnl_opt, revenues_agree
 DEFAULT_GRID = {
     "N": (6, 8, 10), "C": (2, 3, 4), "b": ("C", "C+1", "2C"), "eps": (0.0, 0.001, 0.01),
 }
-#: The axes each suite sets itself; theorem2 also keeps only the positive eps it is given.
+#: The axes each suite sets itself; theorem2 also drops eps = 0 from the eps it is given
+#: and refuses a list with no positive eps.
 SUITES = {
     "full": {},
     "theorem1": {"b": ("C+1",), "eps": (0.0,)},
@@ -164,7 +165,8 @@ def _cell_outcome(n: int, capacity: int, b_rule: str, eps: float, runs: list[_Ru
 def _suite_grid(suite: str, grid: Mapping[str, tuple]) -> dict[str, tuple]:
     """The grid ``suite`` runs: the given axes over ``DEFAULT_GRID``, then the suite's own.
 
-    An unknown suite or axis, or a given axis the suite sets itself, is refused.
+    An unknown suite or axis, a given axis the suite sets itself, and a
+    theorem2 eps list with no positive value are refused.
     """
     if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}", code="bad-config")
@@ -177,7 +179,10 @@ def _suite_grid(suite: str, grid: Mapping[str, tuple]) -> dict[str, tuple]:
         raise ValidationError(message, code="bad-config")
     grid = {**DEFAULT_GRID, **grid, **SUITES[suite]}
     if suite == "theorem2":
-        grid["eps"] = tuple(e for e in grid["eps"] if e > 0.0) or (0.001, 0.01)
+        if not any(eps > 0.0 for eps in grid["eps"]):
+            message = f"--suite theorem2 needs a positive --eps, got {list(grid['eps'])}"
+            raise ValidationError(message, code="bad-config")
+        grid["eps"] = tuple(eps for eps in grid["eps"] if eps != 0.0)
     return grid
 
 

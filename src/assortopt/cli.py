@@ -12,6 +12,7 @@ failure, 5 I/O; errors are emitted as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -325,6 +326,10 @@ def _result_config_problems(n: int, config: GreedyConfig, result: SolveReport) -
     return problems
 
 
+# Built once per process: a run of ``main`` in process reuses the parser,
+# and ``set_defaults(func=...)`` binds the ``cmd_*`` functions at that first
+# build. ``parse_args`` leaves the parser as it found it, so calls share no state.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="assortopt",
@@ -395,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

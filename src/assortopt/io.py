@@ -4,7 +4,10 @@ Everything is a single JSON document. Weights, prices and revenues are
 serialized as decimal strings produced by ``repr`` (shortest round-trip
 form), so parsing returns bit-identical doubles on any platform and
 reports are byte-reproducible. Instances embed into run reports, making
-a report self-describing: verification needs no other inputs.
+a report self-describing: verification needs no other inputs. Every
+document (instance, run report, ``exact`` output, bench.json) is written
+by ``dumps_document``, byte for byte as ``json.dumps(doc, indent=2)``
+followed by a newline.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterator
 
 from .analysis import GapBound
@@ -22,6 +26,55 @@ from .oracles import NoiseSpec
 from .reference import ExactSolution
 
 SCHEMA_VERSION = "1"
+
+
+def dumps_document(doc: Any) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte.
+
+    With ``indent`` set the stdlib encodes item by item in Python; a traced
+    report is mostly lists of product ids, so each list of plain ints is
+    joined in one go here, and ``str`` and ``int`` leaves are encoded
+    directly. Anything else (floats, bools, None, subclasses, dicts with a
+    key that is not a ``str``) is left to ``json.dumps`` and re-indented:
+    encoded JSON holds no raw newline, so that is exact.
+    """
+    out: list[str] = []
+    _write_value(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_value(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` encoded at the depth where a line starts with ``newline``."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        if not value:
+            out.append("[]")
+        elif all(type(item) is int for item in value):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+        else:
+            out.append("[")
+            for i, item in enumerate(value):
+                out.append("," + inner if i else inner)
+                _write_value(item, inner, out)
+            out.append(newline + "]")
+    elif kind is dict and all(type(key) is str for key in value):
+        inner = newline + "  "
+        if not value:
+            out.append("{}")
+        else:
+            out.append("{")
+            for i, (key, item) in enumerate(value.items()):
+                out.append(f"{',' if i else ''}{inner}{_encode_str(key)}: ")
+                _write_value(item, inner, out)
+            out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
 
 
 def _format_float(value: float) -> str:
@@ -110,7 +163,7 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
 
 
 def serialize_instance(instance: Instance, metadata: dict | None = None) -> str:
-    return json.dumps(instance_to_document(instance, metadata), indent=2) + "\n"
+    return dumps_document(instance_to_document(instance, metadata))
 
 
 def _load_json(path: str) -> Any:
@@ -129,9 +182,13 @@ def load_instance(path: str) -> tuple[Instance, dict]:
 
 def instance_digest(instance: Instance) -> str:
     """Content hash of the instance (metadata excluded)."""
-    doc = instance_to_document(instance)
-    doc.pop("metadata")
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _document_digest(instance_to_document(instance))
+
+
+def _document_digest(doc: dict) -> str:
+    """``instance_digest`` of the instance whose ``instance_to_document`` is ``doc``."""
+    content = {key: value for key, value in doc.items() if key != "metadata"}
+    payload = json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -290,10 +347,11 @@ def run_report_document(
     timing_ms: float | None = None,
 ) -> dict:
     """A run report; ``sections`` are its ``derived_sections_to_document`` sections."""
+    instance_doc = instance_to_document(instance)
     return {
         "schema_version": SCHEMA_VERSION,
-        "instance_digest": instance_digest(instance),
-        "instance": instance_to_document(instance),
+        "instance_digest": _document_digest(instance_doc),
+        "instance": instance_doc,
         "config": {
             "S": config.seed_size,
             "C": config.capacity,
@@ -307,7 +365,7 @@ def run_report_document(
 
 
 def serialize_report(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    return dumps_document(document)
 
 
 def load_report(path: str) -> dict:

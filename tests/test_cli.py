@@ -360,6 +360,16 @@ class TestBench:
         cells = json.loads(out_path.read_text())["cells"]
         assert [(c["N"], c["C"], c["b"], c["eps"]) for c in cells] == [(8, 3, "auto", "0.02")]
 
+    def test_theorem2_refuses_eps_with_no_positive_value(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", "theorem2", "--eps", "0", "--seeds", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "bad-config", "message": "--suite theorem2 needs a positive --eps, got [0.0]",
+        }
+
 
 class TestRunBench:
     """The library refuses what the CLI refuses, before any solve."""
@@ -394,6 +404,13 @@ class TestRunBench:
         assert exc.value.code == "bad-config"
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("eps", [(0.0,), (0.0, 0.0)])
+    def test_theorem2_refuses_eps_with_no_positive_value(self, no_solve, eps):
+        with pytest.raises(ValidationError) as exc:
+            bench_mod.run_bench("theorem2", {"eps": eps}, 1)
+        assert exc.value.code == "bad-config"
+        assert str(exc.value) == f"--suite theorem2 needs a positive --eps, got {list(eps)}"
+
     def test_theorem2_keeps_only_its_positive_eps(self):
         cells, summary = bench_mod.run_bench("theorem2", {"eps": (0.0, 0.02)}, 1)
         assert [(c["N"], c["C"], c["b"], c["eps"]) for c in cells] == [(8, 3, "auto", "0.02")]
@@ -406,6 +423,8 @@ class TestRunBench:
              "bad-config", "need 0 <= S <= C <= N, got S=0 C=4 N=3"),
             (["--N", "6", "--C", "2", "--eps", "0", "1.5"],
              "bad-noise", "eps_max must lie in [0, 1)"),
+            (["--suite", "theorem2", "--eps", "-0.5", "0.02"],
+             "bad-noise", "eps_max must lie in [0, 1)"),
         ],
     )
     def test_whole_grid_is_checked_before_any_solve(self, capsys, no_solve, argv, code, message):
@@ -414,6 +433,44 @@ class TestRunBench:
         assert out == ""
         assert json.loads(err)["error"] == {"code": code, "message": message}
 
+
+
+class TestInProcessCalls:
+    """``main`` builds its parser once per process; no call leaves state for the next."""
+
+    def test_solve_without_trace_after_a_traced_solve(self, capsys, fixtures_dir):
+        instance = str(fixtures_dir / "generated_n8_seed7.json")
+        code, out, _ = run_cli(capsys, "solve", instance, "--C", "4", "--trace")
+        assert code == 0
+        assert json.loads(out)["result"]["traces"] is not None
+        code, out, _ = run_cli(capsys, "solve", instance, "--C", "4")
+        assert code == 0
+        assert json.loads(out)["result"]["traces"] is None
+
+    def test_bench_defaults_after_a_bench_that_set_them(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            capsys, "bench", "--N", "6", "--C", "2", "--b", "C", "--eps", "0", "--seeds", "1"
+        )
+        assert code == 0
+        out_path = tmp_path / "bench.json"
+        code, _, _ = run_cli(
+            capsys, "bench", "--suite", "theorem1", "--seeds", "1", "-o", str(out_path)
+        )
+        assert code == 0
+        cells = json.loads(out_path.read_text())["cells"]
+        assert sorted({c["N"] for c in cells}) == list(bench_mod.DEFAULT_GRID["N"])
+
+    def test_usage_error_between_two_calls_changes_nothing(self, capsys):
+        argv = ["gen", "--N", "5", "--seed", "3"]
+        code, first, _ = run_cli(capsys, *argv)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--N", "4", "--seed", "1", "--w-lo", "0.5", "--capacity", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, second, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert second == first
 
 
 def _drop_first_pool_before(doc):

@@ -17,7 +17,9 @@ from assortopt import (
     greedy_opt,
     make_exact_oracle,
 )
+from assortopt.cli import main
 from assortopt.io import (
+    dumps_document,
     instance_digest,
     instance_to_document,
     load_instance,
@@ -195,3 +197,51 @@ class TestReportRoundTrip:
         for record in records:
             assert record_from_document(record_to_document(record)) == record
         assert noise == NoiseSpec(mode="seeded-uniform", eps_max=0.01, seed=4)
+
+
+class Flag(int):
+    """An int subclass, which the stdlib writes through ``int.__repr__``."""
+
+    def __repr__(self):
+        return "Flag()"
+
+
+class TestDumpsDocument:
+    """``dumps_document`` writes the bytes of ``json.dumps(doc, indent=2) + "\n"``."""
+
+    def test_every_fixture(self, fixtures_dir):
+        paths = sorted(fixtures_dir.glob("*.json"))
+        assert paths
+        for path in paths:
+            raw = path.read_text(encoding="utf-8")
+            doc = json.loads(raw)
+            assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n" == raw, path.name
+
+    @pytest.mark.parametrize(
+        "noise", [[], ["--noise-mode", "seeded-uniform", "--eps", "0.001", "--seed", "5"]]
+    )
+    def test_traced_report_at_n_200(self, tmp_path, noise):
+        instance_path, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+        assert main(["gen", "--N", "200", "--seed", "1", "-o", str(instance_path)]) == 0
+        argv = ["solve", str(instance_path), "--C", "15", "--trace", "--exact", *noise]
+        assert main([*argv, "-o", str(report_path)]) == 0
+        raw = report_path.read_text(encoding="utf-8")
+        doc = json.loads(raw)
+        assert doc["result"]["traces"][0]["records"][0]["pool_before"]
+        assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n" == raw
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [], {}, [[]], {"a": {}}, [{}, []], (), (1, 2), {"t": (3, (4, "x"))},
+            [1, True, None, 1.5, "x"], [True, False], 0, -7, 10**30, "", None, False, 2.5,
+            float("nan"), float("inf"), -float("inf"), [float("nan"), -0.0, 1e-300],
+            {"é": "naïve ∑ 😀", "ctl": "\x00\x1f\t\n\r\"\\/\x7f"},
+            {1: [1, 2], 2: {}}, {1.5: "a", -0.0: [3]}, {True: 1, False: [2]}, {None: {"k": []}},
+            {"mixed": {1: "a", "b": [2, {3: None}]}},
+            Flag(3), [Flag(1), 2], {"flag": Flag(4)}, {Flag(5): "key"},
+            {"deep": [[[[1, [2, [3]]]]], {"x": [{"y": [True]}]}]},
+        ],
+    )
+    def test_edge_cases(self, doc):
+        assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
