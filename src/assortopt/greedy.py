@@ -8,10 +8,17 @@ chosen size ``S`` (just the empty set for S = 0), applies it ``C - S``
 times per seed, and keeps the best final assortment.
 
 Every candidate move is scored through the revenue oracle alone, one
-batch per loop pass (``oracles.score_moves``), so the search works with
-any plugged-in choice model, exact or noisy. ``evaluate`` must be a pure
-function of the set: the solver confirms a batch's best values through it,
-and it does not score again what a pass has already settled.
+batch per loop pass (``oracles.score_moves``, which receives the pass as a
+read-only ``oracles.MovePass``), so the search works with any plugged-in
+choice model, exact or noisy. ``evaluate`` must be a pure function of the
+set: the solver confirms a batch's best values through it, and it does
+not score again what a pass has already settled.
+
+After a pass accepts a move, the next pass skips every move that takes
+the entering product out again or brings the leaving product back: each
+reaches a set the accepting pass scored, or skipped as settled, from the
+set before, or that set itself, and none of them beat the accepted
+revenue.
 
 Each invocation after a seed's first starts from the set where the
 previous one's terminating pass found no improving move, and so does a
@@ -19,10 +26,10 @@ seed that equals the previous seed's final set. Its first pass therefore
 scores only the moves that pass did not: those whose entering product
 the previous invocation had retired, plus every addition when that pass
 sat at its size cap. It takes the carried revenue instead of evaluating
-the set again. Every skipped move scored at most that revenue and would
-score the same again, so the accepted moves, their tie-breaks and the
-trace are those of a fresh invocation; only fewer moves reach the oracle
-and its call counter.
+the set again. In both cases every skipped move scored at most the
+revenue it must beat and would score the same again, so the accepted
+moves, their tie-breaks and the trace are those of scoring every move;
+only fewer moves reach the oracle and its call counter.
 
 A pure addition-only baseline is included for comparison; it is exactly
 the strategy that breaks when the optimum at one capacity is not nested
@@ -38,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .instance import Assortment, optimum_key
-from .oracles import RevenueOracle, make_counting_oracle, score_moves
+from .oracles import MovePass, RevenueOracle, make_counting_oracle, score_moves
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,9 @@ class _SettledPass:
 
     Every exchange of a ``pool`` product for a member of ``assortment``, the
     set the pass ended at, and, when ``adds``, every addition of a ``pool``
-    product. ``max_outs`` is the invocation's largest exchange-out count.
+    product. The pass scored these moves, or skipped those that undo the
+    move accepted before it, which the pass before it had settled.
+    ``max_outs`` is the invocation's largest exchange-out count.
     """
 
     assortment: Assortment
@@ -111,24 +120,17 @@ class _SettledPass:
 
 
 def _best_move(
-    current: Assortment,
-    exchange_pool: Sequence[int],
-    add_pool: Sequence[int],
-    oracle: RevenueOracle,
+    current: Assortment, moves: MovePass, oracle: RevenueOracle
 ) -> tuple[float, Assortment, int, int | None] | None:
-    """Score the given moves; return (revenue, assortment, entering, leaving).
+    """Score one pass's moves; return (revenue, assortment, entering, leaving).
 
-    Exchanges (an ``exchange_pool`` product in, a member out) are listed in
-    (entering, leaving) order, then additions of ``add_pool`` products,
-    whose ``leaving`` is None, and the list is scored in one
-    ``score_moves`` call. The winner minimizes (-revenue, is_add, entering,
-    leaving): on equal revenue an exchange beats an addition, then the
-    smaller entering id wins, then the smaller leaving id. With both pools
-    ascending the list is in exactly that order, so the first best value
-    wins. Returns None when there is no move.
+    The pass is scored in one ``score_moves`` call. The winner minimizes
+    (-revenue, is_add, entering, leaving): on equal revenue an exchange
+    beats an addition, then the smaller entering id wins, then the smaller
+    leaving id. With ascending pools and members a ``MovePass`` lists its
+    moves in exactly that order, so the first best value wins. Returns None
+    when there is no move.
     """
-    moves = [(entering, leaving) for entering in exchange_pool for leaving in current.ids]
-    moves += [(entering, None) for entering in add_pool]
     if not moves:
         return None
     values = score_moves(oracle, current, moves)
@@ -169,6 +171,9 @@ def _run_add_exchange(
     settled, the final revenue included. ``settled`` is the previous
     invocation's terminating pass. When it ended at ``start``, the first
     pass skips the moves it settled and ``start`` is not evaluated again.
+
+    After a move brings ``x`` in for ``z`` (None for an addition), the next
+    pass skips every move that takes ``x`` out or brings ``z`` back.
     """
     current = start
     pool = sorted(set(universe) - set(start.ids))
@@ -176,19 +181,19 @@ def _run_add_exchange(
     size_cap = len(start) + 1
     if settled is None or settled.assortment != start:
         current_rev = oracle.evaluate(current)
-        exchange_pool = add_pool = pool
+        moves = MovePass(pool, current.ids, pool)
     else:
         # the products retired last time are back in the pool, and unsettled
         current_rev = settled.revenue
-        exchange_pool = [entering for entering in pool if entering not in settled.pool]
-        add_pool = exchange_pool if settled.adds else pool
+        fresh = [entering for entering in pool if entering not in settled.pool]
+        moves = MovePass(fresh, current.ids, fresh if settled.adds else pool)
     records: list[IterationRecord] = []
     step = first_step
 
     while True:
         pool_before = tuple(pool)
         previous = current
-        move = _best_move(current, exchange_pool, add_pool, oracle)
+        move = _best_move(current, moves, oracle)
         if move is not None and move[0] > current_rev:
             current_rev, current, entering, leaving = move
             action = "add" if leaving is None else "exchange"
@@ -220,8 +225,12 @@ def _run_add_exchange(
             )
             return current, records, settles
         step += 1
-        exchange_pool = pool
-        add_pool = pool if len(current) < size_cap else ()
+        unsettled = [entering for entering in pool if entering != leaving]
+        moves = MovePass(
+            unsettled,
+            [member for member in current.ids if member != entering],
+            unsettled if len(current) < size_cap else (),
+        )
 
 
 def greedy_add_exchange(
@@ -235,11 +244,12 @@ def greedy_add_exchange(
 
     Each loop pass scores every exchange (pool product in, member out) and
     every addition while the size budget is open (one net addition per
-    invocation) through the oracle, then accepts the best strictly
-    improving move; on equal revenue an exchange beats an addition. A
-    product exchanged out returns to the pool until it has been exchanged
-    out ``budget`` times, after which it is retired; the loop stops when
-    the pool empties or no move improves.
+    invocation) through the oracle, less the moves that undo the last
+    accepted one, then accepts the best strictly improving move; on equal
+    revenue an exchange beats an addition. A product exchanged out returns
+    to the pool until it has been exchanged out ``budget`` times, after
+    which it is retired; the loop stops when the pool empties or no move
+    improves.
     """
     if budget < 1:
         raise ConfigError(f"exchange budget must be >= 1, got {budget}")
@@ -318,7 +328,7 @@ def naive_greedy(capacity: int, universe: Iterable[int], oracle: RevenueOracle) 
     current_rev = oracle.evaluate(current)
     pool = sorted(set(universe))
     while len(current) < capacity:
-        move = _best_move(current, (), pool, oracle)
+        move = _best_move(current, MovePass((), current.ids, pool), oracle)
         if move is None or move[0] <= current_rev:
             break
         current_rev, current, entering, _leaving = move
@@ -331,10 +341,11 @@ def call_count_bound(n: int, config: GreedyConfig) -> int:
 
     Each of the binom(N, S) seeds runs C - S invocations, each invocation
     at most N*b + 1 loop passes, each pass at most C*N + N oracle calls.
-    A first pass that skips settled moves scores fewer, so this stays an
-    upper bound; ``SolveReport.oracle_calls`` counts the moves actually
-    scored. At S = C there are no invocations and each seed is scored
-    once, so the cap is binom(N, S) and the count equals it.
+    A pass that skips settled moves, or the moves undoing the last accepted
+    one, scores fewer, so this stays an upper bound;
+    ``SolveReport.oracle_calls`` counts the moves actually scored. At S = C
+    there are no invocations and each seed is scored once, so the cap is
+    binom(N, S) and the count equals it.
     """
     s, c, b = config.seed_size, config.capacity, config.exchange_budget
     return comb(n, s) * max(1, (c - s) * (n * b + 1) * (c * n + n))

@@ -147,20 +147,26 @@ class Assortment:
         texts = [str(i) for i in ids]
         index = {product_id: j for j, product_id in enumerate(ids)}
         # per leaving member (None: nobody leaves), the encodings of the rest
-        # cut before each position: heads end in a comma, tails start with one
-        affixes = {}
-        for leaving, rest in [(None, texts)] + [
-            (product_id, texts[:j] + texts[j + 1:]) for j, product_id in enumerate(ids)
-        ]:
+        # cut before each position: heads end in a comma, tails start with one;
+        # built on a member's first move, as few of them may reach this
+        affixes: dict[int | None, tuple[list[str], list[str]]] = {}
+
+        def cut(leaving):
+            rest = texts if leaving is None else texts[: index[leaving]] + texts[index[leaving] + 1:]
             heads = list(accumulate((t + "," for t in rest), initial=""))
             tails = list(accumulate(("," + t for t in reversed(rest)), lambda acc, t: t + acc, initial=""))
             affixes[leaving] = (heads, tails[::-1])
+            return affixes[leaving]
+
         encodings = []
         for entering, leaving in moves:
             position = bisect_left(ids, entering)
             if leaving is not None and index[leaving] < position:
                 position -= 1
-            heads, tails = affixes[leaving]
+            try:
+                heads, tails = affixes[leaving]
+            except KeyError:
+                heads, tails = cut(leaving)
             encodings.append(heads[position] + str(entering) + tails[position])
         return encodings
 

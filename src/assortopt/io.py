@@ -211,7 +211,7 @@ def noise_from_document(doc: dict) -> NoiseSpec:
         mode=doc.get("mode", "none"),
         eps_fixed=_parse_float(doc.get("eps_fixed", 0.0), "eps_fixed", "bad-noise"),
         eps_max=_parse_float(doc.get("eps_max", 0.0), "eps_max", "bad-noise"),
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "noise seed"),
     )
 
 
@@ -230,11 +230,18 @@ def record_to_document(record: IterationRecord) -> dict:
     }
 
 
-def _product_id(value: Any) -> int:
-    """A product id as a trace record holds it; anything but an integer is a TypeError."""
+def _integer(value: Any, what: str) -> int:
+    """An integer field as a report holds it; anything but a JSON integer is a TypeError.
+
+    ``int`` would truncate 62.5, parse "62" and read ``true`` as 1.
+    """
     if type(value) is not int:  # a JSON integer; bool is not one
-        raise TypeError(f"product id must be an integer, got {value!r}")
+        raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _product_id(value: Any) -> int:
+    return _integer(value, "product id")
 
 
 def record_from_document(doc: dict) -> IterationRecord:
@@ -243,7 +250,7 @@ def record_from_document(doc: dict) -> IterationRecord:
         if doc["action"] not in ("add", "exchange", "terminate"):
             raise ValueError(f"unknown action {doc['action']!r}")
         return IterationRecord(
-            step_index=int(doc["step"]),
+            step_index=_integer(doc["step"], "step"),
             action=doc["action"],
             added=None if added is None else _product_id(added),
             removed=None if removed is None else _product_id(removed),
@@ -251,8 +258,10 @@ def record_from_document(doc: dict) -> IterationRecord:
             assortment_before=Assortment.of(map(_product_id, doc["assortment_before"])),
             assortment_after=Assortment.of(map(_product_id, doc["assortment_after"])),
             pool_before=tuple(map(_product_id, doc["pool_before"])),
-            universe_size_after=int(doc["universe_size_after"]),
-            exchange_out_counts={int(k): int(v) for k, v in doc["exchange_out_counts"].items()},
+            universe_size_after=_integer(doc["universe_size_after"], "universe_size_after"),
+            exchange_out_counts={
+                int(k): _integer(v, "exchange-out count") for k, v in doc["exchange_out_counts"].items()
+            },
         )
 
 
@@ -279,16 +288,16 @@ def solve_report_from_document(doc: dict) -> SolveReport:
         if doc.get("traces") is not None:
             traces = tuple(
                 (
-                    Assortment.of(entry["seed"]),
+                    Assortment.of(map(_product_id, entry["seed"])),
                     tuple(record_from_document(r) for r in entry["records"]),
                 )
                 for entry in doc["traces"]
             )
         return SolveReport(
-            best_assortment=Assortment.of(doc["best_assortment"]),
+            best_assortment=Assortment.of(map(_product_id, doc["best_assortment"])),
             best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "revenue", "schema"),
-            oracle_calls=int(doc["oracle_calls"]),
-            seeds_explored=int(doc["seeds_explored"]),
+            oracle_calls=_integer(doc["oracle_calls"], "oracle_calls"),
+            seeds_explored=_integer(doc["seeds_explored"], "seeds_explored"),
             traces=traces,
         )
 
@@ -381,6 +390,8 @@ def config_from_document(doc: dict) -> tuple[GreedyConfig, NoiseSpec]:
         raise ValidationError("report has no config object", code="schema")
     with _schema_errors("config"):
         config = GreedyConfig(
-            seed_size=int(cfg["S"]), capacity=int(cfg["C"]), exchange_budget=int(cfg["b"])
+            seed_size=_integer(cfg["S"], "S"),
+            capacity=_integer(cfg["C"], "C"),
+            exchange_budget=_integer(cfg["b"], "b"),
         )
         return config, noise_from_document(cfg.get("noise", {}))

@@ -4,9 +4,12 @@ The solver only ever talks to an oracle through ``evaluate(assortment) ->
 float``, so any choice model can be plugged in. ``evaluate`` must be a pure
 function of the set: ``score_moves`` below confirms a batch's best values
 through it, and the greedy solver does not score again a move that an
-earlier pass from the same set has settled. An oracle may also offer
+earlier pass has settled. An oracle may also offer
 ``score_moves(current, moves)``, estimates for a whole pass of moves that
-need only be accurate to rounding: ``score_moves`` below re-evaluates the
+need only be accurate to rounding. The solver passes ``moves`` as a
+``MovePass``, a read-only sequence of (entering, leaving) pairs that the
+built-in oracles score straight from its pools; any other oracle may read
+it as the list of those pairs. ``score_moves`` below re-evaluates the
 ones that could win through ``evaluate``, and falls back to it for oracles
 without the method. Its values are exact within ``CONFIRM_BAND`` of the
 best; under seeded-uniform noise the moves that cannot reach the band are
@@ -26,9 +29,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from itertools import chain, compress, product, repeat
+from typing import Iterator, Protocol, runtime_checkable
 
 from .errors import InvalidAssortmentError, InvalidChoiceError, ValidationError
 from .instance import Assortment, Instance
@@ -45,6 +51,44 @@ CONFIRM_BAND = 1e-9
 
 #: An (entering, leaving) product pair; ``leaving`` None is an addition.
 Move = tuple[int, "int | None"]
+
+
+class MovePass(Sequence):
+    """One search pass's moves as a read-only sequence of ``Move`` pairs.
+
+    Every exchange of an ``exchange_pool`` product for a ``members`` product,
+    in (entering, leaving) order, then the addition of each ``add_pool``
+    product. The three tuples are all it stores, so the built-in oracles
+    score a pass column by column from them; any other reader sees a
+    sequence equal, item for item, to the list of those pairs.
+    """
+
+    __slots__ = ("exchange_pool", "members", "add_pool", "_exchanges")
+
+    def __init__(self, exchange_pool: Sequence[int], members: Sequence[int], add_pool: Sequence[int]):
+        self.exchange_pool = tuple(exchange_pool)
+        self.members = tuple(members)
+        self.add_pool = tuple(add_pool)
+        self._exchanges = len(self.exchange_pool) * len(self.members)
+
+    def __len__(self) -> int:
+        return self._exchanges + len(self.add_pool)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("move index out of range")
+        if index < self._exchanges:
+            entering, leaving = divmod(index, len(self.members))
+            return self.exchange_pool[entering], self.members[leaving]
+        return self.add_pool[index - self._exchanges], None
+
+    def __iter__(self) -> Iterator[Move]:
+        return chain(product(self.exchange_pool, self.members), zip(self.add_pool, repeat(None)))
 
 
 @runtime_checkable
@@ -77,13 +121,12 @@ def score_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move
     batched = getattr(oracle, "score_moves", None)
     if batched is None:
         return _evaluate_moves(oracle, current, moves)
-    values = batched(current, moves)
+    values = list(batched(current, moves))
     top = max(values, default=0.0)
     floor = top - CONFIRM_BAND * abs(top)
-    return [
-        oracle.evaluate(current.after_move(*move)) if value >= floor else value
-        for move, value in zip(moves, values)
-    ]
+    for i in compress(range(len(values)), map(operator.ge, values, repeat(floor))):
+        values[i] = oracle.evaluate(current.after_move(*moves[i]))
+    return values
 
 
 def _evaluate_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
@@ -207,7 +250,13 @@ class ExactMnlOracle:
         return mnl_revenue(self.instance, assortment)
 
     def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """Estimated ``evaluate``: one division per move over leave-one-out member sums."""
+        """Estimated ``evaluate``: one division per move over leave-one-out member sums.
+
+        A ``MovePass`` is scored one leaving member's column at a time over
+        tables of its pools' terms and weights; any other sequence move by
+        move. Each value comes from the same expression either way, so the
+        two agree bit for bit.
+        """
         terms, weights = self._terms, self._weights
         members = current.ids
         try:
@@ -221,13 +270,33 @@ class ExactMnlOracle:
                 leaving: math.fsum([1.0] + [weights[i] for i in members if i != leaving])
                 for leaving in (None, *members)
             }
-            values = [
-                (numerators[leaving] + terms[entering]) / (denominators[leaving] + weights[entering])
-                for entering, leaving in moves
-            ]
+            if not isinstance(moves, MovePass):
+                return [
+                    (numerators[leaving] + terms[entering]) / (denominators[leaving] + weights[entering])
+                    for entering, leaving in moves
+                ]
+
+            def columns(pool, leavers):
+                pool_terms = [terms[i] for i in pool]
+                pool_weights = [weights[i] for i in pool]
+                for leaving in leavers:
+                    numerator, denominator = numerators[leaving], denominators[leaving]
+                    yield [
+                        (numerator + term) / (denominator + weight)
+                        for term, weight in zip(pool_terms, pool_weights)
+                    ]
+
+            # moves run entering-major, so leaving member j's column is every width-th value
+            width = len(moves.members)
+            exchanges = len(moves.exchange_pool) * width
+            values = [0.0] * exchanges
+            for j, column in enumerate(columns(moves.exchange_pool, moves.members)):
+                values[j:exchanges:width] = column
+            for column in columns(moves.add_pool, [None]):
+                values += column
+            return values
         except KeyError as exc:
             raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
-        return values
 
 
 class NoisyOracle:
@@ -261,9 +330,12 @@ class NoisyOracle:
         top = max(base, default=0.0)
         # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
         cut = (1.0 - spec.eps_bound) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
-        kept = [move for move, value in zip(moves, base) if value >= cut]
-        epsilons = iter(spec.move_epsilons(current, kept))
-        return [(1.0 - next(epsilons)) * value if value >= cut else value for value in base]
+        keep = [value >= cut for value in base]
+        epsilons = spec.move_epsilons(current, list(compress(moves, keep)))
+        values = list(base)
+        for i, eps in zip(compress(range(len(values)), keep), epsilons):
+            values[i] = (1.0 - eps) * values[i]
+        return values
 
 
 class OracleStats:

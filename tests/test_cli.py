@@ -497,6 +497,20 @@ def _set_first_record(**fields):
         (["verify"], _set_first_record(added=[1]), "schema"),
         (["verify"], _set_first_record(pool_before=[[1]]), "schema"),
         (["verify"], _set_first_record(action="bogus"), "schema"),
+        # integer fields are read as JSON integers, never truncated or coerced
+        (["verify"], lambda doc: doc["result"].update(oracle_calls=True), "schema"),
+        (["verify"], lambda doc: doc["result"].update(oracle_calls="62"), "schema"),
+        (["verify"], lambda doc: doc["result"].update(oracle_calls=62.5), "schema"),
+        (["verify"], lambda doc: doc["result"].update(seeds_explored=1.0), "schema"),
+        (["verify"], _set_first_record(step=0.0), "schema"),
+        (["verify"], _set_first_record(universe_size_after=7.4), "schema"),
+        (["verify"], _set_first_record(exchange_out_counts={"1": 1.0}), "schema"),
+        (["verify"], lambda doc: doc["config"].update(S=0.0), "schema"),
+        (["verify"], lambda doc: doc["config"].update(C=3.9), "schema"),
+        (["verify"], lambda doc: doc["config"].update(b="4"), "schema"),
+        (["verify"], lambda doc: doc["config"]["noise"].update(seed="0"), "schema"),
+        (["verify"], lambda doc: doc["result"].update(best_assortment=[1.0]), "schema"),
+        (["verify"], lambda doc: doc["result"]["traces"][0].update(seed=[True]), "schema"),
     ],
     ids=[
         "exact-past-enumeration-cap",
@@ -512,6 +526,19 @@ def _set_first_record(**fields):
         "verify-list-as-added-id",
         "verify-list-in-pool-before",
         "verify-bogus-action",
+        "verify-bool-oracle-calls",
+        "verify-string-oracle-calls",
+        "verify-fractional-oracle-calls",
+        "verify-float-seeds-explored",
+        "verify-float-step",
+        "verify-fractional-universe-size",
+        "verify-float-exchange-out-count",
+        "verify-float-S",
+        "verify-fractional-C",
+        "verify-string-b",
+        "verify-string-noise-seed",
+        "verify-float-in-best-assortment",
+        "verify-bool-in-trace-seed",
     ],
 )
 def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):

@@ -22,7 +22,7 @@ from assortopt import (
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
-from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, score_moves
+from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, MovePass, score_moves
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -218,6 +218,41 @@ class TestNoisyOracle:
             NoiseSpec(mode="seeded-uniform", eps_max=-0.1)
         with pytest.raises(ValidationError):
             NoiseSpec(mode="gaussian")
+
+
+class TestMovePass:
+    MOVES = MovePass([4, 6], [1, 3], [4, 5])
+    LISTED = [(4, 1), (4, 3), (6, 1), (6, 3), (4, None), (5, None)]
+
+    def test_lists_exchanges_then_additions(self):
+        assert list(self.MOVES) == self.LISTED
+        assert len(self.MOVES) == len(self.LISTED)
+        assert [self.MOVES[i] for i in range(len(self.LISTED))] == self.LISTED
+
+    def test_negative_and_slice_indexing(self):
+        size = len(self.LISTED)
+        assert [self.MOVES[i] for i in range(-size, 0)] == self.LISTED
+        for cut in [slice(None), slice(1, 5), slice(-2, None), slice(0, size, 4),
+                    slice(None, None, -1), slice(5, 1, -3), slice(9, 20)]:
+            assert self.MOVES[cut] == self.LISTED[cut]
+        for index in (size, -size - 1):
+            with pytest.raises(IndexError):
+                self.MOVES[index]
+        with pytest.raises(TypeError):
+            self.MOVES["0"]
+
+    def test_empty_sides(self):
+        assert list(MovePass([], [1, 2], [3])) == [(3, None)]
+        assert list(MovePass([3], [], [])) == []
+        assert len(MovePass([3], [], [])) == 0
+        with pytest.raises(IndexError):
+            MovePass([3], [], [])[0]
+
+    def test_keeps_its_own_copy_of_the_pools(self):
+        pool = [4]
+        moves = MovePass(pool, [1], pool)
+        pool.append(6)
+        assert list(moves) == [(4, 1), (4, None)]
 
 
 class TestScoreMoves:
