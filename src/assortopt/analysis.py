@@ -32,6 +32,7 @@ from .transform import (
     interval_offsets,
     margin_breakpoints,
     scaled_margin,
+    scaled_margins,
     top_margin_set,
     top_with_gaps,
 )
@@ -253,39 +254,43 @@ def check_trace_invariants(
             continue
         u = mnl_revenue(instance, record.assortment_after)
         slack = delta_cap * u + FLOAT_SLACK * max(1.0, u)
-        entered = record.added
-        h_entered = scaled_margin(instance, entered, u)
-        for other in record.pool_before:
-            h_other = scaled_margin(instance, other, u)
-            if h_entered < h_other - slack:
-                violations.append(
-                    TraceViolation(
-                        step_index=record.step_index,
-                        action=record.action,
-                        kind="entered-not-strongest",
-                        product_id=other,
-                        margin_chosen=h_entered,
-                        margin_other=h_other,
-                        slack=slack,
-                    )
-                )
-        if record.action == "exchange":
-            removed = record.removed
-            h_removed = scaled_margin(instance, removed, u)
-            for member in record.assortment_before.ids:
-                h_member = scaled_margin(instance, member, u)
-                if h_removed > h_member + slack:
+        h_entered = scaled_margin(instance, record.added, u)
+        pool = record.pool_before
+        h_pool = scaled_margins(instance, pool, u)
+        # no pool margin beats the entered one by more than the slack when the
+        # largest does not; only otherwise (a NaN included) are they listed
+        if not (h_pool and h_entered >= max(h_pool) - slack):
+            for other, h_other in zip(pool, h_pool):
+                if h_entered < h_other - slack:
                     violations.append(
                         TraceViolation(
                             step_index=record.step_index,
                             action=record.action,
-                            kind="removed-not-weakest",
-                            product_id=member,
-                            margin_chosen=h_removed,
-                            margin_other=h_member,
+                            kind="entered-not-strongest",
+                            product_id=other,
+                            margin_chosen=h_entered,
+                            margin_other=h_other,
                             slack=slack,
                         )
                     )
+        if record.action == "exchange":
+            h_removed = scaled_margin(instance, record.removed, u)
+            members = record.assortment_before.ids
+            h_members = scaled_margins(instance, members, u)
+            if not (h_members and h_removed <= min(h_members) + slack):
+                for member, h_member in zip(members, h_members):
+                    if h_removed > h_member + slack:
+                        violations.append(
+                            TraceViolation(
+                                step_index=record.step_index,
+                                action=record.action,
+                                kind="removed-not-weakest",
+                                product_id=member,
+                                margin_chosen=h_removed,
+                                margin_other=h_member,
+                                slack=slack,
+                            )
+                        )
     return violations
 
 
@@ -313,7 +318,8 @@ def trace_bookkeeping_problems(
     records = enumerate(trace)
     current = seed
     for invocation in range(1, invocations + 1):
-        pool = [i for i in ids if i not in current.ids]
+        members = set(current.ids)
+        pool = [i for i in ids if i not in members]
         outs: dict[int, int] = {}
         size_cap = len(current) + 1
         for position, record in records:

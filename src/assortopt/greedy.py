@@ -8,8 +8,9 @@ chosen size ``S`` (just the empty set for S = 0), applies it ``C - S``
 times per seed, and keeps the best final assortment.
 
 Every candidate move is scored through the revenue oracle alone, one
-batch per loop pass (``oracles.score_moves``, which receives the pass as a
-read-only ``oracles.MovePass``), so the search works with any plugged-in
+batch per loop pass (``oracles.best_move``, the first best of
+``oracles.score_moves``, which receives the pass as a read-only
+``oracles.MovePass``), so the search works with any plugged-in
 choice model, exact or noisy. ``evaluate`` must be a pure function of the
 set: the solver confirms a batch's best values through it, and it does
 not score again what a pass has already settled.
@@ -45,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .instance import Assortment, optimum_key
-from .oracles import MovePass, RevenueOracle, make_counting_oracle, score_moves
+from .oracles import MovePass, RevenueOracle, best_move, make_counting_oracle
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,18 @@ def _best_move(
 ) -> tuple[float, Assortment, int, int | None] | None:
     """Score one pass's moves; return (revenue, assortment, entering, leaving).
 
-    The pass is scored in one ``score_moves`` call. The winner minimizes
-    (-revenue, is_add, entering, leaving): on equal revenue an exchange
-    beats an addition, then the smaller entering id wins, then the smaller
-    leaving id. With ascending pools and members a ``MovePass`` lists its
-    moves in exactly that order, so the first best value wins. Returns None
-    when there is no move.
+    The pass is scored in one ``best_move`` call, the first largest of its
+    ``score_moves`` values. The winner minimizes (-revenue, is_add,
+    entering, leaving): on equal revenue an exchange beats an addition, then
+    the smaller entering id wins, then the smaller leaving id. With
+    ascending pools and members a ``MovePass`` lists its moves in exactly
+    that order, so the first best value wins. Returns None when there is no
+    move.
     """
     if not moves:
         return None
-    values = score_moves(oracle, current, moves)
-    rev = max(values)
-    entering, leaving = moves[values.index(rev)]
+    index, rev = best_move(oracle, current, moves)
+    entering, leaving = moves[index]
     return rev, current.after_move(entering, leaving), entering, leaving
 
 

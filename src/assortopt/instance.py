@@ -86,6 +86,14 @@ class Instance:
         except KeyError:
             raise InvalidAssortmentError(f"unknown product id {product_id}") from None
 
+    def products_of(self, product_ids: Iterable[int]) -> list[Product]:
+        """The products with these ids, in order; the first unknown id raises as ``product`` does."""
+        by_id = self._by_id
+        try:
+            return [by_id[i] for i in product_ids]
+        except KeyError as exc:
+            raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
+
     def weight(self, product_id: int) -> float:
         return self.product(product_id).weight
 

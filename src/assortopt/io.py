@@ -12,11 +12,14 @@ followed by a newline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from contextlib import contextmanager
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .analysis import GapBound
 from .errors import ValidationError
@@ -31,12 +34,14 @@ SCHEMA_VERSION = "1"
 def dumps_document(doc: Any) -> str:
     """``json.dumps(doc, indent=2) + "\n"``, byte for byte.
 
-    With ``indent`` set the stdlib encodes item by item in Python; a traced
-    report is mostly lists of product ids, so each list of plain ints is
-    joined in one go here, and ``str`` and ``int`` leaves are encoded
-    directly. Anything else (floats, bools, None, subclasses, dicts with a
-    key that is not a ``str``) is left to ``json.dumps`` and re-indented:
-    encoded JSON holds no raw newline, so that is exact.
+    With ``indent`` set the stdlib encodes item by item in Python. Here a
+    leaf (``str``, ``int``, ``float``, ``bool``, None) is written the way
+    ``json`` writes it, and a list or ``str``-keyed dict of leaves is
+    written by one call of the stdlib's C encoder, whose item separator
+    carries the line break and indent: a traced report is mostly lists of
+    product ids and dicts of scalar fields. Anything else (subclasses, dicts
+    with a key that is not a ``str``) is left to ``json.dumps`` and
+    re-indented: encoded JSON holds no raw newline, so that is exact.
     """
     out: list[str] = []
     _write_value(doc, "\n", out)
@@ -44,34 +49,69 @@ def dumps_document(doc: Any) -> str:
     return "".join(out)
 
 
-def _write_value(value: Any, newline: str, out: list[str]) -> None:
-    """Append ``value`` encoded at the depth where a line starts with ``newline``."""
+def _leaf(value: Any) -> str | None:
+    """``json.dumps(value)`` when ``value`` is a leaf, which it encodes alike at any indent."""
     kind = type(value)
     if kind is str:
-        out.append(_encode_str(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is list or kind is tuple:
-        inner = newline + "  "
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return "null" if value is None else None
+
+
+_LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache  # one writer per depth a document reaches
+def _flat_writer(inner: str) -> Callable[[Any], str]:
+    """``json.dumps`` of a list or ``str``-keyed dict of leaves, one item per ``inner`` line.
+
+    ``encoded[1:-1]`` is the items as ``json.dumps(indent)`` lays them out at
+    that depth; the first line break and the closing bracket are the caller's.
+    """
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        return json.JSONEncoder(separators=("," + inner, ": ")).encode
+    encode = c_make_encoder(None, None, _encode_str, None, ": ", "," + inner, False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _write_value(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value`` encoded at the depth where a line starts with ``newline``."""
+    text = _leaf(value)
+    if text is not None:
+        out.append(text)
+        return
+    kind = type(value)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
         if not value:
             out.append("[]")
-        elif all(type(item) is int for item in value):
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+        elif set(map(type, value)) <= _LEAF_TYPES:
+            out.append(f"[{inner}{_flat_writer(inner)(value)[1:-1]}{newline}]")
         else:
             out.append("[")
             for i, item in enumerate(value):
                 out.append("," + inner if i else inner)
                 _write_value(item, inner, out)
             out.append(newline + "]")
-    elif kind is dict and all(type(key) is str for key in value):
-        inner = newline + "  "
+    elif kind is dict and set(map(type, value)) <= {str}:
         if not value:
             out.append("{}")
+        elif set(map(type, value.values())) <= _LEAF_TYPES:
+            out.append(f"{{{inner}{_flat_writer(inner)(value)[1:-1]}{newline}}}")
         else:
             out.append("{")
             for i, (key, item) in enumerate(value.items()):
                 out.append(f"{',' if i else ''}{inner}{_encode_str(key)}: ")
-                _write_value(item, inner, out)
+                text = _leaf(item)
+                if text is None:
+                    _write_value(item, inner, out)
+                else:
+                    out.append(text)
             out.append(newline + "}")
     else:
         out.append(json.dumps(value, indent=2).replace("\n", newline))
@@ -137,18 +177,25 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
     products = []
     seen_ids: set[int] = set()
     for entry in raw_products:
-        if not isinstance(entry, dict) or not {"id", "weight", "price"} <= set(entry):
+        try:
+            pid, raw_weight, raw_price = entry["id"], entry["weight"], entry["price"]
+        except (KeyError, TypeError):  # not an object, or one without all three
             raise ValidationError(
                 "each product needs id, weight and price fields", code="schema"
-            )
-        pid = entry["id"]
-        if isinstance(pid, bool) or not isinstance(pid, int) or pid < 1:
+            ) from None
+        if type(pid) is not int or pid < 1:  # a JSON integer; bool is not one
             raise ValidationError(f"product id must be a positive integer: {pid!r}", code="schema")
         if pid in seen_ids:
             raise ValidationError(f"duplicate product id {pid}", code="duplicate-id")
         seen_ids.add(pid)
-        weight = _parse_float(entry["weight"], f"product {pid} weight", "bad-weight")
-        price = _parse_float(entry["price"], f"product {pid} price", "bad-price")
+        if type(raw_weight) is str and type(raw_price) is str:  # as every document writes them
+            try:
+                products.append(Product(pid, float(raw_weight), float(raw_price)))
+                continue
+            except ValueError:
+                pass  # the readers below raise the error for the first bad one
+        weight = _parse_float(raw_weight, f"product {pid} weight", "bad-weight")
+        price = _parse_float(raw_price, f"product {pid} price", "bad-price")
         products.append(Product(pid, weight, price))
 
     capacity = document.get("capacity")
@@ -244,6 +291,32 @@ def _product_id(value: Any) -> int:
     return _integer(value, "product id")
 
 
+def _product_ids(values: Any) -> list[int]:
+    """A list of product ids as a report holds it; anything but JSON integers is a TypeError.
+
+    One scan of the item types covers every well-formed list; only a list
+    that fails it is read id by id, to raise ``_product_id``'s error.
+    """
+    if type(values) is list and set(map(type, values)) <= {int}:
+        return values
+    return list(map(_product_id, values))
+
+
+def _exchange_out_counts(doc: Any) -> dict[int, int]:
+    """Exchange-out counts keyed by product id; each key is the id's canonical decimal.
+
+    So ``" +5 "`` and ``"0_5"``, which ``int`` reads as 5, are a ValueError,
+    and no two keys can name the same product.
+    """
+    counts = {}
+    for key, value in doc.items():
+        product_id = int(key)
+        if product_id < 1 or str(product_id) != key:
+            raise ValueError(f"exchange_out_counts key {key!r} is not a product id")
+        counts[product_id] = _integer(value, "exchange-out count")
+    return counts
+
+
 def record_from_document(doc: dict) -> IterationRecord:
     with _schema_errors("trace record"):
         added, removed = doc.get("added"), doc.get("removed")
@@ -255,13 +328,11 @@ def record_from_document(doc: dict) -> IterationRecord:
             added=None if added is None else _product_id(added),
             removed=None if removed is None else _product_id(removed),
             revenue_after=_parse_float(doc["revenue_after"], "revenue_after", "schema"),
-            assortment_before=Assortment.of(map(_product_id, doc["assortment_before"])),
-            assortment_after=Assortment.of(map(_product_id, doc["assortment_after"])),
-            pool_before=tuple(map(_product_id, doc["pool_before"])),
+            assortment_before=Assortment.of(_product_ids(doc["assortment_before"])),
+            assortment_after=Assortment.of(_product_ids(doc["assortment_after"])),
+            pool_before=tuple(_product_ids(doc["pool_before"])),
             universe_size_after=_integer(doc["universe_size_after"], "universe_size_after"),
-            exchange_out_counts={
-                int(k): _integer(v, "exchange-out count") for k, v in doc["exchange_out_counts"].items()
-            },
+            exchange_out_counts=_exchange_out_counts(doc["exchange_out_counts"]),
         )
 
 
@@ -288,13 +359,13 @@ def solve_report_from_document(doc: dict) -> SolveReport:
         if doc.get("traces") is not None:
             traces = tuple(
                 (
-                    Assortment.of(map(_product_id, entry["seed"])),
+                    Assortment.of(_product_ids(entry["seed"])),
                     tuple(record_from_document(r) for r in entry["records"]),
                 )
                 for entry in doc["traces"]
             )
         return SolveReport(
-            best_assortment=Assortment.of(map(_product_id, doc["best_assortment"])),
+            best_assortment=Assortment.of(_product_ids(doc["best_assortment"])),
             best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "revenue", "schema"),
             oracle_calls=_integer(doc["oracle_calls"], "oracle_calls"),
             seeds_explored=_integer(doc["seeds_explored"], "seeds_explored"),

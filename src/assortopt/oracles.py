@@ -14,6 +14,7 @@ ones that could win through ``evaluate``, and falls back to it for oracles
 without the method. Its values are exact within ``CONFIRM_BAND`` of the
 best; under seeded-uniform noise the moves that cannot reach the band are
 not hashed and get an upper bound below it, so the argmax is unchanged.
+``best_move`` finds that argmax among the confirmed values when it can.
 This module provides the built-in implementations:
 
 * exact MNL expected revenue,
@@ -33,7 +34,7 @@ import operator
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, product, repeat
+from itertools import chain, product, repeat
 from typing import Iterator, Protocol, runtime_checkable
 
 from .errors import InvalidAssortmentError, InvalidChoiceError, ValidationError
@@ -78,9 +79,10 @@ class MovePass(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         index = operator.index(index)
+        size = self._exchanges + len(self.add_pool)
         if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
+            index += size
+        if not 0 <= index < size:
             raise IndexError("move index out of range")
         if index < self._exchanges:
             entering, leaving = divmod(index, len(self.members))
@@ -115,18 +117,44 @@ def score_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move
     Either way no value outside the band can be the best, so the argmax and
     its tie-break are those of ``evaluate``.
     """
+    return _confirmed_scores(oracle, current, moves)[0]
+
+
+def best_move(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> tuple[int, float]:
+    """Index and value of the first largest of ``score_moves(oracle, current, moves)``.
+
+    ``moves`` must not be empty. Every value outside the confirm band is an
+    estimate below the band's floor (a NaN first estimate leaves no band), so
+    when the band's best value reaches the floor it is the largest of all
+    and no earlier value ties it. Only otherwise (no batched scorer, an
+    empty band, a confirmation below the floor or NaN) are all the values
+    ranked.
+    """
+    values, band, floor = _confirmed_scores(oracle, current, moves)
+    best = max(band, key=values.__getitem__) if band else None
+    if best is None or not values[best] >= floor:
+        best = values.index(max(values))
+    return best, values[best]
+
+
+def _confirmed_scores(
+    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]
+) -> tuple[list[float], list[int], float]:
+    """``score_moves``' values, the ascending indices it confirmed through
+    ``evaluate`` and the floor of that band (no band without a batched scorer)."""
     if isinstance(oracle, CountingOracle):
         oracle.stats.record_moves(current, moves)
         oracle = oracle.base
     batched = getattr(oracle, "score_moves", None)
     if batched is None:
-        return _evaluate_moves(oracle, current, moves)
+        return _evaluate_moves(oracle, current, moves), [], math.inf
     values = list(batched(current, moves))
     top = max(values, default=0.0)
     floor = top - CONFIRM_BAND * abs(top)
-    for i in compress(range(len(values)), map(operator.ge, values, repeat(floor))):
+    band = [i for i, value in enumerate(values) if value >= floor]
+    for i in band:
         values[i] = oracle.evaluate(current.after_move(*moves[i]))
-    return values
+    return values, band, floor
 
 
 def _evaluate_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
@@ -141,8 +169,7 @@ def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
     """
     terms = []
     weights = [1.0]
-    for product_id in assortment.ids:
-        prod = instance.product(product_id)
+    for prod in instance.products_of(assortment.ids):
         terms.append(prod.price * prod.weight)
         weights.append(prod.weight)
     if not terms:
@@ -259,17 +286,26 @@ class ExactMnlOracle:
         """
         terms, weights = self._terms, self._weights
         members = current.ids
+        if isinstance(moves, MovePass):
+            # a pass needs each member's column only when it has exchanges, and
+            # the column where nobody leaves only when it has additions
+            exchange_leavers = moves.members if moves.exchange_pool else ()
+            add_leavers = (None,) if moves.add_pool else ()
+            leavers = (*exchange_leavers, *add_leavers)
+        else:
+            leavers = (None, *members)
         try:
-            # numerator and denominator of current less each member (None: less
-            # nobody); sums of nonnegative terms, so nothing cancels
-            numerators = {
-                leaving: math.fsum([terms[i] for i in members if i != leaving])
-                for leaving in (None, *members)
-            }
-            denominators = {
-                leaving: math.fsum([1.0] + [weights[i] for i in members if i != leaving])
-                for leaving in (None, *members)
-            }
+            # numerator and denominator of current less each leaver (None: less
+            # nobody), summed over the member tables with the leaver's entry cut
+            # out; sums of nonnegative terms, so nothing cancels
+            member_terms = list(map(terms.__getitem__, members))
+            member_weights = list(map(weights.__getitem__, members))
+            position = {member: j for j, member in enumerate(members)}
+            numerators, denominators = {}, {}
+            for leaving in leavers:
+                j = position.get(leaving, len(members))
+                numerators[leaving] = math.fsum(member_terms[:j] + member_terms[j + 1:])
+                denominators[leaving] = math.fsum([1.0] + member_weights[:j] + member_weights[j + 1:])
             if not isinstance(moves, MovePass):
                 return [
                     (numerators[leaving] + terms[entering]) / (denominators[leaving] + weights[entering])
@@ -277,8 +313,8 @@ class ExactMnlOracle:
                 ]
 
             def columns(pool, leavers):
-                pool_terms = [terms[i] for i in pool]
-                pool_weights = [weights[i] for i in pool]
+                pool_terms = list(map(terms.__getitem__, pool))
+                pool_weights = list(map(weights.__getitem__, pool))
                 for leaving in leavers:
                     numerator, denominator = numerators[leaving], denominators[leaving]
                     yield [
@@ -290,9 +326,9 @@ class ExactMnlOracle:
             width = len(moves.members)
             exchanges = len(moves.exchange_pool) * width
             values = [0.0] * exchanges
-            for j, column in enumerate(columns(moves.exchange_pool, moves.members)):
+            for j, column in enumerate(columns(moves.exchange_pool, exchange_leavers)):
                 values[j:exchanges:width] = column
-            for column in columns(moves.add_pool, [None]):
+            for column in columns(moves.add_pool, add_leavers):
                 values += column
             return values
         except KeyError as exc:
@@ -330,10 +366,10 @@ class NoisyOracle:
         top = max(base, default=0.0)
         # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
         cut = (1.0 - spec.eps_bound) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
-        keep = [value >= cut for value in base]
-        epsilons = spec.move_epsilons(current, list(compress(moves, keep)))
         values = list(base)
-        for i, eps in zip(compress(range(len(values)), keep), epsilons):
+        kept = [i for i, value in enumerate(values) if value >= cut]
+        epsilons = spec.move_epsilons(current, [moves[i] for i in kept])
+        for i, eps in zip(kept, epsilons):
             values[i] = (1.0 - eps) * values[i]
         return values
 
@@ -411,4 +447,4 @@ def make_counting_oracle(base: RevenueOracle) -> tuple[CountingOracle, OracleSta
 
 def total_weight(instance: Instance, assortment: Assortment) -> float:
     """w(M) = 1 + sum of member weights (the 1 is the no-purchase weight)."""
-    return math.fsum([1.0] + [instance.weight(i) for i in assortment.ids])
+    return math.fsum([1.0] + [p.weight for p in instance.products_of(assortment.ids)])

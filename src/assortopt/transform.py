@@ -40,9 +40,14 @@ def scaled_margin(instance: Instance, product_id: int, u: float) -> float:
     return (prod.price - u) * prod.weight
 
 
+def scaled_margins(instance: Instance, product_ids: Iterable[int], u: float) -> list[float]:
+    """``scaled_margin`` of each product, in order."""
+    return [(p.price - u) * p.weight for p in instance.products_of(product_ids)]
+
+
 def assortment_margin(instance: Instance, assortment: Assortment, u: float) -> float:
     """Sum of members' scaled margins at offset u (0 for the empty set)."""
-    return math.fsum(scaled_margin(instance, i, u) for i in assortment.ids)
+    return math.fsum(scaled_margins(instance, assortment.ids, u))
 
 
 def top_margin_set(instance: Instance, size: int, u: float) -> Assortment:

@@ -34,9 +34,11 @@ from assortopt import (
     top_set_with_slack,
     total_weight,
 )
-from assortopt.analysis import trace_bookkeeping_problems
+from assortopt.analysis import FLOAT_SLACK, TraceViolation, trace_bookkeeping_problems
+from assortopt.errors import InvalidAssortmentError
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.transform import interval_offsets
+from test_reference import TIE_FAMILIES, weights_one_ulp_apart
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -415,6 +417,164 @@ class TestTraceInvariants:
         )
         violations = check_trace_invariants(THREE, [record], 0.0)
         assert [v.kind for v in violations] == ["entered-not-strongest"]
+
+
+def product_loop_revenue(instance, assortment):
+    """``mnl_revenue`` as it read products before ``Instance.products_of``: one id at a time."""
+    terms, weights = [], [1.0]
+    for product_id in assortment.ids:
+        prod = instance.product(product_id)
+        terms.append(prod.price * prod.weight)
+        weights.append(prod.weight)
+    return math.fsum(terms) / math.fsum(weights) if terms else 0.0
+
+
+def enumerated_violations(instance, trace, delta_cap):
+    """The loop ``check_trace_invariants`` runs only when a bound fails: every pool
+    product, and for an exchange every member, compared one by one."""
+    violations = []
+    for record in trace:
+        if record.action == "terminate":
+            continue
+        u = product_loop_revenue(instance, record.assortment_after)
+        slack = delta_cap * u + FLOAT_SLACK * max(1.0, u)
+        h_entered = scaled_margin(instance, record.added, u)
+        for other in record.pool_before:
+            h_other = scaled_margin(instance, other, u)
+            if h_entered < h_other - slack:
+                violations.append(TraceViolation(
+                    record.step_index, record.action, "entered-not-strongest", other,
+                    h_entered, h_other, slack,
+                ))
+        if record.action == "exchange":
+            h_removed = scaled_margin(instance, record.removed, u)
+            for member in record.assortment_before.ids:
+                h_member = scaled_margin(instance, member, u)
+                if h_removed > h_member + slack:
+                    violations.append(TraceViolation(
+                        record.step_index, record.action, "removed-not-weakest", member,
+                        h_removed, h_member, slack,
+                    ))
+    return violations
+
+
+def forged_records(instance, rng, count):
+    """Every addition from the empty set, then ``count`` random exchanges (any member out)."""
+    ids = list(instance.ids())
+    for step, added in enumerate(ids):
+        yield IterationRecord(step, "add", added, None, 0.0, Assortment(), Assortment.of([added]),
+                              tuple(ids), len(ids) - 1, {})
+    for step in range(len(ids), len(ids) + count):
+        before = Assortment.of(rng.sample(ids, rng.randint(1, len(ids) - 1)))
+        outside = [i for i in ids if i not in before]
+        added, removed = rng.choice(outside), rng.choice(before.ids)
+        yield IterationRecord(step, "exchange", added, removed, 0.0, before,
+                              before.after_move(added, removed), tuple(outside), len(outside), {removed: 1})
+
+
+class TestTraceInvariantsFastPath:
+    """``check_trace_invariants`` lists what the enumerating loop lists, violation for violation."""
+
+    DELTAS = [0.0, 1e-3, 0.5, math.inf, math.nan]
+
+    @pytest.mark.parametrize("delta_cap", DELTAS)
+    def test_ladders_put_violators_first_last_and_everywhere(self, delta_cap):
+        # margins rise with the id on one ladder and fall on the other, so an
+        # entered product's violators are the ids after it, before it, or all others
+        rising = Instance.of([(i, 1.0, float(i)) for i in range(1, 9)])
+        falling = Instance.of([(i, 1.0, float(9 - i)) for i in range(1, 9)])
+        shapes = set()
+        for inst in (rising, falling):
+            records = list(forged_records(inst, random.Random(7), 40))
+            found = check_trace_invariants(inst, records, delta_cap)
+            assert found == enumerated_violations(inst, records, delta_cap)
+            for record in records[: inst.n]:
+                pool = [i for i in record.pool_before if i != record.added]
+                flagged = [v.product_id for v in found
+                           if v.step_index == record.step_index and v.kind == "entered-not-strongest"]
+                if flagged and flagged == pool:
+                    shapes.add("everywhere")
+                elif flagged and flagged == pool[: len(flagged)]:
+                    shapes.add("first")
+                elif flagged and flagged == pool[-len(flagged):]:
+                    shapes.add("last")
+            if delta_cap in (0.0, 1e-3):
+                assert any(v.kind == "removed-not-weakest" for v in found)
+            elif not delta_cap < math.inf:  # an infinite or NaN slack flags nothing
+                assert found == []
+        if delta_cap in (0.0, 1e-3):
+            assert shapes == {"first", "last", "everywhere"}
+
+    @pytest.mark.parametrize("delta_cap", DELTAS)
+    def test_random_forged_traces(self, delta_cap):
+        rng = random.Random(4242)
+        listed = 0
+        for family in [random_instance, *TIE_FAMILIES, weights_one_ulp_apart]:
+            for _ in range(15):
+                inst = family(rng)
+                if inst.n < 2:
+                    continue
+                records = list(forged_records(inst, rng, 10))
+                found = check_trace_invariants(inst, records, delta_cap)
+                assert found == enumerated_violations(inst, records, delta_cap)
+                listed += len(found)
+        assert listed > 0 or delta_cap != 0.0
+
+    def test_greedy_traces(self):
+        rng = random.Random(5150)
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(2, 12))
+            capacity = rng.randint(1, inst.n)
+            report = greedy_opt(GreedyConfig(0, capacity, capacity + 1), inst.ids(),
+                                make_exact_oracle(inst), trace=True)
+            for _seed, records in report.traces:
+                for delta_cap in (0.0, -0.5):  # a negative slack makes every step a violation
+                    assert check_trace_invariants(inst, records, delta_cap) == enumerated_violations(
+                        inst, records, delta_cap
+                    )
+
+
+class TestProductLookup:
+    """Every reader of ``Instance.products_of`` gives, bit for bit, what it gave one id at a time."""
+
+    @pytest.mark.parametrize("family", [*TIE_FAMILIES, weights_one_ulp_apart], ids=lambda f: f.__name__)
+    def test_readers_match_the_per_id_expressions(self, family):
+        rng = random.Random(8080)
+        for _ in range(60):
+            inst = family(rng)
+            ids = list(inst.ids())
+            for _ in range(5):
+                m1 = Assortment.of(rng.sample(ids, rng.randint(0, len(ids))))
+                m2 = Assortment.of(rng.sample(ids, rng.randint(0, len(ids))))
+                r1, r2 = product_loop_revenue(inst, m1), product_loop_revenue(inst, m2)
+                assert mnl_revenue(inst, m1).hex() == r1.hex()
+                assert total_weight(inst, m1).hex() == math.fsum(
+                    [1.0] + [inst.weight(i) for i in m1.ids]
+                ).hex()
+                for u in (0.0, r2, rng.choice(inst.products).price, rng.uniform(0.0, 20.0)):
+                    assert assortment_margin(inst, m1, u).hex() == math.fsum(
+                        scaled_margin(inst, i, u) for i in m1.ids
+                    ).hex()
+                report = check_margin_revenue_equivalence(inst, m1, m2)
+                assert [x.hex() for x in (report.revenue_1, report.revenue_2, report.margin_1,
+                                          report.margin_2)] == [
+                    r1.hex(), r2.hex(),
+                    math.fsum(scaled_margin(inst, i, r2) for i in m1.ids).hex(),
+                    math.fsum(scaled_margin(inst, i, r2) for i in m2.ids).hex(),
+                ]
+
+    def test_unknown_id_raises_as_product_does(self):
+        assert [p.id for p in THREE.products_of([3, 1, 3])] == [3, 1, 3]
+        for ids in ([9], [1, 9, 7], [None]):
+            with pytest.raises(InvalidAssortmentError) as lookup:
+                THREE.products_of(ids)
+            with pytest.raises(InvalidAssortmentError) as one:
+                [THREE.product(i) for i in ids]
+            assert str(lookup.value) == str(one.value)
+        with pytest.raises(InvalidAssortmentError, match="unknown product id 9"):
+            mnl_revenue(THREE, Assortment.of([1, 9]))
+        with pytest.raises(InvalidAssortmentError, match="unknown product id 9"):
+            assortment_margin(THREE, Assortment.of([9]), 1.0)
 
 
 class TestTraceBookkeeping:

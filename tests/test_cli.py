@@ -5,6 +5,7 @@ import json
 import pytest
 
 import assortopt.bench as bench_mod
+import assortopt.cli as cli_module
 from assortopt import Instance, ValidationError, candidate_set_opt
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
@@ -130,6 +131,24 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(report_path))
         assert code == 0
         assert out.startswith("verify PASS")
+
+    def test_comparison_pairs_are_pinned(self, capsys, fixtures_dir, monkeypatch):
+        # the pairs a report is checked on follow from its digest and noise seed
+        # alone; a change to how they are drawn changes them for every old report
+        drawn = []
+        check = cli_module.check_margin_revenue_equivalence
+
+        def recording_check(instance, m1, m2):
+            drawn.append((m1.ids, m2.ids))
+            return check(instance, m1, m2)
+
+        monkeypatch.setattr(cli_module, "check_margin_revenue_equivalence", recording_check)
+        code, out, _ = run_cli(capsys, "verify", str(fixtures_dir / "solve_generated_n8_seed7_C4.json"))
+        assert code == 0
+        assert "comparison pairs checked=100" in out
+        assert len(drawn) == 100
+        assert drawn[:3] == [((7, 8), (3,)), ((1, 2, 6, 7), ()), ((1, 2, 6), (4, 5))]
+        assert drawn[-1] == ((3, 5, 6), (1, 4, 5, 7))
 
     def test_verify_passes_on_noisy_report(self, tmp_path, capsys):
         report_path = self.make_report(
@@ -481,6 +500,10 @@ def _set_first_record(**fields):
     return lambda doc: doc["result"]["traces"][0]["records"][0].update(fields)
 
 
+def _set_first_pool_id(value):
+    return lambda doc: doc["result"]["traces"][0]["records"][0]["pool_before"].__setitem__(0, value)
+
+
 @pytest.mark.parametrize(
     "command, tamper, expected_code",
     [
@@ -511,6 +534,11 @@ def _set_first_record(**fields):
         (["verify"], lambda doc: doc["config"]["noise"].update(seed="0"), "schema"),
         (["verify"], lambda doc: doc["result"].update(best_assortment=[1.0]), "schema"),
         (["verify"], lambda doc: doc["result"]["traces"][0].update(seed=[True]), "schema"),
+        # a bool is not a JSON integer, so the one type scan of an id list refuses it
+        (["verify"], _set_first_pool_id(True), "schema"),
+        # an exchange-out key is the canonical decimal of one product id
+        (["verify"], _set_first_record(exchange_out_counts={"0_5": 1}), "schema"),
+        (["verify"], _set_first_record(exchange_out_counts={"5": 1, " +5 ": 1}), "schema"),
     ],
     ids=[
         "exact-past-enumeration-cap",
@@ -539,6 +567,9 @@ def _set_first_record(**fields):
         "verify-string-noise-seed",
         "verify-float-in-best-assortment",
         "verify-bool-in-trace-seed",
+        "verify-bool-in-pool-before",
+        "verify-exchange-out-key-not-canonical",
+        "verify-two-exchange-out-keys-for-one-product",
     ],
 )
 def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):

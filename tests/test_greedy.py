@@ -3,6 +3,7 @@ simulation, and the loop invariants (monotonicity, size, budget,
 iteration and call-count bounds)."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from assortopt import (
 from assortopt.analysis import trace_bookkeeping_problems
 from assortopt.generate import GeneratorSpec, derive_seed, generate_instance
 from assortopt.instance import optimum_key
-from assortopt.oracles import MovePass, score_moves
+from assortopt.oracles import MovePass, best_move, score_moves
 from test_reference import TIE_FAMILIES
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -463,6 +464,72 @@ def test_move_pass_scores_as_its_list_bit_for_bit():
     assert scored > 1000
 
 
+def test_exact_estimates_are_the_leave_one_out_expression():
+    # each estimate is (sum of the other members' terms + the entering term) over
+    # (1 + the other members' weights + the entering weight), the sums taken with
+    # fsum over the members that stay, whichever way the tables are cut
+    rng = random.Random(7171)
+    scored = 0
+    families = [lambda r: generate_instance(GeneratorSpec(r.randint(2, 14), seed=r.getrandbits(60))),
+                *TIE_FAMILIES]
+    for family in families:
+        for _ in range(12):
+            inst = family(rng)
+            terms = {p.id: p.price * p.weight for p in inst.products}
+            weights = {p.id: p.weight for p in inst.products}
+            exact = make_exact_oracle(inst)
+            for current, moves in random_move_passes(rng, inst, 4):
+                for batch in (moves, list(moves)):
+                    expected = [
+                        (math.fsum([terms[i] for i in current.ids if i != leaving]) + terms[entering])
+                        / (math.fsum([1.0] + [weights[i] for i in current.ids if i != leaving])
+                           + weights[entering])
+                        for entering, leaving in batch
+                    ]
+                    assert list(map(float.hex, exact.score_moves(current, batch))) == list(
+                        map(float.hex, expected)
+                    )
+                scored += len(moves)
+    assert scored > 500
+
+
+@pytest.mark.parametrize("shape", ["add-only", "exchange-only"])
+def test_one_sided_passes_score_as_their_list_bit_for_bit(shape):
+    # the exact oracle builds leave-one-out sums only for the leavers a pass has:
+    # the empty leaver alone for additions, each member alone for exchanges
+    rng = random.Random(6262 if shape == "add-only" else 6363)
+    scored = 0
+    for inst, _config in differential_cases():
+        exact = make_exact_oracle(inst)
+        oracles = [
+            exact,
+            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01, seed=4)),
+            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=17)),
+            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=18)),
+        ]
+        for current, full in random_move_passes(rng, inst, 6):
+            if shape == "add-only":
+                moves = MovePass((), full.members, full.add_pool)
+            else:
+                moves = MovePass(full.exchange_pool, full.members, ())
+            listed = list(moves)
+            for oracle in oracles:
+                assert list(map(float.hex, score_moves(oracle, current, moves))) == list(
+                    map(float.hex, score_moves(oracle, current, listed))
+                )
+                assert list(map(float.hex, oracle.score_moves(current, moves))) == list(
+                    map(float.hex, oracle.score_moves(current, listed))
+                )
+            counted = [make_counting_oracle(exact) for _ in range(2)]
+            values = [score_moves(counting, current, batch)
+                      for (counting, _stats), batch in zip(counted, (moves, listed))]
+            assert list(map(float.hex, values[0])) == list(map(float.hex, values[1]))
+            (_one, first), (_two, second) = counted
+            assert (first.call_count, first.distinct_count) == (second.call_count, second.distinct_count)
+            scored += len(moves)
+    assert scored > 400
+
+
 @NOISE_SPECS
 def test_batched_scoring_matches_evaluate_fallback(spec):
     for inst, config in differential_cases():
@@ -605,10 +672,10 @@ def test_no_pass_rescores_the_pass_before(make, monkeypatch):
 
     def spy(oracle, current, moves):
         runs[-1].append({current.after_move(*move).ids for move in moves})
-        return score_moves(oracle, current, moves)
+        return best_move(oracle, current, moves)
 
     monkeypatch.setattr(greedy_module, "Assortment", seed)
-    monkeypatch.setattr(greedy_module, "score_moves", spy)
+    monkeypatch.setattr(greedy_module, "best_move", spy)
     pairs = 0
     for inst, config in differential_cases():
         runs.clear()

@@ -198,12 +198,45 @@ class TestReportRoundTrip:
             assert record_from_document(record_to_document(record)) == record
         assert noise == NoiseSpec(mode="seeded-uniform", eps_max=0.01, seed=4)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [{"0_5": 1}, {" +5 ": 1}, {"05": 1}, {"+5": 1}, {"5.0": 1}, {"0": 1}, {"-1": 1},
+         {"٥": 1}, {"5": 1, "05": 2}, {"x": 1}, {"": 1}],
+    )
+    def test_exchange_out_keys_are_canonical_product_ids(self, counts):
+        inst = generate_instance(GeneratorSpec(6, seed=3))
+        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), make_exact_oracle(inst), trace=True)
+        doc = record_to_document(report.traces[0][1][0])
+        assert record_from_document(dict(doc, exchange_out_counts={"5": 1, "12": 2})).exchange_out_counts == {
+            5: 1, 12: 2
+        }
+        with pytest.raises(ValidationError) as exc:
+            record_from_document(dict(doc, exchange_out_counts=counts))
+        assert exc.value.code == "schema"
+
+    @pytest.mark.parametrize("ids", [[True], [1, 2.0], ["3"], [1, None], [[1]], "12", 7, {"1": 1}])
+    def test_id_lists_hold_json_integers(self, ids):
+        inst = generate_instance(GeneratorSpec(6, seed=3))
+        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), make_exact_oracle(inst), trace=True)
+        doc = record_to_document(report.traces[0][1][0])
+        for field in ("pool_before", "assortment_before", "assortment_after"):
+            with pytest.raises(ValidationError) as exc:
+                record_from_document(dict(doc, **{field: ids}))
+            assert exc.value.code == "schema"
+
 
 class Flag(int):
     """An int subclass, which the stdlib writes through ``int.__repr__``."""
 
     def __repr__(self):
         return "Flag()"
+
+
+class Ratio(float):
+    """A float subclass, which the stdlib writes through ``float.__repr__``."""
+
+    def __repr__(self):
+        return "Ratio()"
 
 
 class TestDumpsDocument:
@@ -245,3 +278,64 @@ class TestDumpsDocument:
     )
     def test_edge_cases(self, doc):
         assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    LEAVES = [
+        None, True, False, 0.0, -0.0, 1e16, 5e-324, -1.5e-310, 1.7976931348623157e308,
+        0.1, 2.5, -3.0, 7, -0, 10**30, "", "x", "é\n\"", Ratio(0.5), Ratio(float("nan")),
+        float("nan"), float("inf"), -float("inf"), Flag(2),
+    ]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            LEAVES,
+            {f"k{i}": leaf for i, leaf in enumerate(LEAVES)},
+            [{"a": None, "b": True, "c": 1e16}, {"d": -0.0, "e": 5e-324}, {"f": float("nan")}],
+            {"flat": {"x": False, "y": 0.25}, "list": [None, -0.0], "leaf": 5e-324},
+            {"record": {"step": 3, "added": None, "revenue_after": 2.5, "pool": [1, 2],
+                        "counts": {"7": 1}, "ratio": Ratio(1.0), "inf": float("inf")}},
+            [[None], [True, False], [1e16, -0.0], {"k": Ratio(2.0)}, {"n": -float("inf")}],
+        ],
+        ids=["leaves", "flat-dict", "flat-dicts", "nested", "record", "lists"],
+    )
+    def test_leaves_and_flat_containers(self, doc):
+        # None, bools and floats, alone or in lists and str-keyed dicts of leaves, and
+        # the float subclasses and non-finite floats that such a container may hold
+        assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+        for leaf in self.LEAVES:
+            assert dumps_document(leaf) == json.dumps(leaf, indent=2) + "\n"
+
+    def test_random_documents(self):
+        rng = random.Random(2020)
+        leaves = self.LEAVES + ["a}", "b],\n  {", "\\"]
+        keys = ["k", "id", "weight", "é", "", 1, 2.5, None, True]
+
+        def draw(depth):
+            roll = rng.random()
+            if depth > 3 or roll < 0.3:
+                return rng.choice(leaves)
+            if roll < 0.55:
+                return [draw(depth + 1) for _ in range(rng.randint(0, 4))]
+            if roll < 0.65:
+                return tuple(draw(depth + 1) for _ in range(rng.randint(0, 3)))
+            # mostly str keys, so most dicts take the flat or mixed str-keyed path
+            return {
+                rng.choice(keys) if rng.random() < 0.1 else rng.choice(keys[:5]): draw(depth + 1)
+                for _ in range(rng.randint(0, 4))
+            }
+
+        for _ in range(500):
+            doc = draw(0)
+            assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        # an interpreter without the stdlib's C accelerator writes the same bytes
+        import assortopt.io as io_module
+
+        monkeypatch.setattr(io_module, "c_make_encoder", None)
+        io_module._flat_writer.cache_clear()
+        try:
+            doc = {"products": [{"id": 1, "weight": "0.5", "x": None}], "ids": [3, 1], "f": [1e16, -0.0]}
+            assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
+        finally:
+            io_module._flat_writer.cache_clear()

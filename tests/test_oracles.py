@@ -22,7 +22,7 @@ from assortopt import (
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
-from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, MovePass, score_moves
+from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, MovePass, best_move, score_moves
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -358,6 +358,58 @@ class TestScoreMoves:
     def test_unknown_product_rejected(self):
         with pytest.raises(InvalidAssortmentError):
             score_moves(make_exact_oracle(THREE), Assortment.of([1]), [(9, None)])
+
+    def test_best_move_is_the_first_largest_score(self):
+        # best_move reads the confirm band; it must rank as the full list does, also
+        # for estimates that overshoot their confirmation, ties, and NaN values
+        class Distorted(EvaluateOnly):
+            def __init__(self, oracle, distort):
+                super().__init__(oracle)
+                self.distort = distort
+
+            def score_moves(self, current, moves):
+                return [self.distort(i, self.evaluate(current.after_move(*move)))
+                        for i, move in enumerate(moves)]
+
+        class NanEvaluate(EvaluateOnly):
+            def evaluate(self, assortment):
+                value = super().evaluate(assortment)
+                return math.nan if len(assortment) % 3 == 0 else value
+
+        nan = math.nan
+        distortions = [
+            lambda i, v: v * (1.0 + 1e-6) if i % 5 == 0 else v,  # overshoots the band
+            lambda i, v: round(v, 1),  # ties
+            lambda i, v: nan if i == 0 else v,
+            lambda i, v: nan if i % 4 == 1 else v,
+            lambda i, v: nan,
+            lambda i, v: math.inf if i == 2 else v,
+            lambda i, v: -v,
+        ]
+        rng = random.Random(4711)
+        checked = 0
+        for _ in range(150):
+            inst = random_instance(rng, rng.randint(2, 15))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_moves(rng, inst, current, rng.randint(1, 30))
+            exact = make_exact_oracle(inst)
+            makers = [
+                lambda: exact,
+                lambda: make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01)),
+                lambda: make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=7)),
+                lambda: make_counting_oracle(exact)[0],
+                lambda: EvaluateOnly(exact),
+                lambda: NanEvaluate(exact),
+                *[lambda d=d: Distorted(exact, d) for d in distortions],
+                lambda: Distorted(NanEvaluate(exact), lambda i, v: v),
+            ]
+            for make in makers:
+                values = score_moves(make(), current, moves)
+                index, value = best_move(make(), current, moves)
+                assert index == values.index(max(values))
+                assert value is values[index] or value.hex() == values[index].hex()
+                checked += 1
+        assert checked > 1000
 
     def test_batch_is_confirmed_once_below_the_counter(self):
         rng = random.Random(1357)
