@@ -134,8 +134,11 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     margin trails the top set's weakest member (the anchor) by at most
     delta * u. Its size is piecewise constant between breakpoints (margin
     crossings, zero crossings, and delta-shifted crossings), so one offset
-    inside every interval, each read by ``certified_sweep``, maximizes over
-    the regions exactly. Isolated tie points at the breakpoints themselves
+    inside every interval maximizes over the regions exactly. All of them
+    are read by ``certified_sweep``, which ranks the offsets its gap lines
+    predict a change near and fills the rest unranked; the lines are those
+    of ``top_with_gaps`` plus the two slack gaps either side of the slack
+    set's boundary, whose slope carries ``delta``. Isolated tie points at the breakpoints themselves
     are not counted: the size there exceeds the neighboring regions only by
     exact-tie coincidences, which is also what keeps this in agreement with
     a dense grid scan. Offsets with an empty top set contribute nothing.
@@ -147,23 +150,29 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     if delta != 0.0:
         points = sorted(set(points) | set(margin_breakpoints(instance, delta)))
 
-    def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list[float]]:
+    weight = {p.id: p.weight for p in instance.products}
+
+    def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list[tuple[float, float]]]:
         # the value is the top list and the slack set, a prefix of the ranking:
         # anchor + key, how far a margin trails the anchor, is monotone along it.
         # The slack gaps delta * u - (anchor + key) either side of its boundary
-        # are lines in u while the anchor holds
-        top, gaps = top_with_gaps(ranked, size)
+        # are lines in u while the anchor holds, of slope delta plus or minus the
+        # gap in weight
+        top, lines = top_with_gaps(ranked, size, weight)
         if not top:
-            return (top, frozenset()), gaps
+            return (top, frozenset()), lines
         anchor, limit = -ranked[len(top) - 1][0], delta * u
+        anchor_weight = weight[ranked[len(top) - 1][1]]
         within = len(top)
         while within < len(ranked) and anchor + ranked[within][0] <= limit:
             within += 1
         if within > len(top):
-            gaps.append(limit - (anchor + ranked[within - 1][0]))
+            key, pid = ranked[within - 1]
+            lines.append((limit - (anchor + key), delta - (weight[pid] - anchor_weight)))
         if within < len(ranked):
-            gaps.append(anchor + ranked[within][0] - limit)
-        return (top, frozenset(pid for _, pid in ranked[:within])), gaps
+            key, pid = ranked[within]
+            lines.append((anchor + key - limit, weight[pid] - anchor_weight - delta))
+        return (top, frozenset(pid for _, pid in ranked[:within])), lines
 
     sweep = certified_sweep(instance, interval_offsets(points), read)
     return max((len(slack) for _, slack in sweep), default=0)

@@ -124,10 +124,18 @@ def _format_float(value: float) -> str:
 def _parse_float(value: Any, what: str, code: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValidationError(f"{what} must be a number or decimal string", code=code)
+    if isinstance(value, str) and not _plain_decimal(value):
+        raise ValidationError(f"{what} is not a valid decimal: {value!r}", code=code)
     try:
         return float(value)
     except ValueError:
         raise ValidationError(f"{what} is not a valid decimal: {value!r}", code=code) from None
+
+
+def _plain_decimal(text: str) -> bool:
+    """Whether ``text`` has none of what ``float`` reads but ignores: surrounding
+    whitespace and ``_`` between digits. ``"10"`` is plain; ``" 10"`` and ``"1_0"`` are not."""
+    return "_" not in text and text == text.strip()
 
 
 @contextmanager
@@ -161,7 +169,7 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
     """
     if isinstance(document, (str, bytes)):
         try:
-            document = json.loads(document)
+            document = json.loads(document, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"not valid JSON: {exc}", code="schema") from None
     if not isinstance(document, dict):
@@ -188,7 +196,12 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
         if pid in seen_ids:
             raise ValidationError(f"duplicate product id {pid}", code="duplicate-id")
         seen_ids.add(pid)
-        if type(raw_weight) is str and type(raw_price) is str:  # as every document writes them
+        if (  # as every document writes them
+            type(raw_weight) is str
+            and type(raw_price) is str
+            and _plain_decimal(raw_weight)
+            and _plain_decimal(raw_price)
+        ):
             try:
                 products.append(Product(pid, float(raw_weight), float(raw_price)))
                 continue
@@ -213,12 +226,24 @@ def serialize_instance(instance: Instance, metadata: dict | None = None) -> str:
     return dumps_document(instance_to_document(instance, metadata))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The ``object_pairs_hook`` of every document read: an object that names a key
+    twice, which ``json.loads`` would quietly give its last value, is a schema error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValidationError(f"key {repeated!r} appears twice in one object", code="schema")
+    return obj
+
+
 def _load_json(path: str) -> Any:
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8 or not JSON are schema errors."""
+    """Parse a UTF-8 JSON file; bytes that are not UTF-8 or not JSON, and an object
+    with a repeated key, are schema errors."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not valid JSON: {exc}", code="schema") from None
 

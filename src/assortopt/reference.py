@@ -231,8 +231,8 @@ def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ..
     probing 0, each breakpoint and one offset inside each interval between
     them finds every member (the empty set appears past the largest price).
     One ``top_id_sweep`` reads the top list under the capacity at every
-    probe; it ranks only the probes its bisection cannot certify, and a
-    certified stretch takes the list of both its ends, exactly what ranking
+    probe; it ranks only the probes its certified sweep cannot fill, and a
+    filled stretch takes the list of both its ends, exactly what ranking
     each probe would give. The top set under cap k is the first k of the
     top list under the capacity, so a probe whose list repeats the previous
     probe's adds none; probing in ascending order makes most probes such

@@ -16,17 +16,22 @@ margin, and ``top_ids`` the only place a top set is read off a ranking.
 The revenue fixed point ``mnl_opt`` ranks one offset per step. The
 candidate sets (``top_id_sweep``) and the slack-set sizes of the noise
 analysis are two readers of ``certified_sweep``, which ranks only where a
-reader's value can change. It bisects the ascending offsets and fills a
-stretch without ranking it when both ends give the same value with every
-gap that decides it wider than ``margin_band``: those gaps are linear or
-concave in u, so they stay wide inside the stretch, far above the
+reader's value can change. It fills a stretch of the ascending offsets
+without ranking it when both ends give the same value with every gap that
+decides it wider than the stretch's band (``stretch_band``): those gaps are
+linear or concave in u, so they stay wide inside the stretch, far above the
 rounding of the keys, and every skipped ranking would read the same value.
+Each gap comes with its slope in u, so a stretch that cannot be filled is
+split where the gap lines of its left end predict the value to change,
+rather than always at its middle.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
+from operator import gt
 from typing import Any, Callable, Iterable
 
 from .instance import Assortment, Instance
@@ -72,69 +77,122 @@ def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
 def certified_sweep(instance: Instance, offsets: Iterable[float], read: Callable) -> list[Any]:
     """The value ``read(u, margin_ranking(instance, u))`` gives at each u in ascending ``offsets``.
 
-    ``read`` returns a value and the gaps that decide it. The sweep ranks
-    the first and last offset, then bisects: a stretch between two ranked
-    offsets is filled with their common value, unranked, when every gap at
-    both ends exceeds the band (``margin_band`` at the largest |offset|),
-    and otherwise its middle offset is ranked. Each gap must be a line in
-    u, or a minimum of lines, while the value holds, so it is concave and
-    stays above the band inside the stretch. The band dwarfs the rounding
-    of ``(u - price) * weight`` (about 1e-16 of the same scale), so every
-    skipped ranking reads the same value. Gaps are tested with ``>``, so a
-    NaN never certifies. Filled offsets share one value.
+    ``read`` returns a value and the lines of the gaps that decide it, each as
+    ``(gap at u, slope in u)``. The sweep ranks the first and last offset,
+    then splits: a stretch between two ranked offsets is filled with their
+    common value, unranked, when every gap at both ends exceeds the
+    stretch's band (``stretch_band`` at the larger |offset| of its ends).
+    Each gap must be a line in u, or a minimum of lines, while the value
+    holds, so it is concave and stays above the band inside the stretch.
+    The band dwarfs the rounding of ``(u - price) * weight`` there (about
+    1e-16 of the same scale), so every skipped ranking reads the same
+    value. Gaps are tested with ``>``, so a NaN never certifies. Filled
+    offsets share one value.
+
+    Any other stretch is split at one ranked offset. When its left end is
+    clear, the split is predicted from that end's lines (``_predicted_split``):
+    the last offset before the first falling line reaches the band, up to
+    which the value should hold, or, when that line crosses before the next
+    offset, the first offset past the crossing. When no line predicts a
+    crossing inside, or the left end is not clear, the split is the middle
+    offset. A predicted split that turns out not clear has both its halves
+    split at the middle, so a run of unclear offsets is bisected rather than
+    stepped through. A split only decides which offsets get ranked, never a
+    value.
     """
     offsets = list(offsets)
     if not offsets:
         return []
-    if any(b < a for a, b in zip(offsets, offsets[1:])):
+    if any(map(gt, offsets, offsets[1:])):
         raise ValueError("certified_sweep needs ascending offsets")
-    # floored at the smallest normal float: below it keys round by an absolute
-    # amount rather than a relative one
-    band = max(
-        margin_band(instance, max(abs(offsets[0]), abs(offsets[-1]))), sys.float_info.min
-    )
+    band_base, band_per_unit = stretch_band(instance)
     values: list[Any] = [None] * len(offsets)
-    clear = [False] * len(offsets)
+    lines: list[Any] = [None] * len(offsets)
+    narrowest = [math.nan] * len(offsets)  # each ranked offset's smallest gap, NaN if any is
 
     def rank(i: int) -> None:
-        values[i], gaps = read(offsets[i], margin_ranking(instance, offsets[i]))
-        clear[i] = all(gap > band for gap in gaps)
+        values[i], lines[i] = read(offsets[i], margin_ranking(instance, offsets[i]))
+        low = math.inf
+        for gap, _ in lines[i]:
+            if not gap >= low:  # smaller, or NaN, which is kept as the answer
+                low = gap
+                if gap != gap:
+                    break
+        narrowest[i] = low
 
     last = len(offsets) - 1
     rank(0)
     rank(last)
-    stretches = [(0, last)]
+    stretches = [(0, last, False)] if last > 1 else []  # (i, j, halve) with offsets inside
     while stretches:
-        i, j = stretches.pop()
-        if j - i < 2:
-            continue
-        if clear[i] and clear[j] and values[i] == values[j]:
+        i, j, halve = stretches.pop()
+        reach = -offsets[i] if -offsets[i] > offsets[j] else offsets[j]  # the larger |offset|
+        band = band_base + band_per_unit * reach
+        clear = narrowest[i] > band
+        if clear and narrowest[j] > band and values[i] == values[j]:
             values[i + 1 : j] = [values[i]] * (j - i - 1)
             continue
-        mid = (i + j) // 2
-        rank(mid)
-        stretches += [(mid, j), (i, mid)]
+        split = None if halve or not clear else _predicted_split(offsets, i, j, band, lines[i])
+        predicted = split is not None
+        if not predicted:
+            split = (i + j) // 2
+        rank(split)
+        halve = predicted and not narrowest[split] > band  # a prediction that missed
+        if j - split > 1:
+            stretches.append((split, j, halve))
+        if split - i > 1:
+            stretches.append((i, split, halve))
     return values
+
+
+def _predicted_split(
+    offsets: list[float], i: int, j: int, band: float, lines: list[tuple[float, float]]
+) -> int | None:
+    """The offset to rank inside stretch (i, j) of a sweep, from the gap lines of its clear
+    left end: the last offset before the earliest falling line reaches ``band``, where the
+    value should still hold; or, when that comes before the next offset, the first offset
+    past where the line falls below ``-band``, just past the crossing. None when no line
+    reaches the band inside the stretch or the crossing outlasts it."""
+    # how far past offsets[i] the first falling line falls to the band, and that line
+    when, first = math.inf, None
+    for gap, slope in lines:
+        if slope < 0.0 and (band - gap) / slope < when:
+            when, first = (band - gap) / slope, (gap, slope)
+    reach = offsets[i] + when
+    if not reach < offsets[j]:
+        return None
+    split = bisect_left(offsets, reach, i + 1, j) - 1
+    if split == i:
+        gap, slope = first
+        split = bisect_right(offsets, offsets[i] - (gap + band) / slope, i + 1, j)
+    return split if split < j else None
 
 
 def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> list[list[int]]:
     """``top_ids(margin_ranking(instance, u), size)`` at each u in ascending ``offsets``."""
-    return certified_sweep(instance, offsets, lambda u, ranked: top_with_gaps(ranked, size))
+    weight = {p.id: p.weight for p in instance.products}
+    return certified_sweep(instance, offsets, lambda u, ranked: top_with_gaps(ranked, size, weight))
 
 
-def top_with_gaps(ranked: list[tuple[float, int]], size: int) -> tuple[list[int], list[float]]:
-    """``top_ids(ranked, size)`` and the gaps that decide it: each adjacent key gap among
-    the members and the first outsider, the weakest member's margin and, when fewer than
-    ``size`` margins are positive, the first outsider's key. A gap up to the first outsider
-    is a minimum of lines in u, every other gap a line."""
+def top_with_gaps(
+    ranked: list[tuple[float, int]], size: int, weight: dict[int, float]
+) -> tuple[list[int], list[tuple[float, float]]]:
+    """``top_ids(ranked, size)`` and the lines ``(gap, slope)`` of the gaps that decide it:
+    each adjacent key gap among the members and the first outsider, the weakest member's
+    margin and, when fewer than ``size`` margins are positive, the first outsider's key. A
+    key's slope in u is its product's ``weight``. A gap up to the first outsider is a minimum
+    of lines in u, every other gap a line."""
     top = top_ids(ranked, size)
-    keys = [key for key, _ in ranked[: len(top) + 1]]
-    gaps = [b - a for a, b in zip(keys, keys[1:])]
+    lines = []
+    for (key, pid), (next_key, next_pid) in zip(ranked, ranked[1 : len(top) + 1]):
+        lines.append((next_key - key, weight[next_pid] - weight[pid]))
     if top:
-        gaps.append(-keys[len(top) - 1])
-    if len(top) < size and len(keys) > len(top):
-        gaps.append(keys[len(top)])
-    return top, gaps
+        key, pid = ranked[len(top) - 1]
+        lines.append((-key, -weight[pid]))
+    if len(top) < size and len(ranked) > len(top):
+        key, pid = ranked[len(top)]
+        lines.append((key, weight[pid]))
+    return top, lines
 
 
 def margin_band(instance: Instance, u: float) -> float:
@@ -142,6 +200,19 @@ def margin_band(instance: Instance, u: float) -> float:
     of the largest ``(price + u) * weight``, the scale of every margin there (0 for
     no products)."""
     return CONFIRM_BAND * max(((p.price + u) * p.weight for p in instance.products), default=0.0)
+
+
+def stretch_band(instance: Instance) -> tuple[float, float]:
+    """``(base, per_unit)`` of a band ``base + per_unit * reach`` no narrower than
+    ``margin_band(instance, u)`` at any |u| <= reach: ``CONFIRM_BAND`` of
+    ``max price * weight + reach * max weight``, since prices are >= 0. The two maxima are
+    taken once, here. The band is padded by a relative 1e-12 against its own rounding, and
+    its base is at least the smallest normal float: below it keys round by an absolute
+    amount rather than a relative one."""
+    scale = CONFIRM_BAND * (1.0 + 1e-12)
+    top_value = max((p.price * p.weight for p in instance.products), default=0.0)
+    top_weight = max((p.weight for p in instance.products), default=0.0)
+    return max(scale * top_value, sys.float_info.min), scale * top_weight
 
 
 def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:

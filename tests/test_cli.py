@@ -504,6 +504,24 @@ def _set_first_pool_id(value):
     return lambda doc: doc["result"]["traces"][0]["records"][0]["pool_before"].__setitem__(0, value)
 
 
+def _repeat_oracle_calls(doc):
+    """The report's JSON text with ``oracle_calls`` named twice, a string before the count."""
+    return json.dumps(doc).replace(
+        '"oracle_calls": ', '"oracle_calls": "not a number", "oracle_calls": ', 1
+    )
+
+
+def _repeat_exchange_out_key(doc):
+    _set_first_record(exchange_out_counts={"5": 1})(doc)
+    return json.dumps(doc).replace('{"5": 1}', '{"5": 1, "5": 2}', 1)
+
+
+def _instance_bytes(weight, price):
+    return json.dumps(
+        {"schema_version": "1", "products": [{"id": 1, "weight": weight, "price": price}]}
+    ).encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "command, tamper, expected_code",
     [
@@ -539,6 +557,13 @@ def _set_first_pool_id(value):
         # an exchange-out key is the canonical decimal of one product id
         (["verify"], _set_first_record(exchange_out_counts={"0_5": 1}), "schema"),
         (["verify"], _set_first_record(exchange_out_counts={"5": 1, " +5 ": 1}), "schema"),
+        # a repeated key is refused, not merged into its last value
+        (["verify"], _repeat_oracle_calls, "schema"),
+        (["verify"], _repeat_exchange_out_key, "schema"),
+        (["solve", "--C", "1"], b'{"schema_version": "1", "schema_version": "1"}', "schema"),
+        # a weight or price is read as written: no surrounding whitespace, no "_"
+        (["solve", "--C", "1"], _instance_bytes(" 0.5 ", "2.0"), "bad-weight"),
+        (["solve", "--C", "1"], _instance_bytes("0.5", "1_0"), "bad-price"),
     ],
     ids=[
         "exact-past-enumeration-cap",
@@ -570,6 +595,11 @@ def _set_first_pool_id(value):
         "verify-bool-in-pool-before",
         "verify-exchange-out-key-not-canonical",
         "verify-two-exchange-out-keys-for-one-product",
+        "verify-repeated-oracle-calls",
+        "verify-repeated-exchange-out-key",
+        "solve-repeated-instance-key",
+        "solve-weight-with-whitespace",
+        "solve-price-with-underscore",
     ],
 )
 def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):
@@ -590,8 +620,12 @@ def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, 
         )
         assert code == 0
         doc = json.loads(path.read_text())
-        tamper(doc)
-        path.write_text(json.dumps(doc))
+        text = tamper(doc)  # the tampered text, or None when ``doc`` was changed in place
+        if isinstance(text, str):
+            json.loads(text)  # still JSON: only a key repeats
+            path.write_text(text)
+        else:
+            path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
     assert code == 3
     assert out == ""

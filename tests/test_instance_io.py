@@ -107,6 +107,11 @@ class TestInstanceFiles:
             (lambda d: d["products"][0].update(weight="-1.0"), "bad-weight"),
             (lambda d: d["products"][0].update(price="-0.5"), "bad-price"),
             (lambda d: d.update(capacity=7), "bad-capacity"),
+            # float() reads these, but they are not the decimal a document writes
+            (lambda d: d["products"][0].update(weight=" 1.0 "), "bad-weight"),
+            (lambda d: d["products"][0].update(weight="1.0\n"), "bad-weight"),
+            (lambda d: d["products"][0].update(price="1_0"), "bad-price"),
+            (lambda d: d["products"][0].update(weight=1.0, price="\t1.0"), "bad-price"),
         ],
     )
     def test_rejection_codes(self, mutate, code):
@@ -118,6 +123,31 @@ class TestInstanceFiles:
         with pytest.raises(ValidationError) as exc:
             parse_instance(doc)
         assert exc.value.code == code
+
+    def test_integer_decimal_is_accepted(self):
+        """"10" is no repr of a float, but it is a plain decimal: only text that float()
+        reads but ignores (whitespace, "_") is refused, not every non-repr form."""
+        inst, _ = parse_instance(
+            '{"schema_version": "1", "products": [{"id": 1, "weight": "10", "price": "2"}]}'
+        )
+        assert (inst.weight(1), inst.price(1)) == (10.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema_version": "1", "schema_version": "1", "products": []}',
+            '{"schema_version": "1", "products": [{"id": 1, "weight": "1.0", "price": "2.0",'
+            ' "price": "3.0"}]}',
+            '{"schema_version": "1", "products": [], "metadata": {"a": 1, "a": 1}}',
+        ],
+        ids=["top-level", "in-a-product", "in-metadata"],
+    )
+    def test_repeated_key_is_a_schema_error(self, text):
+        """json.loads keeps the last copy of a repeated key; a document must name it once."""
+        for document in (text, text.encode("utf-8")):
+            with pytest.raises(ValidationError, match="appears twice") as exc:
+                parse_instance(document)
+            assert exc.value.code == "schema"
 
     def test_round_trip_is_identity_on_canonical_form(self):
         rng = random.Random(8080)

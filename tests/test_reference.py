@@ -29,6 +29,7 @@ from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.instance import optimum_key
 from assortopt.reference import revenues_agree
 from assortopt.transform import (
+    certified_sweep,
     interval_offsets,
     margin_band,
     margin_breakpoints,
@@ -37,6 +38,7 @@ from assortopt.transform import (
     top_ids,
     top_margin_set,
     top_set_with_slack,
+    top_with_gaps,
 )
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -230,6 +232,79 @@ class TestCandidateSweep:
         with pytest.raises(ValueError):
             top_id_sweep(THREE, [2.0, 1.0], 2)
 
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_top_id_sweep_on_mixed_sign_offsets(self, family):
+        """Each stretch's band is taken at the larger |offset| of its two ends, which must
+        bound the rounding of every key inside it on either side of 0 as well."""
+        rng = random.Random(family.__name__)
+        for _ in range(30):
+            inst = family(rng)
+            probes = probe_offsets(inst)
+            offsets = sorted({*probes, *(-u for u in probes), -2.0 * max(probes) - 1.0})
+            fresh = [margin_ranking(inst, u) for u in offsets]
+            for k in range(-1, inst.n + 2):
+                assert top_id_sweep(inst, offsets, k) == [top_ids(r, k) for r in fresh]
+
+    @pytest.mark.parametrize(
+        "lines",
+        [[(math.nan, -1.0)], [(math.nan, 0.0), (1e300, -1.0)], [(1e300, 1.0), (math.nan, 1.0)]],
+        ids=["nan-alone", "nan-first", "nan-last"],
+    )
+    def test_a_nan_gap_never_certifies(self, lines):
+        offsets = [0.25 * i for i in range(40)]
+        read_at = []
+
+        def read(u, ranked):
+            read_at.append(u)
+            return "same", list(lines)
+
+        assert certified_sweep(THREE, offsets, read) == ["same"] * len(offsets)
+        assert sorted(read_at) == offsets
+
+    @pytest.mark.parametrize(
+        "slope",
+        [lambda s, rng: abs(s), lambda s, rng: 0.0, lambda s, rng: -1e300, lambda s, rng: rng.uniform(-3, 3)],
+        ids=["none-falling", "flat", "all-falling-steeply", "random"],
+    )
+    def test_the_slopes_only_choose_which_offsets_are_ranked(self, slope):
+        """A reader whose lines have no falling slope, or slopes that predict nothing true,
+        still gives the values of ranking every probe: a slope steers a split, never a fill."""
+        rng = random.Random(21)
+        for family in SWEEP_FAMILIES:
+            for _ in range(10):
+                inst = family(rng)
+                offsets = sorted(probe_offsets(inst))
+                weight = {p.id: p.weight for p in inst.products}
+                for k in range(inst.n + 1):
+
+                    def read(u, ranked):
+                        top, lines = top_with_gaps(ranked, k, weight)
+                        return top, [(gap, slope(s, rng)) for gap, s in lines]
+
+                    expected = [top_ids(margin_ranking(inst, u), k) for u in offsets]
+                    assert certified_sweep(inst, offsets, read) == expected
+
+    def test_probe_count_pins(self, monkeypatch):
+        """Ranked probes on one generated instance (N = 12, 122 probes, size 4): bisecting
+        from a band at the largest offset ranked 28 for the top lists and 35 for the slack
+        sets at delta = 0.1."""
+        rng = random.Random(generated.__name__)
+        inst = [generated(rng) for _ in range(2)][1]
+        offsets = sorted(probe_offsets(inst))
+        calls = []
+
+        def counting_ranking(instance, u):
+            calls.append(u)
+            return margin_ranking(instance, u)
+
+        monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
+        assert (inst.n, len(offsets)) == (12, 122)
+        top_id_sweep(inst, offsets, 4)
+        assert len(calls) == 19
+        calls.clear()
+        max_slack_set_size(inst, 4, 0.1)
+        assert len(calls) == 25
+
     def test_candidate_set_opt_ranks_under_a_third_of_its_probes(self, monkeypatch):
         inst = generate_instance(GeneratorSpec(60, seed=8))
         points = margin_breakpoints(inst)
@@ -337,6 +412,22 @@ class TestSlackSweep:
         max_slack_set_size(inst, 10, delta)
         assert probes == 11_268
         assert 0 < len(calls) < probes / 5
+
+    @pytest.mark.parametrize("n, size, ranked", [(300, 245, 865), (600, 498, 1_428)])
+    def test_probe_count_pins(self, monkeypatch, n, size, ranked):
+        """Bisecting from one band at the largest offset ranked 2,622 probes at N = 300 and
+        288,813 at N = 600."""
+        inst = generate_instance(GeneratorSpec(n, seed=1))
+        delta = 2.0 * slack_cap(inst, 10, 0.01)
+        calls = []
+
+        def counting_ranking(instance, u):
+            calls.append(u)
+            return margin_ranking(instance, u)
+
+        monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
+        assert max_slack_set_size(inst, 10, delta) == size
+        assert len(calls) == ranked
 
 
 class TestCandidateSetSolver:
