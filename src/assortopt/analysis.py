@@ -138,10 +138,11 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     are read by ``certified_sweep``, which ranks the offsets its gap lines
     predict a change near and fills the rest unranked; the lines are those
     of ``top_with_gaps`` plus the two slack gaps either side of the slack
-    set's boundary, whose slope carries ``delta``. Isolated tie points at the breakpoints themselves
-    are not counted: the size there exceeds the neighboring regions only by
-    exact-tie coincidences, which is also what keeps this in agreement with
-    a dense grid scan. Offsets with an empty top set contribute nothing.
+    set's boundary, whose slope carries ``delta``. Isolated tie points at
+    the breakpoints themselves are not counted: the size there exceeds the
+    neighboring regions only by exact-tie coincidences, which is also what
+    keeps this in agreement with a dense grid scan. Offsets with an empty
+    top set contribute nothing.
     ``delta`` must be a number >= 0 (inf allowed: every product joins).
     """
     if not delta >= 0:
@@ -152,7 +153,7 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
 
     weight = {p.id: p.weight for p in instance.products}
 
-    def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list[tuple[float, float]]]:
+    def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list]:
         # the value is the top list and the slack set, a prefix of the ranking:
         # anchor + key, how far a margin trails the anchor, is monotone along it.
         # The slack gaps delta * u - (anchor + key) either side of its boundary

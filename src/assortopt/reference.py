@@ -243,12 +243,10 @@ def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ..
     if capacity == 0:
         return sets
     points = margin_breakpoints(instance)
-    previous = None
-    for top in top_id_sweep(instance, sorted({0.0, *points, *interval_offsets(points)}), capacity):
-        if top != previous:
-            previous = top
-            for k in range(1, capacity + 1):
-                sets[k].add(tuple(sorted(top[:k])))
+    offsets = sorted({0.0, *points, *interval_offsets(points)})
+    for top, _ in itertools.groupby(top_id_sweep(instance, offsets, capacity)):
+        for k in range(1, capacity + 1):
+            sets[k].add(tuple(sorted(top[:k])))
     return sets
 
 

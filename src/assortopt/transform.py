@@ -28,6 +28,7 @@ rather than always at its middle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -184,8 +185,11 @@ def top_with_gaps(
     of lines in u, every other gap a line."""
     top = top_ids(ranked, size)
     lines = []
-    for (key, pid), (next_key, next_pid) in zip(ranked, ranked[1 : len(top) + 1]):
-        lines.append((next_key - key, weight[next_pid] - weight[pid]))
+    if ranked:
+        key, pid = ranked[0]
+        for next_key, next_pid in ranked[1 : len(top) + 1]:
+            lines.append((next_key - key, weight[next_pid] - weight[pid]))
+            key, pid = next_key, next_pid
     if top:
         key, pid = ranked[len(top) - 1]
         lines.append((-key, -weight[pid]))
@@ -254,22 +258,18 @@ def margin_breakpoints(instance: Instance, delta: float = 0.0) -> list[float]:
     visited once: float subtraction is exactly antisymmetric, so (b, a)
     would give a quotient equal to that of (a, b), which is added first.
     """
-    points: set[float] = set()
-    products = instance.products
-    for prod in products:
-        points.add(prod.price)
-    for a_idx in range(len(products)):
-        for b_idx in range(a_idx + 1 if delta == 0.0 else 0, len(products)):
-            if a_idx == b_idx:
-                continue
-            pa, pb = products[a_idx], products[b_idx]
-            # crossing of margin lines a and b, offset by delta * u:
-            # (pa.price - u) pa.weight - (pb.price - u) pb.weight = delta * u
-            denom = pa.weight - pb.weight + delta
-            if denom != 0.0:
-                u = (pa.price * pa.weight - pb.price * pb.weight) / denom
-                if math.isfinite(u) and u >= 0.0:
-                    points.add(u)
+    points = {p.price for p in instance.products}
+    # each margin line (price - u) * weight as (price * weight, weight)
+    lines = [(p.price * p.weight, p.weight) for p in instance.products]
+    pairs = itertools.combinations(lines, 2) if delta == 0.0 else itertools.permutations(lines, 2)
+    for (value_a, weight_a), (value_b, weight_b) in pairs:
+        # crossing of margin lines a and b, offset by delta * u:
+        # (price_a - u) weight_a - (price_b - u) weight_b = delta * u
+        denom = weight_a - weight_b + delta
+        if denom != 0.0:
+            u = (value_a - value_b) / denom
+            if math.isfinite(u) and u >= 0.0:
+                points.add(u)
     return sorted(points)
 
 

@@ -263,7 +263,12 @@ class TestCandidateSweep:
 
     @pytest.mark.parametrize(
         "slope",
-        [lambda s, rng: abs(s), lambda s, rng: 0.0, lambda s, rng: -1e300, lambda s, rng: rng.uniform(-3, 3)],
+        [
+            lambda s, rng: abs(s),
+            lambda s, rng: 0.0,
+            lambda s, rng: -1e300,
+            lambda s, rng: rng.uniform(-3.0, 3.0),
+        ],
         ids=["none-falling", "flat", "all-falling-steeply", "random"],
     )
     def test_the_slopes_only_choose_which_offsets_are_ranked(self, slope):
