@@ -18,7 +18,9 @@ serialization.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import ValidationError
@@ -164,16 +166,14 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
             return (top, frozenset()), lines
         anchor, limit = -ranked[len(top) - 1][0], delta * u
         anchor_weight = weight[ranked[len(top) - 1][1]]
-        within = len(top)
-        while within < len(ranked) and anchor + ranked[within][0] <= limit:
-            within += 1
+        within = bisect_right(ranked, limit, len(top), key=lambda entry: anchor + entry[0])
         if within > len(top):
             key, pid = ranked[within - 1]
             lines.append((limit - (anchor + key), delta - (weight[pid] - anchor_weight)))
         if within < len(ranked):
             key, pid = ranked[within]
             lines.append((anchor + key - limit, weight[pid] - anchor_weight - delta))
-        return (top, frozenset(pid for _, pid in ranked[:within])), lines
+        return (top, frozenset(map(itemgetter(1), ranked[:within]))), lines
 
     sweep = certified_sweep(instance, interval_offsets(points), read)
     return max((len(slack) for _, slack in sweep), default=0)

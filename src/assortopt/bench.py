@@ -86,7 +86,7 @@ def _noise(eps: float, seed: int) -> NoiseSpec:
     """The oracle noise at ``eps`` for the instance drawn from ``seed``."""
     if eps == 0.0:
         return NoiseSpec()
-    return NoiseSpec(mode="seeded-uniform", eps_max=eps, seed=derive_seed("noise", seed))
+    return NoiseSpec(mode="seeded-uniform", eps=eps, seed=derive_seed("noise", seed))
 
 
 def _run_group(
@@ -109,7 +109,7 @@ def _run_group(
         instance = generate_instance(GeneratorSpec(n, seed=seed))
         opt = mnl_opt(instance, capacity)
         noise = _noise(eps, seed)
-        bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
+        bound = compute_bounds(instance, capacity, noise.eps, opt)
         oracle = make_oracle(instance, noise)
         auto = None
         if None in budgets:

@@ -68,19 +68,6 @@ def _capacity(args: argparse.Namespace, instance: Instance) -> int:
     return capacity
 
 
-def _noise_from_args(args: argparse.Namespace) -> NoiseSpec:
-    mode = args.noise_mode
-    if mode == "fixed":
-        return NoiseSpec(mode="fixed", eps_fixed=args.eps, seed=args.seed)
-    if mode == "seeded-uniform":
-        return NoiseSpec(mode="seeded-uniform", eps_max=args.eps, seed=args.seed)
-    if args.eps != 0.0:
-        raise ValidationError(
-            f"--eps {args.eps!r} needs --noise-mode fixed or seeded-uniform", code="bad-noise"
-        )
-    return NoiseSpec()
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = GeneratorSpec(
         n=args.N,
@@ -112,7 +99,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     capacity = _capacity(args, instance)
     budget = args.b if args.b is not None else capacity + 1
     config = GreedyConfig(seed_size=args.S, capacity=capacity, exchange_budget=budget)
-    noise = _noise_from_args(args)
+    # the noise seed is read only by seeded-uniform noise; mode none writes it as 0
+    noise = NoiseSpec(args.noise_mode, args.eps, args.seed if args.noise_mode != "none" else 0)
     oracle = make_oracle(instance, noise)
 
     start = time.perf_counter()
@@ -141,13 +129,13 @@ def _derived_sections(
     opt = gap = bound = delta_cap = None
     violations: list[TraceViolation] = []
     if result.traces is not None:
-        delta_cap = slack_cap(instance, capacity, noise.eps_bound)
+        delta_cap = slack_cap(instance, capacity, noise.eps)
         for _seed, records in result.traces:
             violations.extend(check_trace_invariants(instance, records, delta_cap))
     if exact:
         opt = mnl_opt(instance, capacity)
         gap = realized_gap(instance, result.best_assortment, opt)
-        bound = compute_bounds(instance, capacity, noise.eps_bound, opt)
+        bound = compute_bounds(instance, capacity, noise.eps, opt)
     sections = io_mod.derived_sections_to_document(opt, gap, bound, len(violations), delta_cap)
     return sections, opt, gap, bound, violations
 
@@ -170,7 +158,7 @@ def _optimum_claim_problems(
     """
     if config.seed_size != 0:
         return []
-    if noise.eps_bound > 0.0:
+    if noise.eps > 0.0:
         if bound.holds(gap) is False:
             return [f"realized gap {gap!r} exceeds the gap bound {bound.f_value!r}"]
     elif config.exchange_budget > config.capacity and not revenues_agree(
@@ -360,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--eps", type=float, default=0.0,
-        help="eps_fixed for fixed mode, eps_max for seeded-uniform",
+        help="noise level: the factor of fixed mode, the largest factor of seeded-uniform",
     )
     solve.add_argument("--seed", type=int, default=0, help="noise seed")
     solve.add_argument("--trace", action="store_true", help="record per-step trace")

@@ -121,21 +121,21 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_float(value: Any, what: str, code: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValidationError(f"{what} must be a number or decimal string", code=code)
-    if isinstance(value, str) and not _plain_decimal(value):
-        raise ValidationError(f"{what} is not a valid decimal: {value!r}", code=code)
-    try:
-        return float(value)
-    except ValueError:
-        raise ValidationError(f"{what} is not a valid decimal: {value!r}", code=code) from None
-
-
-def _plain_decimal(text: str) -> bool:
-    """Whether ``text`` has none of what ``float`` reads but ignores: surrounding
-    whitespace and ``_`` between digits. ``"10"`` is plain; ``" 10"`` and ``"1_0"`` are not."""
-    return "_" not in text and text == text.strip()
+def _parse_float(value: Any, code: str, what: str, *args: Any) -> float:
+    """``value`` as a float: a JSON number, or a decimal string with none of what
+    ``float`` reads but ignores (surrounding whitespace, ``_`` between digits), so
+    ``"10"`` is read and ``" 10"`` and ``"1_0"`` are refused. A refusal raises
+    ``code``; its message names the field as ``what % args``, built only then."""
+    if isinstance(value, str):
+        if "_" not in value and value == value.strip():
+            try:
+                return float(value)
+            except ValueError:
+                pass
+        raise ValidationError(f"{what % args} is not a valid decimal: {value!r}", code=code)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what % args} must be a number or decimal string", code=code)
+    return float(value)
 
 
 @contextmanager
@@ -183,7 +183,6 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
         raise ValidationError("products must be a list", code="schema")
 
     products = []
-    seen_ids: set[int] = set()
     for entry in raw_products:
         try:
             pid, raw_weight, raw_price = entry["id"], entry["weight"], entry["price"]
@@ -191,35 +190,16 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
             raise ValidationError(
                 "each product needs id, weight and price fields", code="schema"
             ) from None
-        if type(pid) is not int or pid < 1:  # a JSON integer; bool is not one
-            raise ValidationError(f"product id must be a positive integer: {pid!r}", code="schema")
-        if pid in seen_ids:
-            raise ValidationError(f"duplicate product id {pid}", code="duplicate-id")
-        seen_ids.add(pid)
-        if (  # as every document writes them
-            type(raw_weight) is str
-            and type(raw_price) is str
-            and _plain_decimal(raw_weight)
-            and _plain_decimal(raw_price)
-        ):
-            try:
-                products.append(Product(pid, float(raw_weight), float(raw_price)))
-                continue
-            except ValueError:
-                pass  # the readers below raise the error for the first bad one
-        weight = _parse_float(raw_weight, f"product {pid} weight", "bad-weight")
-        price = _parse_float(raw_price, f"product {pid} price", "bad-price")
+        weight = _parse_float(raw_weight, "bad-weight", "product %s weight", pid)
+        price = _parse_float(raw_price, "bad-price", "product %s price", pid)
         products.append(Product(pid, weight, price))
-
-    capacity = document.get("capacity")
-    if capacity is not None and (isinstance(capacity, bool) or not isinstance(capacity, int)):
-        raise ValidationError(f"capacity must be an integer or null: {capacity!r}", code="bad-capacity")
 
     metadata = document.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ValidationError("metadata must be an object", code="schema")
-    # Instance.__post_init__ re-checks value ranges with the same codes
-    return Instance(tuple(products), capacity), metadata
+    # Instance.__post_init__ checks the ids, their uniqueness, the value ranges and
+    # the capacity, with the codes above
+    return Instance(tuple(products), document.get("capacity")), metadata
 
 
 def serialize_instance(instance: Instance, metadata: dict | None = None) -> str:
@@ -267,24 +247,35 @@ def _document_digest(doc: dict) -> str:
 # --- run reports -----------------------------------------------------------
 
 
+#: The report key that holds the noise level of each noisy mode.
+_LEVEL_KEYS = {"fixed": "eps_fixed", "seeded-uniform": "eps_max"}
+
+
 def noise_to_document(spec: NoiseSpec) -> dict:
-    return {
-        "mode": spec.mode,
-        "eps_fixed": _format_float(spec.eps_fixed),
-        "eps_max": _format_float(spec.eps_max),
-        "seed": spec.seed,
-    }
+    """The spec as a report holds it: its level under its mode's key, ``"0.0"`` under
+    a key the mode does not read."""
+    doc = {"mode": spec.mode, "eps_fixed": "0.0", "eps_max": "0.0", "seed": spec.seed}
+    if spec.mode in _LEVEL_KEYS:
+        doc[_LEVEL_KEYS[spec.mode]] = _format_float(spec.eps)
+    return doc
 
 
 def noise_from_document(doc: dict) -> NoiseSpec:
+    """The spec ``noise_to_document`` wrote: a level under a key its mode does not
+    read (either key in mode "none") must be 0."""
     if not isinstance(doc, dict):
         raise ValidationError("noise spec must be an object", code="schema")
-    return NoiseSpec(
-        mode=doc.get("mode", "none"),
-        eps_fixed=_parse_float(doc.get("eps_fixed", 0.0), "eps_fixed", "bad-noise"),
-        eps_max=_parse_float(doc.get("eps_max", 0.0), "eps_max", "bad-noise"),
-        seed=_integer(doc.get("seed", 0), "noise seed"),
-    )
+    mode = doc.get("mode", "none")
+    levels = {
+        key: _parse_float(doc.get(key, 0.0), "bad-noise", key) for key in _LEVEL_KEYS.values()
+    }
+    level_key = _LEVEL_KEYS.get(mode) if isinstance(mode, str) else None
+    spec = NoiseSpec(mode, levels.pop(level_key, 0.0), _integer(doc.get("seed", 0), "noise seed"))
+    for key, level in levels.items():
+        if level != 0.0:
+            message = f"noise mode {mode!r} reads no level from {key}, which is {level!r}"
+            raise ValidationError(message, code="bad-noise")
+    return spec
 
 
 def record_to_document(record: IterationRecord) -> dict:
@@ -352,7 +343,7 @@ def record_from_document(doc: dict) -> IterationRecord:
             action=doc["action"],
             added=None if added is None else _product_id(added),
             removed=None if removed is None else _product_id(removed),
-            revenue_after=_parse_float(doc["revenue_after"], "revenue_after", "schema"),
+            revenue_after=_parse_float(doc["revenue_after"], "schema", "revenue_after"),
             assortment_before=Assortment.of(_product_ids(doc["assortment_before"])),
             assortment_after=Assortment.of(_product_ids(doc["assortment_after"])),
             pool_before=tuple(_product_ids(doc["pool_before"])),
@@ -391,7 +382,7 @@ def solve_report_from_document(doc: dict) -> SolveReport:
             )
         return SolveReport(
             best_assortment=Assortment.of(_product_ids(doc["best_assortment"])),
-            best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "revenue", "schema"),
+            best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "schema", "revenue"),
             oracle_calls=_integer(doc["oracle_calls"], "oracle_calls"),
             seeds_explored=_integer(doc["seeds_explored"], "seeds_explored"),
             traces=traces,

@@ -19,7 +19,8 @@ This module provides the built-in implementations:
 
 * exact MNL expected revenue,
 * a deterministic multiplicative-noise wrapper that underestimates the
-  base value by a per-assortment factor in ``[0, eps_max]``,
+  base value by a per-assortment factor in ``[0, eps]``, ``eps`` being
+  the one noise level of its ``NoiseSpec``,
 * a call-counting wrapper used to verify oracle-call complexity bounds.
 
 Oracles are immutable after construction and safe for concurrent reads;
@@ -193,18 +194,19 @@ def mnl_choice_prob(instance: Instance, assortment: Assortment, choice: int) -> 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """How an oracle's values are degraded.
+    """How an oracle's values are degraded, at one noise level ``eps`` in [0, 1).
 
-    mode "none": passthrough. mode "fixed": every assortment is scaled by
-    (1 - eps_fixed). mode "seeded-uniform": each assortment gets its own
-    factor (1 - eps(M)) with eps(M) in [0, eps_max], a pure function of
-    (seed, canonical encoding) -- repeated queries of the same assortment
-    always see the same value, within a run and across runs.
+    mode "none": passthrough, and ``eps`` must be 0. mode "fixed": every
+    assortment is scaled by (1 - eps). mode "seeded-uniform": each
+    assortment gets its own factor (1 - eps(M)) with eps(M) in [0, eps], a
+    pure function of (seed, canonical encoding) -- repeated queries of the
+    same assortment always see the same value, within a run and across
+    runs. In every mode ``eps`` bounds the underestimation, which is all the
+    gap guarantee reads.
     """
 
     mode: str = "none"
-    eps_fixed: float = 0.0
-    eps_max: float = 0.0
+    eps: float = 0.0
     seed: int = 0
 
     _hasher: "hashlib.blake2b" = field(init=False, repr=False, compare=False, hash=False)
@@ -212,39 +214,30 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValidationError(f"unknown noise mode {self.mode!r}", code="bad-noise")
-        if not 0.0 <= self.eps_fixed < 1.0:
-            raise ValidationError("eps_fixed must lie in [0, 1)", code="bad-noise")
-        if not 0.0 <= self.eps_max < 1.0:
-            raise ValidationError("eps_max must lie in [0, 1)", code="bad-noise")
+        if self.mode == "none" and self.eps != 0.0:
+            raise ValidationError(
+                f"eps {self.eps!r} needs noise mode fixed or seeded-uniform", code="bad-noise"
+            )
+        if not 0.0 <= self.eps < 1.0:
+            raise ValidationError("eps must lie in [0, 1)", code="bad-noise")
         object.__setattr__(self, "_hasher", _keyed_hasher(self.seed))
 
     def __reduce__(self):
         # a hash state cannot be pickled or deep-copied; __post_init__ rebuilds it
-        return (NoiseSpec, (self.mode, self.eps_fixed, self.eps_max, self.seed))
+        return (NoiseSpec, (self.mode, self.eps, self.seed))
 
     def epsilon(self, assortment: Assortment) -> float:
         """Relative underestimation factor for one assortment."""
-        if self.mode == "none":
-            return 0.0
-        if self.mode == "fixed":
-            return self.eps_fixed
-        return self.eps_max * _unit_hash(self._hasher, assortment.encode())
+        if self.mode != "seeded-uniform":  # fixed, or none at eps 0
+            return self.eps
+        return self.eps * _unit_hash(self._hasher, assortment.encode())
 
     def move_epsilons(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
         """``epsilon(current.after_move(*move))`` for each move, bit for bit."""
         if self.mode != "seeded-uniform":  # the factor does not depend on the set
-            return [self.epsilon(current)] * len(moves)
+            return [self.eps] * len(moves)
         hasher = self._hasher
-        return [self.eps_max * _unit_hash(hasher, text) for text in current.encode_moves(moves)]
-
-    @property
-    def eps_bound(self) -> float:
-        """Upper bound on epsilon over all assortments."""
-        if self.mode == "none":
-            return 0.0
-        if self.mode == "fixed":
-            return self.eps_fixed
-        return self.eps_max
+        return [self.eps * _unit_hash(hasher, text) for text in current.encode_moves(moves)]
 
 
 def _keyed_hasher(seed: int) -> "hashlib.blake2b":
@@ -349,12 +342,12 @@ class NoisyOracle:
         """The base's estimates, each scaled by its set's noise factor.
 
         In "seeded-uniform" mode only the moves whose base estimate reaches
-        ``(1 - eps_bound) * top * (1 - 4 * CONFIRM_BAND)``, ``top`` being the
+        ``(1 - eps) * top * (1 - 4 * CONFIRM_BAND)``, ``top`` being the
         largest base estimate, are hashed and scaled. Every other move keeps
         its base estimate. For a nonnegative base that is at least its noisy
         value, to rounding, and it lies below the confirm band's floor,
         because the move with base value ``top`` scores at least
-        ``(1 - eps_bound) * top``. So the band, its confirmations and the
+        ``(1 - eps) * top``. So the band, its confirmations and the
         argmax are those of the unpruned batch, bit for bit.
         """
         batched = getattr(self.base, "score_moves", None)
@@ -365,7 +358,7 @@ class NoisyOracle:
             return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
         top = max(base, default=0.0)
         # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
-        cut = (1.0 - spec.eps_bound) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
+        cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
         values = list(base)
         kept = [i for i, value in enumerate(values) if value >= cut]
         epsilons = spec.move_epsilons(current, [moves[i] for i in kept])

@@ -102,7 +102,7 @@ def noisy_runs():
         brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), 3)
         for eps_max in (0.001, 0.01):
             noise = NoiseSpec(
-                mode="seeded-uniform", eps_max=eps_max, seed=derive_seed("noise", index, eps_max)
+                mode="seeded-uniform", eps=eps_max, seed=derive_seed("noise", index, eps_max)
             )
             bound = compute_bounds(instance, 3, eps_max, brute)
             slack_size = max_slack_set_size(instance, 3, 2.0 * bound.inputs.delta_cap)

@@ -299,7 +299,7 @@ class TestComputeBounds:
             inst = random_instance(rng, rng.randint(1, 8))
             capacity = rng.randint(1, inst.n)
             eps = rng.choice([0.001, 0.01, 0.1])
-            noise = NoiseSpec(mode="seeded-uniform", eps_max=eps, seed=trial)
+            noise = NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
             opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
             bound = compute_bounds(inst, capacity, eps, opt)
             assert exact_delta_cap(inst, capacity, noise) <= bound.inputs.delta_cap + 1e-12
@@ -309,7 +309,7 @@ class TestComputeBounds:
         for _ in range(20):
             inst = random_instance(rng, rng.randint(1, 8))
             capacity = rng.randint(1, inst.n)
-            noise = NoiseSpec(mode="fixed", eps_fixed=0.05)
+            noise = NoiseSpec(mode="fixed", eps=0.05)
             opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
             bound = compute_bounds(inst, capacity, 0.05, opt)
             assert exact_delta_cap(inst, capacity, noise) == pytest.approx(
@@ -320,7 +320,7 @@ class TestComputeBounds:
         # N = 30, C = 8 would enumerate 8,656,937 assortments
         inst = generate_instance(GeneratorSpec(30, seed=1))
         with pytest.raises(EnumerationCapError, match="8656937 assortments exceeds the cap"):
-            exact_delta_cap(inst, 8, NoiseSpec(mode="fixed", eps_fixed=0.01))
+            exact_delta_cap(inst, 8, NoiseSpec(mode="fixed", eps=0.01))
 
 
 class TestMarginRevenueEquivalence:
@@ -372,7 +372,7 @@ class TestTraceInvariants:
             inst = random_instance(rng, rng.randint(2, 9))
             capacity = rng.randint(1, inst.n)
             eps = rng.choice([0.001, 0.01])
-            noise = NoiseSpec(mode="seeded-uniform", eps_max=eps, seed=trial)
+            noise = NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
             oracle = make_noisy_oracle(make_exact_oracle(inst), noise)
             report = greedy_opt(
                 GreedyConfig(0, capacity, capacity + 1), inst.ids(), oracle, trace=True

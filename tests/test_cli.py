@@ -150,6 +150,24 @@ class TestVerify:
         assert drawn[:3] == [((7, 8), (3,)), ((1, 2, 6, 7), ()), ((1, 2, 6), (4, 5))]
         assert drawn[-1] == ((3, 5, 6), (1, 4, 5, 7))
 
+    @pytest.mark.parametrize(
+        "mode, key, level",
+        [("fixed", "eps_max", "0.3"), ("none", "eps_max", "0.5")],
+        ids=["fixed-with-eps-max", "none-with-eps-max"],
+    )
+    def test_level_under_the_other_mode_key_exits_three(
+        self, tmp_path, capsys, fixtures_dir, mode, key, level
+    ):
+        # a level the mode never reads would otherwise leave the report's noise unchecked
+        doc = json.loads((fixtures_dir / "solve_generated_n8_seed7_C4.json").read_text())
+        doc["config"]["noise"].update({"mode": mode, key: level})
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "bad-noise"
+
     def test_verify_passes_on_noisy_report(self, tmp_path, capsys):
         report_path = self.make_report(
             tmp_path, capsys, "--noise-mode", "seeded-uniform", "--eps", "0.01", "--seed", "5"
@@ -441,9 +459,9 @@ class TestRunBench:
             (["--N", "10", "3", "--C", "4"],
              "bad-config", "need 0 <= S <= C <= N, got S=0 C=4 N=3"),
             (["--N", "6", "--C", "2", "--eps", "0", "1.5"],
-             "bad-noise", "eps_max must lie in [0, 1)"),
+             "bad-noise", "eps must lie in [0, 1)"),
             (["--suite", "theorem2", "--eps", "-0.5", "0.02"],
-             "bad-noise", "eps_max must lie in [0, 1)"),
+             "bad-noise", "eps must lie in [0, 1)"),
         ],
     )
     def test_whole_grid_is_checked_before_any_solve(self, capsys, no_solve, argv, code, message):

@@ -76,7 +76,7 @@ class TestFixedNoiseInvariance:
             config = GreedyConfig(0, capacity, budget)
             exact = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
             noisy_oracle = make_noisy_oracle(
-                make_exact_oracle(inst), NoiseSpec(mode="fixed", eps_fixed=0.25)
+                make_exact_oracle(inst), NoiseSpec(mode="fixed", eps=0.25)
             )
             noisy = greedy_opt(config, inst.ids(), noisy_oracle)
             assert noisy.best_assortment == exact.best_assortment
@@ -86,7 +86,7 @@ class TestNoiseSeedHandling:
     def test_negative_and_huge_seeds_accepted(self):
         m = Assortment.of([1, 2])
         for seed in (-1, -(2**63), 2**63 - 1, 0):
-            spec = NoiseSpec(mode="seeded-uniform", eps_max=0.5, seed=seed)
+            spec = NoiseSpec(mode="seeded-uniform", eps=0.5, seed=seed)
             eps = spec.epsilon(m)
             assert 0.0 <= eps <= 0.5
             assert eps == spec.epsilon(Assortment.of([2, 1]))

@@ -221,7 +221,7 @@ class TestAgainstSimulation:
             oracle = make_exact_oracle(inst)
             if noise_mode == "seeded-uniform":
                 oracle = make_noisy_oracle(
-                    oracle, NoiseSpec(mode="seeded-uniform", eps_max=0.05, seed=trial)
+                    oracle, NoiseSpec(mode="seeded-uniform", eps=0.05, seed=trial)
                 )
             start_size = rng.randint(0, max(0, n - 1))
             start = Assortment.of(rng.sample(list(inst.ids()), start_size))
@@ -239,7 +239,7 @@ class TestAgainstSimulation:
             oracle = make_exact_oracle(inst)
             if noise_mode == "seeded-uniform":
                 oracle = make_noisy_oracle(
-                    oracle, NoiseSpec(mode="seeded-uniform", eps_max=0.02, seed=trial)
+                    oracle, NoiseSpec(mode="seeded-uniform", eps=0.02, seed=trial)
                 )
             capacity = rng.randint(1, n)
             seed_size = rng.randint(0, capacity)
@@ -263,7 +263,7 @@ def traced_runs(count=40, rng_seed=5150, eps=0.0):
         oracle = make_exact_oracle(inst)
         if eps:
             oracle = make_noisy_oracle(
-                oracle, NoiseSpec(mode="seeded-uniform", eps_max=eps, seed=trial)
+                oracle, NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
             )
         capacity = rng.randint(1, n)
         budget = rng.randint(1, capacity + 2)
@@ -411,11 +411,11 @@ NOISE_SPECS = pytest.mark.parametrize(
     "spec",
     [
         NoiseSpec(),
-        NoiseSpec(mode="fixed", eps_fixed=0.01, seed=4),
-        NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=17),
-        NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=18),
+        NoiseSpec(mode="fixed", eps=0.01, seed=4),
+        NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17),
+        NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18),
         # the pruning cut is near 0, so almost every move is hashed
-        NoiseSpec(mode="seeded-uniform", eps_max=0.999, seed=19),
+        NoiseSpec(mode="seeded-uniform", eps=0.999, seed=19),
     ],
     ids=["none", "fixed-0.01", "seeded-uniform-0.001", "seeded-uniform-0.2", "seeded-uniform-0.999"],
 )
@@ -440,9 +440,9 @@ def test_move_pass_scores_as_its_list_bit_for_bit():
         exact = make_exact_oracle(inst)
         oracles = [
             exact,
-            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01, seed=4)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=17)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=18)),
+            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
+            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
+            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
             NudgedEstimates(exact),
         ]
         for current, moves in random_move_passes(rng, inst, 6):
@@ -503,9 +503,9 @@ def test_one_sided_passes_score_as_their_list_bit_for_bit(shape):
         exact = make_exact_oracle(inst)
         oracles = [
             exact,
-            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01, seed=4)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=17)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=18)),
+            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
+            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
+            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
         ]
         for current, full in random_move_passes(rng, inst, 6):
             if shape == "add-only":
@@ -548,7 +548,7 @@ def test_solver_confirms_unconfirmed_plug_in_estimates():
     for inst, config in differential_cases():
         for oracle in (make_exact_oracle(inst),
                        make_noisy_oracle(make_exact_oracle(inst),
-                                         NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=5))):
+                                         NoiseSpec(mode="seeded-uniform", eps=0.2, seed=5))):
             nudged = greedy_opt(config, inst.ids(), NudgedEstimates(oracle), trace=True)
             assert nudged == greedy_opt(config, inst.ids(), EvaluateOnly(oracle), trace=True)
 
@@ -657,7 +657,7 @@ def test_product_retired_by_one_invocation_can_win_the_next_first_pass():
     "make",
     [
         make_exact_oracle,
-        lambda inst: make_oracle(inst, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=3)),
+        lambda inst: make_oracle(inst, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=3)),
         lambda inst: EvaluateOnly(make_exact_oracle(inst)),
     ],
     ids=["exact", "seeded-uniform", "evaluate-only"],
@@ -698,7 +698,7 @@ def certificate_cases():
     for trial, inst in enumerate(instances):
         capacity = rng.randint(1, min(inst.n, 4))
         seed_size = rng.choice([0, 0, min(1, capacity - 1)])
-        for spec in (NoiseSpec(), NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=trial)):
+        for spec in (NoiseSpec(), NoiseSpec(mode="seeded-uniform", eps=0.2, seed=trial)):
             yield inst, make_oracle(inst, spec), seed_size, capacity
 
 

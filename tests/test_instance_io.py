@@ -23,6 +23,8 @@ from assortopt.io import (
     instance_digest,
     instance_to_document,
     load_instance,
+    noise_from_document,
+    noise_to_document,
     parse_instance,
     record_from_document,
     record_to_document,
@@ -233,13 +235,43 @@ class TestReportRoundTrip:
 
     def test_record_document_round_trip(self):
         inst = generate_instance(GeneratorSpec(5, seed=17))
-        noise = NoiseSpec(mode="seeded-uniform", eps_max=0.01, seed=4)
+        noise = NoiseSpec(mode="seeded-uniform", eps=0.01, seed=4)
         oracle = make_exact_oracle(inst)
         report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), oracle, trace=True)
         _seed, records = report.traces[0]
         for record in records:
             assert record_from_document(record_to_document(record)) == record
-        assert noise == NoiseSpec(mode="seeded-uniform", eps_max=0.01, seed=4)
+        assert noise == NoiseSpec(mode="seeded-uniform", eps=0.01, seed=4)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec(), NoiseSpec(mode="fixed", eps=0.01, seed=3),
+         NoiseSpec(mode="seeded-uniform", eps=0.2, seed=9)],
+        ids=["none", "fixed", "seeded-uniform"],
+    )
+    def test_noise_document_keeps_the_level_under_its_mode_key(self, spec):
+        doc = noise_to_document(spec)
+        assert list(doc) == ["mode", "eps_fixed", "eps_max", "seed"]
+        unused = {"none": ("eps_fixed", "eps_max"), "fixed": ("eps_max",),
+                  "seeded-uniform": ("eps_fixed",)}[spec.mode]
+        assert all(doc[key] == "0.0" for key in unused)
+        assert noise_from_document(json.loads(json.dumps(doc))) == spec
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"mode": "fixed", "eps_fixed": "0.01", "eps_max": "0.3"},
+         {"mode": "fixed", "eps_max": "0.3"},
+         {"mode": "seeded-uniform", "eps_fixed": "0.2", "eps_max": "0.01"},
+         {"mode": "none", "eps_max": "0.5"},
+         {"mode": "none", "eps_fixed": "0.5"},
+         {"eps_fixed": "nan"}],
+        ids=["fixed-with-eps-max", "fixed-with-only-eps-max", "seeded-with-eps-fixed",
+             "none-with-eps-max", "none-with-eps-fixed", "default-mode-with-nan"],
+    )
+    def test_noise_level_under_the_other_mode_key_is_refused(self, doc):
+        with pytest.raises(ValidationError) as exc:
+            noise_from_document(doc)
+        assert exc.value.code == "bad-noise"
 
     @pytest.mark.parametrize(
         "counts",

@@ -141,7 +141,7 @@ class TestNoisyOracle:
 
     def test_fixed_mode_scales(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        noisy = make_noisy_oracle(make_exact_oracle(inst), NoiseSpec(mode="fixed", eps_fixed=0.1))
+        noisy = make_noisy_oracle(make_exact_oracle(inst), NoiseSpec(mode="fixed", eps=0.1))
         assert noisy.evaluate(Assortment.of([1])) == pytest.approx(4.5, rel=1e-15)
 
     def test_seeded_uniform_sandwich(self):
@@ -151,14 +151,14 @@ class TestNoisyOracle:
             inst = random_instance(rng, rng.randint(1, 8))
             m = random_assortment(rng, inst)
             eps_max = rng.choice([0.001, 0.01, 0.2, 0.9])
-            spec = NoiseSpec(mode="seeded-uniform", eps_max=eps_max, seed=rng.getrandbits(63))
+            spec = NoiseSpec(mode="seeded-uniform", eps=eps_max, seed=rng.getrandbits(63))
             base = make_exact_oracle(inst)
             value = make_noisy_oracle(base, spec).evaluate(m)
             truth = base.evaluate(m)
             assert (1.0 - eps_max) * truth - 1e-12 <= value <= truth + 1e-12
 
     def test_repeatable_within_and_across_runs(self):
-        spec = NoiseSpec(mode="seeded-uniform", eps_max=0.05, seed=987654321)
+        spec = NoiseSpec(mode="seeded-uniform", eps=0.05, seed=987654321)
         first = make_noisy_oracle(make_exact_oracle(THREE), spec)
         second = make_noisy_oracle(make_exact_oracle(THREE), spec)
         for ids in [(), (1,), (2,), (1, 3), (1, 2, 3)]:
@@ -167,8 +167,8 @@ class TestNoisyOracle:
             assert first.evaluate(m) == second.evaluate(m)
 
     def test_different_seeds_differ_somewhere(self):
-        a = NoiseSpec(mode="seeded-uniform", eps_max=0.5, seed=1)
-        b = NoiseSpec(mode="seeded-uniform", eps_max=0.5, seed=2)
+        a = NoiseSpec(mode="seeded-uniform", eps=0.5, seed=1)
+        b = NoiseSpec(mode="seeded-uniform", eps=0.5, seed=2)
         m = Assortment.of([1, 2])
         assert a.epsilon(m) != b.epsilon(m)
 
@@ -177,7 +177,7 @@ class TestNoisyOracle:
         cases = [(42, (1, 3), 0.26173709157937874), (2**63 + 5, (2, 7, 11), 0.2186031100393904),
                  (0, (), 0.11739587036981847)]
         for seed, ids, expected in cases:
-            spec = NoiseSpec(mode="seeded-uniform", eps_max=0.5, seed=seed)
+            spec = NoiseSpec(mode="seeded-uniform", eps=0.5, seed=seed)
             assert spec.epsilon(Assortment.of(ids)) == expected
 
     def test_batched_factors_match_scalar_bit_for_bit(self):
@@ -187,7 +187,7 @@ class TestNoisyOracle:
             inst = random_instance(rng, rng.randint(2, 30))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
             moves = random_moves(rng, inst, current, 25)
-            spec = NoiseSpec(mode="seeded-uniform", eps_max=rng.choice([0.001, 0.2, 0.9]),
+            spec = NoiseSpec(mode="seeded-uniform", eps=rng.choice([0.001, 0.2, 0.9]),
                              seed=rng.getrandbits(64))
             batched = [1.0 - eps for eps in spec.move_epsilons(current, moves)]
             encodings = current.encode_moves(moves)
@@ -201,21 +201,47 @@ class TestNoisyOracle:
         import copy
         import pickle
 
-        spec = NoiseSpec(mode="seeded-uniform", eps_max=0.3, seed=2**64 + 9)
+        spec = NoiseSpec(mode="seeded-uniform", eps=0.3, seed=2**64 + 9)
         m = Assortment.of([2, 4])
         for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             assert clone == spec
             assert clone.epsilon(m) == spec.epsilon(m)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec(), NoiseSpec(mode="fixed", eps=0.25, seed=3),
+         NoiseSpec(mode="seeded-uniform", eps=0.5, seed=7)],
+        ids=["none", "fixed", "seeded-uniform"],
+    )
+    def test_one_level_survives_pickle_and_deepcopy(self, spec):
+        import copy
+        import dataclasses
+        import pickle
+
+        assert [f.name for f in dataclasses.fields(NoiseSpec) if f.init] == ["mode", "eps", "seed"]
+        current = Assortment.of([1, 3])
+        moves = [(2, None), (4, 1), (5, 3)]
+        for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert (clone.mode, clone.eps, clone.seed) == (spec.mode, spec.eps, spec.seed)
+            assert clone == spec
+            assert clone.move_epsilons(current, moves) == spec.move_epsilons(current, moves)
+
+    @pytest.mark.parametrize("eps", [0.5, -0.5, 1.5, math.nan])
+    def test_no_level_without_a_noisy_mode(self, eps):
+        with pytest.raises(ValidationError) as exc:
+            NoiseSpec(mode="none", eps=eps)
+        assert exc.value.code == "bad-noise"
+        assert "needs noise mode" in str(exc.value)
+
     def test_epsilon_depends_only_on_canonical_encoding(self):
-        spec = NoiseSpec(mode="seeded-uniform", eps_max=0.3, seed=42)
+        spec = NoiseSpec(mode="seeded-uniform", eps=0.3, seed=42)
         assert spec.epsilon(Assortment.of([3, 1])) == spec.epsilon(Assortment.of([1, 3]))
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValidationError):
-            NoiseSpec(mode="fixed", eps_fixed=1.0)
+            NoiseSpec(mode="fixed", eps=1.0)
         with pytest.raises(ValidationError):
-            NoiseSpec(mode="seeded-uniform", eps_max=-0.1)
+            NoiseSpec(mode="seeded-uniform", eps=-0.1)
         with pytest.raises(ValidationError):
             NoiseSpec(mode="gaussian")
 
@@ -259,13 +285,13 @@ class TestScoreMoves:
     def unpruned_oracles(self, inst):
         exact = make_exact_oracle(inst)
         yield exact
-        yield make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01))
+        yield make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01))
         yield make_counting_oracle(exact)[0]
 
     def oracles(self, inst, rng):
         yield from self.unpruned_oracles(inst)
         yield make_noisy_oracle(make_exact_oracle(inst), NoiseSpec(
-            mode="seeded-uniform", eps_max=0.2, seed=rng.getrandbits(32)))
+            mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32)))
 
     def test_band_is_exact_and_the_rest_is_close(self):
         rng = random.Random(2468)
@@ -295,7 +321,7 @@ class TestScoreMoves:
             moves = random_moves(rng, inst, current, rng.randint(1, 40))
             exact = make_exact_oracle(inst)
             oracle = make_noisy_oracle(exact, NoiseSpec(
-                mode="seeded-uniform", eps_max=eps_max, seed=rng.getrandbits(32)))
+                mode="seeded-uniform", eps=eps_max, seed=rng.getrandbits(32)))
             values = score_moves(oracle, current, moves)
             truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
             top = max(values)
@@ -325,7 +351,7 @@ class TestScoreMoves:
         outside = [i for i in inst.ids() if i not in current]
         moves = [(e, l) for e in outside for l in current.ids] + [(e, None) for e in outside]
         oracle = make_noisy_oracle(make_exact_oracle(inst),
-                                   NoiseSpec(mode="seeded-uniform", eps_max=0.001, seed=3))
+                                   NoiseSpec(mode="seeded-uniform", eps=0.001, seed=3))
         values = score_moves(oracle, current, moves)
         assert 0 < len(hashed) < len(moves) / 2
         truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
@@ -395,8 +421,8 @@ class TestScoreMoves:
             exact = make_exact_oracle(inst)
             makers = [
                 lambda: exact,
-                lambda: make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps_fixed=0.01)),
-                lambda: make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=7)),
+                lambda: make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01)),
+                lambda: make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=7)),
                 lambda: make_counting_oracle(exact)[0],
                 lambda: EvaluateOnly(exact),
                 lambda: NanEvaluate(exact),
@@ -418,7 +444,7 @@ class TestScoreMoves:
             current = random_assortment(rng, inst, max_size=inst.n - 1)
             moves = random_moves(rng, inst, current, rng.randint(1, 40))
             base = EvaluationCounter(inst)
-            spec = NoiseSpec(mode="seeded-uniform", eps_max=0.2, seed=rng.getrandbits(32))
+            spec = NoiseSpec(mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32))
             for oracle in (base, make_noisy_oracle(base, spec)):
                 base.evaluations = 0
                 counting, stats = make_counting_oracle(oracle)
