@@ -11,7 +11,6 @@ from .analysis import (
     BoundInputs,
     GapBound,
     check_margin_revenue_equivalence,
-    check_top_set_monotonicity,
     check_trace_invariants,
     compute_bounds,
     exact_delta_cap,
@@ -23,8 +22,6 @@ from .errors import (
     ConfigError,
     EnumerationCapError,
     InvalidAssortmentError,
-    InvalidChoiceError,
-    UndefinedTopSetError,
     ValidationError,
     VerificationFailure,
 )
@@ -41,7 +38,6 @@ from .greedy import (
 )
 from .instance import Assortment, Instance, Product
 from .oracles import (
-    NO_PURCHASE,
     CountingOracle,
     ExactMnlOracle,
     NoiseSpec,
@@ -52,17 +48,14 @@ from .oracles import (
     make_exact_oracle,
     make_noisy_oracle,
     make_oracle,
-    mnl_choice_prob,
     mnl_revenue,
     total_weight,
 )
 from .reference import (
     ExactSolution,
-    NestingWitness,
     brute_force_opt,
     candidate_set_collection,
     candidate_set_opt,
-    find_nesting_witness,
     mnl_opt,
 )
 from .transform import (
@@ -70,7 +63,6 @@ from .transform import (
     margin_breakpoints,
     scaled_margin,
     top_margin_set,
-    top_set_with_slack,
 )
 
 __version__ = "0.1.0"

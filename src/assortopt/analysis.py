@@ -6,7 +6,6 @@ This module turns the solver's guarantees into executable checks:
   comparisons (checked pairwise),
 * per-step near-optimality of greedy decisions, replayed from traces,
 * the pool and budget bookkeeping of a trace, replayed from its seed,
-* monotonicity and size bounds of top-margin sets,
 * the quantities controlling the optimality gap under multiplicatively
   noisy oracles: the estimate-slack bound, the slack-set size (a reader
   of ``transform.certified_sweep``), and the relative gap guarantee.
@@ -27,7 +26,7 @@ from .errors import ValidationError
 from .greedy import GreedyConfig, IterationRecord, accept_move
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, mnl_revenue, total_weight
-from .reference import ExactSolution, assortment_count, candidate_set_opt, check_enumeration
+from .reference import ExactSolution, assortment_count, check_enumeration
 from .transform import (
     assortment_margin,
     certified_sweep,
@@ -35,7 +34,6 @@ from .transform import (
     margin_breakpoints,
     scaled_margin,
     scaled_margins,
-    top_margin_set,
     top_with_gaps,
 )
 
@@ -366,86 +364,3 @@ def trace_bookkeeping_problems(
     if next(records, None) is not None:
         return [f"seed {list(seed.ids)}: records after the last invocation (C - S = {invocations})"]
     return []
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Top-set size comparison at two offsets, plus optimal-size bounds.
-
-    ``bounded_u1``/``bounded_u2`` state whether the size bounds
-    size <= cap and size >= |optimum| held at that offset; None when the
-    offset exceeds the optimal revenue (the bound only applies below it).
-    """
-
-    u1: float
-    u2: float
-    size_u1: int
-    size_u2: int
-    opt_revenue: float
-    opt_size: int
-    bounded_u1: bool | None
-    bounded_u2: bool | None
-
-    @property
-    def monotone_ok(self) -> bool:
-        return self.size_u1 >= self.size_u2
-
-    @property
-    def bounds_ok(self) -> bool:
-        return all(b is not False for b in (self.bounded_u1, self.bounded_u2))
-
-
-def check_top_set_monotonicity(
-    instance: Instance,
-    size: int,
-    u1: float,
-    u2: float,
-    opt: ExactSolution | None = None,
-) -> MonotonicityReport:
-    """Check |top(u1)| >= |top(u2)| for u1 <= u2 and the size-cap bounds.
-
-    Below the optimal revenue for this size cap, the top set is at least
-    as large as the optimum and never larger than the cap. The optimum is
-    computed via the candidate-set solver unless provided.
-    """
-    if u1 > u2:
-        raise ValidationError("need u1 <= u2", code="bad-config")
-    if opt is None:
-        opt = candidate_set_opt(instance, size)
-    size1 = len(top_margin_set(instance, size, u1))
-    size2 = len(top_margin_set(instance, size, u2))
-    opt_size = len(opt.assortment)
-
-    def bounded(u: float, top_size: int) -> bool | None:
-        if u > opt.revenue:
-            return None
-        return opt_size <= top_size <= size
-
-    return MonotonicityReport(
-        u1=u1,
-        u2=u2,
-        size_u1=size1,
-        size_u2=size2,
-        opt_revenue=opt.revenue,
-        opt_size=opt_size,
-        bounded_u1=bounded(u1, size1),
-        bounded_u2=bounded(u2, size2),
-    )
-
-
-__all__ = [
-    "BoundInputs",
-    "GapBound",
-    "EquivalenceReport",
-    "TraceViolation",
-    "MonotonicityReport",
-    "compute_bounds",
-    "slack_cap",
-    "exact_delta_cap",
-    "realized_gap",
-    "max_slack_set_size",
-    "check_margin_revenue_equivalence",
-    "check_trace_invariants",
-    "check_top_set_monotonicity",
-    "FLOAT_SLACK",
-]

@@ -32,12 +32,6 @@ class InvalidAssortmentError(ValidationError):
     code = "invalid-assortment"
 
 
-class InvalidChoiceError(ValidationError):
-    """A choice outcome is neither a member of the assortment nor no-purchase."""
-
-    code = "invalid-choice"
-
-
 class ConfigError(ValidationError):
     """Solver configuration violates its constraints (e.g. S > C)."""
 
@@ -52,10 +46,6 @@ class EnumerationCapError(ValidationError):
     """
 
     code = "enumeration-cap"
-
-
-class UndefinedTopSetError(AssortoptError):
-    """The top set is empty, so its minimum-margin member is undefined."""
 
 
 class VerificationFailure(AssortoptError):

@@ -38,11 +38,8 @@ from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from typing import Iterator, Protocol, runtime_checkable
 
-from .errors import InvalidAssortmentError, InvalidChoiceError, ValidationError
+from .errors import InvalidAssortmentError, ValidationError
 from .instance import Assortment, Instance
-
-#: Sentinel id for the no-purchase outcome (its weight is always 1).
-NO_PURCHASE = 0
 
 NOISE_MODES = ("none", "fixed", "seeded-uniform")
 
@@ -178,27 +175,13 @@ def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
     return math.fsum(terms) / math.fsum(weights)
 
 
-def mnl_choice_prob(instance: Instance, assortment: Assortment, choice: int) -> float:
-    """Probability that an arriving customer picks ``choice`` from the offer set.
-
-    ``choice`` is a member product id or ``NO_PURCHASE``. Probabilities over
-    the members plus no-purchase sum to 1.
-    """
-    denom = total_weight(instance, assortment)
-    if choice == NO_PURCHASE:
-        return 1.0 / denom
-    if choice not in assortment:
-        raise InvalidChoiceError(f"choice {choice} is not offered in {assortment.ids}")
-    return instance.weight(choice) / denom
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """How an oracle's values are degraded, at one noise level ``eps`` in [0, 1).
 
-    mode "none": passthrough, and ``eps`` must be 0. mode "fixed": every
-    assortment is scaled by (1 - eps). mode "seeded-uniform": each
-    assortment gets its own factor (1 - eps(M)) with eps(M) in [0, eps], a
+    mode "none": passthrough, and ``eps`` and ``seed`` must be 0. mode
+    "fixed": every assortment is scaled by (1 - eps). mode "seeded-uniform":
+    each assortment gets its own factor (1 - eps(M)) with eps(M) in [0, eps], a
     pure function of (seed, canonical encoding) -- repeated queries of the
     same assortment always see the same value, within a run and across
     runs. In every mode ``eps`` bounds the underestimation, which is all the
@@ -218,6 +201,8 @@ class NoiseSpec:
             raise ValidationError(
                 f"eps {self.eps!r} needs noise mode fixed or seeded-uniform", code="bad-noise"
             )
+        if self.mode == "none" and self.seed != 0:
+            raise ValidationError(f"noise mode 'none' takes seed 0, not {self.seed!r}", code="bad-noise")
         if not 0.0 <= self.eps < 1.0:
             raise ValidationError("eps must lie in [0, 1)", code="bad-noise")
         object.__setattr__(self, "_hasher", _keyed_hasher(self.seed))

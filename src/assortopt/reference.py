@@ -10,9 +10,7 @@ fixed point, polynomial in N, which ``bench`` and ``solve --exact`` use.
 One tie rule, ``optimum_key``, picks every optimum: the highest revenue,
 then the smallest id tuple. All three agree on the revenue under every
 size cap, brute force and the fixed point also on the set; the candidate
-collection may miss brute force's choice among equal revenues. A last
-routine searches for instances whose per-capacity optima fail to nest,
-witnessing why the pure-addition greedy baseline is not exact.
+collection may miss brute force's choice among equal revenues.
 """
 
 from __future__ import annotations
@@ -23,9 +21,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import EnumerationCapError
-from .generate import GeneratorSpec, derive_seed, generate_instance
 from .instance import Assortment, Instance, optimum_key
-from .oracles import RevenueOracle, make_exact_oracle, mnl_revenue
+from .oracles import RevenueOracle, mnl_revenue
 from .transform import (
     interval_offsets,
     margin_band,
@@ -64,37 +61,21 @@ class ExactSolution:
     candidate_collection_size: int | None = None
 
 
-@dataclass(frozen=True)
-class NestingWitness:
-    """An instance whose size-c1 optimum is not inside its size-c2 optimum."""
-
-    instance: Instance
-    c1: int
-    c2: int
-    opt_c1: Assortment
-    opt_c2: Assortment
-    generator_seed: int | None = None
-
-
 def assortment_count(n: int, capacity: int) -> int:
     """How many assortments of at most ``capacity`` of ``n`` products there are."""
     return sum(comb(n, k) for k in range(capacity + 1))
 
 
-def check_enumeration(
-    total: int, action: str = "enumerating {} assortments", cap: int = DEFAULT_ENUMERATION_CAP
-) -> None:
-    """Refuse an exhaustive ``action`` (``{}`` stands for ``total``) past the cap."""
-    if total > cap:
-        raise EnumerationCapError(f"{action.format(total)} exceeds the cap of {cap}")
+def check_enumeration(total: int, action: str = "enumerating {} assortments") -> None:
+    """Refuse an exhaustive ``action`` (``{}`` stands for ``total``) past
+    ``DEFAULT_ENUMERATION_CAP``."""
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{action.format(total)} exceeds the cap of {DEFAULT_ENUMERATION_CAP}"
+        )
 
 
-def brute_force_opt(
-    oracle: RevenueOracle,
-    universe,
-    capacity: int,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ExactSolution:
+def brute_force_opt(oracle: RevenueOracle, universe, capacity: int) -> ExactSolution:
     """Optimum by enumerating every assortment of size <= capacity.
 
     Ties break toward the lexicographically smallest id tuple. Refuses to
@@ -102,7 +83,7 @@ def brute_force_opt(
     """
     ids = sorted(set(universe))
     capacity = max(0, capacity)
-    check_enumeration(assortment_count(len(ids), capacity), cap=enumeration_cap)
+    check_enumeration(assortment_count(len(ids), capacity))
 
     empty = Assortment()
     best = (empty, oracle.evaluate(empty))
@@ -285,38 +266,3 @@ def candidate_set_opt(instance: Instance, capacity: int) -> ExactSolution:
         per_size_optima=per_size,
         candidate_collection_size=collection_size,
     )
-
-
-def find_nesting_witness(seed: int, n: int, capacity: int, attempts: int) -> NestingWitness | None:
-    """Search random instances for a failure of the nesting property.
-
-    Draws instances with per-attempt derived seeds, brute-forces the
-    per-size optima, and returns the first pair c1 < c2 <= capacity whose
-    optima do not nest. The found witness is re-verified against a fresh
-    brute-force run before being returned. Returns None if all attempts
-    nest.
-    """
-    for attempt in range(attempts):
-        attempt_seed = derive_seed("nesting-witness", seed, attempt)
-        instance = generate_instance(GeneratorSpec(n, seed=attempt_seed))
-        oracle = make_exact_oracle(instance)
-        solution = brute_force_opt(oracle, instance.ids(), capacity)
-        for c1 in range(1, capacity):
-            opt_c1 = solution.per_size_optima[c1][0]
-            for c2 in range(c1 + 1, capacity + 1):
-                opt_c2 = solution.per_size_optima[c2][0]
-                if not set(opt_c1.ids) <= set(opt_c2.ids):
-                    recheck = brute_force_opt(oracle, instance.ids(), c2)
-                    if (
-                        recheck.per_size_optima[c1][0] == opt_c1
-                        and recheck.per_size_optima[c2][0] == opt_c2
-                    ):
-                        return NestingWitness(
-                            instance=instance,
-                            c1=c1,
-                            c2=c2,
-                            opt_c1=opt_c1,
-                            opt_c2=opt_c2,
-                            generator_seed=attempt_seed,
-                        )
-    return None

@@ -36,7 +36,6 @@ from operator import gt
 from typing import Any, Callable, Iterable
 
 from .instance import Assortment, Instance
-from .errors import UndefinedTopSetError
 from .oracles import CONFIRM_BAND
 
 
@@ -223,29 +222,6 @@ def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:
     """Ids of the top set in a ``margin_ranking``: the at most ``size`` leading
     entries with a positive margin (a negative first entry); size < 0 counts as 0."""
     return [pid for neg_margin, pid in ranked[: max(0, size)] if neg_margin < 0.0]
-
-
-def min_margin_member(instance: Instance, top: Assortment, u: float) -> int:
-    """Member of a top set with the smallest margin (ties to smaller id)."""
-    if len(top) == 0:
-        raise UndefinedTopSetError("top set is empty; minimum-margin member undefined")
-    return min(top.ids, key=lambda i: (scaled_margin(instance, i, u), i))
-
-
-def top_set_with_slack(instance: Instance, size: int, delta: float, u: float) -> frozenset[int]:
-    """Top set plus every outside product within ``delta * u`` of its weakest member.
-
-    Requires a nonempty top set (the threshold is anchored at the minimum
-    margin inside it).
-    """
-    top = top_margin_set(instance, size, u)
-    anchor = scaled_margin(instance, min_margin_member(instance, top, u), u)
-    extra = [
-        p.id
-        for p in instance.products
-        if p.id not in top and anchor - (p.price - u) * p.weight <= delta * u
-    ]
-    return frozenset(top.ids) | frozenset(extra)
 
 
 def margin_breakpoints(instance: Instance, delta: float = 0.0) -> list[float]:

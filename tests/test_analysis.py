@@ -14,12 +14,11 @@ from assortopt import (
     Instance,
     IterationRecord,
     NoiseSpec,
-    UndefinedTopSetError,
     ValidationError,
     assortment_margin,
     brute_force_opt,
+    candidate_set_opt,
     check_margin_revenue_equivalence,
-    check_top_set_monotonicity,
     check_trace_invariants,
     compute_bounds,
     exact_delta_cap,
@@ -31,13 +30,13 @@ from assortopt import (
     mnl_revenue,
     scaled_margin,
     top_margin_set,
-    top_set_with_slack,
     total_weight,
 )
 from assortopt.analysis import FLOAT_SLACK, TraceViolation, trace_bookkeeping_problems
 from assortopt.errors import InvalidAssortmentError
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.transform import interval_offsets
+from references import UndefinedTopSetError, top_set_with_slack
 from test_reference import TIE_FAMILIES, weights_one_ulp_apart
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -620,15 +619,14 @@ class TestTraceBookkeeping:
 
 
 class TestTopSetMonotonicity:
+    """The top set's size does not grow with u, and below the optimum's revenue it lies
+    between the optimum's size and the cap."""
+
     def test_equal_offsets_equal_sizes(self):
-        report = check_top_set_monotonicity(THREE, 2, 4.0, 4.0)
-        assert report.size_u1 == report.size_u2
-        assert report.monotone_ok
+        assert len(top_margin_set(THREE, 2, 4.0)) == len(top_margin_set(THREE, 2, 4.0)) == 2
 
     def test_beyond_top_price_is_empty(self):
-        report = check_top_set_monotonicity(THREE, 2, 1.0, 50.0)
-        assert report.size_u2 == 0
-        assert report.monotone_ok
+        assert len(top_margin_set(THREE, 2, 1.0)) >= len(top_margin_set(THREE, 2, 50.0)) == 0
 
     def test_random_offset_pairs(self):
         rng = random.Random(590)
@@ -638,10 +636,9 @@ class TestTopSetMonotonicity:
             a = rng.uniform(0, 1.2 * max(p.price for p in inst.products))
             b = rng.uniform(0, 1.2 * max(p.price for p in inst.products))
             u1, u2 = min(a, b), max(a, b)
-            report = check_top_set_monotonicity(inst, size, u1, u2)
-            assert report.monotone_ok
-            assert report.bounds_ok
-
-    def test_rejects_misordered_offsets(self):
-        with pytest.raises(ValidationError):
-            check_top_set_monotonicity(THREE, 2, 5.0, 1.0)
+            opt = candidate_set_opt(inst, size)
+            size1, size2 = (len(top_margin_set(inst, size, u)) for u in (u1, u2))
+            assert size1 >= size2
+            for u, top_size in ((u1, size1), (u2, size2)):
+                if u <= opt.revenue:
+                    assert len(opt.assortment) <= top_size <= size

@@ -168,6 +168,23 @@ class TestVerify:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "bad-noise"
 
+    def test_noise_seed_without_a_noisy_mode_exits_three(self, tmp_path, capsys, fixtures_dir):
+        # solve writes seed 0 in mode none; any other seed would pick verify's pairs unread
+        report_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "solve", str(fixtures_dir / "generated_n8_seed7.json"), "--C", "4",
+            "-o", str(report_path),
+        )
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["config"]["noise"]["mode"] == "none"
+        doc["config"]["noise"]["seed"] = 5
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(report_path))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "bad-noise"
+
     def test_verify_passes_on_noisy_report(self, tmp_path, capsys):
         report_path = self.make_report(
             tmp_path, capsys, "--noise-mode", "seeded-uniform", "--eps", "0.01", "--seed", "5"

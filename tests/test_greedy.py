@@ -799,6 +799,47 @@ def test_budget_path_solves_within_the_call_bound_and_refuses_the_certificate():
     assert not same_run_under_budget(reports[2], 2, 3)
 
 
+def budget_path(k):
+    """``BUDGET_PATH`` with k cycles: in each, product 1 leaves, three sets of three
+    others slide by one product, and 1 re-enters for two more slides. A last step
+    takes 1 out again, its (k + 1)-th exchange-out, so 1 must re-enter k times."""
+    path = [(1, 2, 3)]
+    low = 2  # the smallest member other than product 1
+    for _ in range(k):
+        path += [(low, low + 1, low + 2), (low + 1, low + 2, low + 3), (low + 2, low + 3, low + 4),
+                 (1, low + 3, low + 4), (1, low + 4, low + 5), (1, low + 5, low + 6)]
+        low += 5
+    return path + [(low, low + 1, low + 2)]
+
+
+def test_budget_path_of_one_cycle_is_the_budget_path():
+    assert budget_path(1) == BUDGET_PATH
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_budget_path_binds_at_k_and_not_at_k_plus_one(k):
+    path = budget_path(k)
+    ids = list(range(1, max(map(max, path)) + 1))
+    oracle = RevenueTable({members: 10.0 + step for step, members in enumerate(path)})
+    reports = {}
+    for budget, reached in [(k, 6 * k - 3), (k + 1, len(path) - 1)]:
+        config = GreedyConfig(3, 4, budget)
+        report = greedy_opt(config, ids, oracle, trace=True)
+        # from the path's start the walk follows it until product 1 is retired
+        records = dict((seed.ids, records) for seed, records in report.traces)[path[0]]
+        assert [r.assortment_after.ids for r in records[:-1]] == path[1 : reached + 1]
+        assert records[-1].action == "terminate"
+        assert records[-1].exchange_out_counts[1] == budget
+        # seeds further along the path reach the table's best set at either budget
+        assert report.best_assortment.ids == path[-1]
+        assert report.max_exchange_outs == budget
+        assert report.oracle_calls <= call_count_bound(len(ids), config)
+        for seed, records in report.traces:
+            assert trace_bookkeeping_problems(ids, config, seed, records) == []
+        reports[budget] = report
+    assert not same_run_under_budget(reports[k], k, k + 1)
+
+
 class TestNaiveGreedy:
     def test_capacity_one_picks_best_singleton(self):
         best = naive_greedy(1, THREE.ids(), make_exact_oracle(THREE))

@@ -10,19 +10,17 @@ from assortopt import (
     GreedyConfig,
     Instance,
     InvalidAssortmentError,
-    InvalidChoiceError,
-    NO_PURCHASE,
     NoiseSpec,
     ValidationError,
     greedy_opt,
     make_counting_oracle,
     make_exact_oracle,
     make_noisy_oracle,
-    mnl_choice_prob,
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, MovePass, best_move, score_moves
+from references import NO_PURCHASE, InvalidChoiceError, mnl_choice_prob
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -232,6 +230,12 @@ class TestNoisyOracle:
             NoiseSpec(mode="none", eps=eps)
         assert exc.value.code == "bad-noise"
         assert "needs noise mode" in str(exc.value)
+
+    @pytest.mark.parametrize("seed", [5, -1, 2**64])
+    def test_no_seed_without_a_noisy_mode(self, seed):
+        with pytest.raises(ValidationError) as exc:
+            NoiseSpec(mode="none", seed=seed)
+        assert exc.value.code == "bad-noise"
 
     def test_epsilon_depends_only_on_canonical_encoding(self):
         spec = NoiseSpec(mode="seeded-uniform", eps=0.3, seed=42)

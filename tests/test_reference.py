@@ -11,12 +11,11 @@ from assortopt import (
     EnumerationCapError,
     GreedyConfig,
     Instance,
-    UndefinedTopSetError,
     brute_force_opt,
     candidate_set_collection,
     candidate_set_opt,
-    find_nesting_witness,
     greedy_opt,
+    make_counting_oracle,
     make_exact_oracle,
     max_slack_set_size,
     mnl_opt,
@@ -37,9 +36,9 @@ from assortopt.transform import (
     top_id_sweep,
     top_ids,
     top_margin_set,
-    top_set_with_slack,
     top_with_gaps,
 )
+from references import UndefinedTopSetError, find_nesting_witness, top_set_with_slack
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -62,9 +61,12 @@ class TestBruteForce:
         assert sol.revenue == 0.0
 
     def test_enumeration_cap_is_loud(self):
-        inst = generate_instance(GeneratorSpec(20, seed=1))
+        # N = 30, C = 10 would enumerate 53,009,102 assortments: refused before any evaluation
+        inst = generate_instance(GeneratorSpec(30, seed=1))
+        counting, stats = make_counting_oracle(make_exact_oracle(inst))
         with pytest.raises(EnumerationCapError):
-            brute_force_opt(make_exact_oracle(inst), inst.ids(), 10, enumeration_cap=1000)
+            brute_force_opt(counting, inst.ids(), 10)
+        assert stats.call_count == 0
 
     def test_per_size_optima_agree_with_direct_enumeration(self):
         rng = random.Random(404)
