@@ -15,12 +15,12 @@ from math import comb
 import numpy as np
 
 from assortopt import (
+    ExactMnlOracle,
     GeneratorSpec,
     brute_force_opt,
     candidate_set_collection,
     candidate_set_opt,
     generate_instance,
-    make_exact_oracle,
     margin_breakpoints,
     mnl_revenue,
     top_margin_set,
@@ -47,7 +47,7 @@ for assortment in collection:
     print(f"  {str(assortment.ids):24} revenue {mnl_revenue(instance, assortment):9.5f}")
 
 solution = candidate_set_opt(instance, capacity)
-brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
+brute = brute_force_opt(ExactMnlOracle(instance), instance.ids(), capacity)
 subsets = sum(comb(instance.n, k) for k in range(capacity + 1))
 print(f"\ncandidate-set optimum: {solution.assortment.ids} revenue {solution.revenue:.6f}")
 print(f"brute-force optimum:   {brute.assortment.ids} revenue {brute.revenue:.6f} "

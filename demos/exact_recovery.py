@@ -9,14 +9,14 @@ Run: python3 demos/exact_recovery.py
 """
 
 from assortopt import (
+    CountingOracle,
+    ExactMnlOracle,
     GeneratorSpec,
     GreedyConfig,
     brute_force_opt,
     call_count_bound,
     generate_instance,
     greedy_opt,
-    make_counting_oracle,
-    make_exact_oracle,
 )
 
 instance = generate_instance(GeneratorSpec(n=10, seed=2024))
@@ -27,16 +27,16 @@ for p in instance.products:
     print(f"  product {p.id}: weight {p.weight:7.3f}  price {p.price:7.2f}")
 
 # exhaustive reference: every assortment of size <= 4
-counting, stats = make_counting_oracle(make_exact_oracle(instance))
+counting = CountingOracle(ExactMnlOracle(instance))
 brute = brute_force_opt(counting, instance.ids(), capacity)
 print(f"\nbrute force: {brute.assortment.ids} revenue {brute.revenue:.6f} "
-      f"({stats.call_count} oracle calls)")
+      f"({counting.stats.call_count} oracle calls)")
 for k, (assortment, revenue) in sorted(brute.per_size_optima.items()):
     print(f"  best of size <= {k}: {assortment.ids} revenue {revenue:.6f}")
 
 # greedy add-exchange search from the empty seed
 config = GreedyConfig(seed_size=0, capacity=capacity, exchange_budget=capacity + 1)
-report = greedy_opt(config, instance.ids(), make_exact_oracle(instance), trace=True)
+report = greedy_opt(config, instance.ids(), ExactMnlOracle(instance), trace=True)
 print(f"\ngreedy search: {report.best_assortment.ids} revenue {report.best_oracle_revenue:.6f}")
 print(f"  oracle calls: {report.oracle_calls} "
       f"(analytic bound {call_count_bound(instance.n, config)})")

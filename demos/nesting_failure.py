@@ -12,10 +12,10 @@ Run: python3 demos/nesting_failure.py
 import pathlib
 
 from assortopt import (
+    ExactMnlOracle,
     GreedyConfig,
     brute_force_opt,
     greedy_opt,
-    make_exact_oracle,
     mnl_revenue,
     naive_greedy,
 )
@@ -24,7 +24,7 @@ from assortopt.io import load_instance
 fixture = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "nesting_witness.json"
 instance, meta = load_instance(str(fixture))
 capacity = meta["capacity"]
-oracle = make_exact_oracle(instance)
+oracle = ExactMnlOracle(instance)
 
 print("witness instance:")
 for p in instance.products:

@@ -11,15 +11,15 @@ Run: python3 demos/noisy_oracles.py
 """
 
 from assortopt import (
+    ExactMnlOracle,
     GeneratorSpec,
     GreedyConfig,
     NoiseSpec,
+    NoisyOracle,
     brute_force_opt,
     compute_bounds,
     generate_instance,
     greedy_opt,
-    make_exact_oracle,
-    make_noisy_oracle,
     max_slack_set_size,
     realized_gap,
 )
@@ -33,7 +33,7 @@ for eps in (0.0005, 0.001, 0.005, 0.01, 0.05):
     budgets = []
     for index in range(40):
         instance = generate_instance(GeneratorSpec(8, seed=10_000 + index))
-        exact = make_exact_oracle(instance)
+        exact = ExactMnlOracle(instance)
         brute = brute_force_opt(exact, instance.ids(), capacity)
 
         bound = compute_bounds(instance, capacity, eps, brute)
@@ -43,7 +43,7 @@ for eps in (0.0005, 0.001, 0.005, 0.01, 0.05):
 
         noise = NoiseSpec(mode="seeded-uniform", eps=eps, seed=index)
         solve = greedy_opt(
-            GreedyConfig(0, capacity, budget), instance.ids(), make_noisy_oracle(exact, noise)
+            GreedyConfig(0, capacity, budget), instance.ids(), NoisyOracle(exact, noise)
         )
         gap = realized_gap(instance, solve.best_assortment, brute)
 

@@ -44,9 +44,6 @@ from .oracles import (
     NoisyOracle,
     OracleStats,
     RevenueOracle,
-    make_counting_oracle,
-    make_exact_oracle,
-    make_noisy_oracle,
     make_oracle,
     mnl_revenue,
     total_weight,

@@ -38,7 +38,7 @@ from .generate import (
 )
 from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
 from .instance import Assortment, Instance
-from .oracles import NoiseSpec, make_exact_oracle, make_oracle
+from .oracles import ExactMnlOracle, NoiseSpec, make_oracle
 from .reference import ExactSolution, brute_force_opt, candidate_set_opt, mnl_opt, revenues_agree
 
 EXIT_OK = 0
@@ -176,7 +176,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     capacity = _capacity(args, instance)
     if not 0 <= capacity <= instance.n:
         raise ConfigError(f"need 0 <= C <= N, got C={capacity} N={instance.n}")
-    brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
+    brute = brute_force_opt(ExactMnlOracle(instance), instance.ids(), capacity)
     candidate = candidate_set_opt(instance, capacity)
     fixed_point = mnl_opt(instance, capacity)
     agree = all(revenues_agree(s.revenue, brute.revenue) for s in (candidate, fixed_point))

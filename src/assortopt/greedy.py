@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .instance import Assortment, optimum_key
-from .oracles import MovePass, RevenueOracle, best_move, make_counting_oracle
+from .oracles import CountingOracle, MovePass, RevenueOracle, best_move
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def _run_add_exchange(
     step = first_step
 
     while True:
-        pool_before = tuple(pool)
+        pool_before = tuple(pool) if trace else ()
         previous = current
         move = _best_move(current, moves, oracle)
         if move is not None and move[0] > current_rev:
@@ -281,7 +281,7 @@ def greedy_opt(
     """
     ids = sorted(set(universe))
     config.validate(len(ids))
-    counting, stats = make_counting_oracle(oracle)
+    counting = CountingOracle(oracle)
 
     best: tuple[Assortment, float] | None = None
     traces: list[tuple[Assortment, tuple[IterationRecord, ...]]] = []
@@ -310,7 +310,7 @@ def greedy_opt(
     return SolveReport(
         best_assortment=best[0],
         best_oracle_revenue=best[1],
-        oracle_calls=stats.call_count,
+        oracle_calls=counting.stats.call_count,
         seeds_explored=seeds_explored,
         traces=tuple(traces) if trace else None,
         max_exchange_outs=max_outs,

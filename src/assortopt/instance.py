@@ -94,12 +94,6 @@ class Instance:
         except KeyError as exc:
             raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
 
-    def weight(self, product_id: int) -> float:
-        return self.product(product_id).weight
-
-    def price(self, product_id: int) -> float:
-        return self.product(product_id).price
-
     def top_weight_sum(self, k: int) -> float:
         """Sum of the k largest weights (all of them if k > n)."""
         if k <= 0:
@@ -131,18 +125,10 @@ class Assortment:
         """Canonical encoding: ascending ids, comma-separated ("" for empty)."""
         return ",".join(str(i) for i in self.ids)
 
-    def with_product(self, product_id: int) -> "Assortment":
-        return Assortment(self.ids + (product_id,))
-
-    def swap(self, out_id: int, in_id: int) -> "Assortment":
-        """Replace ``out_id`` with ``in_id``."""
-        return Assortment(tuple(i for i in self.ids if i != out_id) + (in_id,))
-
     def after_move(self, entering: int, leaving: int | None = None) -> "Assortment":
         """The offer set after a move: add ``entering`` or, with ``leaving``, swap it in."""
-        if leaving is None:
-            return self.with_product(entering)
-        return self.swap(leaving, entering)
+        kept = self.ids if leaving is None else tuple(i for i in self.ids if i != leaving)
+        return Assortment(kept + (entering,))
 
     def encode_moves(self, moves: Sequence[tuple[int, int | None]]) -> list[str]:
         """Canonical encodings of the sets the moves lead to, without building them.

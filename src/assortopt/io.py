@@ -318,6 +318,16 @@ def _product_ids(values: Any) -> list[int]:
     return list(map(_product_id, values))
 
 
+def _assortment(values: Any, what: str) -> Assortment:
+    """An offer set as a report holds it; ids out of strictly ascending order are a ValueError,
+    which ``Assortment`` would instead sort and deduplicate."""
+    ids = tuple(_product_ids(values))
+    assortment = Assortment(ids)
+    if assortment.ids != ids:
+        raise ValueError(f"{what} ids {list(ids)} are not strictly ascending")
+    return assortment
+
+
 def _exchange_out_counts(doc: Any) -> dict[int, int]:
     """Exchange-out counts keyed by product id; each key is the id's canonical decimal.
 
@@ -344,8 +354,8 @@ def record_from_document(doc: dict) -> IterationRecord:
             added=None if added is None else _product_id(added),
             removed=None if removed is None else _product_id(removed),
             revenue_after=_parse_float(doc["revenue_after"], "schema", "revenue_after"),
-            assortment_before=Assortment.of(_product_ids(doc["assortment_before"])),
-            assortment_after=Assortment.of(_product_ids(doc["assortment_after"])),
+            assortment_before=_assortment(doc["assortment_before"], "assortment_before"),
+            assortment_after=_assortment(doc["assortment_after"], "assortment_after"),
             pool_before=tuple(_product_ids(doc["pool_before"])),
             universe_size_after=_integer(doc["universe_size_after"], "universe_size_after"),
             exchange_out_counts=_exchange_out_counts(doc["exchange_out_counts"]),
@@ -375,13 +385,13 @@ def solve_report_from_document(doc: dict) -> SolveReport:
         if doc.get("traces") is not None:
             traces = tuple(
                 (
-                    Assortment.of(_product_ids(entry["seed"])),
+                    _assortment(entry["seed"], "seed"),
                     tuple(record_from_document(r) for r in entry["records"]),
                 )
                 for entry in doc["traces"]
             )
         return SolveReport(
-            best_assortment=Assortment.of(_product_ids(doc["best_assortment"])),
+            best_assortment=_assortment(doc["best_assortment"], "best_assortment"),
             best_oracle_revenue=_parse_float(doc["best_oracle_revenue"], "schema", "revenue"),
             oracle_calls=_integer(doc["oracle_calls"], "oracle_calls"),
             seeds_explored=_integer(doc["seeds_explored"], "seeds_explored"),

@@ -7,21 +7,18 @@ through it, and the greedy solver does not score again a move that an
 earlier pass has settled. An oracle may also offer
 ``score_moves(current, moves)``, estimates for a whole pass of moves that
 need only be accurate to rounding. The solver passes ``moves`` as a
-``MovePass``, a read-only sequence of (entering, leaving) pairs that the
-built-in oracles score straight from its pools; any other oracle may read
-it as the list of those pairs. ``score_moves`` below re-evaluates the
-ones that could win through ``evaluate``, and falls back to it for oracles
-without the method. Its values are exact within ``CONFIRM_BAND`` of the
-best; under seeded-uniform noise the moves that cannot reach the band are
-not hashed and get an upper bound below it, so the argmax is unchanged.
-``best_move`` finds that argmax among the confirmed values when it can.
-This module provides the built-in implementations:
+``MovePass``, which the built-in oracles score straight from its pools and
+any other oracle may read as the list of its (entering, leaving) pairs.
+``score_moves`` and ``best_move`` below confirm the estimates that could
+win through ``evaluate``, and fall back to it for oracles without the method.
 
-* exact MNL expected revenue,
-* a deterministic multiplicative-noise wrapper that underestimates the
-  base value by a per-assortment factor in ``[0, eps]``, ``eps`` being
-  the one noise level of its ``NoiseSpec``,
-* a call-counting wrapper used to verify oracle-call complexity bounds.
+Each built-in oracle is made by its constructor, and ``make_oracle`` picks
+the exact or the noisy one from a ``NoiseSpec``:
+
+* ``ExactMnlOracle(instance)``: exact MNL expected revenue,
+* ``NoisyOracle(base, spec)``: deterministic multiplicative noise that
+  underestimates the base value by a per-assortment factor in ``[0, eps]``,
+* ``CountingOracle(base)``: call counts in ``stats``, to verify oracle-call bounds.
 
 Oracles are immutable after construction and safe for concurrent reads;
 the counting wrapper guards its statistics with a lock.
@@ -34,9 +31,9 @@ import math
 import operator
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product, repeat
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol
 
 from .errors import InvalidAssortmentError, ValidationError
 from .instance import Assortment, Instance
@@ -58,8 +55,8 @@ class MovePass(Sequence):
     Every exchange of an ``exchange_pool`` product for a ``members`` product,
     in (entering, leaving) order, then the addition of each ``add_pool``
     product. The three tuples are all it stores, so the built-in oracles
-    score a pass column by column from them; any other reader sees a
-    sequence equal, item for item, to the list of those pairs.
+    score a pass straight from them; any other reader sees a sequence
+    equal, item for item, to the list of those pairs.
     """
 
     __slots__ = ("exchange_pool", "members", "add_pool", "_exchanges")
@@ -91,7 +88,6 @@ class MovePass(Sequence):
         return chain(product(self.exchange_pool, self.members), zip(self.add_pool, repeat(None)))
 
 
-@runtime_checkable
 class RevenueOracle(Protocol):
     """Anything with ``evaluate(assortment) -> float`` is an oracle."""
 
@@ -192,8 +188,6 @@ class NoiseSpec:
     eps: float = 0.0
     seed: int = 0
 
-    _hasher: "hashlib.blake2b" = field(init=False, repr=False, compare=False, hash=False)
-
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValidationError(f"unknown noise mode {self.mode!r}", code="bad-noise")
@@ -205,42 +199,33 @@ class NoiseSpec:
             raise ValidationError(f"noise mode 'none' takes seed 0, not {self.seed!r}", code="bad-noise")
         if not 0.0 <= self.eps < 1.0:
             raise ValidationError("eps must lie in [0, 1)", code="bad-noise")
-        object.__setattr__(self, "_hasher", _keyed_hasher(self.seed))
-
-    def __reduce__(self):
-        # a hash state cannot be pickled or deep-copied; __post_init__ rebuilds it
-        return (NoiseSpec, (self.mode, self.eps, self.seed))
 
     def epsilon(self, assortment: Assortment) -> float:
         """Relative underestimation factor for one assortment."""
         if self.mode != "seeded-uniform":  # fixed, or none at eps 0
             return self.eps
-        return self.eps * _unit_hash(self._hasher, assortment.encode())
+        return self.eps * _unit_hashes(self.seed, [assortment.encode()])[0]
 
     def move_epsilons(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
         """``epsilon(current.after_move(*move))`` for each move, bit for bit."""
         if self.mode != "seeded-uniform":  # the factor does not depend on the set
             return [self.eps] * len(moves)
-        hasher = self._hasher
-        return [self.eps * _unit_hash(hasher, text) for text in current.encode_moves(moves)]
+        return [self.eps * unit for unit in _unit_hashes(self.seed, current.encode_moves(moves))]
 
 
-def _keyed_hasher(seed: int) -> "hashlib.blake2b":
-    """A BLAKE2b state keyed by the seed, to be copied for each message."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    return hashlib.blake2b(digest_size=8, key=key)
+def _unit_hashes(seed: int, encodings: Iterable[str]) -> list[float]:
+    """Deterministic map of (seed, encoding) into [0, 1), for each encoding.
 
-
-def _unit_hash(hasher: "hashlib.blake2b", encoding: str) -> float:
-    """Deterministic map of (seed, encoding) into [0, 1).
-
-    ``hasher`` is the seed's ``_keyed_hasher``. Keyed BLAKE2 keeps the value
-    stable across platforms, processes and Python versions (never the
-    builtin ``hash``).
+    Keyed BLAKE2 keeps the value stable across platforms, processes and
+    Python versions (never the builtin ``hash``).
     """
-    state = hasher.copy()
-    state.update(encoding.encode("ascii"))
-    return int.from_bytes(state.digest(), "little") / 2.0**64
+    keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    units = []
+    for encoding in encodings:
+        state = keyed.copy()
+        state.update(encoding.encode("ascii"))
+        units.append(int.from_bytes(state.digest(), "little") / 2.0**64)
+    return units
 
 
 class ExactMnlOracle:
@@ -257,57 +242,37 @@ class ExactMnlOracle:
     def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
         """Estimated ``evaluate``: one division per move over leave-one-out member sums.
 
-        A ``MovePass`` is scored one leaving member's column at a time over
-        tables of its pools' terms and weights; any other sequence move by
-        move. Each value comes from the same expression either way, so the
-        two agree bit for bit.
+        A ``MovePass`` and any other sequence read the same sums per leaver, so
+        each value comes from the same expression and the two agree bit for bit.
         """
         terms, weights = self._terms, self._weights
         members = current.ids
-        if isinstance(moves, MovePass):
-            # a pass needs each member's column only when it has exchanges, and
-            # the column where nobody leaves only when it has additions
-            exchange_leavers = moves.members if moves.exchange_pool else ()
-            add_leavers = (None,) if moves.add_pool else ()
-            leavers = (*exchange_leavers, *add_leavers)
-        else:
-            leavers = (None, *members)
         try:
-            # numerator and denominator of current less each leaver (None: less
-            # nobody), summed over the member tables with the leaver's entry cut
-            # out; sums of nonnegative terms, so nothing cancels
             member_terms = list(map(terms.__getitem__, members))
             member_weights = list(map(weights.__getitem__, members))
             position = {member: j for j, member in enumerate(members)}
-            numerators, denominators = {}, {}
-            for leaving in leavers:
+
+            def less(leaving):
+                # current's sums less ``leaving`` (nobody if no member); all terms >= 0, so nothing cancels
                 j = position.get(leaving, len(members))
-                numerators[leaving] = math.fsum(member_terms[:j] + member_terms[j + 1:])
-                denominators[leaving] = math.fsum([1.0] + member_weights[:j] + member_weights[j + 1:])
+                return (math.fsum(member_terms[:j] + member_terms[j + 1:]),
+                        math.fsum([1.0] + member_weights[:j] + member_weights[j + 1:]))
+
             if not isinstance(moves, MovePass):
-                return [
-                    (numerators[leaving] + terms[entering]) / (denominators[leaving] + weights[entering])
-                    for entering, leaving in moves
-                ]
-
-            def columns(pool, leavers):
-                pool_terms = list(map(terms.__getitem__, pool))
-                pool_weights = list(map(weights.__getitem__, pool))
-                for leaving in leavers:
-                    numerator, denominator = numerators[leaving], denominators[leaving]
-                    yield [
-                        (numerator + term) / (denominator + weight)
-                        for term, weight in zip(pool_terms, pool_weights)
-                    ]
-
-            # moves run entering-major, so leaving member j's column is every width-th value
-            width = len(moves.members)
-            exchanges = len(moves.exchange_pool) * width
-            values = [0.0] * exchanges
-            for j, column in enumerate(columns(moves.exchange_pool, exchange_leavers)):
-                values[j:exchanges:width] = column
-            for column in columns(moves.add_pool, add_leavers):
-                values += column
+                sums = {leaving: less(leaving) for leaving in (None, *members)}
+                return [(sums[leaving][0] + terms[entering]) / (sums[leaving][1] + weights[entering])
+                        for entering, leaving in moves]
+            pool = moves.exchange_pool
+            leavers = [less(leaving) for leaving in moves.members] if pool else ()
+            values = [  # entering-major, as the pass lists its exchanges
+                (numerator + term) / (denominator + weight)
+                for term, weight in zip(map(terms.__getitem__, pool), map(weights.__getitem__, pool))
+                for numerator, denominator in leavers
+            ]
+            if moves.add_pool:
+                numerator, denominator = less(None)
+                values += [(numerator + terms[entering]) / (denominator + weights[entering])
+                           for entering in moves.add_pool]
             return values
         except KeyError as exc:
             raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
@@ -339,8 +304,8 @@ class NoisyOracle:
         base = batched(current, moves) if batched else _evaluate_moves(self.base, current, moves)
         spec = self.spec
         if spec.mode != "seeded-uniform":
-            epsilons = spec.move_epsilons(current, moves)
-            return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
+            scale = 1.0 - spec.eps
+            return [scale * value for value in base]
         top = max(base, default=0.0)
         # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
         cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
@@ -404,23 +369,10 @@ class CountingOracle:
         return self.base.evaluate(assortment)
 
 
-def make_exact_oracle(instance: Instance) -> ExactMnlOracle:
-    return ExactMnlOracle(instance)
-
-
-def make_noisy_oracle(base: RevenueOracle, spec: NoiseSpec) -> NoisyOracle:
-    return NoisyOracle(base, spec)
-
-
 def make_oracle(instance: Instance, noise: NoiseSpec) -> RevenueOracle:
     """The exact MNL oracle, wrapped in ``NoisyOracle`` unless ``noise.mode`` is "none"."""
-    exact = make_exact_oracle(instance)
-    return exact if noise.mode == "none" else make_noisy_oracle(exact, noise)
-
-
-def make_counting_oracle(base: RevenueOracle) -> tuple[CountingOracle, OracleStats]:
-    oracle = CountingOracle(base)
-    return oracle, oracle.stats
+    exact = ExactMnlOracle(instance)
+    return exact if noise.mode == "none" else NoisyOracle(exact, noise)
 
 
 def total_weight(instance: Instance, assortment: Assortment) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from assortopt.errors import AssortoptError, ValidationError
 from assortopt.generate import GeneratorSpec, derive_seed, generate_instance
 from assortopt.instance import Assortment, Instance
-from assortopt.oracles import make_exact_oracle, total_weight
+from assortopt.oracles import ExactMnlOracle, total_weight
 from assortopt.reference import brute_force_opt
 from assortopt.transform import scaled_margin, top_margin_set
 
@@ -45,7 +45,7 @@ def mnl_choice_prob(instance: Instance, assortment: Assortment, choice: int) -> 
         return 1.0 / denom
     if choice not in assortment:
         raise InvalidChoiceError(f"choice {choice} is not offered in {assortment.ids}")
-    return instance.weight(choice) / denom
+    return instance.product(choice).weight / denom
 
 
 def min_margin_member(instance: Instance, top: Assortment, u: float) -> int:
@@ -95,7 +95,7 @@ def find_nesting_witness(seed: int, n: int, capacity: int, attempts: int) -> Nes
     for attempt in range(attempts):
         attempt_seed = derive_seed("nesting-witness", seed, attempt)
         instance = generate_instance(GeneratorSpec(n, seed=attempt_seed))
-        oracle = make_exact_oracle(instance)
+        oracle = ExactMnlOracle(instance)
         solution = brute_force_opt(oracle, instance.ids(), capacity)
         for c1 in range(1, capacity):
             opt_c1 = solution.per_size_optima[c1][0]

@@ -25,10 +25,12 @@ import pytest
 import assortopt
 from assortopt import (
     Assortment,
+    ExactMnlOracle,
     GeneratorSpec,
     GreedyConfig,
     Instance,
     NoiseSpec,
+    NoisyOracle,
     assortment_margin,
     brute_force_opt,
     call_count_bound,
@@ -38,8 +40,6 @@ from assortopt import (
     compute_bounds,
     generate_instance,
     greedy_opt,
-    make_exact_oracle,
-    make_noisy_oracle,
     max_slack_set_size,
     mnl_revenue,
     naive_greedy,
@@ -75,7 +75,7 @@ def exact_runs():
         n, c = grid[index % len(grid)]
         instance = generate_instance(GeneratorSpec(n, seed=derive_seed("acceptance-exact", index)))
         config = GreedyConfig(seed_size=0, capacity=c, exchange_budget=c + 1)
-        oracle = make_exact_oracle(instance)
+        oracle = ExactMnlOracle(instance)
         solve = greedy_opt(config, instance.ids(), oracle, trace=True)
         brute = brute_force_opt(oracle, instance.ids(), c)
         runs.append(ExactRun(instance, config, solve, brute))
@@ -99,7 +99,7 @@ def noisy_runs():
     runs = []
     for index in range(100):
         instance = generate_instance(GeneratorSpec(8, seed=derive_seed("acceptance-noisy", index)))
-        brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), 3)
+        brute = brute_force_opt(ExactMnlOracle(instance), instance.ids(), 3)
         for eps_max in (0.001, 0.01):
             noise = NoiseSpec(
                 mode="seeded-uniform", eps=eps_max, seed=derive_seed("noise", index, eps_max)
@@ -107,7 +107,7 @@ def noisy_runs():
             bound = compute_bounds(instance, 3, eps_max, brute)
             slack_size = max_slack_set_size(instance, 3, 2.0 * bound.inputs.delta_cap)
             config = GreedyConfig(0, 3, max(4, slack_size + 1))
-            oracle = make_noisy_oracle(make_exact_oracle(instance), noise)
+            oracle = NoisyOracle(ExactMnlOracle(instance), noise)
             solve = greedy_opt(config, instance.ids(), oracle, trace=True)
             realized = mnl_revenue(instance, solve.best_assortment)
             gap = (brute.revenue - realized) / brute.revenue
@@ -183,7 +183,7 @@ def test_criterion_4_reference_solver_equivalence():
         instance = generate_instance(
             GeneratorSpec(n, seed=derive_seed("acceptance-reference", index))
         )
-        brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), c)
+        brute = brute_force_opt(ExactMnlOracle(instance), instance.ids(), c)
         candidate = candidate_set_opt(instance, c)
         if abs(candidate.revenue - brute.revenue) > REL_TOL * abs(brute.revenue):
             mismatches.append((instance, c))
@@ -207,7 +207,7 @@ def test_criterion_5_nesting_failure_witness(nesting_fixture):
         and list(witness.opt_c2.ids) == meta["opt_c2"]
     )
 
-    oracle = make_exact_oracle(instance)
+    oracle = ExactMnlOracle(instance)
     brute = brute_force_opt(oracle, instance.ids(), capacity)
     not_nested = not set(meta["opt_c1"]) <= set(meta["opt_c2"])
     opts_verified = (
@@ -442,3 +442,11 @@ def test_criterion_8_cli_determinism(tmp_path):
         report(8, "CLI determinism", False, str(exc).splitlines()[0])
         raise
     report(8, "CLI determinism", True, "serial == parallel == env-configured")
+
+
+def test_readme_library_quickstart_runs():
+    """The README's library quickstart runs as written, so it names no deleted API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_quickstart"})

@@ -10,10 +10,12 @@ import pytest
 from assortopt import (
     Assortment,
     EnumerationCapError,
+    ExactMnlOracle,
     GreedyConfig,
     Instance,
     IterationRecord,
     NoiseSpec,
+    NoisyOracle,
     ValidationError,
     assortment_margin,
     brute_force_opt,
@@ -23,9 +25,7 @@ from assortopt import (
     compute_bounds,
     exact_delta_cap,
     greedy_opt,
-    make_exact_oracle,
     margin_breakpoints,
-    make_noisy_oracle,
     max_slack_set_size,
     mnl_revenue,
     scaled_margin,
@@ -255,7 +255,7 @@ class TestMaxSlackSetSize:
 
 class TestComputeBounds:
     def test_zero_noise_means_zero_bound(self):
-        opt = brute_force_opt(make_exact_oracle(THREE), THREE.ids(), 2)
+        opt = brute_force_opt(ExactMnlOracle(THREE), THREE.ids(), 2)
         bound = compute_bounds(THREE, 2, 0.0, opt)
         assert bound.eta == 0.0
         assert bound.f_value == 0.0
@@ -265,7 +265,7 @@ class TestComputeBounds:
         # two products, both in the optimum: heaviest offerable weight equals
         # the optimum's weight, so f = eta = 8 * 0.01 / 0.99
         inst = Instance.of([(1, 1.0, 50.0), (2, 1.0, 50.0)])
-        opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), 2)
+        opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 2)
         assert opt.assortment.ids == (1, 2)
         bound = compute_bounds(inst, 2, 0.01, opt)
         assert bound.f_value == pytest.approx(8 * 0.01 / 0.99, rel=1e-12)
@@ -273,13 +273,13 @@ class TestComputeBounds:
 
     def test_single_unit_weight_product(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), 1)
+        opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 1)
         bound = compute_bounds(inst, 1, 0.1, opt)
         assert bound.inputs.max_offered_weight == 2.0
 
     def test_holds_up_to_the_bound_and_is_none_when_vacuous(self):
         inst = Instance.of([(1, 1.0, 50.0), (2, 1.0, 50.0)])
-        opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), 2)
+        opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 2)
         bound = compute_bounds(inst, 2, 0.01, opt)
         assert bound.holds(bound.f_value) is True
         assert bound.holds(math.nextafter(bound.f_value, 1.0)) is False
@@ -288,7 +288,7 @@ class TestComputeBounds:
         assert compute_bounds(inst, 2, 0.2, opt).holds(0.0) is None  # f = 8 * 0.2 / 0.8
 
     def test_eps_out_of_range_rejected(self):
-        opt = brute_force_opt(make_exact_oracle(THREE), THREE.ids(), 2)
+        opt = brute_force_opt(ExactMnlOracle(THREE), THREE.ids(), 2)
         with pytest.raises(ValidationError):
             compute_bounds(THREE, 2, 1.0, opt)
 
@@ -299,7 +299,7 @@ class TestComputeBounds:
             capacity = rng.randint(1, inst.n)
             eps = rng.choice([0.001, 0.01, 0.1])
             noise = NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
-            opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             bound = compute_bounds(inst, capacity, eps, opt)
             assert exact_delta_cap(inst, capacity, noise) <= bound.inputs.delta_cap + 1e-12
 
@@ -309,7 +309,7 @@ class TestComputeBounds:
             inst = random_instance(rng, rng.randint(1, 8))
             capacity = rng.randint(1, inst.n)
             noise = NoiseSpec(mode="fixed", eps=0.05)
-            opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             bound = compute_bounds(inst, capacity, 0.05, opt)
             assert exact_delta_cap(inst, capacity, noise) == pytest.approx(
                 bound.inputs.delta_cap, rel=1e-12
@@ -359,7 +359,7 @@ class TestTraceInvariants:
             report = greedy_opt(
                 GreedyConfig(0, capacity, capacity + 1),
                 inst.ids(),
-                make_exact_oracle(inst),
+                ExactMnlOracle(inst),
                 trace=True,
             )
             for _seed, records in report.traces:
@@ -372,11 +372,11 @@ class TestTraceInvariants:
             capacity = rng.randint(1, inst.n)
             eps = rng.choice([0.001, 0.01])
             noise = NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
-            oracle = make_noisy_oracle(make_exact_oracle(inst), noise)
+            oracle = NoisyOracle(ExactMnlOracle(inst), noise)
             report = greedy_opt(
                 GreedyConfig(0, capacity, capacity + 1), inst.ids(), oracle, trace=True
             )
-            opt = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             delta_cap = compute_bounds(inst, capacity, eps, opt).inputs.delta_cap
             for _seed, records in report.traces:
                 assert check_trace_invariants(inst, records, delta_cap) == []
@@ -525,7 +525,7 @@ class TestTraceInvariantsFastPath:
             inst = random_instance(rng, rng.randint(2, 12))
             capacity = rng.randint(1, inst.n)
             report = greedy_opt(GreedyConfig(0, capacity, capacity + 1), inst.ids(),
-                                make_exact_oracle(inst), trace=True)
+                                ExactMnlOracle(inst), trace=True)
             for _seed, records in report.traces:
                 for delta_cap in (0.0, -0.5):  # a negative slack makes every step a violation
                     assert check_trace_invariants(inst, records, delta_cap) == enumerated_violations(
@@ -548,7 +548,7 @@ class TestProductLookup:
                 r1, r2 = product_loop_revenue(inst, m1), product_loop_revenue(inst, m2)
                 assert mnl_revenue(inst, m1).hex() == r1.hex()
                 assert total_weight(inst, m1).hex() == math.fsum(
-                    [1.0] + [inst.weight(i) for i in m1.ids]
+                    [1.0] + [inst.product(i).weight for i in m1.ids]
                 ).hex()
                 for u in (0.0, r2, rng.choice(inst.products).price, rng.uniform(0.0, 20.0)):
                     assert assortment_margin(inst, m1, u).hex() == math.fsum(
@@ -581,7 +581,7 @@ class TestTraceBookkeeping:
 
     def seed_two_trace(self):
         # from seed {2}: add 1, exchange 2 out for 3, stop
-        report = greedy_opt(self.CONFIG, THREE.ids(), make_exact_oracle(THREE), trace=True)
+        report = greedy_opt(self.CONFIG, THREE.ids(), ExactMnlOracle(THREE), trace=True)
         traces = dict((seed.ids, records) for seed, records in report.traces)
         assert [r.action for r in traces[(2,)]] == ["add", "exchange", "terminate"]
         return list(traces[(2,)])

@@ -668,6 +668,41 @@ def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, 
 
 
 @pytest.mark.parametrize(
+    "path",
+    [
+        ("result", "best_assortment"),
+        ("result", "traces", 2, "seed"),
+        ("result", "traces", 2, "records", 0, "assortment_before"),
+        ("result", "traces", 2, "records", 0, "assortment_after"),
+    ],
+    ids=["best-assortment", "trace-seed", "assortment-before", "assortment-after"],
+)
+def test_verify_refuses_an_id_list_out_of_ascending_order(tmp_path, capsys, fixtures_dir, path):
+    """An assortment's ids are read strictly ascending, not sorted and deduplicated."""
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "solve", str(fixtures_dir / "generated_n8_seed7.json"), "--S", "1", "--C", "3",
+        "--trace", "-o", str(report),
+    )
+    assert code == 0
+    doc = json.loads(report.read_text())
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    ids = holder[path[-1]]
+    # the same set, misordered and with a repeat
+    holder[path[-1]] = ids[::-1] + ids[:1]
+    assert sorted(set(holder[path[-1]])) == ids
+    report.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(report))
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "schema"
+    assert f"{path[-1]} ids" in error["message"] and "not strictly ascending" in error["message"]
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("seeds_explored", 999), ("oracle_calls", 10**12)],
     ids=["seeds-explored-not-binom-N-S", "oracle-calls-above-bound"],

@@ -6,14 +6,14 @@ import pytest
 
 from assortopt import (
     Assortment,
+    ExactMnlOracle,
     GreedyConfig,
     Instance,
     NoiseSpec,
+    NoisyOracle,
     brute_force_opt,
     candidate_set_opt,
     greedy_opt,
-    make_exact_oracle,
-    make_noisy_oracle,
     mnl_revenue,
     naive_greedy,
 )
@@ -23,7 +23,7 @@ from assortopt.generate import GeneratorSpec, generate_instance
 class TestDegenerateInstances:
     def test_empty_universe_solves_to_empty(self):
         inst = Instance.of([])
-        report = greedy_opt(GreedyConfig(0, 0, 1), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(0, 0, 1), inst.ids(), ExactMnlOracle(inst))
         assert report.best_assortment.ids == ()
         assert report.best_oracle_revenue == 0.0
         assert report.seeds_explored == 1
@@ -32,7 +32,7 @@ class TestDegenerateInstances:
         # every assortment earns 0; nothing strictly improves, so the empty
         # seed never grows, and both reference solvers settle on empty too
         inst = Instance.of([(1, 1.0, 0.0), (2, 2.0, 0.0), (3, 0.5, 0.0)])
-        oracle = make_exact_oracle(inst)
+        oracle = ExactMnlOracle(inst)
         report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), oracle)
         assert report.best_assortment.ids == ()
         assert report.best_oracle_revenue == 0.0
@@ -51,7 +51,7 @@ class TestDegenerateInstances:
                 type(base.products[0])(7, 0.2, 0.0),
             ]
             inst = Instance(tuple(products))
-            brute = brute_force_opt(make_exact_oracle(inst), inst.ids(), 3)
+            brute = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 3)
             # a free product only dilutes demand; the optimum skips them
             assert 6 not in brute.assortment and 7 not in brute.assortment
             candidate = candidate_set_opt(inst, 3)
@@ -59,7 +59,7 @@ class TestDegenerateInstances:
 
     def test_single_product_zero_capacity(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        report = greedy_opt(GreedyConfig(0, 0, 1), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(0, 0, 1), inst.ids(), ExactMnlOracle(inst))
         assert report.best_assortment.ids == ()
 
 
@@ -74,9 +74,9 @@ class TestFixedNoiseInvariance:
             capacity = rng.randint(1, n)
             budget = rng.randint(1, capacity + 2)
             config = GreedyConfig(0, capacity, budget)
-            exact = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
-            noisy_oracle = make_noisy_oracle(
-                make_exact_oracle(inst), NoiseSpec(mode="fixed", eps=0.25)
+            exact = greedy_opt(config, inst.ids(), ExactMnlOracle(inst))
+            noisy_oracle = NoisyOracle(
+                ExactMnlOracle(inst), NoiseSpec(mode="fixed", eps=0.25)
             )
             noisy = greedy_opt(config, inst.ids(), noisy_oracle)
             assert noisy.best_assortment == exact.best_assortment
@@ -122,12 +122,12 @@ class TestSeedSizeBoundary:
         checked = 0
         for _ in range(60):
             inst = generate_instance(GeneratorSpec(8, seed=rng.getrandbits(60)))
-            brute = brute_force_opt(make_exact_oracle(inst), inst.ids(), 3)
+            brute = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 3)
             for seed_size in (1, 2):
                 if len(brute.assortment) < seed_size:
                     continue  # structurally unreachable, see below
                 report = greedy_opt(
-                    GreedyConfig(seed_size, 3, 4), inst.ids(), make_exact_oracle(inst)
+                    GreedyConfig(seed_size, 3, 4), inst.ids(), ExactMnlOracle(inst)
                 )
                 assert report.best_oracle_revenue == pytest.approx(brute.revenue, rel=1e-9)
                 checked += 1
@@ -137,13 +137,13 @@ class TestSeedSizeBoundary:
         # one dominant product: the optimum is a singleton, and with S=2
         # every result keeps >= 2 members, so the solver must fall short
         inst = Instance.of([(1, 5.0, 100.0), (2, 5.0, 1.0), (3, 5.0, 1.0)])
-        brute = brute_force_opt(make_exact_oracle(inst), inst.ids(), 3)
+        brute = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 3)
         assert brute.assortment.ids == (1,)
-        report = greedy_opt(GreedyConfig(2, 3, 4), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(2, 3, 4), inst.ids(), ExactMnlOracle(inst))
         assert len(report.best_assortment) >= 2
         assert report.best_oracle_revenue < brute.revenue
         # with the safe default S=0 the same instance solves exactly
-        report = greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), ExactMnlOracle(inst))
         assert report.best_oracle_revenue == pytest.approx(brute.revenue, rel=1e-12)
 
 
@@ -155,8 +155,8 @@ class TestRevenueScaleInvariance:
             inst = generate_instance(GeneratorSpec(6, seed=rng.getrandbits(60)))
             scaled = Instance.of([(p.id, p.weight, 10.0 * p.price) for p in inst.products])
             config = GreedyConfig(0, 3, 4)
-            a = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
-            b = greedy_opt(config, scaled.ids(), make_exact_oracle(scaled))
+            a = greedy_opt(config, inst.ids(), ExactMnlOracle(inst))
+            b = greedy_opt(config, scaled.ids(), ExactMnlOracle(scaled))
             assert a.best_assortment == b.best_assortment
             assert b.best_oracle_revenue == pytest.approx(
                 10.0 * a.best_oracle_revenue, rel=1e-12

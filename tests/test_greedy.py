@@ -13,16 +13,16 @@ import assortopt.greedy as greedy_module
 from assortopt import (
     Assortment,
     ConfigError,
+    CountingOracle,
+    ExactMnlOracle,
     GreedyConfig,
     Instance,
     NoiseSpec,
+    NoisyOracle,
     brute_force_opt,
     call_count_bound,
     greedy_add_exchange,
     greedy_opt,
-    make_counting_oracle,
-    make_exact_oracle,
-    make_noisy_oracle,
     make_oracle,
     mnl_revenue,
     naive_greedy,
@@ -114,13 +114,13 @@ def set_oracle(oracle):
 class TestAddExchangeExamples:
     def test_single_product_added_once(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        final, _ = greedy_add_exchange(Assortment(), [1], 2, make_exact_oracle(inst))
+        final, _ = greedy_add_exchange(Assortment(), [1], 2, ExactMnlOracle(inst))
         assert final.ids == (1,)
 
     def test_empty_pool_returns_start_unchanged(self):
         inst = Instance.of([(1, 1.0, 10.0)])
         final, records = greedy_add_exchange(
-            Assortment.of([1]), [1], 2, make_exact_oracle(inst), trace=True
+            Assortment.of([1]), [1], 2, ExactMnlOracle(inst), trace=True
         )
         assert final.ids == (1,)
         assert [r.action for r in records] == ["terminate"]
@@ -129,7 +129,7 @@ class TestAddExchangeExamples:
         # derived by simulating the loop on the three-product instance:
         # add 1 (-> 5.5), exchange 2 out for 3 (-> 6.4), stop
         final, records = greedy_add_exchange(
-            Assortment.of([2]), [1, 2, 3], 3, make_exact_oracle(THREE), trace=True
+            Assortment.of([2]), [1, 2, 3], 3, ExactMnlOracle(THREE), trace=True
         )
         assert final.ids == (1, 3)
         assert mnl_revenue(THREE, final) == pytest.approx(6.4, rel=1e-15)
@@ -137,7 +137,7 @@ class TestAddExchangeExamples:
         assert records[1].added == 3 and records[1].removed == 2
 
     def test_empty_universe_returns_start(self):
-        final, _ = greedy_add_exchange(Assortment(), [], 1, make_exact_oracle(THREE))
+        final, _ = greedy_add_exchange(Assortment(), [], 1, ExactMnlOracle(THREE))
         assert final.ids == ()
 
     def test_scores_no_assortment_past_the_size_budget(self):
@@ -146,7 +146,7 @@ class TestAddExchangeExamples:
         for _ in range(20):
             n = rng.randint(3, 9)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
-            exact = make_exact_oracle(inst)
+            exact = ExactMnlOracle(inst)
             scored = []
 
             class Recording:
@@ -162,13 +162,13 @@ class TestAddExchangeExamples:
 class TestSolverExamples:
     def test_single_product_capacity_one(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        report = greedy_opt(GreedyConfig(0, 1, 2), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(0, 1, 2), inst.ids(), ExactMnlOracle(inst))
         assert report.best_assortment.ids == (1,)
         assert report.best_oracle_revenue == 5.0
 
     def test_matches_brute_force_on_three_products(self):
-        report = greedy_opt(GreedyConfig(0, 2, 3), THREE.ids(), make_exact_oracle(THREE))
-        brute = brute_force_opt(make_exact_oracle(THREE), THREE.ids(), 2)
+        report = greedy_opt(GreedyConfig(0, 2, 3), THREE.ids(), ExactMnlOracle(THREE))
+        brute = brute_force_opt(ExactMnlOracle(THREE), THREE.ids(), 2)
         assert report.best_assortment == brute.assortment == Assortment.of([1, 3])
         assert report.best_oracle_revenue == pytest.approx(6.4, rel=1e-15)
 
@@ -177,7 +177,7 @@ class TestSolverExamples:
         inst = Instance.of([(1, 0.5, 7.0), (2, 2.0, 7.0), (3, 1.0, 7.0), (4, 3.0, 7.0)])
         n = inst.n
         for seed_size in (0, 2):
-            report = greedy_opt(GreedyConfig(seed_size, n, n + 1), inst.ids(), make_exact_oracle(inst))
+            report = greedy_opt(GreedyConfig(seed_size, n, n + 1), inst.ids(), ExactMnlOracle(inst))
             best = max(
                 (mnl_revenue(inst, Assortment.of(c)) for k in range(n + 1)
                  for c in itertools.combinations(inst.ids(), k)),
@@ -187,19 +187,19 @@ class TestSolverExamples:
 
     def test_identical_products_tie_break_to_lowest_ids(self):
         inst = Instance.of([(i, 2.0, 5.0) for i in range(1, 6)])
-        report = greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), ExactMnlOracle(inst))
         assert report.best_assortment.ids == (1, 2, 3)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            greedy_opt(GreedyConfig(3, 2, 3), THREE.ids(), make_exact_oracle(THREE))
+            greedy_opt(GreedyConfig(3, 2, 3), THREE.ids(), ExactMnlOracle(THREE))
         with pytest.raises(ConfigError):
-            greedy_opt(GreedyConfig(0, 4, 3), THREE.ids(), make_exact_oracle(THREE))
+            greedy_opt(GreedyConfig(0, 4, 3), THREE.ids(), ExactMnlOracle(THREE))
         with pytest.raises(ConfigError):
-            greedy_opt(GreedyConfig(0, 2, 0), THREE.ids(), make_exact_oracle(THREE))
+            greedy_opt(GreedyConfig(0, 2, 0), THREE.ids(), ExactMnlOracle(THREE))
 
     def test_seed_size_equals_capacity_scores_seeds_only(self):
-        report = greedy_opt(GreedyConfig(2, 2, 1), THREE.ids(), make_exact_oracle(THREE))
+        report = greedy_opt(GreedyConfig(2, 2, 1), THREE.ids(), ExactMnlOracle(THREE))
         best = max(
             (mnl_revenue(THREE, Assortment.of(c)), c)
             for c in itertools.combinations(THREE.ids(), 2)
@@ -218,9 +218,9 @@ class TestAgainstSimulation:
         for trial in range(60):
             n = rng.randint(1, 8)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
-            oracle = make_exact_oracle(inst)
+            oracle = ExactMnlOracle(inst)
             if noise_mode == "seeded-uniform":
-                oracle = make_noisy_oracle(
+                oracle = NoisyOracle(
                     oracle, NoiseSpec(mode="seeded-uniform", eps=0.05, seed=trial)
                 )
             start_size = rng.randint(0, max(0, n - 1))
@@ -236,9 +236,9 @@ class TestAgainstSimulation:
         for trial in range(40):
             n = rng.randint(1, 7)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
-            oracle = make_exact_oracle(inst)
+            oracle = ExactMnlOracle(inst)
             if noise_mode == "seeded-uniform":
-                oracle = make_noisy_oracle(
+                oracle = NoisyOracle(
                     oracle, NoiseSpec(mode="seeded-uniform", eps=0.02, seed=trial)
                 )
             capacity = rng.randint(1, n)
@@ -260,9 +260,9 @@ def traced_runs(count=40, rng_seed=5150, eps=0.0):
     for trial in range(count):
         n = rng.randint(2, 9)
         inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
-        oracle = make_exact_oracle(inst)
+        oracle = ExactMnlOracle(inst)
         if eps:
-            oracle = make_noisy_oracle(
+            oracle = NoisyOracle(
                 oracle, NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
             )
         capacity = rng.randint(1, n)
@@ -326,7 +326,8 @@ class TestLoopInvariants:
             start_size = rng.randint(0, n - 1)
             start = Assortment.of(rng.sample(list(inst.ids()), start_size))
             budget = rng.randint(1, start_size + 3)
-            counting, stats = make_counting_oracle(make_exact_oracle(inst))
+            counting = CountingOracle(ExactMnlOracle(inst))
+            stats = counting.stats
             greedy_add_exchange(start, inst.ids(), budget, counting)
             capacity = start_size + 1  # the invocation-level size context
             assert stats.call_count <= (n * budget + 1) * (capacity * n + n)
@@ -340,7 +341,7 @@ class TestLoopInvariants:
             seed_size = rng.randint(0, capacity - 1)
             budget = rng.randint(1, capacity + 2)
             config = GreedyConfig(seed_size, capacity, budget)
-            report = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
+            report = greedy_opt(config, inst.ids(), ExactMnlOracle(inst))
             assert report.oracle_calls <= call_count_bound(n, config)
 
     @pytest.mark.parametrize("n, size", [(0, 0), (3, 0), (5, 2), (6, 3), (4, 4)])
@@ -349,7 +350,7 @@ class TestLoopInvariants:
         inst = generate_instance(GeneratorSpec(n, seed=n + size))
         for budget in (1, size + 1):
             config = GreedyConfig(size, size, budget)
-            report = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
+            report = greedy_opt(config, inst.ids(), ExactMnlOracle(inst))
             assert call_count_bound(n, config) == report.oracle_calls
 
     def test_exact_oracle_recovers_optimum_spot_check(self):
@@ -359,8 +360,8 @@ class TestLoopInvariants:
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
             capacity = rng.randint(1, min(4, n))
             config = GreedyConfig(0, capacity, capacity + 1)
-            report = greedy_opt(config, inst.ids(), make_exact_oracle(inst))
-            brute = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            report = greedy_opt(config, inst.ids(), ExactMnlOracle(inst))
+            brute = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             assert report.best_oracle_revenue == pytest.approx(brute.revenue, rel=1e-9)
 
 
@@ -437,12 +438,12 @@ def test_move_pass_scores_as_its_list_bit_for_bit():
     rng = random.Random(9191)
     scored = 0
     for inst, _config in differential_cases():
-        exact = make_exact_oracle(inst)
+        exact = ExactMnlOracle(inst)
         oracles = [
             exact,
-            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
+            NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
+            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
+            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
             NudgedEstimates(exact),
         ]
         for current, moves in random_move_passes(rng, inst, 6):
@@ -454,11 +455,11 @@ def test_move_pass_scores_as_its_list_bit_for_bit():
                 assert list(map(float.hex, oracle.score_moves(current, moves))) == list(
                     map(float.hex, oracle.score_moves(current, listed))
                 )
-            counted = [make_counting_oracle(exact) for _ in range(2)]
+            counted = [CountingOracle(exact) for _ in range(2)]
             values = [score_moves(counting, current, batch)
-                      for (counting, _stats), batch in zip(counted, (moves, listed))]
+                      for counting, batch in zip(counted, (moves, listed))]
             assert list(map(float.hex, values[0])) == list(map(float.hex, values[1]))
-            (_one, first), (_two, second) = counted
+            first, second = (counting.stats for counting in counted)
             assert (first.call_count, first.distinct_count) == (second.call_count, second.distinct_count)
             scored += len(moves)
     assert scored > 1000
@@ -477,7 +478,7 @@ def test_exact_estimates_are_the_leave_one_out_expression():
             inst = family(rng)
             terms = {p.id: p.price * p.weight for p in inst.products}
             weights = {p.id: p.weight for p in inst.products}
-            exact = make_exact_oracle(inst)
+            exact = ExactMnlOracle(inst)
             for current, moves in random_move_passes(rng, inst, 4):
                 for batch in (moves, list(moves)):
                     expected = [
@@ -500,12 +501,12 @@ def test_one_sided_passes_score_as_their_list_bit_for_bit(shape):
     rng = random.Random(6262 if shape == "add-only" else 6363)
     scored = 0
     for inst, _config in differential_cases():
-        exact = make_exact_oracle(inst)
+        exact = ExactMnlOracle(inst)
         oracles = [
             exact,
-            make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
-            make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
+            NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
+            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
+            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
         ]
         for current, full in random_move_passes(rng, inst, 6):
             if shape == "add-only":
@@ -520,11 +521,11 @@ def test_one_sided_passes_score_as_their_list_bit_for_bit(shape):
                 assert list(map(float.hex, oracle.score_moves(current, moves))) == list(
                     map(float.hex, oracle.score_moves(current, listed))
                 )
-            counted = [make_counting_oracle(exact) for _ in range(2)]
+            counted = [CountingOracle(exact) for _ in range(2)]
             values = [score_moves(counting, current, batch)
-                      for (counting, _stats), batch in zip(counted, (moves, listed))]
+                      for counting, batch in zip(counted, (moves, listed))]
             assert list(map(float.hex, values[0])) == list(map(float.hex, values[1]))
-            (_one, first), (_two, second) = counted
+            first, second = (counting.stats for counting in counted)
             assert (first.call_count, first.distinct_count) == (second.call_count, second.distinct_count)
             scored += len(moves)
     assert scored > 400
@@ -533,9 +534,9 @@ def test_one_sided_passes_score_as_their_list_bit_for_bit(shape):
 @NOISE_SPECS
 def test_batched_scoring_matches_evaluate_fallback(spec):
     for inst, config in differential_cases():
-        oracle = make_exact_oracle(inst)
+        oracle = ExactMnlOracle(inst)
         if spec.mode != "none":
-            oracle = make_noisy_oracle(oracle, spec)
+            oracle = NoisyOracle(oracle, spec)
         batched = greedy_opt(config, inst.ids(), oracle, trace=True)
         scalar = greedy_opt(config, inst.ids(), EvaluateOnly(oracle), trace=True)
         assert batched == scalar
@@ -546,8 +547,8 @@ def test_batched_scoring_matches_evaluate_fallback(spec):
 
 def test_solver_confirms_unconfirmed_plug_in_estimates():
     for inst, config in differential_cases():
-        for oracle in (make_exact_oracle(inst),
-                       make_noisy_oracle(make_exact_oracle(inst),
+        for oracle in (ExactMnlOracle(inst),
+                       NoisyOracle(ExactMnlOracle(inst),
                                          NoiseSpec(mode="seeded-uniform", eps=0.2, seed=5))):
             nudged = greedy_opt(config, inst.ids(), NudgedEstimates(oracle), trace=True)
             assert nudged == greedy_opt(config, inst.ids(), EvaluateOnly(oracle), trace=True)
@@ -562,7 +563,8 @@ def chained_invocations(config, ids, oracle):
     Every pass scores every move. Returns the best (set, revenue), the
     traces with step indices numbered per seed, and the call statistics.
     """
-    counting, stats = make_counting_oracle(oracle)
+    counting = CountingOracle(oracle)
+    stats = counting.stats
     best, traces = None, []
     for seed_ids in itertools.combinations(ids, config.seed_size):
         current, records = Assortment(seed_ids), []
@@ -595,11 +597,11 @@ def test_solve_matches_chained_fresh_invocations(spec, wrap, monkeypatch):
     counters = []
 
     def counting_oracle(base):
-        counting, stats = make_counting_oracle(base)
-        counters.append(stats)
-        return counting, stats
+        counting = CountingOracle(base)
+        counters.append(counting.stats)
+        return counting
 
-    monkeypatch.setattr(greedy_module, "make_counting_oracle", counting_oracle)
+    monkeypatch.setattr(greedy_module, "CountingOracle", counting_oracle)
     budgets, readmitted = set(), 0
     for inst, config in differential_cases():
         oracle = make_oracle(inst, spec)
@@ -656,9 +658,9 @@ def test_product_retired_by_one_invocation_can_win_the_next_first_pass():
 @pytest.mark.parametrize(
     "make",
     [
-        make_exact_oracle,
+        ExactMnlOracle,
         lambda inst: make_oracle(inst, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=3)),
-        lambda inst: EvaluateOnly(make_exact_oracle(inst)),
+        lambda inst: EvaluateOnly(ExactMnlOracle(inst)),
     ],
     ids=["exact", "seeded-uniform", "evaluate-only"],
 )
@@ -735,7 +737,7 @@ def test_certificate_refuses_a_run_that_retired_a_product():
     # after its exchange-out settled every move that takes it back, so both runs
     # score as many moves
     inst = generate_instance(GeneratorSpec(10, seed=derive_seed("bench", 0, 10, 3, "0.0", 7)))
-    oracle = make_exact_oracle(inst)
+    oracle = ExactMnlOracle(inst)
     one, two = (greedy_opt(GreedyConfig(0, 3, b), inst.ids(), oracle, trace=True) for b in (1, 2))
     assert one.max_exchange_outs == 1
     assert not same_run_under_budget(one, 1, 2)
@@ -747,7 +749,7 @@ def test_certificate_refuses_a_run_that_retired_a_product():
 
 
 def test_certificate_needs_a_known_count():
-    report = greedy_opt(GreedyConfig(0, 2, 3), THREE.ids(), make_exact_oracle(THREE))
+    report = greedy_opt(GreedyConfig(0, 2, 3), THREE.ids(), ExactMnlOracle(THREE))
     assert same_run_under_budget(report, 3, 4)
     assert not same_run_under_budget(replace(report, max_exchange_outs=None), 3, 4)
 
@@ -842,15 +844,15 @@ def test_budget_path_binds_at_k_and_not_at_k_plus_one(k):
 
 class TestNaiveGreedy:
     def test_capacity_one_picks_best_singleton(self):
-        best = naive_greedy(1, THREE.ids(), make_exact_oracle(THREE))
+        best = naive_greedy(1, THREE.ids(), ExactMnlOracle(THREE))
         assert best.ids == (1,)  # R({1}) = 5 beats 4 and 4
 
     def test_capacity_zero_returns_empty(self):
-        assert naive_greedy(0, THREE.ids(), make_exact_oracle(THREE)).ids == ()
+        assert naive_greedy(0, THREE.ids(), ExactMnlOracle(THREE)).ids == ()
 
     def test_tie_breaks_to_smallest_id(self):
         inst = Instance.of([(1, 1.0, 8.0), (2, 1.0, 8.0)])
-        assert naive_greedy(1, inst.ids(), make_exact_oracle(inst)).ids == (1,)
+        assert naive_greedy(1, inst.ids(), ExactMnlOracle(inst)).ids == (1,)
 
     def test_never_beats_brute_force(self):
         rng = random.Random(808)
@@ -858,6 +860,6 @@ class TestNaiveGreedy:
             n = rng.randint(2, 8)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
             capacity = rng.randint(1, n)
-            naive = naive_greedy(capacity, inst.ids(), make_exact_oracle(inst))
-            brute = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            naive = naive_greedy(capacity, inst.ids(), ExactMnlOracle(inst))
+            brute = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             assert mnl_revenue(inst, naive) <= brute.revenue + 1e-12

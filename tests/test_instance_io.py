@@ -7,6 +7,7 @@ import pytest
 
 from assortopt import (
     Assortment,
+    ExactMnlOracle,
     GeneratorSpec,
     GreedyConfig,
     Instance,
@@ -15,7 +16,6 @@ from assortopt import (
     ValidationError,
     generate_instance,
     greedy_opt,
-    make_exact_oracle,
 )
 from assortopt.cli import main
 from assortopt.io import (
@@ -70,8 +70,8 @@ class TestAssortment:
 
     def test_set_operations(self):
         m = Assortment.of([1, 3])
-        assert m.with_product(2).ids == (1, 2, 3)
-        assert m.swap(1, 5).ids == (3, 5)
+        assert m.after_move(2).ids == (1, 2, 3)
+        assert m.after_move(5, 1).ids == (3, 5)
 
     def test_ordering_is_lexicographic(self):
         assert Assortment.of([1, 2]) < Assortment.of([1, 10])
@@ -84,7 +84,7 @@ class TestInstanceFiles:
             '{"schema_version": "1", "products": [{"id": 1, "weight": "2.0", "price": 3}]}'
         )
         assert inst.n == 1
-        assert inst.weight(1) == 2.0
+        assert inst.product(1).weight == 2.0
         assert meta == {}
 
     def test_duplicate_id_code(self):
@@ -145,7 +145,7 @@ class TestInstanceFiles:
         inst, _ = parse_instance(
             '{"schema_version": "1", "products": [{"id": 1, "weight": "10", "price": "2"}]}'
         )
-        assert (inst.weight(1), inst.price(1)) == (10.0, 2.0)
+        assert (inst.product(1).weight, inst.product(1).price) == (10.0, 2.0)
 
     @pytest.mark.parametrize(
         "text",
@@ -222,7 +222,7 @@ class TestGenerator:
 class TestReportRoundTrip:
     def test_solve_report_with_traces(self):
         inst = generate_instance(GeneratorSpec(6, seed=99))
-        report = greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), make_exact_oracle(inst), trace=True)
+        report = greedy_opt(GreedyConfig(0, 3, 4), inst.ids(), ExactMnlOracle(inst), trace=True)
         doc = solve_report_to_document(report)
         back = solve_report_from_document(json.loads(json.dumps(doc)))
         assert back.best_assortment == report.best_assortment
@@ -236,7 +236,7 @@ class TestReportRoundTrip:
     def test_record_document_round_trip(self):
         inst = generate_instance(GeneratorSpec(5, seed=17))
         noise = NoiseSpec(mode="seeded-uniform", eps=0.01, seed=4)
-        oracle = make_exact_oracle(inst)
+        oracle = ExactMnlOracle(inst)
         report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), oracle, trace=True)
         _seed, records = report.traces[0]
         for record in records:
@@ -280,7 +280,7 @@ class TestReportRoundTrip:
     )
     def test_exchange_out_keys_are_canonical_product_ids(self, counts):
         inst = generate_instance(GeneratorSpec(6, seed=3))
-        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), make_exact_oracle(inst), trace=True)
+        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), ExactMnlOracle(inst), trace=True)
         doc = record_to_document(report.traces[0][1][0])
         assert record_from_document(dict(doc, exchange_out_counts={"5": 1, "12": 2})).exchange_out_counts == {
             5: 1, 12: 2
@@ -292,7 +292,7 @@ class TestReportRoundTrip:
     @pytest.mark.parametrize("ids", [[True], [1, 2.0], ["3"], [1, None], [[1]], "12", 7, {"1": 1}])
     def test_id_lists_hold_json_integers(self, ids):
         inst = generate_instance(GeneratorSpec(6, seed=3))
-        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), make_exact_oracle(inst), trace=True)
+        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), ExactMnlOracle(inst), trace=True)
         doc = record_to_document(report.traces[0][1][0])
         for field in ("pool_before", "assortment_before", "assortment_after"):
             with pytest.raises(ValidationError) as exc:

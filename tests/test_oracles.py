@@ -7,19 +7,19 @@ import pytest
 
 from assortopt import (
     Assortment,
+    CountingOracle,
+    ExactMnlOracle,
     GreedyConfig,
     Instance,
     InvalidAssortmentError,
     NoiseSpec,
+    NoisyOracle,
     ValidationError,
     greedy_opt,
-    make_counting_oracle,
-    make_exact_oracle,
-    make_noisy_oracle,
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
-from assortopt.oracles import CONFIRM_BAND, ExactMnlOracle, MovePass, best_move, score_moves
+from assortopt.oracles import CONFIRM_BAND, MovePass, best_move, score_moves
 from references import NO_PURCHASE, InvalidChoiceError, mnl_choice_prob
 
 
@@ -84,7 +84,7 @@ class TestMnlRevenue:
         for _ in range(200):
             inst = random_instance(rng, rng.randint(1, 10))
             m = random_assortment(rng, inst)
-            via_probs = sum(inst.price(i) * mnl_choice_prob(inst, m, i) for i in m)
+            via_probs = sum(inst.product(i).price * mnl_choice_prob(inst, m, i) for i in m)
             assert mnl_revenue(inst, m) == pytest.approx(via_probs, abs=1e-12)
 
 
@@ -115,14 +115,14 @@ class TestChoiceProbabilities:
 
 class TestExactOracle:
     def test_empty_is_zero(self):
-        assert make_exact_oracle(THREE).evaluate(Assortment()) == 0.0
+        assert ExactMnlOracle(THREE).evaluate(Assortment()) == 0.0
 
     def test_matches_direct_formula(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        assert make_exact_oracle(inst).evaluate(Assortment.of([1])) == 5.0
+        assert ExactMnlOracle(inst).evaluate(Assortment.of([1])) == 5.0
 
     def test_pure(self):
-        oracle = make_exact_oracle(THREE)
+        oracle = ExactMnlOracle(THREE)
         m = Assortment.of([2, 3])
         assert oracle.evaluate(m) == oracle.evaluate(m)
 
@@ -131,15 +131,15 @@ class TestNoisyOracle:
     def test_mode_none_is_identity(self):
         rng = random.Random(5)
         inst = random_instance(rng, 6)
-        base = make_exact_oracle(inst)
-        noisy = make_noisy_oracle(base, NoiseSpec())
+        base = ExactMnlOracle(inst)
+        noisy = NoisyOracle(base, NoiseSpec())
         for _ in range(50):
             m = random_assortment(rng, inst)
             assert noisy.evaluate(m) == base.evaluate(m)
 
     def test_fixed_mode_scales(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        noisy = make_noisy_oracle(make_exact_oracle(inst), NoiseSpec(mode="fixed", eps=0.1))
+        noisy = NoisyOracle(ExactMnlOracle(inst), NoiseSpec(mode="fixed", eps=0.1))
         assert noisy.evaluate(Assortment.of([1])) == pytest.approx(4.5, rel=1e-15)
 
     def test_seeded_uniform_sandwich(self):
@@ -150,15 +150,15 @@ class TestNoisyOracle:
             m = random_assortment(rng, inst)
             eps_max = rng.choice([0.001, 0.01, 0.2, 0.9])
             spec = NoiseSpec(mode="seeded-uniform", eps=eps_max, seed=rng.getrandbits(63))
-            base = make_exact_oracle(inst)
-            value = make_noisy_oracle(base, spec).evaluate(m)
+            base = ExactMnlOracle(inst)
+            value = NoisyOracle(base, spec).evaluate(m)
             truth = base.evaluate(m)
             assert (1.0 - eps_max) * truth - 1e-12 <= value <= truth + 1e-12
 
     def test_repeatable_within_and_across_runs(self):
         spec = NoiseSpec(mode="seeded-uniform", eps=0.05, seed=987654321)
-        first = make_noisy_oracle(make_exact_oracle(THREE), spec)
-        second = make_noisy_oracle(make_exact_oracle(THREE), spec)
+        first = NoisyOracle(ExactMnlOracle(THREE), spec)
+        second = NoisyOracle(ExactMnlOracle(THREE), spec)
         for ids in [(), (1,), (2,), (1, 3), (1, 2, 3)]:
             m = Assortment.of(ids)
             assert first.evaluate(m) == first.evaluate(m)
@@ -287,14 +287,14 @@ class TestMovePass:
 
 class TestScoreMoves:
     def unpruned_oracles(self, inst):
-        exact = make_exact_oracle(inst)
+        exact = ExactMnlOracle(inst)
         yield exact
-        yield make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01))
-        yield make_counting_oracle(exact)[0]
+        yield NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01))
+        yield CountingOracle(exact)
 
     def oracles(self, inst, rng):
         yield from self.unpruned_oracles(inst)
-        yield make_noisy_oracle(make_exact_oracle(inst), NoiseSpec(
+        yield NoisyOracle(ExactMnlOracle(inst), NoiseSpec(
             mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32)))
 
     def test_band_is_exact_and_the_rest_is_close(self):
@@ -323,8 +323,8 @@ class TestScoreMoves:
             inst = random_instance(rng, rng.randint(2, 25))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
             moves = random_moves(rng, inst, current, rng.randint(1, 40))
-            exact = make_exact_oracle(inst)
-            oracle = make_noisy_oracle(exact, NoiseSpec(
+            exact = ExactMnlOracle(inst)
+            oracle = NoisyOracle(exact, NoiseSpec(
                 mode="seeded-uniform", eps=eps_max, seed=rng.getrandbits(32)))
             values = score_moves(oracle, current, moves)
             truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
@@ -354,7 +354,7 @@ class TestScoreMoves:
         current = Assortment.of(rng.sample(inst.ids(), 6))
         outside = [i for i in inst.ids() if i not in current]
         moves = [(e, l) for e in outside for l in current.ids] + [(e, None) for e in outside]
-        oracle = make_noisy_oracle(make_exact_oracle(inst),
+        oracle = NoisyOracle(ExactMnlOracle(inst),
                                    NoiseSpec(mode="seeded-uniform", eps=0.001, seed=3))
         values = score_moves(oracle, current, moves)
         assert 0 < len(hashed) < len(moves) / 2
@@ -372,7 +372,7 @@ class TestScoreMoves:
             exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
             assert max(values) == max(exact)
             assert values.index(max(values)) == exact.index(max(exact))
-        exact = [make_exact_oracle(inst).evaluate(current.after_move(*m)) for m in moves]
+        exact = [ExactMnlOracle(inst).evaluate(current.after_move(*m)) for m in moves]
         assert exact.index(max(exact)) == 0
 
     def test_fallback_scores_through_evaluate(self):
@@ -380,14 +380,14 @@ class TestScoreMoves:
         inst = random_instance(rng, 8)
         current = Assortment.of([2, 5])
         moves = [(1, 2), (3, None), (8, 5)]
-        oracle = EvaluateOnly(make_exact_oracle(inst))
+        oracle = EvaluateOnly(ExactMnlOracle(inst))
         assert score_moves(oracle, current, moves) == [
             oracle.evaluate(Assortment.of(ids)) for ids in [(1, 5), (2, 3, 5), (2, 8)]
         ]
 
     def test_unknown_product_rejected(self):
         with pytest.raises(InvalidAssortmentError):
-            score_moves(make_exact_oracle(THREE), Assortment.of([1]), [(9, None)])
+            score_moves(ExactMnlOracle(THREE), Assortment.of([1]), [(9, None)])
 
     def test_best_move_is_the_first_largest_score(self):
         # best_move reads the confirm band; it must rank as the full list does, also
@@ -422,12 +422,12 @@ class TestScoreMoves:
             inst = random_instance(rng, rng.randint(2, 15))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
             moves = random_moves(rng, inst, current, rng.randint(1, 30))
-            exact = make_exact_oracle(inst)
+            exact = ExactMnlOracle(inst)
             makers = [
                 lambda: exact,
-                lambda: make_noisy_oracle(exact, NoiseSpec(mode="fixed", eps=0.01)),
-                lambda: make_noisy_oracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=7)),
-                lambda: make_counting_oracle(exact)[0],
+                lambda: NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01)),
+                lambda: NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=7)),
+                lambda: CountingOracle(exact),
                 lambda: EvaluateOnly(exact),
                 lambda: NanEvaluate(exact),
                 *[lambda d=d: Distorted(exact, d) for d in distortions],
@@ -449,9 +449,10 @@ class TestScoreMoves:
             moves = random_moves(rng, inst, current, rng.randint(1, 40))
             base = EvaluationCounter(inst)
             spec = NoiseSpec(mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32))
-            for oracle in (base, make_noisy_oracle(base, spec)):
+            for oracle in (base, NoisyOracle(base, spec)):
                 base.evaluations = 0
-                counting, stats = make_counting_oracle(oracle)
+                counting = CountingOracle(oracle)
+                stats = counting.stats
                 values = score_moves(counting, current, moves)
                 top = max(values)
                 band = sum(value >= top - CONFIRM_BAND * abs(top) for value in values)
@@ -461,12 +462,13 @@ class TestScoreMoves:
 
 class TestCountingOracle:
     def test_fresh_wrapper_counts_nothing(self):
-        _oracle, stats = make_counting_oracle(make_exact_oracle(THREE))
+        stats = CountingOracle(ExactMnlOracle(THREE)).stats
         assert stats.call_count == 0
         assert stats.distinct_count == 0
 
     def test_repeat_calls_counted_once_distinct(self):
-        oracle, stats = make_counting_oracle(make_exact_oracle(THREE))
+        oracle = CountingOracle(ExactMnlOracle(THREE))
+        stats = oracle.stats
         m = Assortment.of([1])
         for _ in range(3):
             oracle.evaluate(m)
@@ -474,7 +476,8 @@ class TestCountingOracle:
         assert stats.distinct_count == 1
 
     def test_distinct_assortments(self):
-        oracle, stats = make_counting_oracle(make_exact_oracle(THREE))
+        oracle = CountingOracle(ExactMnlOracle(THREE))
+        stats = oracle.stats
         oracle.evaluate(Assortment.of([1]))
         oracle.evaluate(Assortment.of([2]))
         assert stats.distinct_count == 2
@@ -483,8 +486,8 @@ class TestCountingOracle:
     def test_transparent_values(self):
         rng = random.Random(9)
         inst = random_instance(rng, 7)
-        base = make_exact_oracle(inst)
-        wrapped, _stats = make_counting_oracle(make_exact_oracle(inst))
+        base = ExactMnlOracle(inst)
+        wrapped = CountingOracle(ExactMnlOracle(inst))
         for _ in range(100):
             m = random_assortment(rng, inst)
             assert wrapped.evaluate(m) == base.evaluate(m)
@@ -492,7 +495,8 @@ class TestCountingOracle:
     def test_score_moves_counts_one_call_per_move(self):
         rng = random.Random(8)
         inst = random_instance(rng, 12)
-        oracle, stats = make_counting_oracle(make_exact_oracle(inst))
+        oracle = CountingOracle(ExactMnlOracle(inst))
+        stats = oracle.stats
         total = 0
         for _ in range(20):
             current = random_assortment(rng, inst, max_size=6)
@@ -507,8 +511,10 @@ class TestCountingOracle:
             inst = random_instance(rng, rng.randint(2, 14))
             capacity = rng.randint(1, inst.n)
             config = GreedyConfig(rng.randint(0, min(capacity, 2)), capacity, rng.randint(1, capacity + 1))
-            batched, batched_stats = make_counting_oracle(make_exact_oracle(inst))
-            scalar, scalar_stats = make_counting_oracle(make_exact_oracle(inst))
+            batched = CountingOracle(ExactMnlOracle(inst))
+            batched_stats = batched.stats
+            scalar = CountingOracle(ExactMnlOracle(inst))
+            scalar_stats = scalar.stats
             greedy_opt(config, inst.ids(), batched)
             greedy_opt(config, inst.ids(), EvaluateOnly(scalar))
             assert batched_stats.call_count == scalar_stats.call_count
@@ -518,7 +524,8 @@ class TestCountingOracle:
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        oracle, stats = make_counting_oracle(make_exact_oracle(THREE))
+        oracle = CountingOracle(ExactMnlOracle(THREE))
+        stats = oracle.stats
         assortments = [Assortment.of(ids) for ids in [(1,), (2,), (3,), (1, 2), (1, 3)]]
         # each batch reaches (1, 2, 3), (2, 3) and (1, 3); the first two are new
         batch = (Assortment.of([1, 2]), [(3, None), (3, 1), (3, 2)])

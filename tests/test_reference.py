@@ -8,15 +8,15 @@ import pytest
 
 from assortopt import (
     Assortment,
+    CountingOracle,
     EnumerationCapError,
+    ExactMnlOracle,
     GreedyConfig,
     Instance,
     brute_force_opt,
     candidate_set_collection,
     candidate_set_opt,
     greedy_opt,
-    make_counting_oracle,
-    make_exact_oracle,
     max_slack_set_size,
     mnl_opt,
     mnl_revenue,
@@ -46,27 +46,27 @@ THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 class TestBruteForce:
     def test_single_product(self):
         inst = Instance.of([(1, 1.0, 10.0)])
-        sol = brute_force_opt(make_exact_oracle(inst), inst.ids(), 1)
+        sol = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 1)
         assert sol.assortment.ids == (1,)
         assert sol.revenue == 5.0
 
     def test_three_products(self):
-        sol = brute_force_opt(make_exact_oracle(THREE), THREE.ids(), 2)
+        sol = brute_force_opt(ExactMnlOracle(THREE), THREE.ids(), 2)
         assert sol.assortment.ids == (1, 3)
         assert sol.revenue == pytest.approx(6.4, rel=1e-15)
 
     def test_capacity_zero(self):
-        sol = brute_force_opt(make_exact_oracle(THREE), THREE.ids(), 0)
+        sol = brute_force_opt(ExactMnlOracle(THREE), THREE.ids(), 0)
         assert sol.assortment.ids == ()
         assert sol.revenue == 0.0
 
     def test_enumeration_cap_is_loud(self):
         # N = 30, C = 10 would enumerate 53,009,102 assortments: refused before any evaluation
         inst = generate_instance(GeneratorSpec(30, seed=1))
-        counting, stats = make_counting_oracle(make_exact_oracle(inst))
+        counting = CountingOracle(ExactMnlOracle(inst))
         with pytest.raises(EnumerationCapError):
             brute_force_opt(counting, inst.ids(), 10)
-        assert stats.call_count == 0
+        assert counting.stats.call_count == 0
 
     def test_per_size_optima_agree_with_direct_enumeration(self):
         rng = random.Random(404)
@@ -74,7 +74,7 @@ class TestBruteForce:
             n = rng.randint(1, 8)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
             capacity = rng.randint(0, n)
-            sol = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            sol = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             for k in range(capacity + 1):
                 best = max(
                     mnl_revenue(inst, Assortment.of(c))
@@ -88,13 +88,13 @@ class TestBruteForce:
         for _ in range(30):
             n = rng.randint(1, 9)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
-            sol = brute_force_opt(make_exact_oracle(inst), inst.ids(), n)
+            sol = brute_force_opt(ExactMnlOracle(inst), inst.ids(), n)
             revenues = [sol.per_size_optima[k][1] for k in range(n + 1)]
             assert revenues == sorted(revenues)
 
 
 def brute_force_optima(inst):
-    return brute_force_opt(make_exact_oracle(inst), inst.ids(), inst.n).per_size_optima
+    return brute_force_opt(ExactMnlOracle(inst), inst.ids(), inst.n).per_size_optima
 
 
 def duplicated_products(rng):
@@ -460,7 +460,7 @@ class TestCandidateSetSolver:
             n = rng.randint(1, 10)
             inst = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
             capacity = rng.randint(0, min(4, n))
-            brute = brute_force_opt(make_exact_oracle(inst), inst.ids(), capacity)
+            brute = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             candidate = candidate_set_opt(inst, capacity)
             assert candidate.revenue == pytest.approx(brute.revenue, rel=1e-9)
             for k in range(capacity + 1):
@@ -533,7 +533,7 @@ class TestMnlOpt:
         unchanged. Only the mixes that fit the size cap are scored: 41 at C = 2 and 821 at
         C = 3, but far more than the cap at C = 30, where brute force refuses too."""
         inst = Instance.of([(1, 1.0, 2.0)] + [(i, 1.0 + i / 64, 1.0) for i in range(2, 42)])
-        oracle = make_exact_oracle(inst)
+        oracle = ExactMnlOracle(inst)
         for capacity in (1, 2, 3):
             brute = brute_force_opt(oracle, inst.ids(), capacity).per_size_optima
             assert mnl_opt(inst, capacity).per_size_optima == brute
@@ -571,7 +571,7 @@ class TestMnlOpt:
     def test_exact_greedy_recovers_it_at_n100(self):
         inst = generate_instance(GeneratorSpec(100, seed=100))
         sol = mnl_opt(inst, 10)
-        report = greedy_opt(GreedyConfig(0, 10, 11), inst.ids(), make_exact_oracle(inst))
+        report = greedy_opt(GreedyConfig(0, 10, 11), inst.ids(), ExactMnlOracle(inst))
         assert report.best_assortment == sol.assortment
         assert report.best_oracle_revenue == sol.revenue
 
@@ -588,7 +588,7 @@ class TestNestingWitness:
         assert witness is not None
         assert not set(witness.opt_c1.ids) <= set(witness.opt_c2.ids)
         # re-verify against brute force from scratch
-        oracle = make_exact_oracle(witness.instance)
+        oracle = ExactMnlOracle(witness.instance)
         sol = brute_force_opt(oracle, witness.instance.ids(), witness.c2)
         assert sol.per_size_optima[witness.c1][0] == witness.opt_c1
         assert sol.per_size_optima[witness.c2][0] == witness.opt_c2
@@ -596,6 +596,6 @@ class TestNestingWitness:
     def test_witness_instance_defeats_naive_greedy(self, nesting_fixture):
         instance, witness_meta = nesting_fixture
         capacity = witness_meta["capacity"]
-        naive = naive_greedy(capacity, instance.ids(), make_exact_oracle(instance))
-        brute = brute_force_opt(make_exact_oracle(instance), instance.ids(), capacity)
+        naive = naive_greedy(capacity, instance.ids(), ExactMnlOracle(instance))
+        brute = brute_force_opt(ExactMnlOracle(instance), instance.ids(), capacity)
         assert mnl_revenue(instance, naive) < brute.revenue * (1 - 1e-9)
