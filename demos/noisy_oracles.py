@@ -37,7 +37,7 @@ for eps in (0.0005, 0.001, 0.005, 0.01, 0.05):
         brute = brute_force_opt(exact, instance.ids(), capacity)
 
         bound = compute_bounds(instance, capacity, eps, brute)
-        slack_size = max_slack_set_size(instance, capacity, 2.0 * bound.inputs.delta_cap)
+        slack_size = max_slack_set_size(instance, capacity, 2.0 * bound.delta_cap)
         budget = max(capacity + 1, slack_size + 1)
         budgets.append(budget)
 

@@ -8,7 +8,6 @@ solver's exactness and noise-robustness guarantees at desk scale.
 """
 
 from .analysis import (
-    BoundInputs,
     GapBound,
     check_margin_revenue_equivalence,
     check_trace_invariants,

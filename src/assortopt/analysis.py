@@ -43,23 +43,16 @@ FLOAT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the noisy-oracle gap bound for one instance."""
+class GapBound:
+    """Relative-gap guarantee for a noisy run, gap <= f_value (when < 1), and its ingredients."""
 
+    eta: float
+    f_value: float
     capacity: int
     eps_max: float
     max_offered_weight: float  # 1 + sum of the C largest weights
     opt_weight: float  # 1 + sum of weights in the optimal assortment
     delta_cap: float  # bound on the estimate slack over assortments of size <= C
-
-
-@dataclass(frozen=True)
-class GapBound:
-    """Relative-gap guarantee for a noisy run: gap <= f_value (when < 1)."""
-
-    eta: float
-    f_value: float
-    inputs: BoundInputs
 
     def holds(self, gap: float) -> bool | None:
         """Whether ``gap`` meets the guarantee; None when it is vacuous (f_value >= 1)."""
@@ -92,13 +85,11 @@ def compute_bounds(
     return GapBound(
         eta=eta,
         f_value=f_value,
-        inputs=BoundInputs(
-            capacity=capacity,
-            eps_max=eps_max,
-            max_offered_weight=heaviest,
-            opt_weight=opt_weight,
-            delta_cap=delta_cap,
-        ),
+        capacity=capacity,
+        eps_max=eps_max,
+        max_offered_weight=heaviest,
+        opt_weight=opt_weight,
+        delta_cap=delta_cap,
     )
 
 
@@ -193,16 +184,8 @@ class EquivalenceReport:
     margin_2: float
 
     @property
-    def margin_ge(self) -> bool:
-        return self.margin_1 >= self.margin_2
-
-    @property
-    def revenue_ge(self) -> bool:
-        return self.revenue_1 >= self.revenue_2
-
-    @property
     def agree(self) -> bool:
-        return self.margin_ge == self.revenue_ge
+        return (self.margin_1 >= self.margin_2) == (self.revenue_1 >= self.revenue_2)
 
 
 def check_margin_revenue_equivalence(
@@ -262,43 +245,27 @@ def check_trace_invariants(
             continue
         u = mnl_revenue(instance, record.assortment_after)
         slack = delta_cap * u + FLOAT_SLACK * max(1.0, u)
-        h_entered = scaled_margin(instance, record.added, u)
         pool = record.pool_before
-        h_pool = scaled_margins(instance, pool, u)
-        # no pool margin beats the entered one by more than the slack when the
-        # largest does not; only otherwise (a NaN included) are they listed
-        if not (h_pool and h_entered >= max(h_pool) - slack):
-            for other, h_other in zip(pool, h_pool):
-                if h_entered < h_other - slack:
-                    violations.append(
-                        TraceViolation(
-                            step_index=record.step_index,
-                            action=record.action,
-                            kind="entered-not-strongest",
-                            product_id=other,
-                            margin_chosen=h_entered,
-                            margin_other=h_other,
-                            slack=slack,
-                        )
-                    )
+        # the entered product leads the pool by the slack; an exchange's removed product
+        # trails the members by it, which is the same test on negated margins (-(b + s)
+        # rounds to -b - s). A violation reports its margins times ``sign``: unnegated
+        sides = [(1.0, "entered-not-strongest", scaled_margin(instance, record.added, u),
+                  pool, scaled_margins(instance, pool, u))]
         if record.action == "exchange":
-            h_removed = scaled_margin(instance, record.removed, u)
             members = record.assortment_before.ids
-            h_members = scaled_margins(instance, members, u)
-            if not (h_members and h_removed <= min(h_members) + slack):
-                for member, h_member in zip(members, h_members):
-                    if h_removed > h_member + slack:
-                        violations.append(
-                            TraceViolation(
-                                step_index=record.step_index,
-                                action=record.action,
-                                kind="removed-not-weakest",
-                                product_id=member,
-                                margin_chosen=h_removed,
-                                margin_other=h_member,
-                                slack=slack,
-                            )
-                        )
+            sides.append((-1.0, "removed-not-weakest", -scaled_margin(instance, record.removed, u),
+                          members, [-h for h in scaled_margins(instance, members, u)]))
+        for sign, kind, h_chosen, others, h_others in sides:
+            # no margin beats the chosen one by more than the slack when the
+            # largest does not; only otherwise (a NaN included) are they listed
+            if h_others and h_chosen >= max(h_others) - slack:
+                continue
+            violations.extend(
+                TraceViolation(record.step_index, record.action, kind, other,
+                               sign * h_chosen, sign * h_other, slack)
+                for other, h_other in zip(others, h_others)
+                if h_chosen < h_other - slack
+            )
     return violations
 
 

@@ -113,7 +113,7 @@ def _run_group(
         oracle = make_oracle(instance, noise)
         auto = None
         if None in budgets:
-            slack_size = max_slack_set_size(instance, capacity, 2.0 * bound.inputs.delta_cap)
+            slack_size = max_slack_set_size(instance, capacity, 2.0 * bound.delta_cap)
             auto = max(capacity + 1, slack_size + 1)
 
         solved: list[tuple[int, SolveReport]] = []

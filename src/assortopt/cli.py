@@ -38,7 +38,7 @@ from .generate import (
 )
 from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
 from .instance import Assortment, Instance
-from .oracles import ExactMnlOracle, NoiseSpec, make_oracle
+from .oracles import NOISE_MODES, ExactMnlOracle, NoiseSpec, make_oracle
 from .reference import ExactSolution, brute_force_opt, candidate_set_opt, mnl_opt, revenues_agree
 
 EXIT_OK = 0
@@ -343,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--S", type=int, default=0, help="seed subset size")
     solve.add_argument("--C", type=int, default=None, help="capacity (default: instance file)")
     solve.add_argument("--b", type=int, default=None, help="exchange-out budget (default C+1)")
-    solve.add_argument(
-        "--noise-mode", choices=["none", "fixed", "seeded-uniform"], default="none"
-    )
+    solve.add_argument("--noise-mode", choices=NOISE_MODES, default="none")
     solve.add_argument(
         "--eps", type=float, default=0.0,
         help="noise level: the factor of fixed mode, the largest factor of seeded-uniform",

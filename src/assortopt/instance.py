@@ -4,8 +4,8 @@ An instance is a finite product universe where each product carries a
 positive choice weight and a nonnegative price. The no-purchase option
 always has weight 1 and is never stored as a product. An assortment is a
 subset of product ids held in canonical ascending order; the canonical
-comma-separated encoding is a stable contract (the noise hash and the
-distinct-call counter both key on it).
+comma-separated encoding is a stable contract (the noise hash keys on
+it; the distinct-call counter keys on the id tuple).
 """
 
 from __future__ import annotations

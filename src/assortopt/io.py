@@ -415,11 +415,11 @@ def gap_bound_to_document(bound: GapBound) -> dict:
     return {
         "eta": _format_float(bound.eta),
         "f_value": _format_float(bound.f_value),
-        "capacity": bound.inputs.capacity,
-        "eps_max": _format_float(bound.inputs.eps_max),
-        "max_offered_weight": _format_float(bound.inputs.max_offered_weight),
-        "opt_weight": _format_float(bound.inputs.opt_weight),
-        "delta_cap": _format_float(bound.inputs.delta_cap),
+        "capacity": bound.capacity,
+        "eps_max": _format_float(bound.eps_max),
+        "max_offered_weight": _format_float(bound.max_offered_weight),
+        "opt_weight": _format_float(bound.opt_weight),
+        "delta_cap": _format_float(bound.delta_cap),
     }
 
 

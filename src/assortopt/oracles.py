@@ -304,8 +304,8 @@ class NoisyOracle:
         base = batched(current, moves) if batched else _evaluate_moves(self.base, current, moves)
         spec = self.spec
         if spec.mode != "seeded-uniform":
-            scale = 1.0 - spec.eps
-            return [scale * value for value in base]
+            epsilons = spec.move_epsilons(current, moves)
+            return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
         top = max(base, default=0.0)
         # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
         cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf

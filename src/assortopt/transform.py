@@ -225,14 +225,16 @@ def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:
 
 
 def margin_breakpoints(instance: Instance, delta: float = 0.0) -> list[float]:
-    """Nonnegative offsets where any margin ordering or threshold can change.
+    """Nonnegative offsets where a margin ordering or threshold can change.
 
-    Collects pairwise crossings of the margin lines, their zero crossings
-    (u = price), and, for delta > 0, the offsets where one margin trails
-    another by exactly delta * u. Between consecutive breakpoints every
-    top set and slack set is constant. At delta = 0 each unordered pair is
-    visited once: float subtraction is exactly antisymmetric, so (b, a)
-    would give a quotient equal to that of (a, b), which is added first.
+    Collects the margin lines' zero crossings (u = price) and the offsets
+    where one margin trails another by exactly delta * u. At delta = 0 those
+    are the pairwise crossings, between which every top set is constant, and
+    each unordered pair is visited once: float subtraction is exactly
+    antisymmetric, so (b, a) would give a quotient equal to that of (a, b),
+    which is added first. At delta > 0 the pairwise crossings are left out:
+    a slack set is constant only between points of the union with the
+    delta = 0 list, which is what ``max_slack_set_size`` takes.
     """
     points = {p.price for p in instance.products}
     # each margin line (price - u) * weight as (price * weight, weight)

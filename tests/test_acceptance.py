@@ -105,7 +105,7 @@ def noisy_runs():
                 mode="seeded-uniform", eps=eps_max, seed=derive_seed("noise", index, eps_max)
             )
             bound = compute_bounds(instance, 3, eps_max, brute)
-            slack_size = max_slack_set_size(instance, 3, 2.0 * bound.inputs.delta_cap)
+            slack_size = max_slack_set_size(instance, 3, 2.0 * bound.delta_cap)
             config = GreedyConfig(0, 3, max(4, slack_size + 1))
             oracle = NoisyOracle(ExactMnlOracle(instance), noise)
             solve = greedy_opt(config, instance.ids(), oracle, trace=True)
@@ -116,7 +116,7 @@ def noisy_runs():
                     instance=instance,
                     config=config,
                     eps_max=eps_max,
-                    delta_cap=bound.inputs.delta_cap,
+                    delta_cap=bound.delta_cap,
                     f_value=bound.f_value,
                     gap=gap,
                     solve=solve,

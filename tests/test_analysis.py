@@ -259,7 +259,7 @@ class TestComputeBounds:
         bound = compute_bounds(THREE, 2, 0.0, opt)
         assert bound.eta == 0.0
         assert bound.f_value == 0.0
-        assert bound.inputs.delta_cap == 0.0
+        assert bound.delta_cap == 0.0
 
     def test_weight_ratio_one(self):
         # two products, both in the optimum: heaviest offerable weight equals
@@ -269,13 +269,13 @@ class TestComputeBounds:
         assert opt.assortment.ids == (1, 2)
         bound = compute_bounds(inst, 2, 0.01, opt)
         assert bound.f_value == pytest.approx(8 * 0.01 / 0.99, rel=1e-12)
-        assert bound.inputs.max_offered_weight == bound.inputs.opt_weight
+        assert bound.max_offered_weight == bound.opt_weight
 
     def test_single_unit_weight_product(self):
         inst = Instance.of([(1, 1.0, 10.0)])
         opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), 1)
         bound = compute_bounds(inst, 1, 0.1, opt)
-        assert bound.inputs.max_offered_weight == 2.0
+        assert bound.max_offered_weight == 2.0
 
     def test_holds_up_to_the_bound_and_is_none_when_vacuous(self):
         inst = Instance.of([(1, 1.0, 50.0), (2, 1.0, 50.0)])
@@ -301,7 +301,7 @@ class TestComputeBounds:
             noise = NoiseSpec(mode="seeded-uniform", eps=eps, seed=trial)
             opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             bound = compute_bounds(inst, capacity, eps, opt)
-            assert exact_delta_cap(inst, capacity, noise) <= bound.inputs.delta_cap + 1e-12
+            assert exact_delta_cap(inst, capacity, noise) <= bound.delta_cap + 1e-12
 
     def test_exact_delta_cap_tight_for_fixed_noise(self):
         rng = random.Random(7)
@@ -312,7 +312,7 @@ class TestComputeBounds:
             opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
             bound = compute_bounds(inst, capacity, 0.05, opt)
             assert exact_delta_cap(inst, capacity, noise) == pytest.approx(
-                bound.inputs.delta_cap, rel=1e-12
+                bound.delta_cap, rel=1e-12
             )
 
     def test_exact_delta_cap_refuses_past_the_enumeration_cap(self):
@@ -377,7 +377,7 @@ class TestTraceInvariants:
                 GreedyConfig(0, capacity, capacity + 1), inst.ids(), oracle, trace=True
             )
             opt = brute_force_opt(ExactMnlOracle(inst), inst.ids(), capacity)
-            delta_cap = compute_bounds(inst, capacity, eps, opt).inputs.delta_cap
+            delta_cap = compute_bounds(inst, capacity, eps, opt).delta_cap
             for _seed, records in report.traces:
                 assert check_trace_invariants(inst, records, delta_cap) == []
 

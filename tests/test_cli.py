@@ -1,5 +1,6 @@
 """CLI flows, exit codes, and structured errors."""
 
+import argparse
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import assortopt.cli as cli_module
 from assortopt import Instance, ValidationError, candidate_set_opt
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
+from assortopt.oracles import NOISE_MODES
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +46,13 @@ class TestGenSolveExactFlow:
         assert doc["fixed_point"]["per_size_optima"] == doc["brute_force"]["per_size_optima"]
         assert doc["fixed_point"]["candidate_collection_size"] is None
         assert report["exact"] == doc["fixed_point"]
+
+    def test_solve_noise_mode_choices_are_the_noise_modes(self):
+        parser = cli_module.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        solve = commands.choices["solve"]
+        option = next(a for a in solve._actions if "--noise-mode" in a.option_strings)
+        assert tuple(option.choices) == NOISE_MODES
 
     def test_solve_revenue_matches_exact_subcommand(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

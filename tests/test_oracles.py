@@ -314,6 +314,22 @@ class TestScoreMoves:
                     else:
                         assert value == pytest.approx(truth, rel=1e-13)
 
+    def test_fixed_mode_scales_every_exact_score_bit_for_bit(self):
+        # fixed mode prunes nothing: each score is (1 - eps) times the exact one,
+        # for a pass and for the list of its moves alike
+        rng = random.Random(1357)
+        for _ in range(100):
+            inst = random_instance(rng, rng.randint(2, 25))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            outside = [i for i in inst.ids() if i not in current]
+            eps = rng.choice([0.001, 0.01, 0.3])
+            exact = ExactMnlOracle(inst)
+            noisy = NoisyOracle(exact, NoiseSpec(mode="fixed", eps=eps))
+            batch = MovePass(outside, current.ids, outside)
+            for moves in (batch, list(batch), random_moves(rng, inst, current, rng.randint(1, 40))):
+                want = [((1 - eps) * value).hex() for value in exact.score_moves(current, moves)]
+                assert [value.hex() for value in noisy.score_moves(current, moves)] == want
+
     @pytest.mark.parametrize("eps_max", [0.001, 0.2, 0.5, 0.999])
     def test_seeded_uniform_band_is_exact_and_the_rest_bounds_it(self, eps_max):
         # moves pruned before hashing keep their base value: below the band's
