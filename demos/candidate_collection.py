@@ -25,6 +25,7 @@ from assortopt import (
     mnl_revenue,
     top_margin_set,
 )
+from assortopt.reference import revenues_agree
 
 instance = generate_instance(GeneratorSpec(n=7, seed=31337))
 capacity = 3
@@ -52,4 +53,4 @@ subsets = sum(comb(instance.n, k) for k in range(capacity + 1))
 print(f"\ncandidate-set optimum: {solution.assortment.ids} revenue {solution.revenue:.6f}")
 print(f"brute-force optimum:   {brute.assortment.ids} revenue {brute.revenue:.6f} "
       f"({subsets} subsets enumerated)")
-print(f"agreement: {abs(solution.revenue - brute.revenue) <= 1e-9 * brute.revenue}")
+print(f"agreement: {revenues_agree(solution.revenue, brute.revenue)}")

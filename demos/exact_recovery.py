@@ -18,6 +18,7 @@ from assortopt import (
     generate_instance,
     greedy_opt,
 )
+from assortopt.reference import revenues_agree
 
 instance = generate_instance(GeneratorSpec(n=10, seed=2024))
 capacity = 4
@@ -51,5 +52,5 @@ for record in records:
         print(f"    step {record.step_index}: swap in {record.added}, out {record.removed} "
               f"-> {record.assortment_after.ids} at {record.revenue_after:.6f}")
 
-match = abs(report.best_oracle_revenue - brute.revenue) <= 1e-9 * brute.revenue
+match = revenues_agree(report.best_oracle_revenue, brute.revenue)
 print(f"\ngreedy equals brute force: {match}")

@@ -138,10 +138,6 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     """
     if not delta >= 0:
         raise ValidationError(f"delta must be >= 0, got {delta!r}", code="bad-config")
-    points = margin_breakpoints(instance)
-    if delta != 0.0:
-        points = sorted(set(points) | set(margin_breakpoints(instance, delta)))
-
     weight = {p.id: p.weight for p in instance.products}
 
     def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list]:
@@ -164,7 +160,7 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
             lines.append((anchor + key - limit, weight[pid] - anchor_weight - delta))
         return (top, frozenset(map(itemgetter(1), ranked[:within]))), lines
 
-    sweep = certified_sweep(instance, interval_offsets(points), read)
+    sweep = certified_sweep(instance, interval_offsets(margin_breakpoints(instance, delta)), read)
     return max((len(slack) for _, slack in sweep), default=0)
 
 

@@ -12,6 +12,7 @@ failure, 5 I/O; errors are emitted as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -37,7 +38,7 @@ from .generate import (
     DEFAULT_PRICE_RANGE, DEFAULT_WEIGHT_RANGE, GeneratorSpec, derive_seed, generate_instance,
 )
 from .greedy import GreedyConfig, SolveReport, call_count_bound, greedy_opt
-from .instance import Assortment, Instance
+from .instance import Assortment, Instance, optimum_key
 from .oracles import NOISE_MODES, ExactMnlOracle, NoiseSpec, make_oracle
 from .reference import ExactSolution, brute_force_opt, candidate_set_opt, mnl_opt, revenues_agree
 
@@ -80,16 +81,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_instance(spec)
     if args.capacity is not None:
         instance = Instance(instance.products, args.capacity)
-    metadata = {
-        "generator": {
-            "n": spec.n,
-            "weight_lo": repr(spec.weight_lo),
-            "weight_hi": repr(spec.weight_hi),
-            "price_lo": repr(spec.price_lo),
-            "price_hi": repr(spec.price_hi),
-            "seed": spec.seed,
-        }
-    }
+    fields = dataclasses.asdict(spec)
+    metadata = {"generator": {k: repr(v) if isinstance(v, float) else v for k, v in fields.items()}}
     _emit(io_mod.serialize_instance(instance, metadata), args.output)
     return EXIT_OK
 
@@ -241,6 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace_steps = 0
     if result.traces:
         seeds = itertools.combinations(instance.ids(), config.seed_size)
+        finals = []
         for (seed, records), seed_ids in zip(result.traces, seeds):
             if seed.ids != seed_ids:
                 problems.append(f"trace seed {list(seed.ids)}, expected {list(seed_ids)}")
@@ -250,10 +244,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for record in records:
                 if record.action != "terminate":
                     trace_steps += 1
-                    if oracle.evaluate(record.assortment_after) != record.revenue_after:
-                        problems.append(
-                            f"step {record.step_index}: recorded revenue is not reproducible"
-                        )
+                if oracle.evaluate(record.assortment_after) != record.revenue_after:
+                    problems.append(
+                        f"step {record.step_index}: recorded revenue is not reproducible"
+                    )
+            if records:
+                finals.append((records[-1].assortment_after, records[-1].revenue_after))
+            else:  # S = C: no invocations, the seed is its own final state
+                finals.append((seed, oracle.evaluate(seed)))
+        # greedy_opt keeps the optimum_key best of the final states
+        if min(finals, key=optimum_key) != (result.best_assortment, result.best_oracle_revenue):
+            problems.append("best assortment is not the best final state of the traced seeds")
     sections, opt, gap, bound, violations = _derived_sections(
         instance, config.capacity, noise, result, document.get("exact") is not None
     )

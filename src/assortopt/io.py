@@ -168,10 +168,7 @@ def parse_instance(document: dict | str | bytes) -> tuple[Instance, dict]:
     "duplicate-id", "bad-weight", "bad-price", "bad-capacity".
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"not valid JSON: {exc}", code="schema") from None
+        document = _parse_json(document)
     if not isinstance(document, dict):
         raise ValidationError("instance document must be a JSON object", code="schema")
     if document.get("schema_version") != SCHEMA_VERSION:
@@ -217,15 +214,20 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _load_json(path: str) -> Any:
-    """Parse a UTF-8 JSON file; bytes that are not UTF-8 or not JSON, and an object
-    with a repeated key, are schema errors."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
+def _parse_json(text: str | bytes) -> Any:
+    """Parse JSON text, bytes as UTF-8; bytes that are not UTF-8 or not JSON, and an
+    object with a repeated key, are schema errors."""
     try:
-        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not valid JSON: {exc}", code="schema") from None
+
+
+def _load_json(path: str) -> Any:
+    """``_parse_json`` of a file's bytes."""
+    with open(path, "rb") as handle:
+        return _parse_json(handle.read())
 
 
 def load_instance(path: str) -> tuple[Instance, dict]:
@@ -345,7 +347,7 @@ def _exchange_out_counts(doc: Any) -> dict[int, int]:
 
 def record_from_document(doc: dict) -> IterationRecord:
     with _schema_errors("trace record"):
-        added, removed = doc.get("added"), doc.get("removed")
+        added, removed = doc["added"], doc["removed"]
         if doc["action"] not in ("add", "exchange", "terminate"):
             raise ValueError(f"unknown action {doc['action']!r}")
         return IterationRecord(

@@ -225,29 +225,29 @@ def top_ids(ranked: list[tuple[float, int]], size: int) -> list[int]:
 
 
 def margin_breakpoints(instance: Instance, delta: float = 0.0) -> list[float]:
-    """Nonnegative offsets where a margin ordering or threshold can change.
+    """Nonnegative offsets where a margin ordering, threshold or slack set can change.
 
-    Collects the margin lines' zero crossings (u = price) and the offsets
-    where one margin trails another by exactly delta * u. At delta = 0 those
-    are the pairwise crossings, between which every top set is constant, and
-    each unordered pair is visited once: float subtraction is exactly
-    antisymmetric, so (b, a) would give a quotient equal to that of (a, b),
-    which is added first. At delta > 0 the pairwise crossings are left out:
-    a slack set is constant only between points of the union with the
-    delta = 0 list, which is what ``max_slack_set_size`` takes.
+    Collects the margin lines' zero crossings (u = price) and pairwise
+    crossings, between which every top set is constant; each unordered pair
+    is visited once, since float subtraction is exactly antisymmetric. At
+    delta != 0 it adds each ordered pair's offset where one margin trails
+    the other by exactly delta * u, so every slack set at delta is constant
+    between the points too. The plain crossings go in first: a zero keeps
+    the sign of the first pair that gives it.
     """
     points = {p.price for p in instance.products}
     # each margin line (price - u) * weight as (price * weight, weight)
     lines = [(p.price * p.weight, p.weight) for p in instance.products]
-    pairs = itertools.combinations(lines, 2) if delta == 0.0 else itertools.permutations(lines, 2)
-    for (value_a, weight_a), (value_b, weight_b) in pairs:
-        # crossing of margin lines a and b, offset by delta * u:
-        # (price_a - u) weight_a - (price_b - u) weight_b = delta * u
-        denom = weight_a - weight_b + delta
-        if denom != 0.0:
-            u = (value_a - value_b) / denom
-            if math.isfinite(u) and u >= 0.0:
-                points.add(u)
+    for shift in (0.0, delta) if delta != 0.0 else (0.0,):
+        pairs = itertools.combinations(lines, 2) if shift == 0.0 else itertools.permutations(lines, 2)
+        for (value_a, weight_a), (value_b, weight_b) in pairs:
+            # crossing of margin lines a and b, offset by shift * u:
+            # (price_a - u) weight_a - (price_b - u) weight_b = shift * u
+            denom = weight_a - weight_b + shift
+            if denom != 0.0:
+                u = (value_a - value_b) / denom
+                if math.isfinite(u) and u >= 0.0:
+                    points.add(u)
     return sorted(points)
 
 

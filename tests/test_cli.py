@@ -540,6 +540,10 @@ def _drop_first_pool_before(doc):
     del doc["result"]["traces"][0]["records"][0]["pool_before"]
 
 
+def _drop_first_added(doc):
+    del doc["result"]["traces"][0]["records"][0]["added"]
+
+
 def _set_first_record(**fields):
     return lambda doc: doc["result"]["traces"][0]["records"][0].update(fields)
 
@@ -582,6 +586,7 @@ def _instance_bytes(weight, price):
         (["verify"], _set_first_record(added=[1]), "schema"),
         (["verify"], _set_first_record(pool_before=[[1]]), "schema"),
         (["verify"], _set_first_record(action="bogus"), "schema"),
+        (["verify"], _drop_first_added, "schema"),
         # integer fields are read as JSON integers, never truncated or coerced
         (["verify"], lambda doc: doc["result"].update(oracle_calls=True), "schema"),
         (["verify"], lambda doc: doc["result"].update(oracle_calls="62"), "schema"),
@@ -623,6 +628,7 @@ def _instance_bytes(weight, price):
         "verify-list-as-added-id",
         "verify-list-in-pool-before",
         "verify-bogus-action",
+        "verify-record-without-added",
         "verify-bool-oracle-calls",
         "verify-string-oracle-calls",
         "verify-fractional-oracle-calls",
@@ -789,6 +795,40 @@ def test_verify_rejects_section_that_contradicts_the_run(tmp_path, capsys, tampe
         capsys, "solve", str(inst_path), "--C", "3", "--trace", "--exact", "-o", str(path)
     )
     assert code == 0
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert out.startswith("verify FAIL")
+    assert message in out
+    assert json.loads(err)["error"]["code"] == "assertion-failure"
+
+
+def _terminate_revenue_one(doc):
+    terminate = doc["result"]["traces"][0]["records"][-1]
+    assert terminate["action"] == "terminate"
+    terminate["revenue_after"] = "1.0"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_drop_best_assortment, "best assortment is not the best final state of the traced seeds"),
+        (_terminate_revenue_one, "recorded revenue is not reproducible"),
+    ],
+    ids=["best-not-reached", "terminate-revenue"],
+)
+def test_verify_ties_a_traced_result_to_its_traces(tmp_path, capsys, tamper, message):
+    """Without --exact no section names the optimum: the best set must be the best final
+    state of the traces, and every record's revenue, a terminate's too, reproducible."""
+    inst_path = tmp_path / "inst.json"
+    path = tmp_path / "report.json"
+    run_cli(capsys, "gen", "--N", "30", "--seed", "1", "-o", str(inst_path))
+    code, _, _ = run_cli(capsys, "solve", str(inst_path), "--C", "4", "--trace", "-o", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("verify PASS")
     doc = json.loads(path.read_text())
     tamper(doc)
     path.write_text(json.dumps(doc))

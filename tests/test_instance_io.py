@@ -164,6 +164,21 @@ class TestInstanceFiles:
                 parse_instance(document)
             assert exc.value.code == "schema"
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"schema_version": "1", "products": [], "metadata": {"note": "\xff"}}',
+            '{"schema_version": "1", "products": []}'.encode("utf-16"),
+        ],
+        ids=["not-utf8", "utf16"],
+    )
+    def test_bytes_are_read_as_utf8(self, raw):
+        """Bytes are parsed as UTF-8, as a file is: bytes in another encoding are a schema
+        error, even where json.loads would detect the encoding."""
+        with pytest.raises(ValidationError, match="not valid JSON") as exc:
+            parse_instance(raw)
+        assert exc.value.code == "schema"
+
     def test_round_trip_is_identity_on_canonical_form(self):
         rng = random.Random(8080)
         for _ in range(25):

@@ -167,19 +167,20 @@ def candidate_set_collection_per_cap(inst, size):
 
 class TestCandidateSweep:
     @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.1, math.inf])
     def test_breakpoints_equal_the_ordered_pair_loop(self, family, delta):
-        """At delta = 0 only unordered pairs are visited; the list, signed zeros included,
-        is the one every ordered pair gives."""
+        """The plain crossings are visited by unordered pair; the list, signed zeros
+        included, is the one every ordered pair gives at shift 0 and then at delta."""
 
         def ordered_pair_breakpoints(inst):
             points = {p.price for p in inst.products}
-            for pa, pb in itertools.permutations(inst.products, 2):
-                denom = pa.weight - pb.weight + delta
-                if denom != 0.0:
-                    u = (pa.price * pa.weight - pb.price * pb.weight) / denom
-                    if math.isfinite(u) and u >= 0.0:
-                        points.add(u)
+            for shift in (0.0, delta):
+                for pa, pb in itertools.permutations(inst.products, 2):
+                    denom = pa.weight - pb.weight + shift
+                    if denom != 0.0:
+                        u = (pa.price * pa.weight - pb.price * pb.weight) / denom
+                        if math.isfinite(u) and u >= 0.0:
+                            points.add(u)
             return sorted(points)
 
         rng = random.Random(family.__name__)
