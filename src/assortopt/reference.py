@@ -25,9 +25,9 @@ from .instance import Assortment, Instance, optimum_key
 from .oracles import RevenueOracle, mnl_revenue
 from .transform import (
     interval_offsets,
-    margin_band,
     margin_breakpoints,
     margin_ranking,
+    stretch_band,
     top_id_sweep,
     top_ids,
 )
@@ -142,12 +142,14 @@ def _best_tied_set(
     margin sum at u. They hold every product whose margin is clearly above
     the size-th largest; when that margin is positive the products tied
     with it fill the remaining places, and otherwise products priced at u
-    (margin 0) may fill some of them. Margins within ``margin_band`` count
-    as tied, since rounding may split an exact tie, and so may
-    the revenues of tied sets: each mix of tied products is scored, taking
-    the smallest ids among products of equal price and weight.
+    (margin 0) may fill some of them. Margins within the sweep's band at u
+    (``stretch_band``) count as tied, since rounding may split an exact tie,
+    and so may the revenues of tied sets: each mix of tied products is
+    scored, taking the smallest ids among products of equal price and
+    weight. A wider band only adds mixes, each scored by its exact revenue.
     """
-    band = margin_band(instance, u)
+    base, per_unit = stretch_band(instance)
+    band = base + per_unit * u
     margins = [(-neg_margin, pid) for neg_margin, pid in ranked]
     edge = margins[size - 1][0] if len(margins) >= size else 0.0
     if edge <= band:
@@ -224,7 +226,7 @@ def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ..
     if capacity == 0:
         return sets
     points = margin_breakpoints(instance)
-    offsets = sorted({0.0, *points, *interval_offsets(points)})
+    offsets = sorted([0.0, *points, *interval_offsets(points)])
     for top, _ in itertools.groupby(top_id_sweep(instance, offsets, capacity)):
         for k in range(1, capacity + 1):
             sets[k].add(tuple(sorted(top[:k])))

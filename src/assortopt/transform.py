@@ -22,8 +22,9 @@ decides it wider than the stretch's band (``stretch_band``): those gaps are
 linear or concave in u, so they stay wide inside the stretch, far above the
 rounding of the keys, and every skipped ranking would read the same value.
 Each gap comes with its slope in u, so a stretch that cannot be filled is
-split where the gap lines of its left end predict the value to change,
-rather than always at its middle.
+split where the gap lines of its clear left end predict the value to
+change, and otherwise at its middle. The same band is the tie band of the
+fixed point's tie rule (``reference.mnl_opt``).
 """
 
 from __future__ import annotations
@@ -95,10 +96,7 @@ def certified_sweep(instance: Instance, offsets: Iterable[float], read: Callable
     which the value should hold, or, when that line crosses before the next
     offset, the first offset past the crossing. When no line predicts a
     crossing inside, or the left end is not clear, the split is the middle
-    offset. A predicted split that turns out not clear has both its halves
-    split at the middle, so a run of unclear offsets is bisected rather than
-    stepped through. A split only decides which offsets get ranked, never a
-    value.
+    offset. A split only decides which offsets get ranked, never a value.
     """
     offsets = list(offsets)
     if not offsets:
@@ -123,25 +121,23 @@ def certified_sweep(instance: Instance, offsets: Iterable[float], read: Callable
     last = len(offsets) - 1
     rank(0)
     rank(last)
-    stretches = [(0, last, False)] if last > 1 else []  # (i, j, halve) with offsets inside
+    stretches = [(0, last)] if last > 1 else []  # (i, j) with offsets inside
     while stretches:
-        i, j, halve = stretches.pop()
+        i, j = stretches.pop()
         reach = -offsets[i] if -offsets[i] > offsets[j] else offsets[j]  # the larger |offset|
         band = band_base + band_per_unit * reach
         clear = narrowest[i] > band
         if clear and narrowest[j] > band and values[i] == values[j]:
             values[i + 1 : j] = [values[i]] * (j - i - 1)
             continue
-        split = None if halve or not clear else _predicted_split(offsets, i, j, band, lines[i])
-        predicted = split is not None
-        if not predicted:
+        split = _predicted_split(offsets, i, j, band, lines[i]) if clear else None
+        if split is None:
             split = (i + j) // 2
         rank(split)
-        halve = predicted and not narrowest[split] > band  # a prediction that missed
         if j - split > 1:
-            stretches.append((split, j, halve))
+            stretches.append((split, j))
         if split - i > 1:
-            stretches.append((i, split, halve))
+            stretches.append((i, split))
     return values
 
 
@@ -198,20 +194,15 @@ def top_with_gaps(
     return top, lines
 
 
-def margin_band(instance: Instance, u: float) -> float:
-    """Width within which margins at offsets up to u count as tied: ``CONFIRM_BAND``
-    of the largest ``(price + u) * weight``, the scale of every margin there (0 for
-    no products)."""
-    return CONFIRM_BAND * max(((p.price + u) * p.weight for p in instance.products), default=0.0)
-
-
 def stretch_band(instance: Instance) -> tuple[float, float]:
-    """``(base, per_unit)`` of a band ``base + per_unit * reach`` no narrower than
-    ``margin_band(instance, u)`` at any |u| <= reach: ``CONFIRM_BAND`` of
-    ``max price * weight + reach * max weight``, since prices are >= 0. The two maxima are
-    taken once, here. The band is padded by a relative 1e-12 against its own rounding, and
-    its base is at least the smallest normal float: below it keys round by an absolute
-    amount rather than a relative one."""
+    """``(base, per_unit)`` of the band ``base + per_unit * reach`` within which margins at
+    offsets |u| <= reach count as tied: ``CONFIRM_BAND`` of ``max price * weight + reach *
+    max weight``, which bounds every margin's scale there, since prices are >= 0. The
+    certified sweep takes it at a stretch's larger |offset|, and the tie rule of
+    ``reference.mnl_opt`` at the optimal revenue. The two maxima are taken once, here. The
+    band is padded by a relative 1e-12 against its own rounding, and its base is at least
+    the smallest normal float: below it keys round by an absolute amount rather than a
+    relative one."""
     scale = CONFIRM_BAND * (1.0 + 1e-12)
     top_value = max((p.price * p.weight for p in instance.products), default=0.0)
     top_weight = max((p.weight for p in instance.products), default=0.0)

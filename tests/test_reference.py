@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -26,13 +27,14 @@ from assortopt import transform
 from assortopt.analysis import slack_cap
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.instance import optimum_key
+from assortopt.oracles import CONFIRM_BAND
 from assortopt.reference import revenues_agree
 from assortopt.transform import (
     certified_sweep,
     interval_offsets,
-    margin_band,
     margin_breakpoints,
     margin_ranking,
+    stretch_band,
     top_id_sweep,
     top_ids,
     top_margin_set,
@@ -153,6 +155,33 @@ def weights_one_ulp_apart(rng):
 SWEEP_FAMILIES = [generated, *TIE_FAMILIES, weights_one_ulp_apart]
 
 
+def margin_scale_band(inst, u):
+    """``CONFIRM_BAND`` of the largest (price + u) * weight, the scale of every margin at u."""
+    return CONFIRM_BAND * max((p.price + u) * p.weight for p in inst.products)
+
+
+def near_tie_in_the_band_window(rng):
+    """A heavy cheap product and a light dear one, so the largest price * weight and the
+    largest weight belong to different products, and one product whose margin at an
+    optimal revenue u trails the size-th largest by a hair: by more than
+    ``margin_scale_band`` at u, but within the stretch band at u."""
+    n = rng.randint(2, 8)
+    base = generate_instance(GeneratorSpec(n, seed=rng.getrandbits(60)))
+    products = [(p.id, p.weight, p.price) for p in base.products]
+    products.append((n + 1, rng.uniform(50.0, 100.0), rng.uniform(0.0, 0.5)))
+    products.append((n + 2, rng.uniform(0.5, 1.0), rng.uniform(100.0, 150.0)))
+    inst = Instance.of(products)
+    size = rng.randint(1, inst.n)
+    members, u = brute_force_optima(inst)[size]
+    if len(members.ids) < size:
+        return inst
+    edge = min(transform.scaled_margins(inst, members.ids, u))
+    base_band, per_unit = stretch_band(inst)
+    trail = (margin_scale_band(inst, u) + base_band + per_unit * u) / 2.0
+    weight = rng.uniform(0.1, 10.0)
+    return Instance.of([*products, (n + 3, weight, max(0.0, u + (edge - trail) / weight))])
+
+
 def probe_offsets(inst):
     """0, every breakpoint and one offset inside each interval between them."""
     points = margin_breakpoints(inst)
@@ -219,7 +248,7 @@ class TestCandidateSweep:
         empty = Instance(())
         assert top_id_sweep(empty, [0.0, 1.0, 2.5], 2) == [[], [], []]
         assert top_id_sweep(THREE, [], 2) == []
-        assert margin_band(empty, 1.0) == 0.0
+        assert stretch_band(empty) == (sys.float_info.min, 0.0)
         optima = candidate_set_opt(empty, 2).per_size_optima
         assert optima == {k: (Assortment(), 0.0) for k in range(3)}
 
@@ -510,6 +539,29 @@ class TestMnlOpt:
         for _ in range(80):
             inst = family(rng)
             assert mnl_opt(inst, inst.n).per_size_optima == brute_force_optima(inst)
+
+    def test_matches_brute_force_where_the_tie_band_is_widest(self):
+        """Margins at the optimum that differ by more than ``margin_scale_band`` at u, but by
+        no more than the stretch band at u, count as tied. Each extra mix is scored by its
+        exact revenue, so brute force's choice still wins."""
+        rng = random.Random(near_tie_in_the_band_window.__name__)
+        hits = 0
+        for _ in range(40):
+            inst = near_tie_in_the_band_window(rng)
+            brute = brute_force_optima(inst)
+            base, per_unit = stretch_band(inst)
+            for k in range(inst.n + 1):
+                sol = mnl_opt(inst, k)
+                assert (sol.assortment, sol.revenue) == brute[k]
+                if k == 0:
+                    continue
+                u = sol.revenue
+                margins = [-key for key, _ in margin_ranking(inst, u)]
+                low, high = margin_scale_band(inst, u), base + per_unit * u
+                edge = margins[k - 1]
+                others = margins[: k - 1] + margins[k:]
+                hits += edge > high and any(low < abs(m - edge) <= high for m in others)
+        assert hits > 0
 
     def test_tie_split_by_rounding(self):
         """At u = 3.85 products 5 and 8 tie exactly, (4 - u) * 1 = (3.9 - u) * 3, but their
