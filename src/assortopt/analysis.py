@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .greedy import GreedyConfig, IterationRecord, accept_move
 from .instance import Assortment, Instance
 from .oracles import NoiseSpec, mnl_revenue, total_weight
@@ -137,7 +137,7 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     ``delta`` must be a number >= 0 (inf allowed: every product joins).
     """
     if not delta >= 0:
-        raise ValidationError(f"delta must be >= 0, got {delta!r}", code="bad-config")
+        raise ConfigError(f"delta must be >= 0, got {delta!r}")
     weight = {p.id: p.weight for p in instance.products}
 
     def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list]:

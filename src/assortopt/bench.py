@@ -27,7 +27,7 @@ from collections.abc import Mapping
 from typing import NamedTuple
 
 from .analysis import compute_bounds, max_slack_set_size, realized_gap
-from .errors import ValidationError
+from .errors import ConfigError
 from .generate import GeneratorSpec, derive_seed, generate_instance
 from .greedy import (
     GreedyConfig,
@@ -55,20 +55,12 @@ DEFAULT_SEEDS_PER_CELL = 50
 
 def resolve_b_rule(rule: str, capacity: int) -> int | None:
     """Map a b-rule token to a concrete budget; None means per-instance."""
-    if rule == "C":
-        budget = capacity
-    elif rule == "C+1":
-        budget = capacity + 1
-    elif rule == "2C":
-        budget = 2 * capacity
-    elif rule == "auto":
-        return None
-    else:
-        raise ValidationError(f"unknown b rule {rule!r}", code="bad-config")
-    if budget < 1:
-        raise ValidationError(
-            f"b rule {rule!r} gives b = {budget} at C = {capacity}", code="bad-config"
-        )
+    budgets = {"C": capacity, "C+1": capacity + 1, "2C": 2 * capacity, "auto": None}
+    if not isinstance(rule, str) or rule not in budgets:
+        raise ConfigError(f"unknown b rule {rule!r}")
+    budget = budgets[rule]
+    if budget is not None and budget < 1:
+        raise ConfigError(f"b rule {rule!r} gives b = {budget} at C = {capacity}")
     return budget
 
 
@@ -169,19 +161,19 @@ def _suite_grid(suite: str, grid: Mapping[str, tuple]) -> dict[str, tuple]:
     theorem2 eps list with no positive value are refused.
     """
     if suite not in SUITES:
-        raise ValidationError(f"unknown suite {suite!r}", code="bad-config")
+        raise ConfigError(f"unknown suite {suite!r}")
     unknown = sorted(set(grid) - set(DEFAULT_GRID))
     if unknown:
-        raise ValidationError(f"unknown grid axes {unknown}", code="bad-config")
+        raise ConfigError(f"unknown grid axes {unknown}")
     given = [f"--{axis}" for axis in SUITES[suite] if axis in grid]
     if given:
         message = f"--suite {suite} sets {' and '.join(given)} itself; drop the flag"
-        raise ValidationError(message, code="bad-config")
+        raise ConfigError(message)
     grid = {**DEFAULT_GRID, **grid, **SUITES[suite]}
     if suite == "theorem2":
         if not any(eps > 0.0 for eps in grid["eps"]):
             message = f"--suite theorem2 needs a positive --eps, got {list(grid['eps'])}"
-            raise ValidationError(message, code="bad-config")
+            raise ConfigError(message)
         grid["eps"] = tuple(eps for eps in grid["eps"] if eps != 0.0)
     return grid
 
@@ -200,7 +192,7 @@ def run_bench(
     """
     grid = _suite_grid(suite, grid or {})
     if seeds_per_cell < 1:
-        raise ValidationError(f"need >= 1 seed per cell, got {seeds_per_cell}", code="bad-config")
+        raise ConfigError(f"need >= 1 seed per cell, got {seeds_per_cell}")
     budgets = {c: [resolve_b_rule(rule, c) for rule in grid["b"]] for c in grid["C"]}
     for n in grid["N"]:
         for c in grid["C"]:  # sizes first: b = C+1 is a valid budget once 0 <= C

@@ -12,7 +12,6 @@ failure, 5 I/O; errors are emitted as JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -65,7 +64,7 @@ def _capacity(args: argparse.Namespace, instance: Instance) -> int:
     """``--C``, or else the capacity stored in the instance file."""
     capacity = args.C if args.C is not None else instance.capacity_default
     if capacity is None:
-        raise ValidationError("no --C given and the instance has no capacity", code="bad-config")
+        raise ConfigError("no --C given and the instance has no capacity")
     return capacity
 
 
@@ -81,8 +80,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     instance = generate_instance(spec)
     if args.capacity is not None:
         instance = Instance(instance.products, args.capacity)
-    fields = dataclasses.asdict(spec)
-    metadata = {"generator": {k: repr(v) if isinstance(v, float) else v for k, v in fields.items()}}
+    metadata = {"generator": io_mod.fields_to_document(spec)}
     _emit(io_mod.serialize_instance(instance, metadata), args.output)
     return EXIT_OK
 

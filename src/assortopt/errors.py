@@ -33,7 +33,9 @@ class InvalidAssortmentError(ValidationError):
 
 
 class ConfigError(ValidationError):
-    """Solver configuration violates its constraints (e.g. S > C)."""
+    """A refused configuration: a solver's (S > C, b < 1), a bench run's (an unknown
+    suite, grid axis or b rule, no seed per cell), a negative slack ``delta``, or
+    no capacity given. Every ``bad-config`` refusal raises it."""
 
     code = "bad-config"
 

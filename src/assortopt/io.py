@@ -7,11 +7,15 @@ reports are byte-reproducible. Instances embed into run reports, making
 a report self-describing: verification needs no other inputs. Every
 document (instance, run report, ``exact`` output, bench.json) is written
 by ``dumps_document``, byte for byte as ``json.dumps(doc, indent=2)``
-followed by a newline.
+followed by a newline; one loop writes its lists and dicts alike. A flat
+record whose document is its fields, named and ordered as declared (the
+report's ``GapBound``, ``gen``'s ``GeneratorSpec``), is written by the one
+field walk ``fields_to_document``, so a field it gains is written too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -36,12 +40,14 @@ def dumps_document(doc: Any) -> str:
 
     With ``indent`` set the stdlib encodes item by item in Python. Here a
     leaf (``str``, ``int``, ``float``, ``bool``, None) is written the way
-    ``json`` writes it, and a list or ``str``-keyed dict of leaves is
+    ``json`` writes it, and a list, tuple or ``str``-keyed dict of leaves is
     written by one call of the stdlib's C encoder, whose item separator
     carries the line break and indent: a traced report is mostly lists of
-    product ids and dicts of scalar fields. Anything else (subclasses, dicts
-    with a key that is not a ``str``) is left to ``json.dumps`` and
-    re-indented: encoded JSON holds no raw newline, so that is exact.
+    product ids and dicts of scalar fields. Any other such container is
+    written item by item, a dict's items after their keys. Anything else
+    (subclasses, dicts with a key that is not a ``str``) is left to
+    ``json.dumps`` and re-indented: encoded JSON holds no raw newline, so
+    that is exact.
     """
     out: list[str] = []
     _write_value(doc, "\n", out)
@@ -86,39 +92,40 @@ def _write_value(value: Any, newline: str, out: list[str]) -> None:
         out.append(text)
         return
     kind = type(value)
-    inner = newline + "  "
-    if kind is list or kind is tuple:
-        if not value:
-            out.append("[]")
-        elif set(map(type, value)) <= _LEAF_TYPES:
-            out.append(f"[{inner}{_flat_writer(inner)(value)[1:-1]}{newline}]")
-        else:
-            out.append("[")
-            for i, item in enumerate(value):
-                out.append("," + inner if i else inner)
-                _write_value(item, inner, out)
-            out.append(newline + "]")
-    elif kind is dict and set(map(type, value)) <= {str}:
-        if not value:
-            out.append("{}")
-        elif set(map(type, value.values())) <= _LEAF_TYPES:
-            out.append(f"{{{inner}{_flat_writer(inner)(value)[1:-1]}{newline}}}")
-        else:
-            out.append("{")
-            for i, (key, item) in enumerate(value.items()):
-                out.append(f"{',' if i else ''}{inner}{_encode_str(key)}: ")
-                text = _leaf(item)
-                if text is None:
-                    _write_value(item, inner, out)
-                else:
-                    out.append(text)
-            out.append(newline + "}")
-    else:
+    is_dict = kind is dict and set(map(type, value)) <= {str}
+    if not (is_dict or kind is list or kind is tuple):
         out.append(json.dumps(value, indent=2).replace("\n", newline))
+        return
+    opening, closing = "{}" if is_dict else "[]"
+    inner = newline + "  "
+    if not value:
+        out.append(opening + closing)
+    elif set(map(type, value.values() if is_dict else value)) <= _LEAF_TYPES:
+        out.append(f"{opening}{inner}{_flat_writer(inner)(value)[1:-1]}{newline}{closing}")
+    else:
+        out.append(opening)
+        for i, item in enumerate(value):  # a dict yields its keys
+            out.append("," + inner if i else inner)
+            if is_dict:
+                out.append(_encode_str(item) + ": ")
+                item = value[item]
+            _write_value(item, inner, out)
+        out.append(newline + closing)
 
 
 def _format_float(value: float) -> str:
     return repr(float(value))
+
+
+def fields_to_document(record: Any) -> dict:
+    """A flat frozen dataclass as its fields in declaration order, a field declared
+    ``float`` as ``_format_float`` text: the report's ``bounds`` and the ``generator``
+    metadata of ``gen``."""
+    doc = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        doc[field.name] = _format_float(value) if field.type in ("float", float) else value
+    return doc
 
 
 def _parse_float(value: Any, code: str, what: str, *args: Any) -> float:
@@ -413,18 +420,6 @@ def exact_solution_to_document(solution: ExactSolution) -> dict:
     }
 
 
-def gap_bound_to_document(bound: GapBound) -> dict:
-    return {
-        "eta": _format_float(bound.eta),
-        "f_value": _format_float(bound.f_value),
-        "capacity": bound.capacity,
-        "eps_max": _format_float(bound.eps_max),
-        "max_offered_weight": _format_float(bound.max_offered_weight),
-        "opt_weight": _format_float(bound.opt_weight),
-        "delta_cap": _format_float(bound.delta_cap),
-    }
-
-
 def derived_sections_to_document(
     exact: ExactSolution | None,
     gap: float | None,
@@ -439,7 +434,7 @@ def derived_sections_to_document(
     return {
         "exact": exact_solution_to_document(exact) if exact is not None else None,
         "gap": _format_float(gap) if gap is not None else None,
-        "bounds": gap_bound_to_document(bounds) if bounds is not None else None,
+        "bounds": fields_to_document(bounds) if bounds is not None else None,
         "analysis": None if delta_cap is None else {
             "trace_violations": trace_violations, "delta_cap": _format_float(delta_cap),
         },

@@ -33,7 +33,7 @@ from assortopt import (
     total_weight,
 )
 from assortopt.analysis import FLOAT_SLACK, TraceViolation, trace_bookkeeping_problems
-from assortopt.errors import InvalidAssortmentError
+from assortopt.errors import ConfigError, InvalidAssortmentError
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.transform import interval_offsets
 from references import UndefinedTopSetError, top_set_with_slack
@@ -240,6 +240,10 @@ class TestMaxSlackSetSize:
         with pytest.raises(ValidationError):
             max_slack_set_size(THREE, 1, -0.1)
 
+    def test_negative_delta_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            max_slack_set_size(THREE, 2, -1.0)
+
     def test_nan_delta_rejected(self):
         """NaN fails every comparison, so ``delta < 0`` alone would let it through."""
         with pytest.raises(ValidationError) as raised:
@@ -416,6 +420,11 @@ class TestTraceInvariants:
         )
         violations = check_trace_invariants(THREE, [record], 0.0)
         assert [v.kind for v in violations] == ["entered-not-strongest"]
+        # at u = R({2}) = 4 the margins w * (p - u) are 4 for product 2 and 6 for product 1
+        assert violations[0].describe() == (
+            "step 0 (add): entered-not-strongest vs product 1: chosen margin 4.0, "
+            "other 6.0, allowed slack 4e-09"
+        )
 
 
 def product_loop_revenue(instance, assortment):

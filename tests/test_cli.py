@@ -7,7 +7,7 @@ import pytest
 
 import assortopt.bench as bench_mod
 import assortopt.cli as cli_module
-from assortopt import Instance, ValidationError, candidate_set_opt
+from assortopt import ConfigError, Instance, ValidationError, candidate_set_opt
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
 from assortopt.oracles import NOISE_MODES
@@ -474,6 +474,30 @@ class TestRunBench:
         assert exc.value.code == "bad-config"
         assert str(exc.value) == f"--suite theorem2 needs a positive --eps, got {list(eps)}"
 
+    @pytest.mark.parametrize(
+        "suite, grid, seeds",
+        [("nope", {}, 1), ("full", {"b": ("3C",)}, 1), ("full", {"b": (["C"],)}, 1),
+         ("full", {}, 0)],
+        ids=["unknown-suite", "unknown-b-rule", "b-rule-not-a-string", "no-seed-per-cell"],
+    )
+    def test_refusal_is_a_config_error(self, no_solve, suite, grid, seeds):
+        with pytest.raises(ConfigError):
+            bench_mod.run_bench(suite, grid=grid, seeds_per_cell=seeds)
+
+    def test_assertion_failures_name_each_missed_guarantee(self):
+        summary = {
+            "suite": "theorem1", "call_violations": 2, "exact_recovery_applicable": 5,
+            "exact_recovery_passed": 3, "gap_bound_violations": 1,
+        }
+        assert bench_mod.assertion_failures(summary) == [
+            "2 runs exceeded the oracle-call bound",
+            "2 exact-recovery runs missed the exact MNL optimum",
+            "1 noisy runs exceeded the gap bound",
+        ]
+        # only theorem1 claims exact recovery
+        summary.update(suite="full", call_violations=0, gap_bound_violations=0)
+        assert bench_mod.assertion_failures(summary) == []
+
     def test_theorem2_keeps_only_its_positive_eps(self):
         cells, summary = bench_mod.run_bench("theorem2", {"eps": (0.0, 0.02)}, 1)
         assert [(c["N"], c["C"], c["b"], c["eps"]) for c in cells] == [(8, 3, "auto", "0.02")]
@@ -564,10 +588,9 @@ def _repeat_exchange_out_key(doc):
     return json.dumps(doc).replace('{"5": 1}', '{"5": 1, "5": 2}', 1)
 
 
-def _instance_bytes(weight, price):
-    return json.dumps(
-        {"schema_version": "1", "products": [{"id": 1, "weight": weight, "price": price}]}
-    ).encode("utf-8")
+def _instance_bytes(weight, price, **fields):
+    product = {"id": 1, "weight": weight, "price": price}
+    return json.dumps({"schema_version": "1", "products": [product], **fields}).encode("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -613,6 +636,14 @@ def _instance_bytes(weight, price):
         # a weight or price is read as written: no surrounding whitespace, no "_"
         (["solve", "--C", "1"], _instance_bytes(" 0.5 ", "2.0"), "bad-weight"),
         (["solve", "--C", "1"], _instance_bytes("0.5", "1_0"), "bad-price"),
+        (["solve", "--C", "1"], _instance_bytes("ten", "2.0"), "bad-weight"),
+        (["solve", "--C", "1"], _instance_bytes([0.5], "2.0"), "bad-weight"),
+        (["solve", "--C", "1"], _instance_bytes(True, "2.0"), "bad-weight"),
+        (["solve", "--C", "1"], b"[]", "schema"),
+        (["solve", "--C", "1"], _instance_bytes("0.5", "2.0", metadata=[1]), "schema"),
+        (["verify"], lambda doc: doc["config"].update(noise=[]), "schema"),
+        (["verify"], lambda doc: doc.update(schema_version="2"), "schema"),
+        (["verify"], lambda doc: doc.pop("config"), "schema"),
     ],
     ids=[
         "exact-past-enumeration-cap",
@@ -650,6 +681,14 @@ def _instance_bytes(weight, price):
         "solve-repeated-instance-key",
         "solve-weight-with-whitespace",
         "solve-price-with-underscore",
+        "solve-weight-not-a-decimal",
+        "solve-list-weight",
+        "solve-bool-weight",
+        "solve-instance-not-an-object",
+        "solve-metadata-not-an-object",
+        "verify-noise-not-an-object",
+        "verify-other-schema-version",
+        "verify-without-config",
     ],
 )
 def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, expected_code):
@@ -739,6 +778,14 @@ def test_verify_rejects_result_that_contradicts_config(tmp_path, capsys, field, 
     assert json.loads(err)["error"]["code"] == "assertion-failure"
 
 
+def _set(*path, value):
+    def tamper(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return tamper
+
+
 @pytest.mark.parametrize("delta", [1, -1])
 def test_verify_wants_one_call_per_seed_at_s_equal_c(tmp_path, capsys, fixtures_dir, delta):
     """At S = C every one of the binom(N, S) seeds is scored once, no more and no fewer."""
@@ -758,12 +805,42 @@ def test_verify_wants_one_call_per_seed_at_s_equal_c(tmp_path, capsys, fixtures_
     assert json.loads(err)["error"]["code"] == "assertion-failure"
 
 
-def _set(*path, value):
-    def tamper(doc):
-        for key in path[:-1]:
-            doc = doc[key]
-        doc[path[-1]] = value
-    return tamper
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_set("result", "oracle_calls", value=29), "oracle_calls=29 outside [28, 28]"),
+        (
+            _set("result", "best_assortment", value=[1, 2, 3]),
+            "best assortment has 3 products, above C=2",
+        ),
+        (
+            _set("result", "best_assortment", value=[7, 8]),
+            "best assortment is not the best final state of the traced seeds",
+        ),
+    ],
+    ids=["calls-above-binom", "best-above-C", "best-not-reached"],
+)
+def test_verify_replays_a_traced_report_at_s_equal_c(
+    tmp_path, capsys, fixtures_dir, tamper, message
+):
+    """A traced S = C report has one trace per seed and no records in it, each seed its
+    own final state: it verifies, and a tampered result does not."""
+    path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "solve", str(fixtures_dir / "generated_n8_seed7.json"), "--S", "2", "--C", "2",
+        "--trace", "-o", str(path),
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("verify PASS")
+    doc = json.loads(path.read_text())
+    assert all(trace["records"] == [] for trace in doc["result"]["traces"])
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert message in out
+    assert json.loads(err)["error"]["code"] == "assertion-failure"
 
 
 def _drop_best_assortment(doc):
@@ -778,16 +855,19 @@ def _drop_best_assortment(doc):
         (_set("bounds", "eta", value="0.5"), "bounds does not match its recomputation"),
         (_set("analysis", "trace_violations", value=3), "analysis does not match its recomputation"),
         (_set("result", "traces", value=[]), "0 traces, expected one per seed"),
+        (_set("result", "traces", 0, "seed", value=[1]), "trace seed [1], expected []"),
+        (_set("instance_digest", value="0" * 64), "instance digest mismatch"),
         # reproducible (the empty set earns 0), but S = 0 and b = C + 1 promise the optimum
         (_drop_best_assortment, "best revenue 0.0 misses the optimum"),
     ],
     ids=[
         "exact-revenue", "gap", "bounds-eta", "analysis-trace-violations", "no-traces",
-        "missed-optimum",
+        "seed-out-of-order", "digest", "missed-optimum",
     ],
 )
 def test_verify_rejects_section_that_contradicts_the_run(tmp_path, capsys, tamper, message):
-    """verify recomputes exact, gap, bounds and analysis, and wants one trace per seed."""
+    """verify recomputes exact, gap, bounds and analysis, wants one trace per seed in seed
+    order, and checks the instance digest."""
     inst_path = tmp_path / "inst.json"
     path = tmp_path / "report.json"
     run_cli(capsys, "gen", "--N", "6", "--seed", "11", "-o", str(inst_path))

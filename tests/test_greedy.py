@@ -197,6 +197,8 @@ class TestSolverExamples:
             greedy_opt(GreedyConfig(0, 4, 3), THREE.ids(), ExactMnlOracle(THREE))
         with pytest.raises(ConfigError):
             greedy_opt(GreedyConfig(0, 2, 0), THREE.ids(), ExactMnlOracle(THREE))
+        with pytest.raises(ConfigError):
+            greedy_add_exchange(Assortment(), THREE.ids(), 0, ExactMnlOracle(THREE))
 
     def test_seed_size_equals_capacity_scores_seeds_only(self):
         report = greedy_opt(GreedyConfig(2, 2, 1), THREE.ids(), ExactMnlOracle(THREE))

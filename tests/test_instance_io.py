@@ -17,9 +17,11 @@ from assortopt import (
     generate_instance,
     greedy_opt,
 )
+from assortopt.analysis import GapBound
 from assortopt.cli import main
 from assortopt.io import (
     dumps_document,
+    fields_to_document,
     instance_digest,
     instance_to_document,
     load_instance,
@@ -247,6 +249,20 @@ class TestReportRoundTrip:
         # the exchange-out count is not written, so a report read back certifies nothing
         assert "max_exchange_outs" not in doc
         assert report.max_exchange_outs is not None and back.max_exchange_outs is None
+
+    def test_flat_records_are_written_field_by_field(self):
+        """Every field in declaration order; one declared float is its ``repr`` text even
+        when it holds an int, and any other field is its value."""
+        bound = GapBound(eta=0.5, f_value=1.25, capacity=3, eps_max=0, max_offered_weight=4.0,
+                         opt_weight=2.0, delta_cap=1e-3)
+        assert list(fields_to_document(bound).items()) == [
+            ("eta", "0.5"), ("f_value", "1.25"), ("capacity", 3), ("eps_max", "0.0"),
+            ("max_offered_weight", "4.0"), ("opt_weight", "2.0"), ("delta_cap", "0.001"),
+        ]
+        assert list(fields_to_document(GeneratorSpec(5, seed=3)).items()) == [
+            ("n", 5), ("weight_lo", "0.1"), ("weight_hi", "10.0"), ("price_lo", "1.0"),
+            ("price_hi", "100.0"), ("seed", 3),
+        ]
 
     def test_record_document_round_trip(self):
         inst = generate_instance(GeneratorSpec(5, seed=17))

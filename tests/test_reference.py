@@ -322,9 +322,9 @@ class TestCandidateSweep:
                     assert certified_sweep(inst, offsets, read) == expected
 
     def test_probe_count_pins(self, monkeypatch):
-        """Ranked probes on one generated instance (N = 12, 122 probes, size 4): bisecting
-        from a band at the largest offset ranked 28 for the top lists and 35 for the slack
-        sets at delta = 0.1."""
+        """Ranked probes on one generated instance (N = 12, 122 probes, size 4): the
+        certified sweep ranks 19 of them for the top lists and 25 for the slack sets at
+        delta = 0.1."""
         rng = random.Random(generated.__name__)
         generated(rng)
         inst = generated(rng)  # the family's second instance
@@ -453,8 +453,9 @@ class TestSlackSweep:
 
     @pytest.mark.parametrize("n, size, ranked", [(300, 245, 865), (600, 498, 1_428)])
     def test_probe_count_pins(self, monkeypatch, n, size, ranked):
-        """Bisecting from one band at the largest offset ranked 2,622 probes at N = 300 and
-        288,813 at N = 600."""
+        """At size 10 and delta twice the slack cap at eps = 0.01, the largest slack set
+        has 245 products at N = 300, found by ranking 865 probes, and 498 at N = 600,
+        found by ranking 1,428."""
         inst = generate_instance(GeneratorSpec(n, seed=1))
         delta = 2.0 * slack_cap(inst, 10, 0.01)
         calls = []
