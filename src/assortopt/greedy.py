@@ -8,9 +8,8 @@ chosen size ``S`` (just the empty set for S = 0), applies it ``C - S``
 times per seed, and keeps the best final assortment.
 
 Every candidate move is scored through the revenue oracle alone, one
-batch per loop pass (``oracles.best_move``, the first best of
-``oracles.score_moves``, which receives the pass as a read-only
-``oracles.MovePass``), so the search works with any plugged-in
+batch per loop pass (``oracles.best_move``, which receives the pass as a
+read-only ``oracles.MovePass``), so the search works with any plugged-in
 choice model, exact or noisy. ``evaluate`` must be a pure function of the
 set: the solver confirms a batch's best values through it, and it does
 not score again what a pass has already settled.
@@ -126,12 +125,12 @@ def _best_move(
     """Score one pass's moves; return (revenue, assortment, entering, leaving).
 
     The pass is scored in one ``best_move`` call, the first largest of its
-    ``score_moves`` values. The winner minimizes (-revenue, is_add,
-    entering, leaving): on equal revenue an exchange beats an addition, then
-    the smaller entering id wins, then the smaller leaving id. With
-    ascending pools and members a ``MovePass`` lists its moves in exactly
-    that order, so the first best value wins. Returns None when there is no
-    move.
+    values once the band that could win is confirmed through ``evaluate``.
+    The winner minimizes (-revenue, is_add, entering, leaving): on equal
+    revenue an exchange beats an addition, then the smaller entering id
+    wins, then the smaller leaving id. With ascending pools and members a
+    ``MovePass`` lists its moves in exactly that order, so the first best
+    value wins. Returns None when there is no move.
     """
     if not moves:
         return None

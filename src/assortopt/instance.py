@@ -114,7 +114,7 @@ class Assortment:
 
     def __post_init__(self):
         canonical = tuple(sorted(set(self.ids)))
-        if canonical != tuple(self.ids):
+        if canonical != self.ids:
             object.__setattr__(self, "ids", canonical)
 
     @classmethod

@@ -2,15 +2,15 @@
 
 The solver only ever talks to an oracle through ``evaluate(assortment) ->
 float``, so any choice model can be plugged in. ``evaluate`` must be a pure
-function of the set: ``score_moves`` below confirms a batch's best values
+function of the set: ``best_move`` below confirms a pass's best values
 through it, and the greedy solver does not score again a move that an
 earlier pass has settled. An oracle may also offer
 ``score_moves(current, moves)``, estimates for a whole pass of moves that
 need only be accurate to rounding. The solver passes ``moves`` as a
 ``MovePass``, which the built-in oracles score straight from its pools and
 any other oracle may read as the list of its (entering, leaving) pairs.
-``score_moves`` and ``best_move`` below confirm the estimates that could
-win through ``evaluate``, and fall back to it for oracles without the method.
+``best_move`` confirms the estimates that could win through ``evaluate``,
+and falls back to it for oracles without the method.
 
 Each built-in oracle is made by its constructor, and ``make_oracle`` picks
 the exact or the noisy one from a ``NoiseSpec``:
@@ -40,7 +40,7 @@ from .instance import Assortment, Instance
 
 NOISE_MODES = ("none", "fixed", "seeded-uniform")
 
-#: Relative distance below a batch's best estimate within which ``score_moves``
+#: Relative distance below a pass's best estimate within which ``best_move``
 #: re-evaluates values through ``evaluate``. Far wider than the rounding error
 #: of batched sums (a few ulps per member), so the true best move is in it.
 CONFIRM_BAND = 1e-9
@@ -94,65 +94,50 @@ class RevenueOracle(Protocol):
     def evaluate(self, assortment: Assortment) -> float: ...
 
 
-def score_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
-    """Revenue of ``current.after_move(entering, leaving)`` for each move.
+def best_move(oracle: RevenueOracle, current: Assortment, moves: MovePass) -> tuple[int, float]:
+    """Index and revenue of the first best move of a non-empty pass.
 
     Takes the estimates of the oracle's own ``score_moves(current, moves)``
     when it has one, which need only be accurate to rounding, and replaces
     the largest, and every one within ``CONFIRM_BAND`` of it, by what
     ``evaluate`` returns for that candidate. Without the method it calls
     ``evaluate`` on each candidate in order. Each move counts as one oracle
-    call: a ``CountingOracle`` records the batch, then its base scores and
+    call: a ``CountingOracle`` records the pass, then its base scores and
     confirms it, so confirmations are never counted.
 
-    Values in the band are exact. The others are estimates, except that a
+    Every value outside the band is an estimate below the band's floor (a
     seeded-uniform ``NoisyOracle`` gives the moves that cannot win their
-    noise-free value, an upper bound that stays below the band's floor.
-    Either way no value outside the band can be the best, so the argmax and
-    its tie-break are those of ``evaluate``.
+    noise-free value, an upper bound that stays below it; a NaN first
+    estimate leaves no band). So when the band's best confirmed value
+    reaches the floor it is the largest of all, no earlier value ties it,
+    and the argmax and its tie-break are those of ``evaluate``. Only
+    otherwise (no batched scorer, an empty band, a confirmation below the
+    floor or NaN) are all the values ranked.
     """
-    return _confirmed_scores(oracle, current, moves)[0]
-
-
-def best_move(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> tuple[int, float]:
-    """Index and value of the first largest of ``score_moves(oracle, current, moves)``.
-
-    ``moves`` must not be empty. Every value outside the confirm band is an
-    estimate below the band's floor (a NaN first estimate leaves no band), so
-    when the band's best value reaches the floor it is the largest of all
-    and no earlier value ties it. Only otherwise (no batched scorer, an
-    empty band, a confirmation below the floor or NaN) are all the values
-    ranked.
-    """
-    values, band, floor = _confirmed_scores(oracle, current, moves)
-    best = max(band, key=values.__getitem__) if band else None
-    if best is None or not values[best] >= floor:
-        best = values.index(max(values))
-    return best, values[best]
-
-
-def _confirmed_scores(
-    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]
-) -> tuple[list[float], list[int], float]:
-    """``score_moves``' values, the ascending indices it confirmed through
-    ``evaluate`` and the floor of that band (no band without a batched scorer)."""
     if isinstance(oracle, CountingOracle):
         oracle.stats.record_moves(current, moves)
         oracle = oracle.base
+    values, estimated = _pass_values(oracle, current, moves)
+    if estimated:
+        top = max(values)
+        floor = top - CONFIRM_BAND * abs(top)
+        band = [i for i, value in enumerate(values) if value >= floor]
+        for i in band:
+            values[i] = oracle.evaluate(current.after_move(*moves[i]))
+        best = max(band, key=values.__getitem__) if band else None
+        if best is not None and values[best] >= floor:
+            return best, values[best]
+    best = values.index(max(values))
+    return best, values[best]
+
+
+def _pass_values(oracle: RevenueOracle, current: Assortment, moves: MovePass) -> tuple[list[float], bool]:
+    """The oracle's ``score_moves`` estimates for the pass and True, or, without
+    that method, ``evaluate`` of each move's set and False."""
     batched = getattr(oracle, "score_moves", None)
     if batched is None:
-        return _evaluate_moves(oracle, current, moves), [], math.inf
-    values = list(batched(current, moves))
-    top = max(values, default=0.0)
-    floor = top - CONFIRM_BAND * abs(top)
-    band = [i for i, value in enumerate(values) if value >= floor]
-    for i in band:
-        values[i] = oracle.evaluate(current.after_move(*moves[i]))
-    return values, band, floor
-
-
-def _evaluate_moves(oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]) -> list[float]:
-    return [oracle.evaluate(current.after_move(entering, leaving)) for entering, leaving in moves]
+        return [oracle.evaluate(current.after_move(*move)) for move in moves], False
+    return list(batched(current, moves)), True
 
 
 def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
@@ -239,12 +224,8 @@ class ExactMnlOracle:
     def evaluate(self, assortment: Assortment) -> float:
         return mnl_revenue(self.instance, assortment)
 
-    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """Estimated ``evaluate``: one division per move over leave-one-out member sums.
-
-        A ``MovePass`` and any other sequence read the same sums per leaver, so
-        each value comes from the same expression and the two agree bit for bit.
-        """
+    def score_moves(self, current: Assortment, moves: MovePass) -> list[float]:
+        """Estimated ``evaluate``: one division per move over leave-one-out member sums."""
         terms, weights = self._terms, self._weights
         members = current.ids
         try:
@@ -258,10 +239,6 @@ class ExactMnlOracle:
                 return (math.fsum(member_terms[:j] + member_terms[j + 1:]),
                         math.fsum([1.0] + member_weights[:j] + member_weights[j + 1:]))
 
-            if not isinstance(moves, MovePass):
-                sums = {leaving: less(leaving) for leaving in (None, *members)}
-                return [(sums[leaving][0] + terms[entering]) / (sums[leaving][1] + weights[entering])
-                        for entering, leaving in moves]
             pool = moves.exchange_pool
             leavers = [less(leaving) for leaving in moves.members] if pool else ()
             values = [  # entering-major, as the pass lists its exchanges
@@ -288,7 +265,7 @@ class NoisyOracle:
     def evaluate(self, assortment: Assortment) -> float:
         return (1.0 - self.spec.epsilon(assortment)) * self.base.evaluate(assortment)
 
-    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
+    def score_moves(self, current: Assortment, moves: MovePass) -> list[float]:
         """The base's estimates, each scaled by its set's noise factor.
 
         In "seeded-uniform" mode only the moves whose base estimate reaches
@@ -300,16 +277,14 @@ class NoisyOracle:
         ``(1 - eps) * top``. So the band, its confirmations and the
         argmax are those of the unpruned batch, bit for bit.
         """
-        batched = getattr(self.base, "score_moves", None)
-        base = batched(current, moves) if batched else _evaluate_moves(self.base, current, moves)
+        values = _pass_values(self.base, current, moves)[0]
         spec = self.spec
         if spec.mode != "seeded-uniform":
             epsilons = spec.move_epsilons(current, moves)
-            return [(1.0 - eps) * value for eps, value in zip(epsilons, base)]
-        top = max(base, default=0.0)
+            return [(1.0 - eps) * value for eps, value in zip(epsilons, values)]
+        top = max(values, default=0.0)
         # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
         cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
-        values = list(base)
         kept = [i for i, value in enumerate(values) if value >= cut]
         epsilons = spec.move_epsilons(current, [moves[i] for i in kept])
         for i, eps in zip(kept, epsilons):
@@ -330,7 +305,7 @@ class OracleStats:
     def __init__(self):
         self.call_count = 0
         self._seen: set[tuple[int, ...]] = set()
-        self._batches: list[tuple[Assortment, Sequence[Move]]] = []
+        self._batches: list[tuple[Assortment, MovePass]] = []
         self._lock = threading.Lock()
 
     def record(self, assortment: Assortment) -> None:
@@ -338,7 +313,7 @@ class OracleStats:
             self.call_count += 1
             self._seen.add(assortment.ids)
 
-    def record_moves(self, current: Assortment, moves: Sequence[Move]) -> None:
+    def record_moves(self, current: Assortment, moves: MovePass) -> None:
         """Count one call per move; ``moves`` is kept, not copied, so leave it unchanged."""
         with self._lock:
             self.call_count += len(moves)

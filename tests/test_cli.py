@@ -1,6 +1,7 @@
 """CLI flows, exit codes, and structured errors."""
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -97,6 +98,52 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["definitely-not-a-command"])
         assert exc.value.code == 2
+
+    # each cross-check's failure exit, driven by a patched check in process
+
+    def test_exact_exits_four_when_the_solvers_disagree(self, capsys, fixtures_dir, monkeypatch):
+        monkeypatch.setattr(cli_module, "revenues_agree", lambda *_: False)
+        instance = fixtures_dir / "generated_n8_seed7.json"
+        code, out, err = run_cli(capsys, "exact", str(instance), "--C", "4")
+        assert code == 4
+        assert json.loads(out)["solvers_agree"] is False
+        error = json.loads(err)["error"]
+        assert error["code"] == "assertion-failure"
+        assert error["message"].startswith("reference solvers disagree: brute=")
+
+    def test_bench_exits_four_on_a_violated_guarantee(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench_mod, "call_count_bound", lambda n, config: 0)
+        code, out, err = run_cli(
+            capsys, "bench", "--N", "4", "--C", "2", "--b", "C+1", "--eps", "0", "--seeds", "1"
+        )
+        assert code == 4
+        assert "call-count violations: 1" in out
+        error = json.loads(err)["error"]
+        assert error["code"] == "assertion-failure"
+        assert error["message"] == "1 runs exceeded the oracle-call bound"
+
+    def test_verify_exits_four_when_a_comparison_pair_disagrees(self, capsys, fixtures_dir, monkeypatch):
+        # the first pair's revenue order is flipped against its margin order
+        check = cli_module.check_margin_revenue_equivalence
+        pairs = []
+
+        def flip_first(instance, m1, m2):
+            report = check(instance, m1, m2)
+            pairs.append((m1.ids, m2.ids))
+            if len(pairs) > 1:
+                return report
+            revenue_1 = report.revenue_2 + (1.0 if report.margin_1 < report.margin_2 else -1.0)
+            return dataclasses.replace(report, revenue_1=revenue_1)
+
+        monkeypatch.setattr(cli_module, "check_margin_revenue_equivalence", flip_first)
+        report = fixtures_dir / "solve_generated_n8_seed7_C4.json"
+        code, out, err = run_cli(capsys, "verify", str(report))
+        assert code == 4
+        assert out.startswith("verify FAIL")
+        m1, m2 = pairs[0]
+        assert f"  violation: margin/revenue comparison disagreed on {m1} vs {m2}\n" in out
+        error = json.loads(err)["error"]
+        assert error == {"code": "assertion-failure", "message": "1 verification problems"}
 
 
 def _first_add(edit):

@@ -31,7 +31,7 @@ from assortopt import (
 from assortopt.analysis import trace_bookkeeping_problems
 from assortopt.generate import GeneratorSpec, derive_seed, generate_instance
 from assortopt.instance import optimum_key
-from assortopt.oracles import MovePass, best_move, score_moves
+from assortopt.oracles import MovePass, best_move
 from test_reference import TIE_FAMILIES
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -436,41 +436,66 @@ def random_move_passes(rng, inst, count):
         yield current, MovePass(pool, members, adds)
 
 
-def test_move_pass_scores_as_its_list_bit_for_bit():
+def leave_one_out(inst, current, moves):
+    """Each move's value as (sum of the other members' terms + the entering term) over
+    (1 + the other members' weights + the entering weight), the sums taken with fsum
+    over the members that stay."""
+    terms = {p.id: p.price * p.weight for p in inst.products}
+    weights = {p.id: p.weight for p in inst.products}
+    return [
+        (math.fsum([terms[i] for i in current.ids if i != leaving]) + terms[entering])
+        / (math.fsum([1.0] + [weights[i] for i in current.ids if i != leaving]) + weights[entering])
+        for entering, leaving in moves
+    ]
+
+
+def check_pass_against_the_references(inst, current, moves):
+    """Score one pass with every oracle kind against the leave-one-out expression and
+    ``evaluate``, bit for bit; return the number of moves.
+
+    The exact estimates are the expression, fixed noise scales each by (1 - eps), and
+    seeded-uniform noise either keeps it or scales it by its set's own factor. Every
+    oracle's ``best_move`` is the first best of ``evaluate``, and a counter counts one
+    call per move and each distinct set once.
+    """
+    exact = ExactMnlOracle(inst)
+    fixed = NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4))
+    seeded = [NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=eps, seed=seed))
+              for eps, seed in [(0.001, 17), (0.2, 18)]]
+    expected = leave_one_out(inst, current, moves)
+    assert list(map(float.hex, exact.score_moves(current, moves))) == list(map(float.hex, expected))
+    assert list(map(float.hex, fixed.score_moves(current, moves))) == [
+        ((1.0 - 0.01) * value).hex() for value in expected
+    ]
+    for noisy in seeded:
+        for move, value, base in zip(moves, noisy.score_moves(current, moves), expected):
+            scaled = (1.0 - noisy.spec.epsilon(current.after_move(*move))) * base
+            assert value.hex() in (base.hex(), scaled.hex())
+    if not moves:
+        return 0
+    for oracle in (exact, fixed, *seeded, NudgedEstimates(exact)):
+        truth = [oracle.evaluate(current.after_move(*move)) for move in moves]
+        index, value = best_move(oracle, current, moves)
+        assert (index, value.hex()) == (truth.index(max(truth)), max(truth).hex())
+    counting = CountingOracle(exact)
+    assert best_move(counting, current, moves) == best_move(exact, current, moves)
+    stats = counting.stats
+    assert stats.call_count == len(moves)
+    assert stats.distinct_count == len({current.after_move(*move).ids for move in moves})
+    return len(moves)
+
+
+def test_move_pass_scores_match_the_references_bit_for_bit():
     rng = random.Random(9191)
     scored = 0
     for inst, _config in differential_cases():
-        exact = ExactMnlOracle(inst)
-        oracles = [
-            exact,
-            NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
-            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
-            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
-            NudgedEstimates(exact),
-        ]
         for current, moves in random_move_passes(rng, inst, 6):
-            listed = list(moves)
-            for oracle in oracles:
-                assert list(map(float.hex, score_moves(oracle, current, moves))) == list(
-                    map(float.hex, score_moves(oracle, current, listed))
-                )
-                assert list(map(float.hex, oracle.score_moves(current, moves))) == list(
-                    map(float.hex, oracle.score_moves(current, listed))
-                )
-            counted = [CountingOracle(exact) for _ in range(2)]
-            values = [score_moves(counting, current, batch)
-                      for counting, batch in zip(counted, (moves, listed))]
-            assert list(map(float.hex, values[0])) == list(map(float.hex, values[1]))
-            first, second = (counting.stats for counting in counted)
-            assert (first.call_count, first.distinct_count) == (second.call_count, second.distinct_count)
-            scored += len(moves)
+            scored += check_pass_against_the_references(inst, current, moves)
     assert scored > 1000
 
 
 def test_exact_estimates_are_the_leave_one_out_expression():
-    # each estimate is (sum of the other members' terms + the entering term) over
-    # (1 + the other members' weights + the entering weight), the sums taken with
-    # fsum over the members that stay, whichever way the tables are cut
+    # whichever way the tables are cut, also on tied and degenerate instances
     rng = random.Random(7171)
     scored = 0
     families = [lambda r: generate_instance(GeneratorSpec(r.randint(2, 14), seed=r.getrandbits(60))),
@@ -478,58 +503,28 @@ def test_exact_estimates_are_the_leave_one_out_expression():
     for family in families:
         for _ in range(12):
             inst = family(rng)
-            terms = {p.id: p.price * p.weight for p in inst.products}
-            weights = {p.id: p.weight for p in inst.products}
             exact = ExactMnlOracle(inst)
             for current, moves in random_move_passes(rng, inst, 4):
-                for batch in (moves, list(moves)):
-                    expected = [
-                        (math.fsum([terms[i] for i in current.ids if i != leaving]) + terms[entering])
-                        / (math.fsum([1.0] + [weights[i] for i in current.ids if i != leaving])
-                           + weights[entering])
-                        for entering, leaving in batch
-                    ]
-                    assert list(map(float.hex, exact.score_moves(current, batch))) == list(
-                        map(float.hex, expected)
-                    )
+                assert list(map(float.hex, exact.score_moves(current, moves))) == list(
+                    map(float.hex, leave_one_out(inst, current, moves))
+                )
                 scored += len(moves)
     assert scored > 500
 
 
 @pytest.mark.parametrize("shape", ["add-only", "exchange-only"])
-def test_one_sided_passes_score_as_their_list_bit_for_bit(shape):
+def test_one_sided_passes_match_the_references_bit_for_bit(shape):
     # the exact oracle builds leave-one-out sums only for the leavers a pass has:
     # the empty leaver alone for additions, each member alone for exchanges
     rng = random.Random(6262 if shape == "add-only" else 6363)
     scored = 0
     for inst, _config in differential_cases():
-        exact = ExactMnlOracle(inst)
-        oracles = [
-            exact,
-            NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4)),
-            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17)),
-            NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18)),
-        ]
         for current, full in random_move_passes(rng, inst, 6):
             if shape == "add-only":
                 moves = MovePass((), full.members, full.add_pool)
             else:
                 moves = MovePass(full.exchange_pool, full.members, ())
-            listed = list(moves)
-            for oracle in oracles:
-                assert list(map(float.hex, score_moves(oracle, current, moves))) == list(
-                    map(float.hex, score_moves(oracle, current, listed))
-                )
-                assert list(map(float.hex, oracle.score_moves(current, moves))) == list(
-                    map(float.hex, oracle.score_moves(current, listed))
-                )
-            counted = [CountingOracle(exact) for _ in range(2)]
-            values = [score_moves(counting, current, batch)
-                      for counting, batch in zip(counted, (moves, listed))]
-            assert list(map(float.hex, values[0])) == list(map(float.hex, values[1]))
-            first, second = (counting.stats for counting in counted)
-            assert (first.call_count, first.distinct_count) == (second.call_count, second.distinct_count)
-            scored += len(moves)
+            scored += check_pass_against_the_references(inst, current, moves)
     assert scored > 400
 
 

@@ -66,6 +66,17 @@ class TestAssortment:
     def test_canonical_order_and_dedup(self):
         assert Assortment.of([3, 1, 3]).ids == (1, 3)
 
+    @pytest.mark.parametrize("ids", [[1, 3], [3, 1], range(1, 3), ()], ids=repr)
+    def test_any_iterable_of_ids_is_stored_as_its_tuple(self, ids):
+        # an ascending list or range is converted too, so the set hashes and
+        # equals the one built from the tuple
+        canonical = tuple(sorted(ids))
+        assortment = Assortment(ids)
+        assert type(assortment.ids) is tuple
+        assert assortment.ids == canonical
+        assert assortment == Assortment(canonical)
+        assert hash(assortment) == hash(Assortment(canonical))
+
     def test_encoding(self):
         assert Assortment().encode() == ""
         assert Assortment.of([3, 1]).encode() == "1,3"

@@ -19,7 +19,7 @@ from assortopt import (
     mnl_revenue,
 )
 from assortopt.generate import GeneratorSpec, generate_instance
-from assortopt.oracles import CONFIRM_BAND, MovePass, best_move, score_moves
+from assortopt.oracles import CONFIRM_BAND, MovePass, best_move
 from references import NO_PURCHASE, InvalidChoiceError, mnl_choice_prob
 
 
@@ -45,6 +45,19 @@ def random_moves(rng, instance, current, count):
     ]
 
 
+def random_pass(rng, instance, current):
+    """A non-empty ``MovePass`` on ``current`` with random ascending pools and members."""
+    outside = [i for i in instance.ids() if i not in current]
+
+    def some(ids):
+        return sorted(rng.sample(ids, rng.randint(0, min(len(ids), 6))))
+
+    while True:
+        moves = MovePass(some(outside), some(current.ids), some(outside))
+        if moves:
+            return moves
+
+
 class EvaluateOnly:
     def __init__(self, oracle):
         self._oracle = oracle
@@ -53,14 +66,21 @@ class EvaluateOnly:
         return self._oracle.evaluate(assortment)
 
 
-class EvaluationCounter(ExactMnlOracle):
-    """Exact oracle that counts its ``evaluate`` calls."""
+class EvaluationLog(ExactMnlOracle):
+    """Exact oracle that logs the sets it evaluates, in order."""
 
-    evaluations = 0
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.evaluated = []
 
     def evaluate(self, assortment):
-        self.evaluations += 1
+        self.evaluated.append(assortment)
         return super().evaluate(assortment)
+
+
+def scorer(oracle):
+    """The oracle whose ``score_moves`` ``best_move`` reads: a counter's base."""
+    return oracle.base if isinstance(oracle, CountingOracle) else oracle
 
 
 class TestMnlRevenue:
@@ -286,37 +306,41 @@ class TestMovePass:
 
 
 class TestScoreMoves:
-    def unpruned_oracles(self, inst):
-        exact = ExactMnlOracle(inst)
+    def unpruned_oracles(self, exact):
         yield exact
         yield NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01))
         yield CountingOracle(exact)
 
-    def oracles(self, inst, rng):
-        yield from self.unpruned_oracles(inst)
-        yield NoisyOracle(ExactMnlOracle(inst), NoiseSpec(
-            mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32)))
+    def oracles(self, exact, rng):
+        yield from self.unpruned_oracles(exact)
+        yield NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32)))
 
     def test_band_is_exact_and_the_rest_is_close(self):
+        # best_move confirms exactly the estimates within the band, in pass order,
+        # and returns evaluate's first best; every estimate is evaluate's to rounding
         rng = random.Random(2468)
         for _ in range(200):
             inst = random_instance(rng, rng.randint(2, 25))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
-            moves = random_moves(rng, inst, current, rng.randint(1, 40))
-            for oracle in self.unpruned_oracles(inst):
-                values = score_moves(oracle, current, moves)
-                exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
-                top = max(values)
-                assert top == max(exact)
-                for value, truth in zip(values, exact):
-                    if value >= top - CONFIRM_BAND * abs(top):
-                        assert value == truth
-                    else:
-                        assert value == pytest.approx(truth, rel=1e-13)
+            moves = random_pass(rng, inst, current)
+            exact = EvaluationLog(inst)
+            for oracle in self.unpruned_oracles(exact):
+                truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
+                estimates = scorer(oracle).score_moves(current, moves)
+                top = max(estimates)
+                floor = top - CONFIRM_BAND * abs(top)
+                band = [m for m, value in zip(moves, estimates) if value >= floor]
+                exact.evaluated.clear()
+                index, value = best_move(oracle, current, moves)
+                assert exact.evaluated == [current.after_move(*m) for m in band]
+                assert index == truth.index(max(truth))
+                assert value.hex() == truth[index].hex()
+                for estimate, exact_value in zip(estimates, truth):
+                    assert estimate == pytest.approx(exact_value, rel=1e-13)
 
     def test_fixed_mode_scales_every_exact_score_bit_for_bit(self):
         # fixed mode prunes nothing: each score is (1 - eps) times the exact one,
-        # for a pass and for the list of its moves alike
+        # for a full pass and for each one-sided part of it
         rng = random.Random(1357)
         for _ in range(100):
             inst = random_instance(rng, rng.randint(2, 25))
@@ -325,32 +349,38 @@ class TestScoreMoves:
             eps = rng.choice([0.001, 0.01, 0.3])
             exact = ExactMnlOracle(inst)
             noisy = NoisyOracle(exact, NoiseSpec(mode="fixed", eps=eps))
-            batch = MovePass(outside, current.ids, outside)
-            for moves in (batch, list(batch), random_moves(rng, inst, current, rng.randint(1, 40))):
+            full = random_pass(rng, inst, current)
+            for moves in (MovePass(outside, current.ids, outside), full,
+                          MovePass((), full.members, full.add_pool),
+                          MovePass(full.exchange_pool, full.members, ())):
                 want = [((1 - eps) * value).hex() for value in exact.score_moves(current, moves)]
                 assert [value.hex() for value in noisy.score_moves(current, moves)] == want
 
     @pytest.mark.parametrize("eps_max", [0.001, 0.2, 0.5, 0.999])
     def test_seeded_uniform_band_is_exact_and_the_rest_bounds_it(self, eps_max):
         # moves pruned before hashing keep their base value: below the band's
-        # floor and, to rounding, at least their noisy value
+        # floor and, to rounding, at least their noisy value; best_move confirms
+        # exactly the band and returns evaluate's first best
         rng = random.Random(1234)
         for _ in range(200):
             inst = random_instance(rng, rng.randint(2, 25))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
-            moves = random_moves(rng, inst, current, rng.randint(1, 40))
-            exact = ExactMnlOracle(inst)
+            moves = random_pass(rng, inst, current)
+            exact = EvaluationLog(inst)
             oracle = NoisyOracle(exact, NoiseSpec(
                 mode="seeded-uniform", eps=eps_max, seed=rng.getrandbits(32)))
-            values = score_moves(oracle, current, moves)
+            values = oracle.score_moves(current, moves)
             truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
             top = max(values)
             floor = top - CONFIRM_BAND * abs(top)
-            assert top == max(truth)
-            assert values.index(top) == truth.index(max(truth))
+            exact.evaluated.clear()
+            index, best = best_move(oracle, current, moves)
+            assert exact.evaluated == [current.after_move(*m) for m, v in zip(moves, values) if v >= floor]
+            assert best == max(truth)
+            assert index == truth.index(max(truth))
             for move, value, noisy in zip(moves, values, truth):
                 if value >= floor:
-                    assert value == noisy
+                    assert value == pytest.approx(noisy, rel=1e-13)
                     continue
                 base = exact.evaluate(current.after_move(*move))
                 assert value == pytest.approx(noisy, rel=1e-13) or value == pytest.approx(base, rel=1e-13)
@@ -369,25 +399,25 @@ class TestScoreMoves:
         inst = random_instance(rng, 60)
         current = Assortment.of(rng.sample(inst.ids(), 6))
         outside = [i for i in inst.ids() if i not in current]
-        moves = [(e, l) for e in outside for l in current.ids] + [(e, None) for e in outside]
+        moves = MovePass(outside, current.ids, outside)
         oracle = NoisyOracle(ExactMnlOracle(inst),
                                    NoiseSpec(mode="seeded-uniform", eps=0.001, seed=3))
-        values = score_moves(oracle, current, moves)
+        index, _value = best_move(oracle, current, moves)
         assert 0 < len(hashed) < len(moves) / 2
         truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
-        assert values.index(max(values)) == truth.index(max(truth))
+        assert index == truth.index(max(truth))
 
     def test_near_tie_is_ranked_by_evaluate(self):
         # the batched sums round (3, 1) below (4, 1) although evaluate ranks it above
         inst = Instance.of([(1, 0.9, 0.1), (2, 0.4, 0.3), (3, 0.4, 0.1), (4, 1.1, 0.1),
                             (5, 0.3, 0.1), (6, 1 / 3, 0.1), (7, 0.1, 0.3)])
         current = Assortment.of([1, 2, 5, 6, 7])
-        moves = [(e, l) for e in (3, 4) for l in current.ids] + [(3, None), (4, None)]
-        for oracle in self.oracles(inst, random.Random(1)):
-            values = score_moves(oracle, current, moves)
+        moves = MovePass((3, 4), current.ids, (3, 4))
+        for oracle in self.oracles(ExactMnlOracle(inst), random.Random(1)):
+            index, value = best_move(oracle, current, moves)
             exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
-            assert max(values) == max(exact)
-            assert values.index(max(values)) == exact.index(max(exact))
+            assert value == max(exact)
+            assert index == exact.index(max(exact))
         exact = [ExactMnlOracle(inst).evaluate(current.after_move(*m)) for m in moves]
         assert exact.index(max(exact)) == 0
 
@@ -395,19 +425,24 @@ class TestScoreMoves:
         rng = random.Random(97)
         inst = random_instance(rng, 8)
         current = Assortment.of([2, 5])
-        moves = [(1, 2), (3, None), (8, 5)]
-        oracle = EvaluateOnly(ExactMnlOracle(inst))
-        assert score_moves(oracle, current, moves) == [
-            oracle.evaluate(Assortment.of(ids)) for ids in [(1, 5), (2, 3, 5), (2, 8)]
-        ]
+        moves = MovePass((1, 8), current.ids, (3,))
+        logged = EvaluationLog(inst)
+        oracle = EvaluateOnly(logged)
+        index, value = best_move(oracle, current, moves)
+        candidates = [Assortment.of(ids) for ids in [(1, 5), (1, 2), (5, 8), (2, 8), (2, 3, 5)]]
+        assert logged.evaluated == candidates
+        values = [oracle.evaluate(candidate) for candidate in candidates]
+        assert (index, value) == (values.index(max(values)), max(values))
 
     def test_unknown_product_rejected(self):
-        with pytest.raises(InvalidAssortmentError):
-            score_moves(ExactMnlOracle(THREE), Assortment.of([1]), [(9, None)])
+        for moves in (MovePass((), [1], [9]), MovePass([9], [1], ())):
+            with pytest.raises(InvalidAssortmentError):
+                best_move(ExactMnlOracle(THREE), Assortment.of([1]), moves)
 
     def test_best_move_is_the_first_largest_score(self):
-        # best_move reads the confirm band; it must rank as the full list does, also
-        # for estimates that overshoot their confirmation, ties, and NaN values
+        # best_move ranks the estimates with the confirm band replaced by evaluate
+        # values (evaluate's own values without a scorer): it must take the first
+        # largest, also for estimates that overshoot their confirmation, ties, and NaN
         class Distorted(EvaluateOnly):
             def __init__(self, oracle, distort):
                 super().__init__(oracle)
@@ -421,6 +456,17 @@ class TestScoreMoves:
             def evaluate(self, assortment):
                 value = super().evaluate(assortment)
                 return math.nan if len(assortment) % 3 == 0 else value
+
+        def ranked(oracle, current, moves):
+            oracle = scorer(oracle)
+            values = [oracle.evaluate(current.after_move(*m)) for m in moves]
+            if not hasattr(oracle, "score_moves"):
+                return values
+            estimates = oracle.score_moves(current, moves)
+            top = max(estimates)
+            floor = top - CONFIRM_BAND * abs(top)
+            return [value if estimate >= floor else estimate
+                    for estimate, value in zip(estimates, values)]
 
         nan = math.nan
         distortions = [
@@ -437,7 +483,7 @@ class TestScoreMoves:
         for _ in range(150):
             inst = random_instance(rng, rng.randint(2, 15))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
-            moves = random_moves(rng, inst, current, rng.randint(1, 30))
+            moves = random_pass(rng, inst, current)
             exact = ExactMnlOracle(inst)
             makers = [
                 lambda: exact,
@@ -450,7 +496,7 @@ class TestScoreMoves:
                 lambda: Distorted(NanEvaluate(exact), lambda i, v: v),
             ]
             for make in makers:
-                values = score_moves(make(), current, moves)
+                values = ranked(make(), current, moves)
                 index, value = best_move(make(), current, moves)
                 assert index == values.index(max(values))
                 assert value is values[index] or value.hex() == values[index].hex()
@@ -462,17 +508,18 @@ class TestScoreMoves:
         for _ in range(200):
             inst = random_instance(rng, rng.randint(2, 25))
             current = random_assortment(rng, inst, max_size=inst.n - 1)
-            moves = random_moves(rng, inst, current, rng.randint(1, 40))
-            base = EvaluationCounter(inst)
+            moves = random_pass(rng, inst, current)
+            base = EvaluationLog(inst)
             spec = NoiseSpec(mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32))
             for oracle in (base, NoisyOracle(base, spec)):
-                base.evaluations = 0
+                estimates = oracle.score_moves(current, moves)
+                top = max(estimates)
+                band = sum(value >= top - CONFIRM_BAND * abs(top) for value in estimates)
+                base.evaluated.clear()
                 counting = CountingOracle(oracle)
                 stats = counting.stats
-                values = score_moves(counting, current, moves)
-                top = max(values)
-                band = sum(value >= top - CONFIRM_BAND * abs(top) for value in values)
-                assert base.evaluations == band
+                best_move(counting, current, moves)
+                assert len(base.evaluated) == band
                 assert stats.call_count == len(moves)
 
 
@@ -516,8 +563,8 @@ class TestCountingOracle:
         total = 0
         for _ in range(20):
             current = random_assortment(rng, inst, max_size=6)
-            moves = random_moves(rng, inst, current, rng.randint(0, 30))
-            score_moves(oracle, current, moves)
+            moves = random_pass(rng, inst, current)
+            best_move(oracle, current, moves)
             total += len(moves)
             assert stats.call_count == total
 
@@ -544,13 +591,13 @@ class TestCountingOracle:
         stats = oracle.stats
         assortments = [Assortment.of(ids) for ids in [(1,), (2,), (3,), (1, 2), (1, 3)]]
         # each batch reaches (1, 2, 3), (2, 3) and (1, 3); the first two are new
-        batch = (Assortment.of([1, 2]), [(3, None), (3, 1), (3, 2)])
+        batch = (Assortment.of([1, 2]), MovePass([3], [1, 2], [3]))
         distinct_sizes = []
 
         def hammer(worker):
             for i in range(400):
                 oracle.evaluate(assortments[(worker + i) % len(assortments)])
-                score_moves(oracle, *batch)
+                best_move(oracle, *batch)
                 if i % 50 == 0:
                     distinct_sizes.append(stats.distinct_count)
 

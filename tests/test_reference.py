@@ -1,6 +1,7 @@
 """Reference solvers: brute force, candidate-set solver, MNL fixed point, nesting witnesses."""
 
 import itertools
+import logging
 import math
 import random
 import sys
@@ -23,7 +24,7 @@ from assortopt import (
     mnl_revenue,
     naive_greedy,
 )
-from assortopt import transform
+from assortopt import reference, transform
 from assortopt.analysis import slack_cap
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.instance import optimum_key
@@ -243,6 +244,38 @@ class TestCandidateSweep:
             fresh = [margin_ranking(inst, u) for u in offsets]
             for k in range(-1, inst.n + 2):
                 assert top_id_sweep(inst, offsets, k) == [top_ids(r, k) for r in fresh]
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_collection_stays_within_the_working_bound(self, family):
+        """``candidate_set_opt`` logs a collection of more than N*C + 1 sets; none has
+        one, at any cap, and the bound is met exactly somewhere."""
+        rng = random.Random(family.__name__)
+        largest = 0.0
+        for _ in range(200):
+            inst = family(rng)
+            for capacity in range(inst.n + 1):
+                size = candidate_set_opt(inst, capacity).candidate_collection_size
+                assert size <= inst.n * capacity + 1
+                largest = max(largest, size / (inst.n * capacity + 1))
+        assert largest == 1.0
+
+    def test_collection_above_the_working_bound_is_logged(self, caplog, monkeypatch):
+        # the four sets at N = 3, C = 1 and one more: logged, not fatal
+        candidate_sets = reference._candidate_sets
+
+        def one_too_many(instance, capacity):
+            sets = candidate_sets(instance, capacity)
+            sets[-1].add((1, 3))
+            return sets
+
+        monkeypatch.setattr(reference, "_candidate_sets", one_too_many)
+        assert len(one_too_many(THREE, 1)[-1]) == 5
+        with caplog.at_level(logging.WARNING, logger=reference.__name__):
+            solution = candidate_set_opt(THREE, 1)
+        assert solution.candidate_collection_size == 5
+        assert [record.getMessage() for record in caplog.records] == [
+            "candidate collection has 5 sets, above the working bound 4 (N=3, C=1)"
+        ]
 
     def test_top_id_sweep_on_no_products_and_no_offsets(self):
         empty = Instance(())
