@@ -17,6 +17,7 @@ serialization.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -25,13 +26,13 @@ from typing import Sequence
 from .errors import ConfigError, ValidationError
 from .greedy import GreedyConfig, IterationRecord, accept_move
 from .instance import Assortment, Instance
-from .oracles import NoiseSpec, mnl_revenue, total_weight
+from .oracles import NoiseSpec, mnl_revenue, products_revenue, total_weight
 from .reference import ExactSolution, assortment_count, check_enumeration
 from .transform import (
-    assortment_margin,
     certified_sweep,
     interval_offsets,
     margin_breakpoints,
+    product_margins,
     scaled_margin,
     scaled_margins,
     top_with_gaps,
@@ -187,16 +188,18 @@ class EquivalenceReport:
 def check_margin_revenue_equivalence(
     instance: Instance, m1: Assortment, m2: Assortment
 ) -> EquivalenceReport:
-    """Evaluate both sides of the comparison equivalence for one pair."""
-    r1 = mnl_revenue(instance, m1)
-    r2 = mnl_revenue(instance, m2)
+    """Evaluate both sides of the comparison equivalence for one pair: each set's
+    ``mnl_revenue`` and its ``assortment_margin`` at the second one's revenue, from one
+    lookup of its products."""
+    first, second = instance.products_of(m1.ids), instance.products_of(m2.ids)
+    r2 = products_revenue(second)
     return EquivalenceReport(
         m1=m1,
         m2=m2,
-        revenue_1=r1,
+        revenue_1=products_revenue(first),
         revenue_2=r2,
-        margin_1=assortment_margin(instance, m1, r2),
-        margin_2=assortment_margin(instance, m2, r2),
+        margin_1=math.fsum(product_margins(first, r2)),
+        margin_2=math.fsum(product_margins(second, r2)),
     )
 
 

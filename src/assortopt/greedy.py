@@ -9,10 +9,13 @@ times per seed, and keeps the best final assortment.
 
 Every candidate move is scored through the revenue oracle alone, one
 batch per loop pass (``oracles.best_move``, which receives the pass as a
-read-only ``oracles.MovePass``), so the search works with any plugged-in
-choice model, exact or noisy. ``evaluate`` must be a pure function of the
-set: the solver confirms a batch's best values through it, and it does
-not score again what a pass has already settled.
+read-only ``oracles.MovePass`` and the revenue a move must beat), so the
+search works with any plugged-in choice model, exact or noisy. An oracle
+that offers ``move_candidates``, as the built-in ones do, estimates only
+the moves whose margins show they may beat that revenue. ``evaluate``
+must be a pure function of the set: the solver confirms a batch's best
+values through it, and it does not score again what a pass has already
+settled.
 
 After a pass accepts a move, the next pass skips every move that takes
 the entering product out again or brings the leaving product back: each
@@ -120,21 +123,25 @@ class _SettledPass:
 
 
 def _best_move(
-    current: Assortment, moves: MovePass, oracle: RevenueOracle
+    current: Assortment, moves: MovePass, oracle: RevenueOracle, beat: float
 ) -> tuple[float, Assortment, int, int | None] | None:
-    """Score one pass's moves; return (revenue, assortment, entering, leaving).
+    """Score one pass's moves; return (revenue, assortment, entering, leaving) of the
+    best move when its revenue exceeds ``beat``, else None.
 
     The pass is scored in one ``best_move`` call, the first largest of its
-    values once the band that could win is confirmed through ``evaluate``.
-    The winner minimizes (-revenue, is_add, entering, leaving): on equal
-    revenue an exchange beats an addition, then the smaller entering id
-    wins, then the smaller leaving id. With ascending pools and members a
-    ``MovePass`` lists its moves in exactly that order, so the first best
-    value wins. Returns None when there is no move.
+    values once the band that could win is confirmed through ``evaluate``;
+    an oracle with ``move_candidates`` estimates only the moves whose
+    margins show they may beat ``beat``. The winner minimizes (-revenue,
+    is_add, entering, leaving): on equal revenue an exchange beats an
+    addition, then the smaller entering id wins, then the smaller leaving
+    id. With ascending pools and members a ``MovePass`` lists its moves in
+    exactly that order, so the first best value wins. Returns None when
+    there is no move.
     """
-    if not moves:
+    found = best_move(oracle, current, moves, beat) if moves else None
+    if found is None:
         return None
-    index, rev = best_move(oracle, current, moves)
+    index, rev = found
     entering, leaving = moves[index]
     return rev, current.after_move(entering, leaving), entering, leaving
 
@@ -193,8 +200,8 @@ def _run_add_exchange(
     while True:
         pool_before = tuple(pool) if trace else ()
         previous = current
-        move = _best_move(current, moves, oracle)
-        if move is not None and move[0] > current_rev:
+        move = _best_move(current, moves, oracle, current_rev)
+        if move is not None:
             current_rev, current, entering, leaving = move
             action = "add" if leaving is None else "exchange"
             accept_move(pool, outs, entering, leaving, budget)
@@ -328,8 +335,8 @@ def naive_greedy(capacity: int, universe: Iterable[int], oracle: RevenueOracle) 
     current_rev = oracle.evaluate(current)
     pool = sorted(set(universe))
     while len(current) < capacity:
-        move = _best_move(current, MovePass((), current.ids, pool), oracle)
-        if move is None or move[0] <= current_rev:
+        move = _best_move(current, MovePass((), current.ids, pool), oracle, current_rev)
+        if move is None:
             break
         current_rev, current, entering, _leaving = move
         pool.remove(entering)
@@ -342,8 +349,9 @@ def call_count_bound(n: int, config: GreedyConfig) -> int:
     Each of the binom(N, S) seeds runs C - S invocations, each invocation
     at most N*b + 1 loop passes, each pass at most C*N + N oracle calls.
     A pass that skips settled moves, or the moves undoing the last accepted
-    one, scores fewer, so this stays an upper bound;
-    ``SolveReport.oracle_calls`` counts the moves actually scored. At S = C
+    one, has fewer, so this stays an upper bound; ``SolveReport.oracle_calls``
+    counts every move of each pass, estimated or ruled out by its margin,
+    plus each scalar ``evaluate``. At S = C
     there are no invocations and each seed is scored once, so the cap is
     binom(N, S) and the count equals it.
     """

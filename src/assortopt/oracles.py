@@ -5,12 +5,22 @@ float``, so any choice model can be plugged in. ``evaluate`` must be a pure
 function of the set: ``best_move`` below confirms a pass's best values
 through it, and the greedy solver does not score again a move that an
 earlier pass has settled. An oracle may also offer
-``score_moves(current, moves)``, estimates for a whole pass of moves that
-need only be accurate to rounding. The solver passes ``moves`` as a
-``MovePass``, which the built-in oracles score straight from its pools and
-any other oracle may read as the list of its (entering, leaving) pairs.
-``best_move`` confirms the estimates that could win through ``evaluate``,
-and falls back to it for oracles without the method.
+``score_moves(current, moves)``, estimates for a sequence of moves that
+need only be accurate to rounding. The solver passes a whole pass as a
+``MovePass``, which any oracle may read as the list of its (entering,
+leaving) pairs. ``best_move`` confirms the estimates that could win
+through ``evaluate``, and falls back to it for oracles without the method.
+
+An oracle with ``score_moves`` may further offer
+``move_candidates(current, moves, beat)``: the ascending indices into the
+``MovePass`` of every move whose estimate may exceed
+``beat * (1 - 2 * CONFIRM_BAND)``, so that each move left out has an
+estimate at most that, or None when it cannot tell. ``best_move`` then
+estimates, confirms and ranks only those, and hands ``score_moves`` the
+list of their pairs. The MNL oracle finds them by their margins: a set
+earns more than ``u`` exactly when its margins ``(price - u) * weight``
+sum to more than ``u``. Each move of a pass counts as one oracle call
+either way, estimated or ruled out by its margin.
 
 Each built-in oracle is made by its constructor, and ``make_oracle`` picks
 the exact or the noisy one from a ``NoiseSpec``:
@@ -36,14 +46,10 @@ from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Protocol
 
 from .errors import InvalidAssortmentError, ValidationError
-from .instance import Assortment, Instance
+from .instance import Assortment, Instance, Product
+from .transform import CONFIRM_BAND, scaled_margins, stretch_band
 
 NOISE_MODES = ("none", "fixed", "seeded-uniform")
-
-#: Relative distance below a pass's best estimate within which ``best_move``
-#: re-evaluates values through ``evaluate``. Far wider than the rounding error
-#: of batched sums (a few ulps per member), so the true best move is in it.
-CONFIRM_BAND = 1e-9
 
 #: An (entering, leaving) product pair; ``leaving`` None is an addition.
 Move = tuple[int, "int | None"]
@@ -55,8 +61,8 @@ class MovePass(Sequence):
     Every exchange of an ``exchange_pool`` product for a ``members`` product,
     in (entering, leaving) order, then the addition of each ``add_pool``
     product. The three tuples are all it stores, so the built-in oracles
-    score a pass straight from them; any other reader sees a sequence
-    equal, item for item, to the list of those pairs.
+    find a pass's candidates straight from them; any other reader sees a
+    sequence equal, item for item, to the list of those pairs.
     """
 
     __slots__ = ("exchange_pool", "members", "add_pool", "_exchanges")
@@ -79,13 +85,19 @@ class MovePass(Sequence):
             index += size
         if not 0 <= index < size:
             raise IndexError("move index out of range")
-        if index < self._exchanges:
-            entering, leaving = divmod(index, len(self.members))
-            return self.exchange_pool[entering], self.members[leaving]
-        return self.add_pool[index - self._exchanges], None
+        return self.at((index,))[0]
 
     def __iter__(self) -> Iterator[Move]:
         return chain(product(self.exchange_pool, self.members), zip(self.add_pool, repeat(None)))
+
+    def at(self, indices: Iterable[int]) -> list[Move]:
+        """``[self[i] for i in indices]``, for indices in ``range(len(self))``."""
+        pool, members, adds = self.exchange_pool, self.members, self.add_pool
+        exchanges, width = self._exchanges, len(members)
+        return [
+            (pool[i // width], members[i % width]) if i < exchanges else (adds[i - exchanges], None)
+            for i in indices
+        ]
 
 
 class RevenueOracle(Protocol):
@@ -94,8 +106,11 @@ class RevenueOracle(Protocol):
     def evaluate(self, assortment: Assortment) -> float: ...
 
 
-def best_move(oracle: RevenueOracle, current: Assortment, moves: MovePass) -> tuple[int, float]:
-    """Index and revenue of the first best move of a non-empty pass.
+def best_move(
+    oracle: RevenueOracle, current: Assortment, moves: MovePass, beat: float | None = None
+) -> tuple[int, float] | None:
+    """Index and revenue of the first best move of a non-empty pass; with ``beat``,
+    None unless that revenue exceeds ``beat``.
 
     Takes the estimates of the oracle's own ``score_moves(current, moves)``
     when it has one, which need only be accurate to rounding, and replaces
@@ -113,26 +128,57 @@ def best_move(oracle: RevenueOracle, current: Assortment, moves: MovePass) -> tu
     and the argmax and its tie-break are those of ``evaluate``. Only
     otherwise (no batched scorer, an empty band, a confirmation below the
     floor or NaN) are all the values ranked.
+
+    With ``beat`` and an oracle offering ``move_candidates``, only the
+    candidates are estimated, confirmed and ranked, and none means None.
+    Every other move's estimate is at most ``beat * (1 - 2 * CONFIRM_BAND)``.
+    When the pass's best beats ``beat``, the band's floor lies above that,
+    so the band is among the candidates and the same moves are confirmed
+    (seeded-uniform noise hashes more of the candidates, but only moves
+    below the floor). When the candidates' best confirmed value reaches
+    their floor, it is therefore the pass's answer if it beats ``beat``,
+    and otherwise nothing beats it. Only when it misses the floor or is
+    NaN is the whole pass ranked as above.
     """
     if isinstance(oracle, CountingOracle):
         oracle.stats.record_moves(current, moves)
         oracle = oracle.base
+    candidates = None if beat is None else getattr(oracle, "move_candidates", None)
+    picked = None if candidates is None else candidates(current, moves, beat)
+    if picked is not None:
+        if not picked:
+            return None
+        chosen = moves.at(picked)
+        values = list(oracle.score_moves(current, chosen))
+        best = _confirmed_best(oracle, current, chosen, values)
+        if best is not None:
+            return (picked[best], values[best]) if values[best] > beat else None
     values, estimated = _pass_values(oracle, current, moves)
-    if estimated:
-        top = max(values)
-        floor = top - CONFIRM_BAND * abs(top)
-        band = [i for i, value in enumerate(values) if value >= floor]
-        for i in band:
-            values[i] = oracle.evaluate(current.after_move(*moves[i]))
-        best = max(band, key=values.__getitem__) if band else None
-        if best is not None and values[best] >= floor:
-            return best, values[best]
-    best = values.index(max(values))
-    return best, values[best]
+    best = _confirmed_best(oracle, current, moves, values) if estimated else None
+    if best is None:
+        best = values.index(max(values))
+    return (best, values[best]) if beat is None or values[best] > beat else None
 
 
-def _pass_values(oracle: RevenueOracle, current: Assortment, moves: MovePass) -> tuple[list[float], bool]:
-    """The oracle's ``score_moves`` estimates for the pass and True, or, without
+def _confirmed_best(
+    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move], values: list[float]
+) -> int | None:
+    """Replace the estimates within ``CONFIRM_BAND`` of the largest by ``evaluate``
+    values, in place; the index of the band's first best when it reaches the band's
+    floor, else None."""
+    top = max(values)
+    floor = top - CONFIRM_BAND * abs(top)
+    band = [i for i, value in enumerate(values) if value >= floor]
+    for i in band:
+        values[i] = oracle.evaluate(current.after_move(*moves[i]))
+    best = max(band, key=values.__getitem__) if band else None
+    return best if best is not None and values[best] >= floor else None
+
+
+def _pass_values(
+    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]
+) -> tuple[list[float], bool]:
+    """The oracle's ``score_moves`` estimates for the moves and True, or, without
     that method, ``evaluate`` of each move's set and False."""
     batched = getattr(oracle, "score_moves", None)
     if batched is None:
@@ -146,9 +192,14 @@ def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
     sum(p_i * w_i) / (1 + sum(w_i)) over the members; 0 for the empty set.
     Unknown product ids raise InvalidAssortmentError.
     """
+    return products_revenue(instance.products_of(assortment.ids))
+
+
+def products_revenue(products: Iterable[Product]) -> float:
+    """``mnl_revenue`` of the set of these distinct products."""
     terms = []
     weights = [1.0]
-    for prod in instance.products_of(assortment.ids):
+    for prod in products:
         terms.append(prod.price * prod.weight)
         weights.append(prod.weight)
     if not terms:
@@ -220,12 +271,14 @@ class ExactMnlOracle:
         self.instance = instance
         self._terms = {p.id: p.price * p.weight for p in instance.products}
         self._weights = {p.id: p.weight for p in instance.products}
+        self._band = stretch_band(instance)
 
     def evaluate(self, assortment: Assortment) -> float:
         return mnl_revenue(self.instance, assortment)
 
-    def score_moves(self, current: Assortment, moves: MovePass) -> list[float]:
-        """Estimated ``evaluate``: one division per move over leave-one-out member sums."""
+    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
+        """Estimated ``evaluate``: one division per move over leave-one-out member sums,
+        built once for each member the moves take out (and once for additions)."""
         terms, weights = self._terms, self._weights
         members = current.ids
         try:
@@ -239,20 +292,56 @@ class ExactMnlOracle:
                 return (math.fsum(member_terms[:j] + member_terms[j + 1:]),
                         math.fsum([1.0] + member_weights[:j] + member_weights[j + 1:]))
 
-            pool = moves.exchange_pool
-            leavers = [less(leaving) for leaving in moves.members] if pool else ()
-            values = [  # entering-major, as the pass lists its exchanges
-                (numerator + term) / (denominator + weight)
-                for term, weight in zip(map(terms.__getitem__, pool), map(weights.__getitem__, pool))
-                for numerator, denominator in leavers
+            sums = {leaving: less(leaving) for leaving in {leaving for _entering, leaving in moves}}
+            return [
+                (numerator + terms[entering]) / (denominator + weights[entering])
+                for entering, leaving in moves
+                for numerator, denominator in (sums[leaving],)
             ]
-            if moves.add_pool:
-                numerator, denominator = less(None)
-                values += [(numerator + terms[entering]) / (denominator + weights[entering])
-                           for entering in moves.add_pool]
-            return values
         except KeyError as exc:
             raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
+
+    def move_candidates(
+        self, current: Assortment, moves: MovePass, beat: float
+    ) -> list[int] | None:
+        """Ascending indices of the moves whose set's margins at ``beat`` sum past
+        ``beat`` less a tolerance; None for a negative or NaN ``beat``.
+
+        Exchanging ``entering`` in for ``leaving`` needs margin(entering) >
+        margin(leaving) + ``need``, and adding it margin(entering) > ``need``,
+        where ``need`` is ``beat`` less the members' margins and the tolerance.
+        The tolerance, ``4 * (|current| + 2)`` times ``stretch_band`` at
+        ``beat``, is more than ``3 * CONFIRM_BAND * beat`` times the weight
+        of any set that comes within that of ``beat``, plus the rounding of
+        the margins and their sums. So a move left out has a revenue at most
+        ``beat * (1 - 3 * CONFIRM_BAND)``, and an estimate at most
+        ``beat * (1 - 2 * CONFIRM_BAND)``.
+        """
+        if not beat >= 0.0:
+            return None
+        members = current.ids
+        base, per_unit = self._band
+        tolerance = 4 * (len(members) + 2) * (base + per_unit * beat)
+        member_margins = dict(zip(members, scaled_margins(self.instance, members, beat)))
+        need = beat - math.fsum(member_margins.values()) - tolerance
+        if not math.isfinite(need):
+            return None
+        pool, leavers, adds = moves.exchange_pool, moves.members, moves.add_pool
+        entering_margins = scaled_margins(self.instance, pool, beat)
+        cuts = [need + member_margins[leaving] for leaving in leavers]
+        lowest = min(cuts, default=math.inf)
+        width = len(leavers)
+        picked = [
+            row * width + j
+            for row, margin in enumerate(entering_margins) if margin > lowest
+            for j, cut in enumerate(cuts) if margin > cut
+        ]
+        if adds:
+            if adds != pool:
+                entering_margins = scaled_margins(self.instance, adds, beat)
+            offset = len(pool) * width
+            picked += [offset + k for k, margin in enumerate(entering_margins) if margin > need]
+        return picked
 
 
 class NoisyOracle:
@@ -265,7 +354,19 @@ class NoisyOracle:
     def evaluate(self, assortment: Assortment) -> float:
         return (1.0 - self.spec.epsilon(assortment)) * self.base.evaluate(assortment)
 
-    def score_moves(self, current: Assortment, moves: MovePass) -> list[float]:
+    def move_candidates(
+        self, current: Assortment, moves: MovePass, beat: float
+    ) -> list[int] | None:
+        """The base's candidates at ``beat``, or None when it offers none.
+
+        Noise only lowers a value, so every move the base leaves out has a
+        noisy estimate at most its base one, which is at most
+        ``beat * (1 - 2 * CONFIRM_BAND)``.
+        """
+        candidates = getattr(self.base, "move_candidates", None)
+        return None if candidates is None else candidates(current, moves, beat)
+
+    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
         """The base's estimates, each scaled by its set's noise factor.
 
         In "seeded-uniform" mode only the moves whose base estimate reaches

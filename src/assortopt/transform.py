@@ -36,8 +36,13 @@ from bisect import bisect_left, bisect_right
 from operator import gt
 from typing import Any, Callable, Iterable
 
-from .instance import Assortment, Instance
-from .oracles import CONFIRM_BAND
+from .instance import Assortment, Instance, Product
+
+#: Relative width of the band within which values count as tied. ``oracles.best_move``
+#: re-evaluates every estimate of a pass within it of the best one, and ``stretch_band``
+#: scales it to margins. Far wider than the rounding error of batched sums (a few ulps
+#: per member), so the true best move is in it.
+CONFIRM_BAND = 1e-9
 
 
 def scaled_margin(instance: Instance, product_id: int, u: float) -> float:
@@ -48,7 +53,12 @@ def scaled_margin(instance: Instance, product_id: int, u: float) -> float:
 
 def scaled_margins(instance: Instance, product_ids: Iterable[int], u: float) -> list[float]:
     """``scaled_margin`` of each product, in order."""
-    return [(p.price - u) * p.weight for p in instance.products_of(product_ids)]
+    return product_margins(instance.products_of(product_ids), u)
+
+
+def product_margins(products: Iterable[Product], u: float) -> list[float]:
+    """``(price - u) * weight`` of each product, in order."""
+    return [(p.price - u) * p.weight for p in products]
 
 
 def assortment_margin(instance: Instance, assortment: Assortment, u: float) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 import assortopt.bench as bench_mod
 import assortopt.cli as cli_module
-from assortopt import ConfigError, Instance, ValidationError, candidate_set_opt
+from assortopt import ConfigError, ExactMnlOracle, Instance, ValidationError, candidate_set_opt
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
 from assortopt.oracles import NOISE_MODES
@@ -54,6 +54,29 @@ class TestGenSolveExactFlow:
         solve = commands.choices["solve"]
         option = next(a for a in solve._actions if "--noise-mode" in a.option_strings)
         assert tuple(option.choices) == NOISE_MODES
+
+    @pytest.mark.parametrize(
+        "noise, estimated",
+        [([], 275), (["--noise-mode", "seeded-uniform", "--eps", "0.001", "--seed", "3"], 300)],
+        ids=["exact", "seeded-uniform"],
+    )
+    def test_solve_estimates_only_the_moves_that_can_win(self, tmp_path, capsys, monkeypatch, noise, estimated):
+        # every move of a pass is one oracle call, but the MNL oracle estimates only
+        # those whose margins show they may beat the current revenue
+        counted = []
+        score_moves = ExactMnlOracle.score_moves
+
+        def counting_score_moves(oracle, current, moves):
+            counted.append(len(moves))
+            return score_moves(oracle, current, moves)
+
+        monkeypatch.setattr(ExactMnlOracle, "score_moves", counting_score_moves)
+        inst_path, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+        assert run_cli(capsys, "gen", "--N", "200", "--seed", "1", "-o", str(inst_path))[0] == 0
+        code, _, _ = run_cli(capsys, "solve", str(inst_path), "--C", "15", *noise, "-o", str(report_path))
+        assert code == 0
+        assert load_report(str(report_path))["result"]["oracle_calls"] == 12895
+        assert sum(counted) == estimated
 
     def test_solve_revenue_matches_exact_subcommand(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

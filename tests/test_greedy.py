@@ -669,9 +669,9 @@ def test_no_pass_rescores_the_pass_before(make, monkeypatch):
         runs.append([])
         return Assortment(ids)
 
-    def spy(oracle, current, moves):
+    def spy(oracle, current, moves, beat):
         runs[-1].append({current.after_move(*move).ids for move in moves})
-        return best_move(oracle, current, moves)
+        return best_move(oracle, current, moves, beat)
 
     monkeypatch.setattr(greedy_module, "Assortment", seed)
     monkeypatch.setattr(greedy_module, "best_move", spy)

@@ -21,6 +21,7 @@ from assortopt import (
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.oracles import CONFIRM_BAND, MovePass, best_move
 from references import NO_PURCHASE, InvalidChoiceError, mnl_choice_prob
+from test_reference import TIE_FAMILIES, weights_one_ulp_apart
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -521,6 +522,105 @@ class TestScoreMoves:
                 best_move(counting, current, moves)
                 assert len(base.evaluated) == band
                 assert stats.call_count == len(moves)
+
+
+def tiny_weights(rng):
+    """Weights near 1e-300, some beside large prices: every margin is tiny, rounding is relative."""
+    n = rng.randint(2, 12)
+    return Instance.of([(i, rng.uniform(0.1, 10.0) * 1e-300,
+                         rng.choice([0.0, rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0) * 1e290]))
+                        for i in range(1, n + 1)])
+
+
+def subnormal_weights(rng):
+    """Subnormal weights, some beside normal ones: products round by an absolute amount."""
+    n = rng.randint(2, 12)
+    return Instance.of([(i, rng.choice([5e-324 * rng.randint(1, 2**20), rng.uniform(0.1, 5.0)]),
+                         rng.choice([0.0, rng.uniform(0.0, 50.0)]))
+                        for i in range(1, n + 1)])
+
+
+def dispersed_weights(rng):
+    """Weights from 1e-8 to 1e8 with price * weight 1 or 2: margins at a revenue u scale
+    with u * weight, far above every price * weight."""
+    n = rng.randint(2, 12)
+    weights = [10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)]
+    return Instance.of([(i, w, rng.choice([1.0, 2.0]) / w) for i, w in enumerate(weights, start=1)])
+
+
+CANDIDATE_FAMILIES = [*TIE_FAMILIES, weights_one_ulp_apart, tiny_weights, subnormal_weights,
+                      dispersed_weights]
+
+
+class TestMoveCandidates:
+    def oracles(self, exact, rng):
+        yield exact
+        yield NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01))
+        for eps in (0.001, 0.2):
+            yield NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=eps, seed=rng.getrandbits(32)))
+
+    def test_candidates_give_the_full_pass_answer(self):
+        # best_move with a revenue to beat returns the whole pass's first best, bit for
+        # bit, when it beats that revenue and None otherwise; each move left out has an
+        # estimate at most beat * (1 - 2 * CONFIRM_BAND)
+        rng = random.Random(3131)
+        checked = beaten = 0
+        for family in CANDIDATE_FAMILIES:
+            for _ in range(40):
+                inst = family(rng)
+                current = random_assortment(rng, inst, max_size=inst.n - 1)
+                outside = [i for i in inst.ids() if i not in current]
+                moves = random_pass(rng, inst, current) if rng.random() < 0.5 else MovePass(
+                    outside, current.ids, outside)
+                exact = ExactMnlOracle(inst)
+                for oracle in self.oracles(exact, rng):
+                    index, value = best_move(oracle, current, moves)
+                    beats = {0.0, oracle.evaluate(current), value, math.nextafter(value, -math.inf),
+                             value * (1.0 - CONFIRM_BAND), value * rng.uniform(0.0, 1.2)}
+                    for beat in sorted(beats):
+                        want = (index, value.hex()) if value > beat else None
+                        got = best_move(oracle, current, moves, beat)
+                        assert (got if got is None else (got[0], got[1].hex())) == want
+                        picked = oracle.move_candidates(current, moves, beat)
+                        if beat < 0.0:  # below 0 no margin test applies: the whole pass is ranked
+                            assert picked is None
+                            continue
+                        kept = set(picked)
+                        estimates = oracle.score_moves(current, moves)
+                        assert all(estimate <= beat * (1.0 - 2 * CONFIRM_BAND)
+                                   for i, estimate in enumerate(estimates) if i not in kept)
+                        checked += 1
+                        beaten += want is not None
+        assert checked > 3000 and beaten > 1000
+
+    def test_a_pass_without_candidates_estimates_and_evaluates_nothing(self, monkeypatch):
+        scored = []
+        score_moves = ExactMnlOracle.score_moves
+
+        def logged_score_moves(oracle, current, moves):
+            scored.append(moves)
+            return score_moves(oracle, current, moves)
+
+        monkeypatch.setattr(ExactMnlOracle, "score_moves", logged_score_moves)
+        rng = random.Random(77)
+        inst = random_instance(rng, 30)
+        current = Assortment.of(rng.sample(inst.ids(), 5))
+        outside = [i for i in inst.ids() if i not in current]
+        moves = MovePass(outside, current.ids, outside)
+        base = EvaluationLog(inst)
+        for oracle in (base, NoisyOracle(base, NoiseSpec(mode="seeded-uniform", eps=0.01, seed=5))):
+            top = best_move(oracle, current, moves)[1]
+            scored.clear()
+            base.evaluated.clear()
+            counting = CountingOracle(oracle)
+            # no set earns more than its most expensive member's price
+            beat = max(p.price for p in inst.products)
+            assert oracle.move_candidates(current, moves, beat) == []
+            assert best_move(counting, current, moves, beat) is None
+            assert (scored, base.evaluated) == ([], [])
+            assert counting.stats.call_count == len(moves)
+            assert best_move(oracle, current, moves, top) is None
+            assert 0 < sum(map(len, scored)) < len(moves)
 
 
 class TestCountingOracle:
