@@ -11,11 +11,11 @@ Every candidate move is scored through the revenue oracle alone, one
 batch per loop pass (``oracles.best_move``, which receives the pass as a
 read-only ``oracles.MovePass`` and the revenue a move must beat), so the
 search works with any plugged-in choice model, exact or noisy. An oracle
-that offers ``move_candidates``, as the built-in ones do, estimates only
-the moves whose margins show they may beat that revenue. ``evaluate``
-must be a pure function of the set: the solver confirms a batch's best
-values through it, and it does not score again what a pass has already
-settled.
+that offers the batch hook ``score_moves``, as the built-in ones do,
+estimates only the moves it cannot rule out of beating that revenue (the
+MNL oracle reads them off their margins). ``evaluate`` must be a pure
+function of the set: the solver confirms a batch's best values through
+it, and it does not score again what a pass has already settled.
 
 After a pass accepts a move, the next pass skips every move that takes
 the entering product out again or brings the leaving product back: each
@@ -130,13 +130,13 @@ def _best_move(
 
     The pass is scored in one ``best_move`` call, the first largest of its
     values once the band that could win is confirmed through ``evaluate``;
-    an oracle with ``move_candidates`` estimates only the moves whose
-    margins show they may beat ``beat``. The winner minimizes (-revenue,
-    is_add, entering, leaving): on equal revenue an exchange beats an
-    addition, then the smaller entering id wins, then the smaller leaving
-    id. With ascending pools and members a ``MovePass`` lists its moves in
-    exactly that order, so the first best value wins. Returns None when
-    there is no move.
+    an oracle with ``score_moves`` estimates only the moves it cannot rule
+    out of beating ``beat``. The winner minimizes (-revenue, is_add,
+    entering, leaving): on equal revenue an exchange beats an addition,
+    then the smaller entering id wins, then the smaller leaving id. With
+    ascending pools and members a ``MovePass`` lists its moves in exactly
+    that order, so the first best value wins. Returns None when there is
+    no move.
     """
     found = best_move(oracle, current, moves, beat) if moves else None
     if found is None:

@@ -60,6 +60,20 @@ class Instance:
         # keep products sorted by id so serialization and iteration are canonical
         object.__setattr__(self, "products", tuple(sorted(self.products, key=lambda p: p.id)))
         object.__setattr__(self, "_by_id", by_id)
+        # every price * weight term, revenue sum and margin at an offset up to the largest
+        # price is at most that price times 1 + the weights; an infinite sum of weights,
+        # which fsum refuses, makes the product inf, or NaN at a largest price of 0
+        try:
+            scale = math.fsum([1.0] + [p.weight for p in self.products])
+        except OverflowError:
+            scale = math.inf
+        top = max((p.price for p in self.products), default=0.0)
+        if not math.isfinite(top * scale):
+            raise ValidationError(
+                f"revenues overflow: the largest price {top!r} times 1 + the sum of the weights "
+                f"({scale!r}) is not finite",
+                code="bad-price",
+            )
         if self.capacity_default is not None:
             cap = self.capacity_default
             if not isinstance(cap, int) or isinstance(cap, bool) or not 1 <= cap <= len(by_id):

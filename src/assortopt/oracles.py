@@ -4,23 +4,20 @@ The solver only ever talks to an oracle through ``evaluate(assortment) ->
 float``, so any choice model can be plugged in. ``evaluate`` must be a pure
 function of the set: ``best_move`` below confirms a pass's best values
 through it, and the greedy solver does not score again a move that an
-earlier pass has settled. An oracle may also offer
-``score_moves(current, moves)``, estimates for a sequence of moves that
-need only be accurate to rounding. The solver passes a whole pass as a
-``MovePass``, which any oracle may read as the list of its (entering,
-leaving) pairs. ``best_move`` confirms the estimates that could win
-through ``evaluate``, and falls back to it for oracles without the method.
+earlier pass has settled.
 
-An oracle with ``score_moves`` may further offer
-``move_candidates(current, moves, beat)``: the ascending indices into the
-``MovePass`` of every move whose estimate may exceed
-``beat * (1 - 2 * CONFIRM_BAND)``, so that each move left out has an
-estimate at most that, or None when it cannot tell. ``best_move`` then
-estimates, confirms and ranks only those, and hands ``score_moves`` the
-list of their pairs. The MNL oracle finds them by their margins: a set
-earns more than ``u`` exactly when its margins ``(price - u) * weight``
-sum to more than ``u``. Each move of a pass counts as one oracle call
-either way, estimated or ruled out by its margin.
+An oracle may also offer one batch hook,
+``score_moves(current, moves, beat) -> (indices, estimates)``. ``moves``
+is the pass as a ``MovePass``, which any oracle may read as the list of
+its (entering, leaving) pairs. The hook returns the ascending indices of
+every move whose estimate may exceed ``beat * (1 - 2 * CONFIRM_BAND)``,
+and those moves' estimates, which need only be accurate to rounding; an
+oracle that cannot tell returns every index. ``best_move`` calls it once
+per pass and confirms the estimates that could win through ``evaluate``;
+without the hook it calls ``evaluate`` on every move. The MNL oracle finds
+its candidates by their margins: a set earns more than ``u`` exactly when
+its margins ``(price - u) * weight`` sum to more than ``u``. Each move of a
+pass counts as one oracle call, returned by the hook or not.
 
 Each built-in oracle is made by its constructor, and ``make_oracle`` picks
 the exact or the noisy one from a ``NoiseSpec``:
@@ -107,83 +104,58 @@ class RevenueOracle(Protocol):
 
 
 def best_move(
-    oracle: RevenueOracle, current: Assortment, moves: MovePass, beat: float | None = None
+    oracle: RevenueOracle, current: Assortment, moves: MovePass, beat: float
 ) -> tuple[int, float] | None:
-    """Index and revenue of the first best move of a non-empty pass; with ``beat``,
-    None unless that revenue exceeds ``beat``.
+    """Index and revenue of the first best move of a non-empty pass, or None unless
+    that revenue exceeds ``beat``.
 
-    Takes the estimates of the oracle's own ``score_moves(current, moves)``
-    when it has one, which need only be accurate to rounding, and replaces
-    the largest, and every one within ``CONFIRM_BAND`` of it, by what
-    ``evaluate`` returns for that candidate. Without the method it calls
-    ``evaluate`` on each candidate in order. Each move counts as one oracle
-    call: a ``CountingOracle`` records the pass, then its base scores and
-    confirms it, so confirmations are never counted.
+    Without ``score_moves`` it calls ``evaluate`` on every move and ranks
+    the values. With it, it takes the hook's indices and estimates, and
+    replaces the largest estimate, and every one within ``CONFIRM_BAND`` of
+    it, by what ``evaluate`` returns for that move. No index means None,
+    with nothing evaluated. Each move counts as one oracle call: a
+    ``CountingOracle`` records the pass, then its base scores and confirms
+    it, so confirmations are never counted.
 
-    Every value outside the band is an estimate below the band's floor (a
-    seeded-uniform ``NoisyOracle`` gives the moves that cannot win their
-    noise-free value, an upper bound that stays below it; a NaN first
-    estimate leaves no band). So when the band's best confirmed value
-    reaches the floor it is the largest of all, no earlier value ties it,
-    and the argmax and its tie-break are those of ``evaluate``. Only
-    otherwise (no batched scorer, an empty band, a confirmation below the
-    floor or NaN) are all the values ranked.
-
-    With ``beat`` and an oracle offering ``move_candidates``, only the
-    candidates are estimated, confirmed and ranked, and none means None.
-    Every other move's estimate is at most ``beat * (1 - 2 * CONFIRM_BAND)``.
-    When the pass's best beats ``beat``, the band's floor lies above that,
-    so the band is among the candidates and the same moves are confirmed
-    (seeded-uniform noise hashes more of the candidates, but only moves
-    below the floor). When the candidates' best confirmed value reaches
-    their floor, it is therefore the pass's answer if it beats ``beat``,
-    and otherwise nothing beats it. Only when it misses the floor or is
-    NaN is the whole pass ranked as above.
+    Every returned value outside the band is an estimate below the band's
+    floor (a seeded-uniform ``NoisyOracle`` gives the moves that cannot win
+    their noise-free value, an upper bound that stays below it; a NaN first
+    estimate leaves no band). Every move left out has an estimate at most
+    ``beat * (1 - 2 * CONFIRM_BAND)``. When the pass's best beats ``beat``,
+    the floor lies above that, so the band holds the same moves as the
+    whole pass's band. When the band's best confirmed value reaches the
+    floor it is therefore the largest of all, no earlier value ties it, and
+    the argmax and its tie-break are those of ``evaluate``. Only otherwise
+    (an empty band, a confirmation below the floor or NaN) are the returned
+    values ranked. A move left out is never the answer then either: its
+    estimate is at most ``beat * (1 - 2 * CONFIRM_BAND)``, so it never
+    beats ``beat``, and the built-in oracles return every index wherever an
+    estimate can be NaN.
     """
     if isinstance(oracle, CountingOracle):
         oracle.stats.record_moves(current, moves)
         oracle = oracle.base
-    candidates = None if beat is None else getattr(oracle, "move_candidates", None)
-    picked = None if candidates is None else candidates(current, moves, beat)
-    if picked is not None:
+    score = getattr(oracle, "score_moves", None)
+    if score is None:
+        picked = range(len(moves))
+        values = [oracle.evaluate(current.after_move(*move)) for move in moves]
+        best = None
+    else:
+        picked, values = score(current, moves, beat)
         if not picked:
             return None
-        chosen = moves.at(picked)
-        values = list(oracle.score_moves(current, chosen))
-        best = _confirmed_best(oracle, current, chosen, values)
-        if best is not None:
-            return (picked[best], values[best]) if values[best] > beat else None
-    values, estimated = _pass_values(oracle, current, moves)
-    best = _confirmed_best(oracle, current, moves, values) if estimated else None
+        values = list(values)
+        top = max(values)
+        floor = top - CONFIRM_BAND * abs(top)
+        band = [i for i, value in enumerate(values) if value >= floor]
+        for i, move in zip(band, moves.at([picked[i] for i in band])):
+            values[i] = oracle.evaluate(current.after_move(*move))
+        best = max(band, key=values.__getitem__) if band else None
+        if best is not None and not values[best] >= floor:
+            best = None
     if best is None:
         best = values.index(max(values))
-    return (best, values[best]) if beat is None or values[best] > beat else None
-
-
-def _confirmed_best(
-    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move], values: list[float]
-) -> int | None:
-    """Replace the estimates within ``CONFIRM_BAND`` of the largest by ``evaluate``
-    values, in place; the index of the band's first best when it reaches the band's
-    floor, else None."""
-    top = max(values)
-    floor = top - CONFIRM_BAND * abs(top)
-    band = [i for i, value in enumerate(values) if value >= floor]
-    for i in band:
-        values[i] = oracle.evaluate(current.after_move(*moves[i]))
-    best = max(band, key=values.__getitem__) if band else None
-    return best if best is not None and values[best] >= floor else None
-
-
-def _pass_values(
-    oracle: RevenueOracle, current: Assortment, moves: Sequence[Move]
-) -> tuple[list[float], bool]:
-    """The oracle's ``score_moves`` estimates for the moves and True, or, without
-    that method, ``evaluate`` of each move's set and False."""
-    batched = getattr(oracle, "score_moves", None)
-    if batched is None:
-        return [oracle.evaluate(current.after_move(*move)) for move in moves], False
-    return list(batched(current, moves)), True
+    return (picked[best], values[best]) if values[best] > beat else None
 
 
 def mnl_revenue(instance: Instance, assortment: Assortment) -> float:
@@ -276,11 +248,49 @@ class ExactMnlOracle:
     def evaluate(self, assortment: Assortment) -> float:
         return mnl_revenue(self.instance, assortment)
 
-    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """Estimated ``evaluate``: one division per move over leave-one-out member sums,
-        built once for each member the moves take out (and once for additions)."""
-        terms, weights = self._terms, self._weights
+    def score_moves(
+        self, current: Assortment, moves: MovePass, beat: float
+    ) -> tuple[Sequence[int], list[float]]:
+        """Ascending indices of the moves whose set's margins at ``beat`` sum past
+        ``beat`` less a tolerance, and their estimated ``evaluate``; every index
+        for a negative or NaN ``beat`` or a non-finite margin sum.
+
+        Exchanging ``entering`` in for ``leaving`` needs margin(entering) >
+        margin(leaving) + ``need``, and adding it margin(entering) > ``need``,
+        where ``need`` is ``beat`` less the members' margins and the tolerance.
+        The tolerance, ``4 * (|current| + 2)`` times ``stretch_band`` at
+        ``beat``, is more than ``3 * CONFIRM_BAND * beat`` times the weight
+        of any set that comes within that of ``beat``, plus the rounding of
+        the margins and their sums. So a move left out has a revenue at most
+        ``beat * (1 - 3 * CONFIRM_BAND)``, and an estimate at most
+        ``beat * (1 - 2 * CONFIRM_BAND)``. Each estimate is one division over
+        leave-one-out member sums, built once for each member the returned
+        moves take out (and once for additions).
+        """
         members = current.ids
+        picked = range(len(moves))
+        if beat >= 0.0:
+            base, per_unit = self._band
+            tolerance = 4 * (len(members) + 2) * (base + per_unit * beat)
+            member_margins = dict(zip(members, scaled_margins(self.instance, members, beat)))
+            need = beat - math.fsum(member_margins.values()) - tolerance
+            if math.isfinite(need):
+                pool, leavers, adds = moves.exchange_pool, moves.members, moves.add_pool
+                entering_margins = scaled_margins(self.instance, pool, beat)
+                cuts = [need + member_margins[leaving] for leaving in leavers]
+                lowest = min(cuts, default=math.inf)
+                width = len(leavers)
+                picked = [
+                    row * width + j
+                    for row, margin in enumerate(entering_margins) if margin > lowest
+                    for j, cut in enumerate(cuts) if margin > cut
+                ]
+                if adds:
+                    if adds != pool:
+                        entering_margins = scaled_margins(self.instance, adds, beat)
+                    offset = len(pool) * width
+                    picked += [offset + k for k, margin in enumerate(entering_margins) if margin > need]
+        terms, weights = self._terms, self._weights
         try:
             member_terms = list(map(terms.__getitem__, members))
             member_weights = list(map(weights.__getitem__, members))
@@ -292,56 +302,15 @@ class ExactMnlOracle:
                 return (math.fsum(member_terms[:j] + member_terms[j + 1:]),
                         math.fsum([1.0] + member_weights[:j] + member_weights[j + 1:]))
 
-            sums = {leaving: less(leaving) for leaving in {leaving for _entering, leaving in moves}}
-            return [
+            chosen = moves.at(picked)
+            sums = {leaving: less(leaving) for leaving in {leaving for _entering, leaving in chosen}}
+            return picked, [
                 (numerator + terms[entering]) / (denominator + weights[entering])
-                for entering, leaving in moves
+                for entering, leaving in chosen
                 for numerator, denominator in (sums[leaving],)
             ]
         except KeyError as exc:
             raise InvalidAssortmentError(f"unknown product id {exc.args[0]}") from None
-
-    def move_candidates(
-        self, current: Assortment, moves: MovePass, beat: float
-    ) -> list[int] | None:
-        """Ascending indices of the moves whose set's margins at ``beat`` sum past
-        ``beat`` less a tolerance; None for a negative or NaN ``beat``.
-
-        Exchanging ``entering`` in for ``leaving`` needs margin(entering) >
-        margin(leaving) + ``need``, and adding it margin(entering) > ``need``,
-        where ``need`` is ``beat`` less the members' margins and the tolerance.
-        The tolerance, ``4 * (|current| + 2)`` times ``stretch_band`` at
-        ``beat``, is more than ``3 * CONFIRM_BAND * beat`` times the weight
-        of any set that comes within that of ``beat``, plus the rounding of
-        the margins and their sums. So a move left out has a revenue at most
-        ``beat * (1 - 3 * CONFIRM_BAND)``, and an estimate at most
-        ``beat * (1 - 2 * CONFIRM_BAND)``.
-        """
-        if not beat >= 0.0:
-            return None
-        members = current.ids
-        base, per_unit = self._band
-        tolerance = 4 * (len(members) + 2) * (base + per_unit * beat)
-        member_margins = dict(zip(members, scaled_margins(self.instance, members, beat)))
-        need = beat - math.fsum(member_margins.values()) - tolerance
-        if not math.isfinite(need):
-            return None
-        pool, leavers, adds = moves.exchange_pool, moves.members, moves.add_pool
-        entering_margins = scaled_margins(self.instance, pool, beat)
-        cuts = [need + member_margins[leaving] for leaving in leavers]
-        lowest = min(cuts, default=math.inf)
-        width = len(leavers)
-        picked = [
-            row * width + j
-            for row, margin in enumerate(entering_margins) if margin > lowest
-            for j, cut in enumerate(cuts) if margin > cut
-        ]
-        if adds:
-            if adds != pool:
-                entering_margins = scaled_margins(self.instance, adds, beat)
-            offset = len(pool) * width
-            picked += [offset + k for k, margin in enumerate(entering_margins) if margin > need]
-        return picked
 
 
 class NoisyOracle:
@@ -354,20 +323,15 @@ class NoisyOracle:
     def evaluate(self, assortment: Assortment) -> float:
         return (1.0 - self.spec.epsilon(assortment)) * self.base.evaluate(assortment)
 
-    def move_candidates(
+    def score_moves(
         self, current: Assortment, moves: MovePass, beat: float
-    ) -> list[int] | None:
-        """The base's candidates at ``beat``, or None when it offers none.
+    ) -> tuple[Sequence[int], list[float]]:
+        """The base's indices at ``beat`` and their estimates, each scaled by its set's
+        noise factor; every index and the base's ``evaluate`` for a base without the hook.
 
         Noise only lowers a value, so every move the base leaves out has a
         noisy estimate at most its base one, which is at most
         ``beat * (1 - 2 * CONFIRM_BAND)``.
-        """
-        candidates = getattr(self.base, "move_candidates", None)
-        return None if candidates is None else candidates(current, moves, beat)
-
-    def score_moves(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """The base's estimates, each scaled by its set's noise factor.
 
         In "seeded-uniform" mode only the moves whose base estimate reaches
         ``(1 - eps) * top * (1 - 4 * CONFIRM_BAND)``, ``top`` being the
@@ -378,19 +342,24 @@ class NoisyOracle:
         ``(1 - eps) * top``. So the band, its confirmations and the
         argmax are those of the unpruned batch, bit for bit.
         """
-        values = _pass_values(self.base, current, moves)[0]
+        score = getattr(self.base, "score_moves", None)
+        if score is None:
+            picked = range(len(moves))
+            values = [self.base.evaluate(current.after_move(*move)) for move in moves]
+        else:
+            picked, values = score(current, moves, beat)
+            values = list(values)
         spec = self.spec
-        if spec.mode != "seeded-uniform":
-            epsilons = spec.move_epsilons(current, moves)
-            return [(1.0 - eps) * value for eps, value in zip(epsilons, values)]
-        top = max(values, default=0.0)
-        # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
-        cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
-        kept = [i for i, value in enumerate(values) if value >= cut]
-        epsilons = spec.move_epsilons(current, [moves[i] for i in kept])
+        kept = range(len(values))  # fixed, or none at eps 0: every set has the one factor
+        if spec.mode == "seeded-uniform":
+            top = max(values, default=0.0)
+            # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
+            cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
+            kept = [i for i, value in enumerate(values) if value >= cut]
+        epsilons = spec.move_epsilons(current, moves.at([picked[i] for i in kept]))
         for i, eps in zip(kept, epsilons):
             values[i] = (1.0 - eps) * values[i]
-        return values
+        return picked, values
 
 
 class OracleStats:

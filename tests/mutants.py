@@ -1,0 +1,217 @@
+"""Mutants of the source that tier-1 must kill, and a runner for them.
+
+Each mutant names a file under ``src/``, a text that occurs there exactly
+once, its replacement, and the test node ids that must fail once the text
+is replaced. Run from the root of a checkout:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py --list       # their names
+
+The runner first runs every named node id on the unchanged ``src/``, where
+each must pass. Then, for each mutant, it copies ``src/`` to a temporary
+directory, replaces the text there and runs the mutant's node ids with that
+copy first on ``PYTHONPATH``. It exits 1 when a text does not occur exactly
+once, or when a listed node id passes on its mutant (the mutant survives in
+that test). pytest does not collect this file: its name does not start
+with ``test_``.
+
+A mutant that survives is a finding: add a test that kills it, never
+delete or weaken the mutant. When a refactor removes a mutant's text,
+replace it with its counterpart in the new code.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str
+    new: str
+    killers: tuple[str, ...]  # node ids, each of which must fail on the mutant
+
+
+MUTANTS = [
+    Mutant(
+        "skip-band-confirmation",
+        "assortopt/oracles.py",
+        "            values[i] = oracle.evaluate(current.after_move(*move))\n",
+        "            pass\n",
+        ("tests/test_oracles.py::TestScoreMoves::test_band_is_exact_and_the_rest_is_close",
+         "tests/test_oracles.py::TestScoreMoves::test_near_tie_is_ranked_by_evaluate"),
+    ),
+    Mutant(
+        "beat-ties-accepted",
+        "assortopt/oracles.py",
+        "if values[best] > beat else None",
+        "if values[best] >= beat else None",
+        ("tests/test_oracles.py::TestMoveCandidates::test_candidates_give_the_full_pass_answer",
+         "tests/test_greedy.py::TestSolverExamples::test_identical_products_tie_break_to_lowest_ids"),
+    ),
+    Mutant(
+        "no-candidate-tolerance",
+        "assortopt/oracles.py",
+        "need = beat - math.fsum(member_margins.values()) - tolerance",
+        "need = beat - math.fsum(member_margins.values())",
+        ("tests/test_oracles.py::TestMoveCandidates::test_candidates_give_the_full_pass_answer",),
+    ),
+    Mutant(
+        "rank-last-best",
+        "assortopt/oracles.py",
+        "best = values.index(max(values))",
+        "best = len(values) - 1 - values[::-1].index(max(values))",
+        ("tests/test_oracles.py::TestScoreMoves::test_best_move_is_the_first_largest_score",
+         "tests/test_greedy.py::test_batched_scoring_matches_evaluate_fallback[none]"),
+    ),
+    Mutant(
+        "skip-record-moves",
+        "assortopt/oracles.py",
+        "oracle.stats.record_moves(current, moves)",
+        "pass",
+        ("tests/test_oracles.py::TestCountingOracle::test_score_moves_counts_one_call_per_move",
+         "tests/test_cli.py::TestGenSolveExactFlow::test_solve_estimates_only_the_moves_that_can_win[exact]"),
+    ),
+    Mutant(
+        "fixed-noise-as-a-difference",
+        "assortopt/oracles.py",
+        "values[i] = (1.0 - eps) * values[i]",
+        "values[i] = values[i] - eps * values[i]",
+        ("tests/test_oracles.py::TestScoreMoves::test_fixed_mode_scales_every_exact_score_bit_for_bit",
+         "tests/test_greedy.py::test_move_pass_scores_match_the_references_bit_for_bit"),
+    ),
+    Mutant(
+        "pruning-cut-without-noise",
+        "assortopt/oracles.py",
+        "cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND)",
+        "cut = top * (1.0 - 4 * CONFIRM_BAND)",
+        ("tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_band_is_exact_and_the_rest_bounds_it[0.2]",),
+    ),
+    Mutant(
+        "batched-noise-unscaled",
+        "assortopt/oracles.py",
+        "epsilons = spec.move_epsilons(current, moves.at([picked[i] for i in kept]))",
+        "epsilons = [0.0] * len(kept)",
+        ("tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_band_is_exact_and_the_rest_bounds_it[0.2]",
+         "tests/test_greedy.py::test_batched_scoring_matches_evaluate_fallback[seeded-uniform-0.2]"),
+    ),
+    Mutant(
+        "assortment-compares-a-copied-tuple",
+        "assortopt/instance.py",
+        "if canonical != self.ids:",
+        "if canonical != tuple(self.ids):",
+        ("tests/test_instance_io.py::TestAssortment::test_any_iterable_of_ids_is_stored_as_its_tuple[[1, 3]]",
+         "tests/test_instance_io.py::TestAssortment::test_any_iterable_of_ids_is_stored_as_its_tuple[range(1, 3)]"),
+    ),
+    Mutant(
+        "sweep-left-gap-on-the-band-certifies",
+        "assortopt/transform.py",
+        "clear = narrowest[i] > band",
+        "clear = narrowest[i] >= band",
+        ("tests/test_reference.py::TestCandidateSweep::test_a_gap_on_the_band_never_certifies[left]",),
+    ),
+    Mutant(
+        "sweep-right-gap-on-the-band-certifies",
+        "assortopt/transform.py",
+        "and narrowest[j] > band and",
+        "and narrowest[j] >= band and",
+        ("tests/test_reference.py::TestCandidateSweep::test_a_gap_on_the_band_never_certifies[right]",),
+    ),
+    Mutant(
+        "verify-skips-revenue-reevaluation",
+        "assortopt/cli.py",
+        "if oracle.evaluate(record.assortment_after) != record.revenue_after:",
+        "if False:",
+        ("tests/test_cli.py::test_verify_ties_a_traced_result_to_its_traces[terminate-revenue]",),
+    ),
+    Mutant(
+        "verify-skips-best-final-state",
+        "assortopt/cli.py",
+        "if min(finals, key=optimum_key) != (result.best_assortment, result.best_oracle_revenue):",
+        "if False:",
+        ("tests/test_cli.py::test_verify_ties_a_traced_result_to_its_traces[best-not-reached]",),
+    ),
+    Mutant(
+        "record-added-removed-optional",
+        "assortopt/io.py",
+        'added, removed = doc["added"], doc["removed"]',
+        'added, removed = doc.get("added"), doc.get("removed")',
+        ("tests/test_cli.py::test_failure_exits_three_with_json_error[verify-record-without-added]",),
+    ),
+]
+
+#: a line of pytest's short summary: the outcome, then the node id, then " - " and a message
+_OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (.+?)(?: - .*)?$")
+
+
+def run_tests(src: str, node_ids: list[str]) -> tuple[dict[str, str], str]:
+    """Run the node ids with ``src`` first on the path; each id's outcome, and pytest's output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *node_ids],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    outcomes = {}
+    for line in done.stdout.splitlines():
+        found = _OUTCOME.match(line)
+        if found:
+            outcomes[found.group(2)] = found.group(1)
+    return outcomes, done.stdout + done.stderr
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        print("\n".join(m.name for m in MUTANTS))
+        return 0
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    src = os.path.join(ROOT, "src")
+    node_ids = sorted({node for m in chosen for node in m.killers})
+    baseline, output = run_tests(src, node_ids)
+    broken = [node for node in node_ids if baseline.get(node) != "PASSED"]
+    if broken:
+        print(output[-3000:])
+        print(f"not passing on the unchanged source: {broken}")
+        return 1
+    failures = 0
+    for mutant in chosen:
+        with tempfile.TemporaryDirectory() as scratch:
+            copy = os.path.join(scratch, "src")
+            shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            target = os.path.join(copy, mutant.path)
+            with open(target, encoding="utf-8") as handle:
+                text = handle.read()
+            count = text.count(mutant.old)
+            if count != 1:
+                print(f"{mutant.name}: text occurs {count} times in src/{mutant.path}, not once")
+                failures += 1
+                continue
+            with open(target, "w", encoding="utf-8") as handle:
+                handle.write(text.replace(mutant.old, mutant.new))
+            outcomes, _output = run_tests(copy, list(mutant.killers))
+        survived = [node for node in mutant.killers if outcomes.get(node) not in ("FAILED", "ERROR")]
+        if survived:
+            print(f"{mutant.name}: SURVIVED in {survived}")
+            failures += 1
+        else:
+            print(f"{mutant.name}: killed by {len(mutant.killers)} of {len(mutant.killers)}")
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -61,14 +61,15 @@ class TestGenSolveExactFlow:
         ids=["exact", "seeded-uniform"],
     )
     def test_solve_estimates_only_the_moves_that_can_win(self, tmp_path, capsys, monkeypatch, noise, estimated):
-        # every move of a pass is one oracle call, but the MNL oracle estimates only
-        # those whose margins show they may beat the current revenue
+        # every move of a pass is one oracle call, but the MNL oracle's hook estimates
+        # only those whose margins show they may beat the current revenue
         counted = []
         score_moves = ExactMnlOracle.score_moves
 
-        def counting_score_moves(oracle, current, moves):
-            counted.append(len(moves))
-            return score_moves(oracle, current, moves)
+        def counting_score_moves(oracle, current, moves, beat):
+            indices, estimates = score_moves(oracle, current, moves, beat)
+            counted.append(len(estimates))
+            return indices, estimates
 
         monkeypatch.setattr(ExactMnlOracle, "score_moves", counting_score_moves)
         inst_path, report_path = tmp_path / "inst.json", tmp_path / "report.json"
@@ -789,6 +790,39 @@ def test_failure_exits_three_with_json_error(tmp_path, capsys, command, tamper, 
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"]["code"] == expected_code
+
+
+#: each price * weight term is finite, but the largest price times 1 + the weights is not
+OVERFLOWING_PRODUCTS = [
+    {"id": 1, "weight": "1e154", "price": "1e154"},
+    {"id": 2, "weight": "1e154", "price": "1.5e154"},
+    {"id": 3, "weight": "1", "price": "5"},
+]
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "exact", "verify"])
+def test_revenues_that_overflow_exit_three(tmp_path, capsys, command):
+    """An instance whose revenue sums overflow is bad-price, exit 3, with a JSON error."""
+    inst_path, report_path = tmp_path / "inst.json", tmp_path / "report.json"
+    if command == "gen":
+        argv = ["gen", "--N", "4", "--seed", "1", "--w-lo", "1e150", "--w-hi", "1e160",
+                "--p-lo", "1e150", "--p-hi", "1e160", "-o", str(inst_path)]
+    elif command == "verify":
+        # a report of a solvable instance, with the overflowing products put in its place
+        products = [{"id": i, "weight": "1", "price": "5"} for i in (1, 2, 3)]
+        inst_path.write_text(json.dumps({"schema_version": "1", "products": products}))
+        assert run_cli(capsys, "solve", str(inst_path), "--C", "2", "-o", str(report_path))[0] == 0
+        doc = json.loads(report_path.read_text())
+        doc["instance"]["products"] = OVERFLOWING_PRODUCTS
+        report_path.write_text(json.dumps(doc))
+        argv = ["verify", str(report_path)]
+    else:
+        inst_path.write_text(json.dumps({"schema_version": "1", "products": OVERFLOWING_PRODUCTS}))
+        argv = [command, str(inst_path), "--C", "2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "bad-price" and "not finite" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -381,13 +381,22 @@ class EvaluateOnly:
 
 
 class NudgedEstimates(EvaluateOnly):
-    """Adds a ``score_moves`` whose estimates are ``evaluate`` values off by a few ulps."""
+    """Adds a ``score_moves`` hook that returns every move, with estimates that are
+    ``evaluate`` values off by a few ulps."""
 
-    def score_moves(self, current, moves):
-        return [
+    def score_moves(self, current, moves, beat):
+        return range(len(moves)), [
             self.evaluate(current.after_move(*move)) * (1.0 + (i % 7 - 3) * 2.0**-52)
             for i, move in enumerate(moves)
         ]
+
+
+def pass_estimates(oracle, current, moves):
+    """The hook's estimates of every move of the pass: below a beat of -inf the
+    built-in oracles rule no move out."""
+    indices, estimates = oracle.score_moves(current, moves, -math.inf)
+    assert list(indices) == list(range(len(moves)))
+    return list(estimates)
 
 
 def differential_cases():
@@ -455,30 +464,30 @@ def check_pass_against_the_references(inst, current, moves):
 
     The exact estimates are the expression, fixed noise scales each by (1 - eps), and
     seeded-uniform noise either keeps it or scales it by its set's own factor. Every
-    oracle's ``best_move`` is the first best of ``evaluate``, and a counter counts one
-    call per move and each distinct set once.
+    oracle's ``best_move`` at a beat of -inf is the first best of ``evaluate``, and a
+    counter counts one call per move and each distinct set once.
     """
     exact = ExactMnlOracle(inst)
     fixed = NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01, seed=4))
     seeded = [NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=eps, seed=seed))
               for eps, seed in [(0.001, 17), (0.2, 18)]]
     expected = leave_one_out(inst, current, moves)
-    assert list(map(float.hex, exact.score_moves(current, moves))) == list(map(float.hex, expected))
-    assert list(map(float.hex, fixed.score_moves(current, moves))) == [
+    assert list(map(float.hex, pass_estimates(exact, current, moves))) == list(map(float.hex, expected))
+    assert list(map(float.hex, pass_estimates(fixed, current, moves))) == [
         ((1.0 - 0.01) * value).hex() for value in expected
     ]
     for noisy in seeded:
-        for move, value, base in zip(moves, noisy.score_moves(current, moves), expected):
+        for move, value, base in zip(moves, pass_estimates(noisy, current, moves), expected):
             scaled = (1.0 - noisy.spec.epsilon(current.after_move(*move))) * base
             assert value.hex() in (base.hex(), scaled.hex())
     if not moves:
         return 0
     for oracle in (exact, fixed, *seeded, NudgedEstimates(exact)):
         truth = [oracle.evaluate(current.after_move(*move)) for move in moves]
-        index, value = best_move(oracle, current, moves)
+        index, value = best_move(oracle, current, moves, -math.inf)
         assert (index, value.hex()) == (truth.index(max(truth)), max(truth).hex())
     counting = CountingOracle(exact)
-    assert best_move(counting, current, moves) == best_move(exact, current, moves)
+    assert best_move(counting, current, moves, -math.inf) == best_move(exact, current, moves, -math.inf)
     stats = counting.stats
     assert stats.call_count == len(moves)
     assert stats.distinct_count == len({current.after_move(*move).ids for move in moves})
@@ -505,7 +514,7 @@ def test_exact_estimates_are_the_leave_one_out_expression():
             inst = family(rng)
             exact = ExactMnlOracle(inst)
             for current, moves in random_move_passes(rng, inst, 4):
-                assert list(map(float.hex, exact.score_moves(current, moves))) == list(
+                assert list(map(float.hex, pass_estimates(exact, current, moves))) == list(
                     map(float.hex, leave_one_out(inst, current, moves))
                 )
                 scored += len(moves)

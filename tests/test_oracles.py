@@ -21,6 +21,7 @@ from assortopt import (
 from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.oracles import CONFIRM_BAND, MovePass, best_move
 from references import NO_PURCHASE, InvalidChoiceError, mnl_choice_prob
+from test_greedy import NudgedEstimates, pass_estimates
 from test_reference import TIE_FAMILIES, weights_one_ulp_apart
 
 
@@ -327,12 +328,12 @@ class TestScoreMoves:
             exact = EvaluationLog(inst)
             for oracle in self.unpruned_oracles(exact):
                 truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
-                estimates = scorer(oracle).score_moves(current, moves)
+                estimates = pass_estimates(scorer(oracle), current, moves)
                 top = max(estimates)
                 floor = top - CONFIRM_BAND * abs(top)
                 band = [m for m, value in zip(moves, estimates) if value >= floor]
                 exact.evaluated.clear()
-                index, value = best_move(oracle, current, moves)
+                index, value = best_move(oracle, current, moves, -math.inf)
                 assert exact.evaluated == [current.after_move(*m) for m in band]
                 assert index == truth.index(max(truth))
                 assert value.hex() == truth[index].hex()
@@ -354,8 +355,8 @@ class TestScoreMoves:
             for moves in (MovePass(outside, current.ids, outside), full,
                           MovePass((), full.members, full.add_pool),
                           MovePass(full.exchange_pool, full.members, ())):
-                want = [((1 - eps) * value).hex() for value in exact.score_moves(current, moves)]
-                assert [value.hex() for value in noisy.score_moves(current, moves)] == want
+                want = [((1 - eps) * value).hex() for value in pass_estimates(exact, current, moves)]
+                assert [value.hex() for value in pass_estimates(noisy, current, moves)] == want
 
     @pytest.mark.parametrize("eps_max", [0.001, 0.2, 0.5, 0.999])
     def test_seeded_uniform_band_is_exact_and_the_rest_bounds_it(self, eps_max):
@@ -370,12 +371,12 @@ class TestScoreMoves:
             exact = EvaluationLog(inst)
             oracle = NoisyOracle(exact, NoiseSpec(
                 mode="seeded-uniform", eps=eps_max, seed=rng.getrandbits(32)))
-            values = oracle.score_moves(current, moves)
+            values = pass_estimates(oracle, current, moves)
             truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
             top = max(values)
             floor = top - CONFIRM_BAND * abs(top)
             exact.evaluated.clear()
-            index, best = best_move(oracle, current, moves)
+            index, best = best_move(oracle, current, moves, -math.inf)
             assert exact.evaluated == [current.after_move(*m) for m, v in zip(moves, values) if v >= floor]
             assert best == max(truth)
             assert index == truth.index(max(truth))
@@ -403,7 +404,7 @@ class TestScoreMoves:
         moves = MovePass(outside, current.ids, outside)
         oracle = NoisyOracle(ExactMnlOracle(inst),
                                    NoiseSpec(mode="seeded-uniform", eps=0.001, seed=3))
-        index, _value = best_move(oracle, current, moves)
+        index, _value = best_move(oracle, current, moves, -math.inf)
         assert 0 < len(hashed) < len(moves) / 2
         truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
         assert index == truth.index(max(truth))
@@ -415,7 +416,7 @@ class TestScoreMoves:
         current = Assortment.of([1, 2, 5, 6, 7])
         moves = MovePass((3, 4), current.ids, (3, 4))
         for oracle in self.oracles(ExactMnlOracle(inst), random.Random(1)):
-            index, value = best_move(oracle, current, moves)
+            index, value = best_move(oracle, current, moves, -math.inf)
             exact = [oracle.evaluate(current.after_move(*m)) for m in moves]
             assert value == max(exact)
             assert index == exact.index(max(exact))
@@ -429,16 +430,18 @@ class TestScoreMoves:
         moves = MovePass((1, 8), current.ids, (3,))
         logged = EvaluationLog(inst)
         oracle = EvaluateOnly(logged)
-        index, value = best_move(oracle, current, moves)
+        index, value = best_move(oracle, current, moves, -math.inf)
         candidates = [Assortment.of(ids) for ids in [(1, 5), (1, 2), (5, 8), (2, 8), (2, 3, 5)]]
         assert logged.evaluated == candidates
         values = [oracle.evaluate(candidate) for candidate in candidates]
         assert (index, value) == (values.index(max(values)), max(values))
 
     def test_unknown_product_rejected(self):
+        # at beat 0 the margins read the unknown id, at -inf the estimates do
         for moves in (MovePass((), [1], [9]), MovePass([9], [1], ())):
-            with pytest.raises(InvalidAssortmentError):
-                best_move(ExactMnlOracle(THREE), Assortment.of([1]), moves)
+            for beat in (0.0, -math.inf):
+                with pytest.raises(InvalidAssortmentError):
+                    best_move(ExactMnlOracle(THREE), Assortment.of([1]), moves, beat)
 
     def test_best_move_is_the_first_largest_score(self):
         # best_move ranks the estimates with the confirm band replaced by evaluate
@@ -449,9 +452,9 @@ class TestScoreMoves:
                 super().__init__(oracle)
                 self.distort = distort
 
-            def score_moves(self, current, moves):
-                return [self.distort(i, self.evaluate(current.after_move(*move)))
-                        for i, move in enumerate(moves)]
+            def score_moves(self, current, moves, beat):
+                return range(len(moves)), [self.distort(i, self.evaluate(current.after_move(*move)))
+                                           for i, move in enumerate(moves)]
 
         class NanEvaluate(EvaluateOnly):
             def evaluate(self, assortment):
@@ -463,7 +466,7 @@ class TestScoreMoves:
             values = [oracle.evaluate(current.after_move(*m)) for m in moves]
             if not hasattr(oracle, "score_moves"):
                 return values
-            estimates = oracle.score_moves(current, moves)
+            estimates = pass_estimates(oracle, current, moves)
             top = max(estimates)
             floor = top - CONFIRM_BAND * abs(top)
             return [value if estimate >= floor else estimate
@@ -473,6 +476,7 @@ class TestScoreMoves:
         distortions = [
             lambda i, v: v * (1.0 + 1e-6) if i % 5 == 0 else v,  # overshoots the band
             lambda i, v: round(v, 1),  # ties
+            lambda i, v: 2.0 * v if i == 0 else round(v, 1),  # misses the floor, then ties
             lambda i, v: nan if i == 0 else v,
             lambda i, v: nan if i % 4 == 1 else v,
             lambda i, v: nan,
@@ -498,9 +502,12 @@ class TestScoreMoves:
             ]
             for make in makers:
                 values = ranked(make(), current, moves)
-                index, value = best_move(make(), current, moves)
-                assert index == values.index(max(values))
-                assert value is values[index] or value.hex() == values[index].hex()
+                index = values.index(max(values))
+                found = best_move(make(), current, moves, -math.inf)
+                if math.isnan(values[index]):  # NaN beats nothing, not even -inf
+                    assert found is None
+                else:
+                    assert (found[0], found[1].hex()) == (index, values[index].hex())
                 checked += 1
         assert checked > 1000
 
@@ -513,13 +520,13 @@ class TestScoreMoves:
             base = EvaluationLog(inst)
             spec = NoiseSpec(mode="seeded-uniform", eps=0.2, seed=rng.getrandbits(32))
             for oracle in (base, NoisyOracle(base, spec)):
-                estimates = oracle.score_moves(current, moves)
+                estimates = pass_estimates(oracle, current, moves)
                 top = max(estimates)
                 band = sum(value >= top - CONFIRM_BAND * abs(top) for value in estimates)
                 base.evaluated.clear()
                 counting = CountingOracle(oracle)
                 stats = counting.stats
-                best_move(counting, current, moves)
+                best_move(counting, current, moves, -math.inf)
                 assert len(base.evaluated) == band
                 assert stats.call_count == len(moves)
 
@@ -558,11 +565,13 @@ class TestMoveCandidates:
         yield NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01))
         for eps in (0.001, 0.2):
             yield NoisyOracle(exact, NoiseSpec(mode="seeded-uniform", eps=eps, seed=rng.getrandbits(32)))
+        # the hook's other end: a plug-in that returns every index, a few ulps off evaluate
+        yield NudgedEstimates(exact)
 
     def test_candidates_give_the_full_pass_answer(self):
         # best_move with a revenue to beat returns the whole pass's first best, bit for
-        # bit, when it beats that revenue and None otherwise; each move left out has an
-        # estimate at most beat * (1 - 2 * CONFIRM_BAND)
+        # bit, when it beats that revenue and None otherwise; the hook's indices ascend,
+        # and each move left out has an estimate at most beat * (1 - 2 * CONFIRM_BAND)
         rng = random.Random(3131)
         checked = beaten = 0
         for family in CANDIDATE_FAMILIES:
@@ -574,19 +583,20 @@ class TestMoveCandidates:
                     outside, current.ids, outside)
                 exact = ExactMnlOracle(inst)
                 for oracle in self.oracles(exact, rng):
-                    index, value = best_move(oracle, current, moves)
+                    index, value = best_move(oracle, current, moves, -math.inf)
                     beats = {0.0, oracle.evaluate(current), value, math.nextafter(value, -math.inf),
                              value * (1.0 - CONFIRM_BAND), value * rng.uniform(0.0, 1.2)}
                     for beat in sorted(beats):
                         want = (index, value.hex()) if value > beat else None
                         got = best_move(oracle, current, moves, beat)
                         assert (got if got is None else (got[0], got[1].hex())) == want
-                        picked = oracle.move_candidates(current, moves, beat)
-                        if beat < 0.0:  # below 0 no margin test applies: the whole pass is ranked
-                            assert picked is None
+                        picked, returned = oracle.score_moves(current, moves, beat)
+                        assert list(picked) == sorted(set(picked)) and len(returned) == len(picked)
+                        if beat < 0.0:  # below 0 no margin test applies: every index is returned
+                            assert list(picked) == list(range(len(moves)))
                             continue
                         kept = set(picked)
-                        estimates = oracle.score_moves(current, moves)
+                        estimates = pass_estimates(oracle, current, moves)
                         assert all(estimate <= beat * (1.0 - 2 * CONFIRM_BAND)
                                    for i, estimate in enumerate(estimates) if i not in kept)
                         checked += 1
@@ -594,12 +604,13 @@ class TestMoveCandidates:
         assert checked > 3000 and beaten > 1000
 
     def test_a_pass_without_candidates_estimates_and_evaluates_nothing(self, monkeypatch):
-        scored = []
+        returned = []  # per call of the exact hook, how many moves it estimated
         score_moves = ExactMnlOracle.score_moves
 
-        def logged_score_moves(oracle, current, moves):
-            scored.append(moves)
-            return score_moves(oracle, current, moves)
+        def logged_score_moves(oracle, current, moves, beat):
+            indices, estimates = score_moves(oracle, current, moves, beat)
+            returned.append(len(estimates))
+            return indices, estimates
 
         monkeypatch.setattr(ExactMnlOracle, "score_moves", logged_score_moves)
         rng = random.Random(77)
@@ -609,18 +620,20 @@ class TestMoveCandidates:
         moves = MovePass(outside, current.ids, outside)
         base = EvaluationLog(inst)
         for oracle in (base, NoisyOracle(base, NoiseSpec(mode="seeded-uniform", eps=0.01, seed=5))):
-            top = best_move(oracle, current, moves)[1]
-            scored.clear()
-            base.evaluated.clear()
-            counting = CountingOracle(oracle)
+            top = best_move(oracle, current, moves, -math.inf)[1]
             # no set earns more than its most expensive member's price
             beat = max(p.price for p in inst.products)
-            assert oracle.move_candidates(current, moves, beat) == []
+            assert oracle.score_moves(current, moves, beat) == ([], [])
+            returned.clear()
+            base.evaluated.clear()
+            counting = CountingOracle(oracle)
+            # the hook is called once per pass, and here it returns no move
             assert best_move(counting, current, moves, beat) is None
-            assert (scored, base.evaluated) == ([], [])
+            assert (returned, base.evaluated) == ([0], [])
             assert counting.stats.call_count == len(moves)
+            returned.clear()
             assert best_move(oracle, current, moves, top) is None
-            assert 0 < sum(map(len, scored)) < len(moves)
+            assert len(returned) == 1 and 0 < returned[0] < len(moves)
 
 
 class TestCountingOracle:
@@ -664,7 +677,7 @@ class TestCountingOracle:
         for _ in range(20):
             current = random_assortment(rng, inst, max_size=6)
             moves = random_pass(rng, inst, current)
-            best_move(oracle, current, moves)
+            best_move(oracle, current, moves, -math.inf)
             total += len(moves)
             assert stats.call_count == total
 
@@ -697,7 +710,7 @@ class TestCountingOracle:
         def hammer(worker):
             for i in range(400):
                 oracle.evaluate(assortments[(worker + i) % len(assortments)])
-                best_move(oracle, *batch)
+                best_move(oracle, *batch, -math.inf)
                 if i % 50 == 0:
                     distinct_sizes.append(stats.distinct_count)
 

@@ -326,6 +326,24 @@ class TestCandidateSweep:
         assert certified_sweep(THREE, offsets, read) == ["same"] * len(offsets)
         assert sorted(read_at) == offsets
 
+    @pytest.mark.parametrize("on_band", ["left", "right"])
+    def test_a_gap_on_the_band_never_certifies(self, on_band):
+        """Gaps are tested with ``>``: a stretch whose left or right end has a gap equal to
+        the band, the other end's gap lying above it, is ranked inside, not filled."""
+        offsets = [0.0] * 40  # every stretch reaches |u| = 0, so its band is the base
+        base, per_unit = stretch_band(THREE)
+        band = base + per_unit * 0.0
+        read_at = []
+
+        def read(u, ranked):
+            # the sweep ranks the left end first, then the right end
+            left = not read_at
+            read_at.append(u)
+            return "same", [(band if left == (on_band == "left") else 2.0 * band, 0.0)]
+
+        assert certified_sweep(THREE, offsets, read) == ["same"] * len(offsets)
+        assert len(read_at) > 2
+
     @pytest.mark.parametrize(
         "slope",
         [
