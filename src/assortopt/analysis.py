@@ -7,8 +7,8 @@ This module turns the solver's guarantees into executable checks:
 * per-step near-optimality of greedy decisions, replayed from traces,
 * the pool and budget bookkeeping of a trace, replayed from its seed,
 * the quantities controlling the optimality gap under multiplicatively
-  noisy oracles: the estimate-slack bound, the slack-set size (a reader
-  of ``transform.certified_sweep``), and the relative gap guarantee.
+  noisy oracles: the estimate-slack bound, the slack-set size (read off
+  ``transform.event_sweep``), and the relative gap guarantee.
 
 All functions are pure; reports are plain dataclasses ready for JSON
 serialization.
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import ConfigError, ValidationError
@@ -29,13 +28,12 @@ from .instance import Assortment, Instance
 from .oracles import NoiseSpec, mnl_revenue, products_revenue, total_weight
 from .reference import ExactSolution, assortment_count, check_enumeration
 from .transform import (
-    certified_sweep,
-    interval_offsets,
-    margin_breakpoints,
+    CONFIRM_BAND,
+    event_sweep,
     product_margins,
     scaled_margin,
     scaled_margins,
-    top_with_gaps,
+    stretch_band,
 )
 
 #: Absolute-per-unit slack granted to trace checks for float rounding in
@@ -126,43 +124,42 @@ def max_slack_set_size(instance: Instance, size: int, delta: float) -> int:
     margin trails the top set's weakest member (the anchor) by at most
     delta * u. Its size is piecewise constant between breakpoints (margin
     crossings, zero crossings, and delta-shifted crossings), so one offset
-    inside every interval maximizes over the regions exactly. All of them
-    are read by ``certified_sweep``, which ranks the offsets its gap lines
-    predict a change near and fills the rest unranked; the lines are those
-    of ``top_with_gaps`` plus the two slack gaps either side of the slack
-    set's boundary, whose slope carries ``delta``. Isolated tie points at
-    the breakpoints themselves are not counted: the size there exceeds the
-    neighboring regions only by exact-tie coincidences, which is also what
-    keeps this in agreement with a dense grid scan. Offsets with an empty
-    top set contribute nothing.
+    inside every interval maximizes over the regions exactly. The maximum
+    is taken over the runs of equal value of ``transform.event_sweep``,
+    which walks the events in order and ranks about once per run, from the
+    crossings its deciding comparisons name: those of the top list, and the
+    anchor against every outsider at shift delta. It stops where no later
+    slack set can be larger: a product heavier than delta leaves every
+    slack set for good once its margin trails zero by more than delta * u,
+    so the products not yet past that cutoff bound every later size.
+    Isolated tie points at the breakpoints themselves are not counted: the
+    size there exceeds the neighboring regions only by exact-tie
+    coincidences, which is also what keeps this in agreement with a dense
+    grid scan. Offsets with an empty top set contribute nothing.
     ``delta`` must be a number >= 0 (inf allowed: every product joins).
     """
     if not delta >= 0:
         raise ConfigError(f"delta must be >= 0, got {delta!r}")
-    weight = {p.id: p.weight for p in instance.products}
-
-    def read(u: float, ranked: list[tuple[float, int]]) -> tuple[tuple, list]:
-        # the value is the top list and the slack set, a prefix of the ranking:
-        # anchor + key, how far a margin trails the anchor, is monotone along it.
-        # The slack gaps delta * u - (anchor + key) either side of its boundary
-        # are lines in u while the anchor holds, of slope delta plus or minus the
-        # gap in weight
-        top, lines = top_with_gaps(ranked, size, weight)
-        if not top:
-            return (top, frozenset()), lines
-        anchor, limit = -ranked[len(top) - 1][0], delta * u
-        anchor_weight = weight[ranked[len(top) - 1][1]]
-        within = bisect_right(ranked, limit, len(top), key=lambda entry: anchor + entry[0])
-        if within > len(top):
-            key, pid = ranked[within - 1]
-            lines.append((limit - (anchor + key), delta - (weight[pid] - anchor_weight)))
-        if within < len(ranked):
-            key, pid = ranked[within]
-            lines.append((anchor + key - limit, weight[pid] - anchor_weight - delta))
-        return (top, frozenset(map(itemgetter(1), ranked[:within]))), lines
-
-    sweep = certified_sweep(instance, interval_offsets(margin_breakpoints(instance, delta)), read)
-    return max((len(slack) for _, slack in sweep), default=0)
+    # a product of weight w > delta is in the slack set at u only while its margin is within
+    # delta * u of a positive one: p * w - u * (w - delta) >= 0, up to rounding, which the
+    # band covers. Past its cutoff it is out at every larger offset, so once the products
+    # not yet past theirs are no more than the largest slack set seen, the sweep can stop
+    base, per_unit = stretch_band(instance)
+    per_unit += CONFIRM_BAND * delta
+    always, cutoffs = 0, []
+    for p in instance.products:
+        slope = p.weight - delta - per_unit
+        if slope > 0.0:
+            cutoffs.append((p.price * p.weight + base) / slope)
+        else:
+            always += 1
+    cutoffs.sort()
+    largest = 0
+    for u, (_, slack) in event_sweep(instance, size, delta):
+        largest = max(largest, len(slack))
+        if always + len(cutoffs) - bisect_left(cutoffs, u) <= largest:
+            break
+    return largest
 
 
 @dataclass(frozen=True)

@@ -350,13 +350,14 @@ class NoisyOracle:
             picked, values = score(current, moves, beat)
             values = list(values)
         spec = self.spec
-        kept = range(len(values))  # fixed, or none at eps 0: every set has the one factor
         if spec.mode == "seeded-uniform":
             top = max(values, default=0.0)
             # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
             cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
             kept = [i for i, value in enumerate(values) if value >= cut]
-        epsilons = spec.move_epsilons(current, moves.at([picked[i] for i in kept]))
+            epsilons = spec.move_epsilons(current, moves.at([picked[i] for i in kept]))
+        else:  # fixed, or none at eps 0: every set has the one factor, so no move is built
+            kept, epsilons = range(len(values)), repeat(spec.eps)
         for i, eps in zip(kept, epsilons):
             values[i] = (1.0 - eps) * values[i]
         return picked, values

@@ -3,9 +3,9 @@
 Three independent routes to the capacitated optimum: exhaustive
 enumeration against any oracle (desk scale only), an MNL-specific solver
 that only inspects the candidate collection of top-margin sets
-(piecewise constant in the revenue offset, so finitely many; one
-certified sweep collects them for every size cap at once, ranking only
-the offsets where the top set can change), and the MNL revenue
+(piecewise constant in the revenue offset, so finitely many; one event
+sweep collects them for every size cap at once, ranking about once per
+change of the top list), and the MNL revenue
 fixed point, polynomial in N, which ``bench`` and ``solve --exact`` use.
 One tie rule, ``optimum_key``, picks every optimum: the highest revenue,
 then the smallest id tuple. All three agree on the revenue under every
@@ -23,14 +23,7 @@ from math import comb
 from .errors import EnumerationCapError
 from .instance import Assortment, Instance, optimum_key
 from .oracles import RevenueOracle, mnl_revenue
-from .transform import (
-    interval_offsets,
-    margin_breakpoints,
-    margin_ranking,
-    stretch_band,
-    top_id_sweep,
-    top_ids,
-)
+from .transform import event_sweep, margin_ranking, stretch_band, top_ids
 
 logger = logging.getLogger(__name__)
 
@@ -213,21 +206,17 @@ def _candidate_sets(instance: Instance, capacity: int) -> list[set[tuple[int, ..
     set only changes where margin lines cross each other or cross zero, so
     probing 0, each breakpoint and one offset inside each interval between
     them finds every member (the empty set appears past the largest price).
-    One ``top_id_sweep`` reads the top list under the capacity at every
-    probe; it ranks only the probes its certified sweep cannot fill, and a
-    filled stretch takes the list of both its ends, exactly what ranking
-    each probe would give. The top set under cap k is the first k of the
-    top list under the capacity, so a probe whose list repeats the previous
-    probe's adds none; probing in ascending order makes most probes such
-    repeats.
+    One ``event_sweep`` gives the top list under the capacity of each run of
+    equal lists over those probes, without listing them: it ranks about once
+    per run, between consecutive crossings that change the list. The top set
+    under cap k is the first k of the top list under the capacity, so each
+    run adds its prefixes once.
     """
     capacity = max(0, capacity)
     sets: list[set[tuple[int, ...]]] = [{()}] + [set() for _ in range(capacity)]
     if capacity == 0:
         return sets
-    points = margin_breakpoints(instance)
-    offsets = sorted([0.0, *points, *interval_offsets(points)])
-    for top, _ in itertools.groupby(top_id_sweep(instance, offsets, capacity)):
+    for _, top in event_sweep(instance, capacity):
         for k in range(1, capacity + 1):
             sets[k].add(tuple(sorted(top[:k])))
     return sets

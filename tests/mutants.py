@@ -106,6 +106,13 @@ MUTANTS = [
          "tests/test_greedy.py::test_batched_scoring_matches_evaluate_fallback[seeded-uniform-0.2]"),
     ),
     Mutant(
+        "fixed-noise-builds-the-moves",
+        "assortopt/oracles.py",
+        "kept, epsilons = range(len(values)), repeat(spec.eps)",
+        "kept = range(len(values)); epsilons = spec.move_epsilons(current, moves.at(kept))",
+        ("tests/test_oracles.py::TestScoreMoves::test_fixed_mode_builds_no_move_of_its_own",),
+    ),
+    Mutant(
         "assortment-compares-a-copied-tuple",
         "assortopt/instance.py",
         "if canonical != self.ids:",
@@ -126,6 +133,55 @@ MUTANTS = [
         "and narrowest[j] > band and",
         "and narrowest[j] >= band and",
         ("tests/test_reference.py::TestCandidateSweep::test_a_gap_on_the_band_never_certifies[right]",),
+    ),
+    Mutant(
+        "event-walk-gap-on-the-band-certifies",
+        "assortopt/transform.py",
+        "state.narrowest > base + per_unit * state.u",
+        "state.narrowest >= base + per_unit * state.u",
+        ("tests/test_reference.py::TestEventSweep::test_a_least_gap_on_the_band_opens_a_window",),
+    ),
+    Mutant(
+        "event-walk-skips-the-window",
+        "assortopt/transform.py",
+        "points = margin_breakpoints(self.instance, delta or 0.0, lo, hi)",
+        "return []",
+        ("tests/test_reference.py::TestCandidateSweep::test_collection_equals_the_per_cap_probe_loop_at_every_cap[integer_grid]",
+         "tests/test_reference.py::TestSlackSweep::test_equals_the_per_probe_definition[0.0-duplicated_products]",
+         "tests/test_reference.py::TestEventSweep::test_window_fallback_ranks_only_inside_its_window"),
+    ),
+    Mutant(
+        "event-walk-scans-the-first-outsider-only",
+        "assortopt/transform.py",
+        "for weight_o, value_o, other in self.by_weight[: bisect_left(self.by_weight, (weight_w,))]:",
+        "for weight_o, value_o, other in [entry for entry in self.by_weight if entry[0] < weight_w"
+        " and entry[2] in {o for _, o in state.ranked[len(top) : len(top) + 1]}]:",
+        ("tests/test_reference.py::TestCandidateSweep::test_candidate_set_opt_ranks_under_a_third_of_its_probes",
+         "tests/test_reference.py::TestEventSweep::test_top_lists_rank_once_per_run[45]"),
+    ),
+    Mutant(
+        "event-walk-takes-the-second-event",
+        "assortopt/transform.py",
+        "return min(events, key=itemgetter(0), default=None)",
+        "return (sorted(events, key=itemgetter(0))[1:2] or [None])[0]",
+        ("tests/test_reference.py::TestCandidateSweep::test_probe_count_pins",
+         "tests/test_reference.py::TestSlackSweep::test_probe_count_pins[600-498-629]"),
+    ),
+    Mutant(
+        "tie-band-extra-slot",
+        "assortopt/reference.py",
+        "slots = size - len(chosen)",
+        "slots = size - len(chosen) + 1",
+        ("tests/test_reference.py::TestMnlOpt::test_product_priced_at_the_optimum_joins_it",
+         "tests/test_reference.py::TestMnlOpt::test_tie_split_by_rounding"),
+    ),
+    Mutant(
+        "exchanges-member-major",
+        "assortopt/oracles.py",
+        "(pool[i // width], members[i % width])",
+        "(pool[i % len(pool)], members[i // len(pool)])",
+        ("tests/test_oracles.py::TestScoreMoves::test_best_move_is_the_first_largest_score",
+         "tests/test_greedy.py::TestAgainstSimulation::test_add_exchange_matches_simulation[none]"),
     ),
     Mutant(
         "verify-skips-revenue-reevaluation",

@@ -6,6 +6,8 @@ rather than in the package:
 * the MNL choice probability, the cross-check of ``mnl_revenue``,
 * the slack set at one offset, the definition ``max_slack_set_size``
   must meet at every probe,
+* the probes themselves: one offset inside each interval between the
+  breakpoints, over the full range (the sweeps list only a window of them),
 * the nesting-witness search behind ``fixtures/nesting_witness.json``.
 """
 
@@ -116,3 +118,20 @@ def find_nesting_witness(seed: int, n: int, capacity: int, attempts: int) -> Nes
                             generator_seed=attempt_seed,
                         )
     return None
+
+
+def interval_offsets(breakpoints: list[float]) -> list[float]:
+    """One probe offset strictly inside each interval of (0, inf).
+
+    The midpoint between consecutive positive breakpoints, plus one point
+    beyond the last breakpoint (where all margins are nonpositive).
+    """
+    positive = [b for b in breakpoints if b > 0.0]
+    samples: list[float] = []
+    prev = 0.0
+    for b in positive:
+        if b > prev:
+            samples.append(prev + (b - prev) / 2.0)
+        prev = b
+    samples.append(prev + 1.0)
+    return samples

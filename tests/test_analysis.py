@@ -35,8 +35,7 @@ from assortopt import (
 from assortopt.analysis import FLOAT_SLACK, TraceViolation, trace_bookkeeping_problems
 from assortopt.errors import ConfigError, InvalidAssortmentError
 from assortopt.generate import GeneratorSpec, generate_instance
-from assortopt.transform import interval_offsets
-from references import UndefinedTopSetError, top_set_with_slack
+from references import UndefinedTopSetError, interval_offsets, top_set_with_slack
 from test_reference import TIE_FAMILIES, weights_one_ulp_apart
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])

@@ -358,6 +358,32 @@ class TestScoreMoves:
                 want = [((1 - eps) * value).hex() for value in pass_estimates(exact, current, moves)]
                 assert [value.hex() for value in pass_estimates(noisy, current, moves)] == want
 
+    def test_fixed_mode_builds_no_move_of_its_own(self, monkeypatch):
+        # one factor scales every estimate, so fixed noise reads the pass's moves exactly
+        # as often as its exact base does, and builds no (entering, leaving) pair itself
+        at = MovePass.at
+        built = []
+
+        def counting_at(moves, indices):
+            chosen = at(moves, indices)
+            built.extend(chosen)
+            return chosen
+
+        monkeypatch.setattr(MovePass, "at", counting_at)
+        rng = random.Random(2468)
+        for _ in range(30):
+            inst = random_instance(rng, rng.randint(2, 25))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_pass(rng, inst, current)
+            exact = ExactMnlOracle(inst)
+            beat = exact.evaluate(current)
+            exact.score_moves(current, moves, beat)
+            by_base = len(built)
+            built.clear()
+            NoisyOracle(exact, NoiseSpec(mode="fixed", eps=0.01)).score_moves(current, moves, beat)
+            assert len(built) == by_base
+            built.clear()
+
     @pytest.mark.parametrize("eps_max", [0.001, 0.2, 0.5, 0.999])
     def test_seeded_uniform_band_is_exact_and_the_rest_bounds_it(self, eps_max):
         # moves pruned before hashing keep their base value: below the band's

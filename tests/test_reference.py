@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -32,7 +33,7 @@ from assortopt.oracles import CONFIRM_BAND
 from assortopt.reference import revenues_agree
 from assortopt.transform import (
     certified_sweep,
-    interval_offsets,
+    event_sweep,
     margin_breakpoints,
     margin_ranking,
     stretch_band,
@@ -41,7 +42,12 @@ from assortopt.transform import (
     top_margin_set,
     top_with_gaps,
 )
-from references import UndefinedTopSetError, find_nesting_witness, top_set_with_slack
+from references import (
+    UndefinedTopSetError,
+    find_nesting_witness,
+    interval_offsets,
+    top_set_with_slack,
+)
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
 
@@ -373,9 +379,10 @@ class TestCandidateSweep:
                     assert certified_sweep(inst, offsets, read) == expected
 
     def test_probe_count_pins(self, monkeypatch):
-        """Ranked probes on one generated instance (N = 12, 122 probes, size 4): the
-        certified sweep ranks 19 of them for the top lists and 25 for the slack sets at
-        delta = 0.1."""
+        """Rankings on one generated instance (N = 12, 122 probes, size 4): the certified
+        sweep ranks 19 of the probes for the top lists; the event sweep ranks 7 for the top
+        lists, one per run, and ``max_slack_set_size`` 7 for the slack sets at delta = 0.1,
+        where no later slack set can be larger than the largest seen."""
         rng = random.Random(generated.__name__)
         generated(rng)
         inst = generated(rng)  # the family's second instance
@@ -391,10 +398,15 @@ class TestCandidateSweep:
         top_id_sweep(inst, offsets, 4)
         assert len(calls) == 19
         calls.clear()
+        assert len(list(event_sweep(inst, 4))) == 7
+        assert len(calls) == 7
+        calls.clear()
         max_slack_set_size(inst, 4, 0.1)
-        assert len(calls) == 25
+        assert len(calls) == 7
 
     def test_candidate_set_opt_ranks_under_a_third_of_its_probes(self, monkeypatch):
+        """69 rankings at N = 60, C = 8, one per run of equal top lists, against 3,082
+        probes; no breakpoint is listed."""
         inst = generate_instance(GeneratorSpec(60, seed=8))
         points = margin_breakpoints(inst)
         probes = len({0.0, *points, *interval_offsets(points)})
@@ -405,8 +417,10 @@ class TestCandidateSweep:
             return margin_ranking(instance, u)
 
         monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
+        monkeypatch.setattr(transform, "margin_breakpoints", None)
         candidate_set_opt(inst, 8)
-        assert 0 < len(calls) < probes / 3
+        assert probes == 3_082
+        assert len(calls) == 69 < probes / 3
 
     @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
     def test_collection_equals_the_per_cap_probe_loop_at_every_cap(self, family):
@@ -500,13 +514,14 @@ class TestSlackSweep:
         monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
         max_slack_set_size(inst, 10, delta)
         assert probes == 11_268
-        assert 0 < len(calls) < probes / 5
+        assert len(calls) == 124 < probes / 5
 
-    @pytest.mark.parametrize("n, size, ranked", [(300, 245, 865), (600, 498, 1_428)])
+    @pytest.mark.parametrize("n, size, ranked", [(300, 245, 306), (600, 498, 629)])
     def test_probe_count_pins(self, monkeypatch, n, size, ranked):
         """At size 10 and delta twice the slack cap at eps = 0.01, the largest slack set
-        has 245 products at N = 300, found by ranking 865 probes, and 498 at N = 600,
-        found by ranking 1,428."""
+        has 245 products at N = 300, found by ranking 306 offsets, and 498 at N = 600,
+        found by ranking 629: one per run of equal value, up to where no later slack set
+        can be larger than the largest seen."""
         inst = generate_instance(GeneratorSpec(n, seed=1))
         delta = 2.0 * slack_cap(inst, 10, 0.01)
         calls = []
@@ -518,6 +533,130 @@ class TestSlackSweep:
         monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
         assert max_slack_set_size(inst, 10, delta) == size
         assert len(calls) == ranked
+
+
+def reference_runs(inst, size, delta=None):
+    """The runs of equal value over the reference probes, by ranking each probe."""
+    weight = {p.id: p.weight for p in inst.products}
+    if delta is None:
+        values = [top_ids(margin_ranking(inst, u), size) for u in sorted(probe_offsets(inst))]
+    else:
+        probes = interval_offsets(margin_breakpoints(inst, delta))
+        values = [transform.slack_with_gaps(margin_ranking(inst, u), size, delta, u, weight)[0]
+                  for u in probes]
+    return [value for value, _ in itertools.groupby(values)]
+
+
+def counting_rankings(monkeypatch):
+    """The offsets of the ``margin_ranking`` calls, as they are made."""
+    calls = []
+
+    def counting_ranking(instance, u):
+        calls.append(u)
+        return margin_ranking(instance, u)
+
+    monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
+    return calls
+
+
+def counting_windows(monkeypatch):
+    """The arguments of the ``certified_sweep`` calls, which windows make."""
+    windows = []
+    certified = transform.certified_sweep
+
+    def counting_sweep(*args):
+        windows.append(args)
+        return certified(*args)
+
+    monkeypatch.setattr(transform, "certified_sweep", counting_sweep)
+    return windows
+
+
+class TestEventSweep:
+    @pytest.mark.parametrize("n", [30, 45, 60])
+    def test_top_lists_rank_once_per_run(self, monkeypatch, n):
+        """On generated instances of the candidate solver's sizes, at C = 8: the runs are
+        those of ranking every probe, and each is ranked once, with no window."""
+        for seed in range(3):
+            inst = generate_instance(GeneratorSpec(n, seed=seed))
+            runs = reference_runs(inst, 8)
+            calls, windows = counting_rankings(monkeypatch), counting_windows(monkeypatch)
+            assert [value for _, value in event_sweep(inst, 8)] == runs
+            assert len(calls) == len(runs) and not windows
+            monkeypatch.undo()
+
+    def test_slack_sets_rank_once_per_run(self, monkeypatch):
+        inst = generate_instance(GeneratorSpec(100, seed=1))
+        delta = 2.0 * slack_cap(inst, 10, 0.01)
+        runs = reference_runs(inst, 10, delta)
+        calls = counting_rankings(monkeypatch)
+        assert [value for _, value in event_sweep(inst, 10, delta)] == runs
+        assert len(calls) == len(runs) == 172
+
+    def test_one_slack_call_at_n_1000_is_linear_in_memory(self, monkeypatch):
+        """Size 10 and delta twice the slack cap at eps = 0.01: the sweep ranks once per run
+        (1,006), and one ``max_slack_set_size`` call ranks 967 times, stopping where no later
+        slack set can be larger, lists no breakpoint, and its traced allocations peak under
+        10 MB, where the probe list of every crossing took about 144 MB."""
+        inst = generate_instance(GeneratorSpec(1000, seed=1))
+        delta = 2.0 * slack_cap(inst, 10, 0.01)
+        calls = counting_rankings(monkeypatch)
+        assert sum(1 for _ in event_sweep(inst, 10, delta)) == len(calls) == 1_006
+        calls.clear()
+        monkeypatch.setattr(transform, "margin_breakpoints", None)
+        tracemalloc.start()
+        try:
+            size = max_slack_set_size(inst, 10, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (size, len(calls)) == (830, 967)
+        assert peak < 10 * 2**20
+
+    def test_a_least_gap_on_the_band_opens_a_window(self, monkeypatch):
+        """Gaps are tested with ``>``: when the first ranked offset's least gap is exactly
+        its band, the walk hands the stretch to ``certified_sweep``, which still gives the
+        reference's values."""
+        inst = generate_instance(GeneratorSpec(30, seed=4))
+        runs = reference_runs(inst, 8)
+        windows = counting_windows(monkeypatch)
+        assert [top for _, top in event_sweep(inst, 8)] == runs and not windows
+        rank = transform._EventWalk.rank
+
+        def on_the_band(walk, u, entry, crossing=None):
+            state = rank(walk, u, entry, crossing)
+            if u == 0.0:
+                state.narrowest = walk.base + walk.per_unit * u
+            return state
+
+        monkeypatch.setattr(transform._EventWalk, "rank", on_the_band)
+        assert {tuple(top) for _, top in event_sweep(inst, 8)} == {tuple(top) for top in runs}
+        assert len(windows) == 1
+
+    def test_window_fallback_ranks_only_inside_its_window(self, monkeypatch):
+        """Nearly parallel lines have no clear interval: the walk hands windows to
+        ``certified_sweep``, whose probes are the reference's, and lists the breakpoints
+        of each window only."""
+        rng = random.Random(weights_one_ulp_apart.__name__)
+        windowed = 0
+        for _ in range(20):
+            inst = weights_one_ulp_apart(rng)
+            seen = []
+            listed = transform.margin_breakpoints
+
+            def listing(instance, delta=0.0, lo=0.0, hi=math.inf):
+                seen.append((lo, hi))
+                return listed(instance, delta, lo, hi)
+
+            monkeypatch.setattr(transform, "margin_breakpoints", listing)
+            for size in range(1, inst.n + 1):
+                # around a window a value may come twice: the set is the contract
+                runs = {tuple(top) for _, top in event_sweep(inst, size)}
+                assert runs == set(map(tuple, reference_runs(inst, size)))
+            monkeypatch.undo()
+            windowed += bool(seen)
+            assert all(lo >= 0.0 and lo < hi for lo, hi in seen)
+        assert windowed > 0
 
 
 class TestCandidateSetSolver:
