@@ -30,13 +30,10 @@ band (``stretch_band``) at both: the gaps are lines in u, so they clear it
 in between, far above the rounding of the keys, and every probe between
 reads one of the two values. Where that cannot be shown (gaps within one
 band of each other: near-concurrent or near-parallel lines, exact ties),
-the window between the breakpoints around it goes to ``certified_sweep``
-over the reference probes inside it. That engine ranks a list of offsets
-only where its reader's value can change: it fills a stretch without
-ranking it when both ends give the same value with every deciding gap wider
-than the stretch's band, and otherwise splits it where the gap lines of its
-clear left end predict the value to change, or at its middle. The same band
-is the tie band of the fixed point's tie rule (``reference.mnl_opt``).
+the walk falls back to the definition over the window between the
+breakpoints around it: it lists the reference probes inside the window and
+ranks each once. The same band is the tie band of the fixed point's tie
+rule (``reference.mnl_opt``).
 """
 
 from __future__ import annotations
@@ -45,8 +42,8 @@ import itertools
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from operator import gt, itemgetter, sub
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import itemgetter, sub
+from typing import Any, Iterable, Iterator, Sequence
 
 from .instance import Assortment, Instance, Product
 
@@ -97,154 +94,6 @@ def margin_ranking(instance: Instance, u: float) -> list[tuple[float, int]]:
     return sorted([((u - p.price) * p.weight, p.id) for p in instance.products])
 
 
-def certified_sweep(instance: Instance, offsets: Iterable[float], read: Callable) -> list[Any]:
-    """The value ``read(u, margin_ranking(instance, u))`` gives at each u in ascending ``offsets``.
-
-    ``read`` returns a value and the lines of the gaps that decide it, each as
-    ``(gap at u, slope in u)``. The sweep ranks the first and last offset,
-    then splits: a stretch between two ranked offsets is filled with their
-    common value, unranked, when every gap at both ends exceeds the
-    stretch's band (``stretch_band`` at the larger |offset| of its ends).
-    Each gap must be a line in u, or a minimum of lines, while the value
-    holds, so it is concave and stays above the band inside the stretch.
-    The band dwarfs the rounding of ``(u - price) * weight`` there (about
-    1e-16 of the same scale), so every skipped ranking reads the same
-    value. Gaps are tested with ``>``, so a NaN never certifies. Filled
-    offsets share one value.
-
-    Any other stretch is split at one ranked offset. When its left end is
-    clear, the split is predicted from that end's lines (``_predicted_split``):
-    the last offset before the first falling line reaches the band, up to
-    which the value should hold, or, when that line crosses before the next
-    offset, the first offset past the crossing. When no line predicts a
-    crossing inside, or the left end is not clear, the split is the middle
-    offset. A split only decides which offsets get ranked, never a value.
-
-    ``event_sweep`` hands it the windows its event walk cannot join, each with
-    the reference probes inside it, and ``top_id_sweep`` any list of offsets.
-    """
-    offsets = list(offsets)
-    if not offsets:
-        return []
-    if any(map(gt, offsets, offsets[1:])):
-        raise ValueError("certified_sweep needs ascending offsets")
-    band_base, band_per_unit = stretch_band(instance)
-    values: list[Any] = [None] * len(offsets)
-    lines: list[Any] = [None] * len(offsets)
-    narrowest = [math.nan] * len(offsets)  # each ranked offset's smallest gap, NaN if any is
-
-    def rank(i: int) -> None:
-        values[i], lines[i] = read(offsets[i], margin_ranking(instance, offsets[i]))
-        low = math.inf
-        for gap, _ in lines[i]:
-            if not gap >= low:  # smaller, or NaN, which is kept as the answer
-                low = gap
-                if gap != gap:
-                    break
-        narrowest[i] = low
-
-    last = len(offsets) - 1
-    rank(0)
-    rank(last)
-    stretches = [(0, last)] if last > 1 else []  # (i, j) with offsets inside
-    while stretches:
-        i, j = stretches.pop()
-        reach = -offsets[i] if -offsets[i] > offsets[j] else offsets[j]  # the larger |offset|
-        band = band_base + band_per_unit * reach
-        clear = narrowest[i] > band
-        if clear and narrowest[j] > band and values[i] == values[j]:
-            values[i + 1 : j] = [values[i]] * (j - i - 1)
-            continue
-        split = _predicted_split(offsets, i, j, band, lines[i]) if clear else None
-        if split is None:
-            split = (i + j) // 2
-        rank(split)
-        if j - split > 1:
-            stretches.append((split, j))
-        if split - i > 1:
-            stretches.append((i, split))
-    return values
-
-
-def _predicted_split(
-    offsets: list[float], i: int, j: int, band: float, lines: list[tuple[float, float]]
-) -> int | None:
-    """The offset to rank inside stretch (i, j) of a sweep, from the gap lines of its clear
-    left end: the last offset before the earliest falling line reaches ``band``, where the
-    value should still hold; or, when that comes before the next offset, the first offset
-    past where the line falls below ``-band``, just past the crossing. None when no line
-    reaches the band inside the stretch or the crossing outlasts it."""
-    # how far past offsets[i] the first falling line falls to the band, and that line
-    when, first = math.inf, None
-    for gap, slope in lines:
-        if slope < 0.0 and (band - gap) / slope < when:
-            when, first = (band - gap) / slope, (gap, slope)
-    reach = offsets[i] + when
-    if not reach < offsets[j]:
-        return None
-    split = bisect_left(offsets, reach, i + 1, j) - 1
-    if split == i:
-        gap, slope = first
-        split = bisect_right(offsets, offsets[i] - (gap + band) / slope, i + 1, j)
-    return split if split < j else None
-
-
-def top_id_sweep(instance: Instance, offsets: Iterable[float], size: int) -> list[list[int]]:
-    """``top_ids(margin_ranking(instance, u), size)`` at each u in ascending ``offsets``."""
-    weight = {p.id: p.weight for p in instance.products}
-    return certified_sweep(instance, offsets, lambda u, ranked: top_with_gaps(ranked, size, weight))
-
-
-def top_with_gaps(
-    ranked: list[tuple[float, int]], size: int, weight: dict[int, float]
-) -> tuple[list[int], list[tuple[float, float]]]:
-    """``top_ids(ranked, size)`` and the lines ``(gap, slope)`` of the gaps that decide it:
-    each adjacent key gap among the members and the first outsider, the weakest member's
-    margin and, when fewer than ``size`` margins are positive, the first outsider's key. A
-    key's slope in u is its product's ``weight``. A gap up to the first outsider is a minimum
-    of lines in u, every other gap a line."""
-    top = top_ids(ranked, size)
-    lines = []
-    if ranked:
-        key, pid = ranked[0]
-        for next_key, next_pid in ranked[1 : len(top) + 1]:
-            lines.append((next_key - key, weight[next_pid] - weight[pid]))
-            key, pid = next_key, next_pid
-    if top:
-        key, pid = ranked[len(top) - 1]
-        lines.append((-key, -weight[pid]))
-    if len(top) < size and len(ranked) > len(top):
-        key, pid = ranked[len(top)]
-        lines.append((key, weight[pid]))
-    return top, lines
-
-
-def slack_with_gaps(
-    ranked: list[tuple[float, int]], size: int, delta: float, u: float, weight: dict[int, float]
-) -> tuple[tuple[list[int], frozenset[int]], list[tuple[float, float]]]:
-    """The top list and the slack set at offset u, with the lines ``(gap, slope)`` that decide
-    them: those of ``top_with_gaps`` and the two slack gaps either side of the slack set's
-    boundary. The slack set is the top set plus every product whose margin trails the weakest
-    member's (the anchor) by at most ``delta * u``; it is empty with the top list."""
-    # the slack set is a prefix of the ranking: anchor + key, how far a margin trails the
-    # anchor, is monotone along it. The slack gaps delta * u - (anchor + key) either side of
-    # its boundary are lines in u while the anchor holds, of slope delta plus or minus the
-    # gap in weight
-    top, lines = top_with_gaps(ranked, size, weight)
-    if not top:
-        return (top, frozenset()), lines
-    anchor, limit = -ranked[len(top) - 1][0], delta * u
-    anchor_weight = weight[ranked[len(top) - 1][1]]
-    within = slack_end(ranked, len(top), delta, u)
-    if within > len(top):
-        key, pid = ranked[within - 1]
-        lines.append((limit - (anchor + key), delta - (weight[pid] - anchor_weight)))
-    if within < len(ranked):
-        key, pid = ranked[within]
-        lines.append((anchor + key - limit, weight[pid] - anchor_weight - delta))
-    return (top, frozenset(map(itemgetter(1), ranked[:within]))), lines
-
-
 def slack_end(ranked: list[tuple[float, int]], k: int, delta: float, u: float) -> int:
     """Where the slack set ends in a ranking whose top list has k > 0 members: past every
     entry whose margin trails the k-th's (the anchor's) by at most ``delta * u``."""
@@ -256,7 +105,7 @@ def stretch_band(instance: Instance) -> tuple[float, float]:
     """``(base, per_unit)`` of the band ``base + per_unit * reach`` within which margins at
     offsets |u| <= reach count as tied: ``CONFIRM_BAND`` of ``max price * weight + reach *
     max weight``, which bounds every margin's scale there, since prices are >= 0. The
-    certified sweep takes it at a stretch's larger |offset|, and the tie rule of
+    event walk takes it at each offset it tests a gap at, and the tie rule of
     ``reference.mnl_opt`` at the optimal revenue. The two maxima are taken once, here. The
     band is padded by a relative 1e-12 against its own rounding, and its base is at least
     the smallest normal float: below it keys round by an absolute amount rather than a
@@ -313,9 +162,10 @@ def event_sweep(instance: Instance, size: int, delta: float | None = None) -> It
     With ``delta`` None the value is the top list, ``top_ids(margin_ranking(instance, u),
     size)``, and the probes are 0, every ``margin_breakpoints(instance)`` and one offset
     inside each interval between them (past the last, at last + 1). Otherwise it is the top
-    list and the slack set at ``delta`` (``slack_with_gaps``), and the probes are the
-    interval offsets of ``margin_breakpoints(instance, delta)``. The set of values is
-    exactly that of ranking every probe, without listing the probes.
+    list and the slack set at ``delta`` (the ids of the ranking up to ``slack_end``, none
+    when the top list is empty), and the probes are the interval offsets of
+    ``margin_breakpoints(instance, delta)``. The set of values is exactly that of ranking
+    every probe, without listing the probes.
 
     The sweep walks the events, ranking once inside each interval between consecutive
     value changes. At a ranked offset the comparisons that decide the value (each a product
@@ -327,15 +177,15 @@ def event_sweep(instance: Instance, size: int, delta: float | None = None) -> It
     the first but the crossing one clears the band at both, and every one of the second but
     its reverse clears it from where the crossing gap meets the band up to the second
     (``joined``): those gaps are lines, so they clear it in between, and every probe between
-    the two offsets reads one of their two values. A value is kept only where some probe must read it: its comparisons clear the
-    band from its offset up to just before the next event, and that stretch is wide enough
-    against its distance from the two breakpoints around it to hold a probe. Pairs of equal
-    weight never cross, and products of equal price and weight always rank by id, so
-    neither is an event or a gap. Where two ranked offsets are not joined (two gaps within
-    one band of each other: near-concurrent lines, near-parallel ones, exact ties), the
-    window between the breakpoints around them goes to ``certified_sweep`` over the
-    reference probes inside it, which it lists. The empty top list past the largest price
-    holds exactly, and ends the walk.
+    the two offsets reads one of their two values. A value is kept only where some probe
+    must read it: its comparisons clear the band from its offset up to just before the next
+    event, and that stretch is wide enough against its distance from the two breakpoints
+    around it to hold a probe. Pairs of equal weight never cross, and products of equal
+    price and weight always rank by id, so neither is an event or a gap. Where two ranked
+    offsets are not joined (two gaps within one band of each other: near-concurrent lines,
+    near-parallel ones, exact ties), the walk lists the reference probes of the window
+    between the breakpoints around them and ranks each once. The empty top list past the
+    largest price holds exactly, and ends the walk.
     """
     runs = itertools.groupby(_EventWalk(instance, size, delta).values(), key=itemgetter(1))
     return (next(run) for _, run in runs)
@@ -395,21 +245,25 @@ class _EventWalk:
         """The state at offset u, ranked just past event ``entry`` of comparison ``crossing``:
         its least gap leaving that comparison out (``rest``), and with it (``narrowest``)."""
         state = _Ranked(u, margin_ranking(self.instance, u), entry)
-        top = state.top = top_ids(state.ranked, self.size)
+        state.value, state.within = self.read(u, state.ranked)
+        top = state.top = state.value if self.delta is None else state.value[0]
         state.members = set(top)
-        if self.delta is None:
-            state.value, state.within, state.inside = top, len(top), frozenset()
-        else:  # slack_with_gaps' value
-            state.within = slack_end(state.ranked, len(top), self.delta, u) if top else 0
-            slack = frozenset(map(itemgetter(1), state.ranked[: state.within]))
-            state.value = (top, slack)
-            state.inside = slack.difference(top) if self.slack else frozenset()
+        state.inside = state.value[1].difference(top) if self.slack else frozenset()
         state.rest = self.narrowest(state, u, state.ranked, crossing)
         state.narrowest = state.rest
         if crossing is not None:  # its reverse, past the crossing
             reverse = -self.gap(crossing, u)
             state.narrowest = min(state.rest, reverse) if reverse == reverse else reverse
         return state
+
+    def read(self, u: float, ranked: list[tuple[float, int]]) -> tuple[Any, int]:
+        """The value at offset u, ranked as ``ranked``, and where its slack set ends in the
+        ranking (with ``delta`` None, the top list and its length)."""
+        top = top_ids(ranked, self.size)
+        if self.delta is None:
+            return top, len(top)
+        within = slack_end(ranked, len(top), self.delta, u) if top else 0
+        return (top, frozenset(map(itemgetter(1), ranked[:within]))), within
 
     def narrowest(self, state: _Ranked, x: float, ranked: list, skip: tuple | None) -> float:
         """The least gap at offset x, ranked as ``ranked``, of the comparisons that decide
@@ -635,16 +489,12 @@ class _EventWalk:
 
     def window(self, lo: float, hi: float) -> Iterator[tuple[float, Any]]:
         """``(probe, value)`` at every reference probe in [lo, hi], where lo and hi are 0,
-        breakpoints or inf, by ``certified_sweep``."""
-        size, delta = self.size, self.delta
-        points = margin_breakpoints(self.instance, delta or 0.0, lo, hi)
+        breakpoints or inf, each ranked once."""
+        points = margin_breakpoints(self.instance, self.delta or 0.0, lo, hi)
         probes = _midpoints(points, lo, hi == math.inf)
-        if delta is None:  # the candidate probes hold 0 and the breakpoints too
+        if self.delta is None:  # the candidate probes hold 0 and the breakpoints too
             probes = sorted([*([0.0] if lo <= 0.0 else []), *points, *probes])
-            return zip(probes, top_id_sweep(self.instance, probes, size))
-        weight = {p.id: p.weight for p in self.instance.products}
-        return zip(probes, certified_sweep(
-            self.instance, probes, lambda u, ranked: slack_with_gaps(ranked, size, delta, u, weight)))
+        return ((u, self.read(u, margin_ranking(self.instance, u))[0]) for u in probes)
 
 
 def _midpoints(points: list[float], lo: float, tail: bool) -> list[float]:

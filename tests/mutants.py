@@ -121,20 +121,6 @@ MUTANTS = [
          "tests/test_instance_io.py::TestAssortment::test_any_iterable_of_ids_is_stored_as_its_tuple[range(1, 3)]"),
     ),
     Mutant(
-        "sweep-left-gap-on-the-band-certifies",
-        "assortopt/transform.py",
-        "clear = narrowest[i] > band",
-        "clear = narrowest[i] >= band",
-        ("tests/test_reference.py::TestCandidateSweep::test_a_gap_on_the_band_never_certifies[left]",),
-    ),
-    Mutant(
-        "sweep-right-gap-on-the-band-certifies",
-        "assortopt/transform.py",
-        "and narrowest[j] > band and",
-        "and narrowest[j] >= band and",
-        ("tests/test_reference.py::TestCandidateSweep::test_a_gap_on_the_band_never_certifies[right]",),
-    ),
-    Mutant(
         "event-walk-gap-on-the-band-certifies",
         "assortopt/transform.py",
         "state.narrowest > base + per_unit * state.u",
@@ -142,12 +128,43 @@ MUTANTS = [
         ("tests/test_reference.py::TestEventSweep::test_a_least_gap_on_the_band_opens_a_window",),
     ),
     Mutant(
+        "event-walk-last-gap-on-the-band-certifies",
+        "assortopt/transform.py",
+        "and after.narrowest > base + per_unit * after.u",
+        "and after.narrowest >= base + per_unit * after.u",
+        ("tests/test_reference.py::TestEventSweep::test_a_gap_on_the_band_never_joins_the_walks_end",),
+    ),
+    Mutant(
+        "event-walk-least-gap-drops-a-nan",
+        "assortopt/transform.py",
+        "return min(gaps, default=math.inf) if total == total else math.nan",
+        "return min(gaps, default=math.inf)",
+        ("tests/test_reference.py::TestEventSweep::test_a_nan_gap_never_joins[nan-last]",),
+    ),
+    Mutant(
         "event-walk-skips-the-window",
         "assortopt/transform.py",
-        "points = margin_breakpoints(self.instance, delta or 0.0, lo, hi)",
+        "points = margin_breakpoints(self.instance, self.delta or 0.0, lo, hi)",
         "return []",
         ("tests/test_reference.py::TestCandidateSweep::test_collection_equals_the_per_cap_probe_loop_at_every_cap[integer_grid]",
          "tests/test_reference.py::TestSlackSweep::test_equals_the_per_probe_definition[0.0-duplicated_products]",
+         "tests/test_reference.py::TestEventSweep::test_window_fallback_ranks_only_inside_its_window"),
+    ),
+    Mutant(
+        "event-window-drops-its-tail-probe",
+        "assortopt/transform.py",
+        "hi == math.inf",
+        "False",
+        ("tests/test_reference.py::TestEventSweep::test_each_window_probe_is_ranked_once[weights_one_ulp_apart]",
+         "tests/test_reference.py::TestEventSweep::test_each_window_probe_is_ranked_once[duplicated_products]"),
+    ),
+    Mutant(
+        "event-window-skips-its-breakpoints",
+        "assortopt/transform.py",
+        "*points, *probes])",
+        "*probes])",
+        ("tests/test_reference.py::TestEventSweep::test_top_lists_equal_the_reference_runs_at_every_size[duplicated_products]",
+         "tests/test_reference.py::TestEventSweep::test_with_subnormal_weights",
          "tests/test_reference.py::TestEventSweep::test_window_fallback_ranks_only_inside_its_window"),
     ),
     Mutant(

@@ -32,15 +32,13 @@ from assortopt.instance import optimum_key
 from assortopt.oracles import CONFIRM_BAND
 from assortopt.reference import revenues_agree
 from assortopt.transform import (
-    certified_sweep,
     event_sweep,
     margin_breakpoints,
     margin_ranking,
+    slack_end,
     stretch_band,
-    top_id_sweep,
     top_ids,
     top_margin_set,
-    top_with_gaps,
 )
 from references import (
     UndefinedTopSetError,
@@ -242,16 +240,6 @@ class TestCandidateSweep:
         assert flipped > 0
 
     @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
-    def test_top_id_sweep_equals_fresh_top_lists_at_every_probe(self, family):
-        rng = random.Random(family.__name__)
-        for _ in range(60):
-            inst = family(rng)
-            offsets = sorted(probe_offsets(inst))
-            fresh = [margin_ranking(inst, u) for u in offsets]
-            for k in range(-1, inst.n + 2):
-                assert top_id_sweep(inst, offsets, k) == [top_ids(r, k) for r in fresh]
-
-    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
     def test_collection_stays_within_the_working_bound(self, family):
         """``candidate_set_opt`` logs a collection of more than N*C + 1 sets; none has
         one, at any cap, and the bound is met exactly somewhere."""
@@ -283,106 +271,10 @@ class TestCandidateSweep:
             "candidate collection has 5 sets, above the working bound 4 (N=3, C=1)"
         ]
 
-    def test_top_id_sweep_on_no_products_and_no_offsets(self):
-        empty = Instance(())
-        assert top_id_sweep(empty, [0.0, 1.0, 2.5], 2) == [[], [], []]
-        assert top_id_sweep(THREE, [], 2) == []
-        assert stretch_band(empty) == (sys.float_info.min, 0.0)
-        optima = candidate_set_opt(empty, 2).per_size_optima
-        assert optima == {k: (Assortment(), 0.0) for k in range(3)}
-
-    def test_top_id_sweep_with_subnormal_weights(self):
-        """Keys this small round by an absolute amount, not a relative one."""
-        inst = Instance.of([(i, 5e-324 * i, 1.0 + i / 8) for i in range(1, 9)])
-        offsets = sorted(probe_offsets(inst))
-        for k in range(inst.n + 1):
-            expected = [top_ids(margin_ranking(inst, u), k) for u in offsets]
-            assert top_id_sweep(inst, offsets, k) == expected
-
-    def test_top_id_sweep_refuses_descending_offsets(self):
-        with pytest.raises(ValueError):
-            top_id_sweep(THREE, [2.0, 1.0], 2)
-
-    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
-    def test_top_id_sweep_on_mixed_sign_offsets(self, family):
-        """Each stretch's band is taken at the larger |offset| of its two ends, which must
-        bound the rounding of every key inside it on either side of 0 as well."""
-        rng = random.Random(family.__name__)
-        for _ in range(30):
-            inst = family(rng)
-            probes = probe_offsets(inst)
-            offsets = sorted({*probes, *(-u for u in probes), -2.0 * max(probes) - 1.0})
-            fresh = [margin_ranking(inst, u) for u in offsets]
-            for k in range(-1, inst.n + 2):
-                assert top_id_sweep(inst, offsets, k) == [top_ids(r, k) for r in fresh]
-
-    @pytest.mark.parametrize(
-        "lines",
-        [[(math.nan, -1.0)], [(math.nan, 0.0), (1e300, -1.0)], [(1e300, 1.0), (math.nan, 1.0)]],
-        ids=["nan-alone", "nan-first", "nan-last"],
-    )
-    def test_a_nan_gap_never_certifies(self, lines):
-        offsets = [0.25 * i for i in range(40)]
-        read_at = []
-
-        def read(u, ranked):
-            read_at.append(u)
-            return "same", list(lines)
-
-        assert certified_sweep(THREE, offsets, read) == ["same"] * len(offsets)
-        assert sorted(read_at) == offsets
-
-    @pytest.mark.parametrize("on_band", ["left", "right"])
-    def test_a_gap_on_the_band_never_certifies(self, on_band):
-        """Gaps are tested with ``>``: a stretch whose left or right end has a gap equal to
-        the band, the other end's gap lying above it, is ranked inside, not filled."""
-        offsets = [0.0] * 40  # every stretch reaches |u| = 0, so its band is the base
-        base, per_unit = stretch_band(THREE)
-        band = base + per_unit * 0.0
-        read_at = []
-
-        def read(u, ranked):
-            # the sweep ranks the left end first, then the right end
-            left = not read_at
-            read_at.append(u)
-            return "same", [(band if left == (on_band == "left") else 2.0 * band, 0.0)]
-
-        assert certified_sweep(THREE, offsets, read) == ["same"] * len(offsets)
-        assert len(read_at) > 2
-
-    @pytest.mark.parametrize(
-        "slope",
-        [
-            lambda s, rng: abs(s),
-            lambda s, rng: 0.0,
-            lambda s, rng: -1e300,
-            lambda s, rng: rng.uniform(-3.0, 3.0),
-        ],
-        ids=["none-falling", "flat", "all-falling-steeply", "random"],
-    )
-    def test_the_slopes_only_choose_which_offsets_are_ranked(self, slope):
-        """A reader whose lines have no falling slope, or slopes that predict nothing true,
-        still gives the values of ranking every probe: a slope steers a split, never a fill."""
-        rng = random.Random(21)
-        for family in SWEEP_FAMILIES:
-            for _ in range(10):
-                inst = family(rng)
-                offsets = sorted(probe_offsets(inst))
-                weight = {p.id: p.weight for p in inst.products}
-                for k in range(inst.n + 1):
-
-                    def read(u, ranked):
-                        top, lines = top_with_gaps(ranked, k, weight)
-                        return top, [(gap, slope(s, rng)) for gap, s in lines]
-
-                    expected = [top_ids(margin_ranking(inst, u), k) for u in offsets]
-                    assert certified_sweep(inst, offsets, read) == expected
-
     def test_probe_count_pins(self, monkeypatch):
-        """Rankings on one generated instance (N = 12, 122 probes, size 4): the certified
-        sweep ranks 19 of the probes for the top lists; the event sweep ranks 7 for the top
-        lists, one per run, and ``max_slack_set_size`` 7 for the slack sets at delta = 0.1,
-        where no later slack set can be larger than the largest seen."""
+        """Rankings on one generated instance (N = 12, 122 probes, size 4): the event sweep
+        ranks 7 for the top lists, one per run, and ``max_slack_set_size`` 7 for the slack
+        sets at delta = 0.1, where no later slack set can be larger than the largest seen."""
         rng = random.Random(generated.__name__)
         generated(rng)
         inst = generated(rng)  # the family's second instance
@@ -395,9 +287,6 @@ class TestCandidateSweep:
 
         monkeypatch.setattr(transform, "margin_ranking", counting_ranking)
         assert (inst.n, len(offsets)) == (12, 122)
-        top_id_sweep(inst, offsets, 4)
-        assert len(calls) == 19
-        calls.clear()
         assert len(list(event_sweep(inst, 4))) == 7
         assert len(calls) == 7
         calls.clear()
@@ -465,7 +354,7 @@ def on_the_slack_line(rng, delta):
 
 def max_slack_set_size_per_probe(inst, size, delta):
     """The largest ``top_set_with_slack`` at each ``interval_offsets`` probe with a
-    nonempty top set: the definition the certified slack sweep must meet."""
+    nonempty top set: the definition the slack sweep must meet."""
     points = sorted(set(margin_breakpoints(inst)) | set(margin_breakpoints(inst, delta)))
     sizes = [0]
     for u in interval_offsets(points):
@@ -537,13 +426,15 @@ class TestSlackSweep:
 
 def reference_runs(inst, size, delta=None):
     """The runs of equal value over the reference probes, by ranking each probe."""
-    weight = {p.id: p.weight for p in inst.products}
     if delta is None:
-        values = [top_ids(margin_ranking(inst, u), size) for u in sorted(probe_offsets(inst))]
-    else:
-        probes = interval_offsets(margin_breakpoints(inst, delta))
-        values = [transform.slack_with_gaps(margin_ranking(inst, u), size, delta, u, weight)[0]
-                  for u in probes]
+        return [top for top, _ in itertools.groupby(
+            top_ids(margin_ranking(inst, u), size) for u in sorted(probe_offsets(inst)))]
+    values = []
+    for u in interval_offsets(margin_breakpoints(inst, delta)):
+        ranked = margin_ranking(inst, u)
+        top = top_ids(ranked, size)
+        slack = ranked[: slack_end(ranked, len(top), delta, u)] if top else []
+        values.append((top, frozenset(pid for _, pid in slack)))
     return [value for value, _ in itertools.groupby(values)]
 
 
@@ -560,15 +451,36 @@ def counting_rankings(monkeypatch):
 
 
 def counting_windows(monkeypatch):
-    """The arguments of the ``certified_sweep`` calls, which windows make."""
+    """The ``(lo, hi)`` of the windows an event walk opens, with the ``(probe, value)`` pairs
+    each gives, as they are opened."""
     windows = []
-    certified = transform.certified_sweep
+    window = transform._EventWalk.window
 
-    def counting_sweep(*args):
-        windows.append(args)
-        return certified(*args)
+    def counting_window(walk, lo, hi):
+        windows.append((lo, hi, list(window(walk, lo, hi))))
+        return iter(windows[-1][2])
 
-    monkeypatch.setattr(transform, "certified_sweep", counting_sweep)
+    monkeypatch.setattr(transform._EventWalk, "window", counting_window)
+    return windows
+
+
+def windows_after_change(monkeypatch, change):
+    """The windows an event walk opens for the top lists of a generated N = 30 instance
+    (seed 4) at size 8, which opens none, once ``change(walk, state)`` has edited each
+    ranked state. Every top list is still the reference's."""
+    inst = generate_instance(GeneratorSpec(30, seed=4))
+    runs = reference_runs(inst, 8)
+    windows = counting_windows(monkeypatch)
+    assert [top for _, top in event_sweep(inst, 8)] == runs and not windows
+    rank = transform._EventWalk.rank
+
+    def changed(walk, u, entry, crossing=None):
+        state = rank(walk, u, entry, crossing)
+        change(walk, state)
+        return state
+
+    monkeypatch.setattr(transform._EventWalk, "rank", changed)
+    assert {tuple(top) for _, top in event_sweep(inst, 8)} == set(map(tuple, runs))
     return windows
 
 
@@ -615,28 +527,44 @@ class TestEventSweep:
 
     def test_a_least_gap_on_the_band_opens_a_window(self, monkeypatch):
         """Gaps are tested with ``>``: when the first ranked offset's least gap is exactly
-        its band, the walk hands the stretch to ``certified_sweep``, which still gives the
-        reference's values."""
-        inst = generate_instance(GeneratorSpec(30, seed=4))
-        runs = reference_runs(inst, 8)
-        windows = counting_windows(monkeypatch)
-        assert [top for _, top in event_sweep(inst, 8)] == runs and not windows
-        rank = transform._EventWalk.rank
+        its band, the walk opens a window there."""
 
-        def on_the_band(walk, u, entry, crossing=None):
-            state = rank(walk, u, entry, crossing)
-            if u == 0.0:
-                state.narrowest = walk.base + walk.per_unit * u
-            return state
+        def on_the_band(walk, state):
+            if state.u == 0.0:
+                state.narrowest = walk.base + walk.per_unit * state.u
 
-        monkeypatch.setattr(transform._EventWalk, "rank", on_the_band)
-        assert {tuple(top) for _, top in event_sweep(inst, 8)} == {tuple(top) for top in runs}
-        assert len(windows) == 1
+        assert len(windows_after_change(monkeypatch, on_the_band)) == 1
+
+    def test_a_gap_on_the_band_never_joins_the_walks_end(self, monkeypatch):
+        """The walk ends at the empty top list past the largest price, which joins the
+        offset before it only if its least gap clears the band there: exactly on the band,
+        the walk opens a window up to inf instead."""
+
+        def on_the_band(walk, state):
+            if not state.top and state.u >= walk.top_price:
+                state.narrowest = walk.base + walk.per_unit * state.u
+
+        windows = windows_after_change(monkeypatch, on_the_band)
+        assert [hi for _, hi, _ in windows] == [math.inf]
+
+    @pytest.mark.parametrize(
+        "gaps",
+        [[math.nan], [math.nan, 1e300], [1e300, math.nan]],
+        ids=["nan-alone", "nan-first", "nan-last"],
+    )
+    def test_a_nan_gap_never_joins(self, monkeypatch, gaps):
+        """The least of gaps holding a NaN is NaN wherever the NaN lies, and fails every
+        ``>``: at the first ranked offset, the walk opens a window."""
+
+        def with_a_nan(walk, state):
+            if state.u == 0.0:
+                state.narrowest = transform._least(gaps)
+
+        assert len(windows_after_change(monkeypatch, with_a_nan)) == 1
 
     def test_window_fallback_ranks_only_inside_its_window(self, monkeypatch):
-        """Nearly parallel lines have no clear interval: the walk hands windows to
-        ``certified_sweep``, whose probes are the reference's, and lists the breakpoints
-        of each window only."""
+        """Nearly parallel lines have no clear interval: the walk opens windows, whose
+        probes are the reference's, and lists the breakpoints of each window only."""
         rng = random.Random(weights_one_ulp_apart.__name__)
         windowed = 0
         for _ in range(20):
@@ -657,6 +585,76 @@ class TestEventSweep:
             windowed += bool(seen)
             assert all(lo >= 0.0 and lo < hi for lo, hi in seen)
         assert windowed > 0
+
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES, ids=lambda f: f.__name__)
+    def test_top_lists_equal_the_reference_runs_at_every_size(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(60):
+            inst = family(rng)
+            for k in range(-1, inst.n + 2):
+                # around a window a value may come twice: the set is the contract
+                runs = {tuple(top) for _, top in event_sweep(inst, k)}
+                assert runs == set(map(tuple, reference_runs(inst, k)))
+
+    def test_on_no_products(self):
+        empty = Instance(())
+        assert [top for _, top in event_sweep(empty, 2)] == reference_runs(empty, 2) == [[]]
+        slack = [value for _, value in event_sweep(empty, 2, 0.1)]
+        assert slack == reference_runs(empty, 2, 0.1) == [([], frozenset())]
+        assert stretch_band(empty) == (sys.float_info.min, 0.0)
+        optima = candidate_set_opt(empty, 2).per_size_optima
+        assert optima == {k: (Assortment(), 0.0) for k in range(3)}
+
+    def test_with_subnormal_weights(self):
+        """Keys this small round by an absolute amount, not a relative one."""
+        inst = Instance.of([(i, 5e-324 * i, 1.0 + i / 8) for i in range(1, 9)])
+        for k in range(inst.n + 1):
+            for delta in (None, 0.0, 1e-3, 0.1):
+                runs = {repr(value) for _, value in event_sweep(inst, k, delta)}
+                assert runs == set(map(repr, reference_runs(inst, k, delta)))
+
+    @pytest.mark.parametrize(
+        "family, counts",
+        [(weights_one_ulp_apart, (828, 216, 9_025)), (duplicated_products, (768, 286, 1_838))],
+        ids=["weights_one_ulp_apart", "duplicated_products"],
+    )
+    def test_each_window_probe_is_ranked_once(self, monkeypatch, family, counts):
+        """Over 20 instances, at every size, for the top lists and the slack sets at delta =
+        0.1: the rankings are the walk's own ranked offsets plus the probes its windows
+        list, each ranked once. ``counts`` pins (the walk's ranked offsets, windows, window
+        probes)."""
+        rng = random.Random(family.__name__)
+        instances = [family(rng) for _ in range(20)]
+        calls, windows = counting_rankings(monkeypatch), counting_windows(monkeypatch)
+        walked = []
+        rank = transform._EventWalk.rank
+
+        def counting_rank(walk, u, entry, crossing=None):
+            walked.append(u)
+            return rank(walk, u, entry, crossing)
+
+        monkeypatch.setattr(transform._EventWalk, "rank", counting_rank)
+        for delta in (None, 0.1):
+            for inst in instances:
+                for size in range(1, inst.n + 1):
+                    for _ in event_sweep(inst, size, delta):
+                        pass
+        probes = sum(len(values) for _, _, values in windows)
+        assert len(calls) == len(walked) + probes
+        assert (len(walked), len(windows), probes) == counts
+
+    def test_twins_at_n_200(self):
+        """Each product of a generated N = 100 instance twice: products of equal price and
+        weight tie at every offset and open windows. The candidate solver's revenue is the
+        fixed point's at every size cap, and the largest slack set is the definition's."""
+        base = generate_instance(GeneratorSpec(100, seed=1))
+        inst = Instance.of([(p.id + copy * 100, p.weight, p.price)
+                            for copy in (0, 1) for p in base.products])
+        candidate, fixed_point = candidate_set_opt(inst, 8), mnl_opt(inst, 8)
+        assert [r for _, r in candidate.per_size_optima.values()] == [
+            r for _, r in fixed_point.per_size_optima.values()]
+        delta = 2.0 * slack_cap(inst, 10, 0.01)
+        assert max_slack_set_size(inst, 10, delta) == max_slack_set_size_per_probe(inst, 10, delta)
 
 
 class TestCandidateSetSolver:
