@@ -535,6 +535,19 @@ class TestEventSweep:
 
         assert len(windows_after_change(monkeypatch, on_the_band)) == 1
 
+    def test_a_gap_on_the_band_never_joins_the_walks_start(self, monkeypatch):
+        """The walk starts at offset 0, which joins the offset after it only if its least
+        gap clears the band there: exactly on the band, the walk opens a window from 0, and
+        its first probe is 0."""
+
+        def on_the_band(walk, state):
+            if state.u == 0.0:
+                state.narrowest = walk.base + walk.per_unit * state.u
+
+        windows = windows_after_change(monkeypatch, on_the_band)
+        assert [lo for lo, _, _ in windows] == [0.0]
+        assert windows[0][2][0][0] == 0.0
+
     def test_a_gap_on_the_band_never_joins_the_walks_end(self, monkeypatch):
         """The walk ends at the empty top list past the largest price, which joins the
         offset before it only if its least gap clears the band there: exactly on the band,
