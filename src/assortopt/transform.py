@@ -184,8 +184,8 @@ def event_sweep(instance: Instance, size: int, delta: float | None = None) -> It
     price and weight always rank by id, so neither is an event or a gap. Where two ranked
     offsets are not joined (two gaps within one band of each other: near-concurrent lines,
     near-parallel ones, exact ties), the walk lists the reference probes of the window
-    between the breakpoints around them and ranks each once. The empty top list past the
-    largest price holds exactly, and ends the walk.
+    between the breakpoints around them and ranks each once. The walk ends at its first empty
+    top list, which holds exactly from there on: no key falls as the offset rises.
     """
     runs = itertools.groupby(_EventWalk(instance, size, delta).values(), key=itemgetter(1))
     return (next(run) for _, run in runs)
@@ -236,7 +236,6 @@ class _EventWalk:
         # products of equal price and weight have equal keys at every offset: rank by id
         self.twins = len({(p.price, p.weight) for p in products}) < len(products)
         self.base, self.per_unit = stretch_band(instance)
-        self.top_price = max((p.price for p in products), default=0.0)
         # no gap's slope in u exceeds the largest weight, plus delta for a slack gap
         self.steepest = max((p.weight for p in products), default=0.0) + (delta if self.slack else 0.0)
         self.listed, self.queue, self.head = None, [], 0  # see ``outsider_events``
@@ -334,16 +333,14 @@ class _EventWalk:
         margin_b = 0.0 if b is None else (self.line[b][0] - x) * self.line[b][1]
         return sign * ((self.line[a][0] - x) * self.line[a][1] - margin_b - shift * x)
 
-    def next_event(self, state: _Ranked) -> tuple | None:
+    def next_event(self, state: _Ranked) -> tuple:
         """The earliest crossing past ``state.u`` of a falling deciding gap, as ``(offset,
-        |slope|, *comparison)``, each by ``margin_breakpoints``' formula; None if none falls."""
-        top = state.top
-        if not top:
-            return None
-        u, line = state.u, self.line
+        |slope|, *comparison)``, each by ``margin_breakpoints``' formula. The weakest member's
+        key is negative only below its price, so its zero crossing is always ahead."""
+        top, u, line = state.top, state.u, self.line
         weakest = top[-1]
         price_w, weight_w, value_w = line[weakest]
-        events = [(price_w, weight_w, weakest, None, 0.0, 1.0)] if price_w > u else []
+        events = [(price_w, weight_w, weakest, None, 0.0, 1.0)]
         for a, b in zip(top, top[1:]):
             _, weight_a, value_a = line[a]
             _, weight_b, value_b = line[b]
@@ -358,7 +355,7 @@ class _EventWalk:
                 events.append(event)
                 break
             self.head += 1
-        return min(events, key=itemgetter(0), default=None)
+        return min(events, key=itemgetter(0))
 
     def outsider_events(self, state: _Ranked) -> list[tuple]:
         """The crossings of the weakest member with the outsiders, in ascending order: with
@@ -392,17 +389,16 @@ class _EventWalk:
         return queue
 
     def states(self) -> Iterator[_Ranked]:
-        """The ranked offsets in ascending order, each with ``seen`` and ``event`` set."""
+        """The ranked offsets in ascending order, each with ``seen`` and ``event`` set, up to
+        the first empty top list: no key is negative there, and none falls as u rises, since
+        rounding ``(u - price) * weight`` is monotone in u. The last probe reads it too."""
         state = self.rank(0.0, 0.0)
         while True:
-            if not state.top and (self.size <= 0 or state.u >= self.top_price):
-                state.seen = True  # the empty top list holds exactly at every offset from here
+            if not state.top:
+                state.seen = True
                 yield state
                 return
             found = self.next_event(state)
-            if found is None:
-                yield state
-                return
             t, slope, crossing = found[0], found[1], found[2:]
             # the band at offset x >= 0 is base + per_unit * x: affine in x, so a gap line that
             # clears it at two offsets clears it between them
@@ -440,8 +436,6 @@ class _EventWalk:
         moved = after.inside ^ state.inside  # outsiders on the other side of the slack line
         if (after.members == state.members and after.top[-1:] == state.top[-1:]
                 and moved <= {crossing[1] if crossing[2] else None}):
-            if after.top == state.top:
-                return True
             pairs_before = set(zip(state.top, state.top[1:]))
             pairs_after = set(zip(after.top, after.top[1:]))
             skip = {(crossing[0], crossing[1]), (crossing[1], crossing[0])}
@@ -478,14 +472,9 @@ class _EventWalk:
                     lo = before.entry
                 left = joined
             before = state
-        if before.seen:  # the last state holds to the end
-            if lo is not None:
-                yield from self.window(lo, math.inf)
-            yield before.u, before.value
-        else:
-            if left:
-                yield before.u, before.value
-            yield from self.window(before.entry if lo is None else lo, math.inf)
+        if lo is not None:  # the last state, the empty top list, holds to the end
+            yield from self.window(lo, math.inf)
+        yield before.u, before.value
 
     def window(self, lo: float, hi: float) -> Iterator[tuple[float, Any]]:
         """``(probe, value)`` at every reference probe in [lo, hi], where lo and hi are 0,

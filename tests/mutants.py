@@ -179,10 +179,61 @@ MUTANTS = [
     Mutant(
         "event-walk-takes-the-second-event",
         "assortopt/transform.py",
-        "return min(events, key=itemgetter(0), default=None)",
-        "return (sorted(events, key=itemgetter(0))[1:2] or [None])[0]",
+        "return min(events, key=itemgetter(0))",
+        "return (sorted(events, key=itemgetter(0))[1:2] or events)[0]",
         ("tests/test_reference.py::TestCandidateSweep::test_probe_count_pins",
          "tests/test_reference.py::TestSlackSweep::test_probe_count_pins[600-498-629]"),
+    ),
+    Mutant(
+        "event-walk-leaves-its-end-unseen",
+        "assortopt/transform.py",
+        "                state.seen = True\n",
+        "",
+        ("tests/test_reference.py::TestCandidateSweep::test_probe_count_pins",
+         "tests/test_reference.py::TestEventSweep::test_top_lists_rank_once_per_run[30]"),
+    ),
+    Mutant(
+        "event-walk-ends-only-past-0",
+        "assortopt/transform.py",
+        "if not state.top:",
+        "if not state.top and state.u > 0.0:",
+        ("tests/test_reference.py::TestEventSweep::test_margins_that_round_to_zero_end_the_walk_at_0",),
+    ),
+    Mutant(
+        "event-walk-keeps-a-value-without-room-for-a-probe",
+        "assortopt/transform.py",
+        "                and clear_to - state.u >= 2.0 * (state.u - state.entry + radius)\n",
+        "",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[dispersed_weights]",),
+    ),
+    Mutant(
+        "event-walk-tests-twins-as-a-gap",
+        "assortopt/transform.py",
+        "        if self.twins:\n",
+        "        if False:\n",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[integer_grid]",),
+    ),
+    Mutant(
+        "event-walk-tests-the-weakest-against-its-twin",
+        "assortopt/transform.py",
+        "if other not in members and other != partner and line[other] != twin:",
+        "if other not in members and other != partner:",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[priced_at_a_set_revenue]",),
+    ),
+    Mutant(
+        "event-walk-tests-the-anchor-against-its-twin",
+        "assortopt/transform.py",
+        "                    if other != partner and line[other] != twin:\n",
+        "                    if other != partner:\n",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[priced_at_a_set_revenue]",),
+    ),
+    Mutant(
+        "event-walk-joins-without-interpolating",
+        "assortopt/transform.py",
+        "return share * before + (1.0 - share) * after.rest > band_x",
+        "return False",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[tiny_weights]",
+         "tests/test_reference.py::TestEventSweep::test_ranking_count_pins[dispersed_weights]"),
     ),
     Mutant(
         "tie-band-extra-slot",

@@ -551,6 +551,27 @@ def test_batched_scoring_matches_evaluate_fallback(spec):
         )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NoiseSpec(mode="fixed", eps=0.01, seed=4),
+        NoiseSpec(mode="seeded-uniform", eps=0.001, seed=17),
+        NoiseSpec(mode="seeded-uniform", eps=0.2, seed=18),
+        NoiseSpec(mode="seeded-uniform", eps=0.9, seed=19),
+    ],
+    ids=["fixed-0.01", "seeded-uniform-0.001", "seeded-uniform-0.2", "seeded-uniform-0.9"],
+)
+def test_noise_over_a_base_without_the_hook_matches_noise_over_the_exact_oracle(spec):
+    """``NoisyOracle`` over a plug-in base with only ``evaluate`` estimates every move with
+    it: the solve has the best set, revenue, call count and traces of the same noise over
+    ``ExactMnlOracle``, whose hook leaves out the moves that cannot win."""
+    for inst, config in differential_cases():
+        exact = ExactMnlOracle(inst)
+        hooked = greedy_opt(config, inst.ids(), NoisyOracle(exact, spec), trace=True)
+        plain = greedy_opt(config, inst.ids(), NoisyOracle(EvaluateOnly(exact), spec), trace=True)
+        assert plain == hooked
+
+
 def test_solver_confirms_unconfirmed_plug_in_estimates():
     for inst, config in differential_cases():
         for oracle in (ExactMnlOracle(inst),

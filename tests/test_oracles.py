@@ -22,7 +22,13 @@ from assortopt.generate import GeneratorSpec, generate_instance
 from assortopt.oracles import CONFIRM_BAND, MovePass, best_move
 from references import NO_PURCHASE, InvalidChoiceError, mnl_choice_prob
 from test_greedy import NudgedEstimates, pass_estimates
-from test_reference import TIE_FAMILIES, weights_one_ulp_apart
+from test_reference import (
+    TIE_FAMILIES,
+    dispersed_weights,
+    subnormal_weights,
+    tiny_weights,
+    weights_one_ulp_apart,
+)
 
 
 THREE = Instance.of([(1, 1.0, 10.0), (2, 2.0, 6.0), (3, 0.5, 12.0)])
@@ -555,30 +561,6 @@ class TestScoreMoves:
                 best_move(counting, current, moves, -math.inf)
                 assert len(base.evaluated) == band
                 assert stats.call_count == len(moves)
-
-
-def tiny_weights(rng):
-    """Weights near 1e-300, some beside large prices: every margin is tiny, rounding is relative."""
-    n = rng.randint(2, 12)
-    return Instance.of([(i, rng.uniform(0.1, 10.0) * 1e-300,
-                         rng.choice([0.0, rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0) * 1e290]))
-                        for i in range(1, n + 1)])
-
-
-def subnormal_weights(rng):
-    """Subnormal weights, some beside normal ones: products round by an absolute amount."""
-    n = rng.randint(2, 12)
-    return Instance.of([(i, rng.choice([5e-324 * rng.randint(1, 2**20), rng.uniform(0.1, 5.0)]),
-                         rng.choice([0.0, rng.uniform(0.0, 50.0)]))
-                        for i in range(1, n + 1)])
-
-
-def dispersed_weights(rng):
-    """Weights from 1e-8 to 1e8 with price * weight 1 or 2: margins at a revenue u scale
-    with u * weight, far above every price * weight."""
-    n = rng.randint(2, 12)
-    weights = [10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)]
-    return Instance.of([(i, w, rng.choice([1.0, 2.0]) / w) for i, w in enumerate(weights, start=1)])
 
 
 CANDIDATE_FAMILIES = [*TIE_FAMILIES, weights_one_ulp_apart, tiny_weights, subnormal_weights,

@@ -160,6 +160,30 @@ def weights_one_ulp_apart(rng):
 SWEEP_FAMILIES = [generated, *TIE_FAMILIES, weights_one_ulp_apart]
 
 
+def tiny_weights(rng):
+    """Weights near 1e-300, some beside large prices: every margin is tiny, rounding is relative."""
+    n = rng.randint(2, 12)
+    return Instance.of([(i, rng.uniform(0.1, 10.0) * 1e-300,
+                         rng.choice([0.0, rng.uniform(1.0, 50.0), rng.uniform(1.0, 50.0) * 1e290]))
+                        for i in range(1, n + 1)])
+
+
+def subnormal_weights(rng):
+    """Subnormal weights, some beside normal ones: products round by an absolute amount."""
+    n = rng.randint(2, 12)
+    return Instance.of([(i, rng.choice([5e-324 * rng.randint(1, 2**20), rng.uniform(0.1, 5.0)]),
+                         rng.choice([0.0, rng.uniform(0.0, 50.0)]))
+                        for i in range(1, n + 1)])
+
+
+def dispersed_weights(rng):
+    """Weights from 1e-8 to 1e8 with price * weight 1 or 2: margins at a revenue u scale
+    with u * weight, far above every price * weight."""
+    n = rng.randint(2, 12)
+    weights = [10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)]
+    return Instance.of([(i, w, rng.choice([1.0, 2.0]) / w) for i, w in enumerate(weights, start=1)])
+
+
 def margin_scale_band(inst, u):
     """``CONFIRM_BAND`` of the largest (price + u) * weight, the scale of every margin at u."""
     return CONFIRM_BAND * max((p.price + u) * p.weight for p in inst.products)
@@ -549,12 +573,12 @@ class TestEventSweep:
         assert windows[0][2][0][0] == 0.0
 
     def test_a_gap_on_the_band_never_joins_the_walks_end(self, monkeypatch):
-        """The walk ends at the empty top list past the largest price, which joins the
-        offset before it only if its least gap clears the band there: exactly on the band,
-        the walk opens a window up to inf instead."""
+        """The walk ends at its first empty top list, which joins the offset before it only
+        if its least gap clears the band there: exactly on the band, the walk opens a window
+        up to inf instead."""
 
         def on_the_band(walk, state):
-            if not state.top and state.u >= walk.top_price:
+            if not state.top:
                 state.narrowest = walk.base + walk.per_unit * state.u
 
         windows = windows_after_change(monkeypatch, on_the_band)
@@ -655,6 +679,41 @@ class TestEventSweep:
         probes = sum(len(values) for _, _, values in windows)
         assert len(calls) == len(walked) + probes
         assert (len(walked), len(windows), probes) == counts
+
+    @pytest.mark.parametrize(
+        "family, ranked",
+        [(integer_grid, 22_767), (priced_at_a_set_revenue, 26_581), (tiny_weights, 27_456),
+         (subnormal_weights, 30_333), (dispersed_weights, 57_343)],
+        ids=["integer_grid", "priced_at_a_set_revenue", "tiny_weights", "subnormal_weights",
+             "dispersed_weights"],
+    )
+    def test_ranking_count_pins(self, monkeypatch, family, ranked):
+        """Over 40 instances, at every size from -1 to N + 1, for the top lists and the slack
+        sets at delta = 0, 1e-3 and 0.1: the set of values is the reference's, and the walk
+        and its windows rank ``ranked`` offsets in all. A value kept without room for a probe,
+        twins tested against each other, or ``joined`` without its interpolation, each moves
+        a count but no value."""
+        rng = random.Random(family.__name__)
+        calls = counting_rankings(monkeypatch)
+        for _ in range(40):
+            inst = family(rng)
+            for k in range(-1, inst.n + 2):
+                for delta in (None, 0.0, 1e-3, 0.1):
+                    runs = {repr(value) for _, value in event_sweep(inst, k, delta)}
+                    assert runs == set(map(repr, reference_runs(inst, k, delta)))
+        assert len(calls) == ranked
+
+    def test_margins_that_round_to_zero_end_the_walk_at_0(self, monkeypatch):
+        """At weight 5e-324 and price 0.5 the margin rounds to 0 below the price and is
+        negative above it, so the top list is empty from offset 0 on: the walk ranks once
+        and opens no window."""
+        inst = Instance.of([(1, 5e-324, 0.5)])
+        for delta in (None, 0.0, 0.1):
+            runs = reference_runs(inst, 1, delta)
+            calls, windows = counting_rankings(monkeypatch), counting_windows(monkeypatch)
+            assert [value for _, value in event_sweep(inst, 1, delta)] == runs
+            assert (len(calls), windows) == (1, [])
+            monkeypatch.undo()
 
     def test_twins_at_n_200(self):
         """Each product of a generated N = 100 instance twice: products of equal price and
