@@ -72,10 +72,9 @@ def compute_bounds(
 
     eta = 4 * C * eps / (1 - eps); the guarantee scales eta by the ratio of
     the heaviest possible offered weight to the optimum's weight. The
-    estimate-slack cap is max_offered_weight * eps / (1 - eps).
+    estimate-slack cap is max_offered_weight * eps / (1 - eps), and
+    ``slack_cap`` refuses an ``eps_max`` outside [0, 1) before eta is computed.
     """
-    if not 0.0 <= eps_max < 1.0:
-        raise ValidationError("eps_max must lie in [0, 1)", code="bad-noise")
     heaviest = 1.0 + instance.top_weight_sum(capacity)
     opt_weight = total_weight(instance, opt.assortment)
     delta_cap = slack_cap(instance, capacity, eps_max)
@@ -93,7 +92,10 @@ def compute_bounds(
 
 
 def slack_cap(instance: Instance, capacity: int, eps: float) -> float:
-    """Closed-form estimate-slack cap (1 + top C weights) * eps / (1 - eps)."""
+    """Closed-form estimate-slack cap (1 + top C weights) * eps / (1 - eps); an eps
+    outside [0, 1) (NaN too) is ``bad-noise``."""
+    if not 0.0 <= eps < 1.0:
+        raise ValidationError("eps must lie in [0, 1)", code="bad-noise")
     return (1.0 + instance.top_weight_sum(capacity)) * eps / (1.0 - eps)
 
 

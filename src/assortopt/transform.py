@@ -174,14 +174,17 @@ def event_sweep(instance: Instance, size: int, delta: float | None = None) -> It
     operand order, so each event is one of the reference breakpoints. The next offset
     ranked lies just past it, where the crossing pair's gap has grown to twice the band
     (``stretch_band``). Two consecutive ranked offsets are joined when every comparison of
-    the first but the crossing one clears the band at both, and every one of the second but
-    its reverse clears it from where the crossing gap meets the band up to the second
-    (``joined``): those gaps are lines, so they clear it in between, and every probe between
-    the two offsets reads one of their two values. A value is kept only where some probe
-    must read it: its comparisons clear the band from its offset up to just before the next
-    event, and that stretch is wide enough against its distance from the two breakpoints
-    around it to hold a probe. Pairs of equal weight never cross, and products of equal
-    price and weight always rank by id, so neither is an event or a gap. Where two ranked
+    each but the crossing pair's clears the band at both, the second's from where the
+    crossing gap meets the band (``joined``): those gaps are lines, so they clear it in
+    between, and every probe between the two offsets reads one of their two values, on
+    whichever side of the crossing it falls. A value is kept only where some probe must read
+    it: its comparisons clear the band from its offset up to just before the next event, and
+    that stretch is wide enough against its distance from the two breakpoints around it to
+    hold a probe. Pairs of equal weight never cross, and products of equal price and weight
+    (twins) always rank by id, next to each other in every ranking, so neither is an event or
+    a gap. The crossings of the weakest member are listed once per weakest and member set: a
+    lighter member's crossing with the weakest lies behind the walk, and a listed outsider
+    keeps its side of the slack line until the walk passes its crossing. Where two ranked
     offsets are not joined (two gaps within one band of each other: near-concurrent lines,
     near-parallel ones, exact ties), the walk lists the reference probes of the window
     between the breakpoints around them and ranks each once. The walk ends at its first empty
@@ -194,7 +197,7 @@ def event_sweep(instance: Instance, size: int, delta: float | None = None) -> It
 class _Ranked:
     """One ranked offset of an event walk: the reader's value there and what decides it."""
 
-    __slots__ = ("u", "ranked", "entry", "top", "members", "within", "inside", "value", "rest",
+    __slots__ = ("u", "ranked", "entry", "top", "members", "within", "inside", "value",
                  "narrowest", "event", "seen")
 
     def __init__(self, u: float, ranked: list[tuple[float, int]], entry: float):
@@ -241,18 +244,16 @@ class _EventWalk:
         self.listed, self.queue, self.head = None, [], 0  # see ``outsider_events``
 
     def rank(self, u: float, entry: float, crossing: tuple | None = None) -> _Ranked:
-        """The state at offset u, ranked just past event ``entry`` of comparison ``crossing``:
-        its least gap leaving that comparison out (``rest``), and with it (``narrowest``)."""
+        """The state at offset u, ranked just past event ``entry`` of comparison ``crossing``,
+        with its least gap leaving out the comparison on that pair (``narrowest``). Whichever
+        way a probe orders the pair, it reads one of the two values around the crossing, so the
+        reversed gap needs no test; at u it is twice the band at twice the event's offset."""
         state = _Ranked(u, margin_ranking(self.instance, u), entry)
         state.value, state.within = self.read(u, state.ranked)
         top = state.top = state.value if self.delta is None else state.value[0]
         state.members = set(top)
         state.inside = state.value[1].difference(top) if self.slack else frozenset()
-        state.rest = self.narrowest(state, u, state.ranked, crossing)
-        state.narrowest = state.rest
-        if crossing is not None:  # its reverse, past the crossing
-            reverse = -self.gap(crossing, u)
-            state.narrowest = min(state.rest, reverse) if reverse == reverse else reverse
+        state.narrowest = self.narrowest(state, u, state.ranked, crossing)
         return state
 
     def read(self, u: float, ranked: list[tuple[float, int]]) -> tuple[Any, int]:
@@ -272,32 +273,27 @@ class _EventWalk:
             return math.inf
         line, top, members = self.line, state.top, state.members
         k = len(top)
-        own = ranked is state.ranked  # the members lead it, with their keys
-        if own:
-            keys = [entry[0] for entry in ranked[:k]]
-        else:
-            keys = [(x - line[pid][0]) * line[pid][1] for pid in top]
+        keys = [(x - line[pid][0]) * line[pid][1] for pid in top]
         gaps = list(map(sub, keys[1:], keys))
         a, b, shift = skip[:3] if skip is not None else (_NO_PRODUCT, _NO_PRODUCT, None)
-        if shift == 0.0 and a in members and b in members:
+        if a in members and b in members:
             i, j = top.index(a), top.index(b)
             if abs(i - j) == 1:
                 gaps[min(i, j)] = math.inf
         if self.twins:
             gaps = [math.inf if line[a] == line[b] else gap for a, b, gap in zip(top, top[1:], gaps)]
         # the product whose zero line is left out, and the weakest's partner left out
-        unsigned = a if shift == 0.0 and b is None else _NO_PRODUCT
+        unsigned = a if b is None else _NO_PRODUCT
         weakest = top[-1] if top else None
         partner = (b if a == weakest else a if b == weakest else _NO_PRODUCT) if shift == 0.0 else _NO_PRODUCT
-        start = k if own else 0  # where the outsiders may start
         if k == self.size:  # the weakest against every outsider
             key_w, twin = keys[-1], line[weakest]
-            for key, other in itertools.islice(ranked, start, None):
+            for key, other in ranked:
                 if other not in members and other != partner and line[other] != twin:
                     gaps.append(key - key_w)
                     break
         else:  # every outsider against zero
-            for key, other in itertools.islice(ranked, start, None):
+            for key, other in ranked:
                 if other not in members and other != unsigned:
                     gaps.append(key)
                     break
@@ -308,21 +304,20 @@ class _EventWalk:
         if self.slack:  # the anchor against every outsider, at shift delta
             inside, twin = state.inside, line[weakest]
             anchor, limit = -keys[-1], self.delta * x
-            partner = b if shift == self.delta and a == weakest else _NO_PRODUCT
+            own = ranked is state.ranked  # the members and the slack set lead it
             if own:  # the slack set's outsiders follow the members, the highest key last
                 highest = None
                 for i in range(state.within - 1, k - 1, -1):
                     key, other = ranked[i]
-                    if other != partner and line[other] != twin:
+                    if line[other] != twin:
                         highest = key
                         break
             else:
-                highest = max(((x - line[o][0]) * line[o][1] for o in inside
-                               if o != partner and line[o] != twin), default=None)
+                highest = max(((x - line[o][0]) * line[o][1] for o in inside), default=None)
             if highest is not None:
                 gaps.append(limit - (anchor + highest))
             for key, other in itertools.islice(ranked, state.within if own else 0, None):
-                if other not in members and other not in inside and other != partner:
+                if other not in members and other not in inside:
                     gaps.append(anchor + key - limit)
                     break
         return _least(gaps)
@@ -348,10 +343,10 @@ class _EventWalk:
                 t = (value_a - value_b) / (weight_a - weight_b)
                 if t > u:
                     events.append((t, weight_a - weight_b, a, b, 0.0, 1.0))
-        queue, inside = self.outsider_events(state), state.inside
-        while self.head < len(queue):  # the first listed crossing still ahead, on its side
+        queue = self.outsider_events(state)
+        while self.head < len(queue):  # the first listed crossing still ahead
             event = queue[self.head]
-            if event[0] > u and (not event[4] or (event[3] in inside) == (event[5] < 0.0)):
+            if event[0] > u:
                 events.append(event)
                 break
             self.head += 1
@@ -359,11 +354,12 @@ class _EventWalk:
 
     def outsider_events(self, state: _Ranked) -> list[tuple]:
         """The crossings of the weakest member with the outsiders, in ascending order: with
-        every lighter one when the top list is full, and at shift delta with every one on the
-        side of the slack line it lies. They depend only on the weakest and the members, and
-        on each outsider's side, which only its own crossing turns, after which its line
-        rises; so they are listed once per weakest and member set (``head`` counts those
-        behind the walk)."""
+        every lighter product when the top list is full, and at shift delta with every
+        outsider on the side of the slack line it lies. A lighter member's margin falls more
+        slowly than the weakest's, so its crossing lies behind the walk. The crossings depend
+        only on the weakest and the members, and on each outsider's side, which only its own
+        crossing turns, after which its line rises; so they are listed once per weakest and
+        member set (``head`` counts those behind the walk)."""
         top, members = state.top, state.members
         weakest = top[-1]
         if self.listed == (weakest, members):
@@ -371,11 +367,10 @@ class _EventWalk:
         line = self.line
         _, weight_w, value_w = line[weakest]
         queue = []
-        if len(top) == self.size:  # only a lighter outsider can overtake the weakest
+        if len(top) == self.size:  # only a lighter product can overtake the weakest
             for weight_o, value_o, other in self.by_weight[: bisect_left(self.by_weight, (weight_w,))]:
-                if other not in members:
-                    slope = weight_w - weight_o
-                    queue.append(((value_w - value_o) / slope, slope, weakest, other, 0.0, 1.0))
+                slope = weight_w - weight_o
+                queue.append(((value_w - value_o) / slope, slope, weakest, other, 0.0, 1.0))
         if self.slack:
             delta, inside = self.delta, state.inside
             for _, other in itertools.islice(state.ranked, len(top), None):
@@ -413,22 +408,22 @@ class _EventWalk:
             state.seen = (
                 state.narrowest > base + per_unit * state.u
                 and after.narrowest > base + per_unit * after.u
-                and self.gap(crossing, clear_to) > base + per_unit * clear_to
                 and clear_to - state.u >= 2.0 * (state.u - state.entry + radius)
                 and self.joined(state, after, crossing, clear_to)
             )
-            state.ranked = None
             yield state
             state = after
 
     def joined(self, state: _Ranked, after: _Ranked, crossing: tuple, x: float) -> bool:
         """Whether every comparison of ``state`` but ``crossing`` clears the band up to
-        ``after``'s offset, and every comparison of ``after`` but its reverse clears it from x.
+        ``after``'s offset, and every comparison of ``after`` but the one on the crossing pair
+        clears it from x.
 
-        Both hold at their own offsets already (``narrowest`` and ``rest``), so a comparison
-        the two states share clears the band between them. When they share every one but some
+        Both hold at their own offsets already (``narrowest``), so a comparison the two
+        states share clears the band between them. When they share every one but some
         adjacent member pairs (same members, weakest and slack set, up to the crossing), only
-        those pairs are evaluated; otherwise each state's comparisons are, at the other's
+        those pairs are evaluated: twins stay adjacent in every ranking, so a pair of twins is
+        in both top lists or in neither. Otherwise each state's comparisons are, at the other's
         offset, and ``after``'s at x bounded below by the steepest slope or, failing that,
         by interpolating its least gaps at both offsets: each gap is a line, and a least gap
         of lines is at least the interpolated least gaps."""
@@ -444,16 +439,15 @@ class _EventWalk:
                 for pairs, offset, band in ((pairs_before - pairs_after, after.u, band_after),
                                             (pairs_after - pairs_before, x, band_x))
                 for a, b in pairs - skip
-                if self.line[a] != self.line[b]
             )
         if not self.narrowest(state, after.u, after.ranked, crossing) > band_after:
             return False
-        bound = after.rest - self.steepest * (after.u - x)
+        bound = after.narrowest - self.steepest * (after.u - x)
         if bound > band_x:
             return True
         share = (after.u - x) / (after.u - state.u)
         before = self.narrowest(after, state.u, state.ranked, crossing)
-        return share * before + (1.0 - share) * after.rest > band_x
+        return share * before + (1.0 - share) * after.narrowest > band_x
 
     def values(self) -> Iterator[tuple[float, Any]]:
         """``(offset, value)`` of each kept state and of each window probe, in the order

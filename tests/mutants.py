@@ -223,17 +223,45 @@ MUTANTS = [
     Mutant(
         "event-walk-tests-the-anchor-against-its-twin",
         "assortopt/transform.py",
-        "                    if other != partner and line[other] != twin:\n",
-        "                    if other != partner:\n",
+        "                    if line[other] != twin:\n",
+        "                    if True:\n",
         ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[priced_at_a_set_revenue]",),
     ),
     Mutant(
         "event-walk-joins-without-interpolating",
         "assortopt/transform.py",
-        "return share * before + (1.0 - share) * after.rest > band_x",
+        "return share * before + (1.0 - share) * after.narrowest > band_x",
         "return False",
         ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[tiny_weights]",
          "tests/test_reference.py::TestEventSweep::test_ranking_count_pins[dispersed_weights]"),
+    ),
+    Mutant(
+        "event-walk-leaves-out-the-weakests-zero-at-any-crossing",
+        "assortopt/transform.py",
+        "unsigned = a if b is None else _NO_PRODUCT",
+        "unsigned = a",
+        ("tests/test_reference.py::TestEventSweep::test_an_outsider_overtaking_the_weakest_at_its_zero_is_not_joined[0.001]",),
+    ),
+    Mutant(
+        "event-walk-joins-a-changed-member-set-by-its-pairs",
+        "assortopt/transform.py",
+        "if (after.members == state.members and after.top[-1:] == state.top[-1:]",
+        "if (after.top[-1:] == state.top[-1:]",
+        ("tests/test_reference.py::TestEventSweep::test_a_member_leaving_behind_the_weakest_is_not_joined_by_pairs[None-26]",),
+    ),
+    Mutant(
+        "event-walk-joins-without-the-steepest-bound",
+        "assortopt/transform.py",
+        "        if bound > band_x:\n            return True\n",
+        "",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[generated]",),
+    ),
+    Mutant(
+        "slack-cap-takes-any-eps",
+        "assortopt/analysis.py",
+        "    if not 0.0 <= eps < 1.0:\n",
+        "    if False:\n",
+        ("tests/test_analysis.py::TestComputeBounds::test_eps_out_of_range_rejected",),
     ),
     Mutant(
         "tie-band-extra-slot",

@@ -32,7 +32,7 @@ from assortopt import (
     top_margin_set,
     total_weight,
 )
-from assortopt.analysis import FLOAT_SLACK, TraceViolation, trace_bookkeeping_problems
+from assortopt.analysis import FLOAT_SLACK, TraceViolation, slack_cap, trace_bookkeeping_problems
 from assortopt.errors import ConfigError, InvalidAssortmentError
 from assortopt.generate import GeneratorSpec, generate_instance
 from references import UndefinedTopSetError, interval_offsets, top_set_with_slack
@@ -294,6 +294,11 @@ class TestComputeBounds:
         opt = brute_force_opt(ExactMnlOracle(THREE), THREE.ids(), 2)
         with pytest.raises(ValidationError):
             compute_bounds(THREE, 2, 1.0, opt)
+        # at 1.0 the cap divides by zero, and past either end it is negative
+        for eps in (1.0, 1.5, -0.1, math.nan):
+            with pytest.raises(ValidationError) as exc:
+                slack_cap(THREE, 2, eps)
+            assert exc.value.code == "bad-noise"
 
     def test_exact_delta_cap_never_exceeds_closed_form(self):
         rng = random.Random(6)

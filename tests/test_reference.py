@@ -681,27 +681,40 @@ class TestEventSweep:
         assert (len(walked), len(windows), probes) == counts
 
     @pytest.mark.parametrize(
-        "family, ranked",
-        [(integer_grid, 22_767), (priced_at_a_set_revenue, 26_581), (tiny_weights, 27_456),
-         (subnormal_weights, 30_333), (dispersed_weights, 57_343)],
-        ids=["integer_grid", "priced_at_a_set_revenue", "tiny_weights", "subnormal_weights",
-             "dispersed_weights"],
+        "family, ranked, gaps",
+        [(generated, 21_449, 33_173), (duplicated_products, 10_661, 8_292),
+         (zero_prices, 1_616, 1_616), (integer_grid, 22_767, 8_496),
+         (priced_at_a_set_revenue, 26_581, 17_103), (weights_one_ulp_apart, 47_859, 5_007),
+         (tiny_weights, 27_456, 12_196), (subnormal_weights, 30_333, 5_072),
+         (dispersed_weights, 57_343, 12_863)],
+        ids=["generated", "duplicated_products", "zero_prices", "integer_grid",
+             "priced_at_a_set_revenue", "weights_one_ulp_apart", "tiny_weights",
+             "subnormal_weights", "dispersed_weights"],
     )
-    def test_ranking_count_pins(self, monkeypatch, family, ranked):
+    def test_ranking_count_pins(self, monkeypatch, family, ranked, gaps):
         """Over 40 instances, at every size from -1 to N + 1, for the top lists and the slack
-        sets at delta = 0, 1e-3 and 0.1: the set of values is the reference's, and the walk
-        and its windows rank ``ranked`` offsets in all. A value kept without room for a probe,
-        twins tested against each other, or ``joined`` without its interpolation, each moves
-        a count but no value."""
+        sets at delta = 0, 1e-3 and 0.1: the set of values is the reference's, the walk and
+        its windows rank ``ranked`` offsets in all, and the walk takes ``gaps`` least gaps
+        (``_EventWalk.narrowest`` calls). A value kept without room for a probe, twins tested
+        against each other, or ``joined`` without its interpolation, each moves a ranking
+        count but no value; ``joined`` without its steepest-slope bound moves the gap count."""
         rng = random.Random(family.__name__)
         calls = counting_rankings(monkeypatch)
+        least = []
+        narrowest = transform._EventWalk.narrowest
+
+        def counting_narrowest(walk, state, x, ranked, skip):
+            least.append(x)
+            return narrowest(walk, state, x, ranked, skip)
+
+        monkeypatch.setattr(transform._EventWalk, "narrowest", counting_narrowest)
         for _ in range(40):
             inst = family(rng)
             for k in range(-1, inst.n + 2):
                 for delta in (None, 0.0, 1e-3, 0.1):
                     runs = {repr(value) for _, value in event_sweep(inst, k, delta)}
                     assert runs == set(map(repr, reference_runs(inst, k, delta)))
-        assert len(calls) == ranked
+        assert (len(calls), len(least)) == (ranked, gaps)
 
     def test_margins_that_round_to_zero_end_the_walk_at_0(self, monkeypatch):
         """At weight 5e-324 and price 0.5 the margin rounds to 0 below the price and is
@@ -715,10 +728,37 @@ class TestEventSweep:
             assert (len(calls), windows) == (1, [])
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("delta", [1e-3, 0.1])
+    def test_an_outsider_overtaking_the_weakest_at_its_zero_is_not_joined(self, monkeypatch, delta):
+        """Product 2, lighter, overtakes product 1, the one member at size 1, 2e-8 below 1's
+        zero crossing at 2: the walk ranks next just past both, where 1's key is positive,
+        so the offset before the overtaking is not joined to that one, and the walk lists a
+        window from 0, ranking 10 offsets in all. Only the crossing comparison is left out
+        there, never the weakest's zero line."""
+        inst = Instance.of([(1, 2.0, 2.0), (2, 1.0, 2.0 + 2e-8)])
+        calls, windows = counting_rankings(monkeypatch), counting_windows(monkeypatch)
+        runs = {repr(value) for _, value in event_sweep(inst, 1, delta)}
+        assert runs == set(map(repr, reference_runs(inst, 1, delta)))
+        assert (len(calls), [lo for lo, _, _ in windows]) == (10, [0.0])
+
+    @pytest.mark.parametrize("delta, ranked", [(None, 26), (0.0, 16)])
+    def test_a_member_leaving_behind_the_weakest_is_not_joined_by_pairs(self, monkeypatch,
+                                                                        delta, ranked):
+        """Product 4 falls below product 2, the weakest at size 4, and crosses zero 1.5e-8
+        later: the walk ranks next past both, where 2 is still the weakest but 4 has left.
+        The two offsets do not share their member set, so ``joined`` does not take them for
+        a swap of adjacent members, and the walk ranks ``ranked`` offsets in all."""
+        inst = Instance.of([(1, 2.0, 2.000000001), (2, 0.5, 2.0), (3, 1.5, 2.0000001),
+                            (4, 1.50000015, 1.99999997)])
+        calls = counting_rankings(monkeypatch)
+        runs = {repr(value) for _, value in event_sweep(inst, 4, delta)}
+        assert runs == set(map(repr, reference_runs(inst, 4, delta)))
+        assert len(calls) == ranked
+
     def test_twins_at_n_200(self):
         """Each product of a generated N = 100 instance twice: products of equal price and
         weight tie at every offset and open windows. The candidate solver's revenue is the
-        fixed point's at every size cap, and the largest slack set is the definition's."""
+        fixed point's at every size cap, and the largest slack set is the definition's: 174."""
         base = generate_instance(GeneratorSpec(100, seed=1))
         inst = Instance.of([(p.id + copy * 100, p.weight, p.price)
                             for copy in (0, 1) for p in base.products])
@@ -726,7 +766,8 @@ class TestEventSweep:
         assert [r for _, r in candidate.per_size_optima.values()] == [
             r for _, r in fixed_point.per_size_optima.values()]
         delta = 2.0 * slack_cap(inst, 10, 0.01)
-        assert max_slack_set_size(inst, 10, delta) == max_slack_set_size_per_probe(inst, 10, delta)
+        largest = max_slack_set_size(inst, 10, delta)
+        assert largest == max_slack_set_size_per_probe(inst, 10, delta) == 174
 
 
 class TestCandidateSetSolver:
