@@ -3,18 +3,16 @@
 An instance is a finite product universe where each product carries a
 positive choice weight and a nonnegative price. The no-purchase option
 always has weight 1 and is never stored as a product. An assortment is a
-subset of product ids held in canonical ascending order; the canonical
-comma-separated encoding is a stable contract (the noise hash keys on
-it; the distinct-call counter keys on the id tuple).
+subset of product ids held in canonical ascending order; its comma-separated
+``encode`` is a stable contract and the one set encoding (the noise hash
+keys on it, one set at a time; the distinct-call counter on the id tuple).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InvalidAssortmentError, ValidationError
 
@@ -137,46 +135,12 @@ class Assortment:
 
     def encode(self) -> str:
         """Canonical encoding: ascending ids, comma-separated ("" for empty)."""
-        return ",".join(str(i) for i in self.ids)
+        return ",".join(map(str, self.ids))
 
     def after_move(self, entering: int, leaving: int | None = None) -> "Assortment":
         """The offer set after a move: add ``entering`` or, with ``leaving``, swap it in."""
         kept = self.ids if leaving is None else tuple(i for i in self.ids if i != leaving)
         return Assortment(kept + (entering,))
-
-    def encode_moves(self, moves: Sequence[tuple[int, int | None]]) -> list[str]:
-        """Canonical encodings of the sets the moves lead to, without building them.
-
-        Entry i equals ``self.after_move(*moves[i]).encode()`` for every move
-        whose ``entering`` is not a member and whose ``leaving`` (None for an
-        addition) is one.
-        """
-        ids = self.ids
-        texts = [str(i) for i in ids]
-        index = {product_id: j for j, product_id in enumerate(ids)}
-        # per leaving member (None: nobody leaves), the encodings of the rest
-        # cut before each position: heads end in a comma, tails start with one;
-        # built on a member's first move, as few of them may reach this
-        affixes: dict[int | None, tuple[list[str], list[str]]] = {}
-
-        def cut(leaving):
-            rest = texts if leaving is None else texts[: index[leaving]] + texts[index[leaving] + 1:]
-            heads = list(accumulate((t + "," for t in rest), initial=""))
-            tails = list(accumulate(("," + t for t in reversed(rest)), lambda acc, t: t + acc, initial=""))
-            affixes[leaving] = (heads, tails[::-1])
-            return affixes[leaving]
-
-        encodings = []
-        for entering, leaving in moves:
-            position = bisect_left(ids, entering)
-            if leaving is not None and index[leaving] < position:
-                position -= 1
-            try:
-                heads, tails = affixes[leaving]
-            except KeyError:
-                heads, tails = cut(leaving)
-            encodings.append(heads[position] + str(entering) + tails[position])
-        return encodings
 
     def __contains__(self, product_id: int) -> bool:
         return product_id in self.ids

@@ -24,7 +24,8 @@ the exact or the noisy one from a ``NoiseSpec``:
 
 * ``ExactMnlOracle(instance)``: exact MNL expected revenue,
 * ``NoisyOracle(base, spec)``: deterministic multiplicative noise that
-  underestimates the base value by a per-assortment factor in ``[0, eps]``,
+  underestimates the base value by a factor in ``[0, eps]`` hashed from the
+  set's encoding, one set at a time and only for moves that can win,
 * ``CountingOracle(base)``: call counts in ``stats``, to verify oracle-call bounds.
 
 Oracles are immutable after construction and safe for concurrent reads;
@@ -188,8 +189,9 @@ class NoiseSpec:
     each assortment gets its own factor (1 - eps(M)) with eps(M) in [0, eps], a
     pure function of (seed, canonical encoding) -- repeated queries of the
     same assortment always see the same value, within a run and across
-    runs. In every mode ``eps`` bounds the underestimation, which is all the
-    gap guarantee reads.
+    runs; ``epsilon`` is its one formula. In every mode ``eps`` bounds the
+    underestimation, which is all the gap guarantee reads, and ``seed`` is an
+    ``int``.
     """
 
     mode: str = "none"
@@ -199,6 +201,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValidationError(f"unknown noise mode {self.mode!r}", code="bad-noise")
+        if type(self.seed) is not int:  # as io._integer: 1.5 cannot key the hash, a bool is no seed
+            raise ValidationError(f"noise seed must be an integer, got {self.seed!r}", code="bad-noise")
         if self.mode == "none" and self.eps != 0.0:
             raise ValidationError(
                 f"eps {self.eps!r} needs noise mode fixed or seeded-uniform", code="bad-noise"
@@ -212,28 +216,18 @@ class NoiseSpec:
         """Relative underestimation factor for one assortment."""
         if self.mode != "seeded-uniform":  # fixed, or none at eps 0
             return self.eps
-        return self.eps * _unit_hashes(self.seed, [assortment.encode()])[0]
-
-    def move_epsilons(self, current: Assortment, moves: Sequence[Move]) -> list[float]:
-        """``epsilon(current.after_move(*move))`` for each move, bit for bit."""
-        if self.mode != "seeded-uniform":  # the factor does not depend on the set
-            return [self.eps] * len(moves)
-        return [self.eps * unit for unit in _unit_hashes(self.seed, current.encode_moves(moves))]
+        return self.eps * _unit_hash(self.seed, assortment.encode())
 
 
-def _unit_hashes(seed: int, encodings: Iterable[str]) -> list[float]:
-    """Deterministic map of (seed, encoding) into [0, 1), for each encoding.
+def _unit_hash(seed: int, encoding: str) -> float:
+    """Deterministic map of (seed, encoding) into [0, 1).
 
     Keyed BLAKE2 keeps the value stable across platforms, processes and
     Python versions (never the builtin ``hash``).
     """
-    keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    units = []
-    for encoding in encodings:
-        state = keyed.copy()
-        state.update(encoding.encode("ascii"))
-        units.append(int.from_bytes(state.digest(), "little") / 2.0**64)
-    return units
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    digest = hashlib.blake2b(encoding.encode("ascii"), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little") / 2.0**64
 
 
 class ExactMnlOracle:
@@ -329,18 +323,23 @@ class NoisyOracle:
         """The base's indices at ``beat`` and their estimates, each scaled by its set's
         noise factor; every index and the base's ``evaluate`` for a base without the hook.
 
-        Noise only lowers a value, so every move the base leaves out has a
-        noisy estimate at most its base one, which is at most
-        ``beat * (1 - 2 * CONFIRM_BAND)``.
+        Noise only lowers a value, so every move the base leaves out has a noisy
+        estimate at most its base one, at most ``beat * (1 - 2 * CONFIRM_BAND)``.
 
-        In "seeded-uniform" mode only the moves whose base estimate reaches
-        ``(1 - eps) * top * (1 - 4 * CONFIRM_BAND)``, ``top`` being the
-        largest base estimate, are hashed and scaled. Every other move keeps
-        its base estimate. For a nonnegative base that is at least its noisy
-        value, to rounding, and it lies below the confirm band's floor,
-        because the move with base value ``top`` scores at least
-        ``(1 - eps) * top``. So the band, its confirmations and the
-        argmax are those of the unpruned batch, bit for bit.
+        In "seeded-uniform" mode, with ``top`` the largest base estimate and
+        positive, the moves whose base estimate reaches ``cut = (1 - eps) * top
+        * (1 - 4 * CONFIRM_BAND)`` are hashed (their set built and passed to
+        ``NoiseSpec.epsilon``) in descending order of base estimate until the
+        next falls below ``best * (1 - 4 * CONFIRM_BAND)``, ``best`` being the
+        largest noisy value so far; the rest keep their base estimate. The
+        move with base value ``top`` is hashed first and scores at least ``(1 -
+        eps) * top``, so a move below the cut lies below ``best * (1 - 4 *
+        CONFIRM_BAND)``, as does a move past the stop, noisy or not: a factor
+        at most 1 never raises a positive value, even rounded. So ``best`` is
+        the largest value and every unhashed move lies under the band's floor,
+        as when every move is hashed: the band, its confirmations and the
+        first-best argmax are the same, bit for bit. Noise raises a negative
+        value, so at ``top <= 0`` every move but a NaN one is hashed.
         """
         score = getattr(self.base, "score_moves", None)
         if score is None:
@@ -348,18 +347,20 @@ class NoisyOracle:
             values = [self.base.evaluate(current.after_move(*move)) for move in moves]
         else:
             picked, values = score(current, moves, beat)
-            values = list(values)
         spec = self.spec
-        if spec.mode == "seeded-uniform":
-            top = max(values, default=0.0)
-            # noise shrinks a value toward 0, so with top <= 0 it may lift any move: prune nothing
-            cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
-            kept = [i for i, value in enumerate(values) if value >= cut]
-            epsilons = spec.move_epsilons(current, moves.at([picked[i] for i in kept]))
-        else:  # fixed, or none at eps 0: every set has the one factor, so no move is built
-            kept, epsilons = range(len(values)), repeat(spec.eps)
-        for i, eps in zip(kept, epsilons):
-            values[i] = (1.0 - eps) * values[i]
+        if spec.mode != "seeded-uniform":  # fixed, or none at eps 0: one factor, no move built
+            return picked, [(1.0 - spec.eps) * value for value in values]
+        values = list(values)
+        top = max(values, default=0.0)
+        cut = (1.0 - spec.eps) * top * (1.0 - 4 * CONFIRM_BAND) if top > 0 else -math.inf
+        kept = sorted((i for i, value in enumerate(values) if value >= cut),
+                      key=values.__getitem__, reverse=True)
+        best = -math.inf
+        for i, move in zip(kept, moves.at([picked[i] for i in kept])):
+            if top > 0 and values[i] < best * (1.0 - 4 * CONFIRM_BAND):
+                break
+            values[i] = (1.0 - spec.epsilon(current.after_move(*move))) * values[i]
+            best = max(best, values[i])
         return picked, values
 
 

@@ -85,8 +85,8 @@ MUTANTS = [
     Mutant(
         "fixed-noise-as-a-difference",
         "assortopt/oracles.py",
-        "values[i] = (1.0 - eps) * values[i]",
-        "values[i] = values[i] - eps * values[i]",
+        "[(1.0 - spec.eps) * value for value in values]",
+        "[value - spec.eps * value for value in values]",
         ("tests/test_oracles.py::TestScoreMoves::test_fixed_mode_scales_every_exact_score_bit_for_bit",
          "tests/test_greedy.py::test_move_pass_scores_match_the_references_bit_for_bit"),
     ),
@@ -98,19 +98,43 @@ MUTANTS = [
         ("tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_band_is_exact_and_the_rest_bounds_it[0.2]",),
     ),
     Mutant(
-        "batched-noise-unscaled",
+        "seeded-noise-unscaled",
         "assortopt/oracles.py",
-        "epsilons = spec.move_epsilons(current, moves.at([picked[i] for i in kept]))",
-        "epsilons = [0.0] * len(kept)",
+        "spec.epsilon(current.after_move(*move))",
+        "0.0",
         ("tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_band_is_exact_and_the_rest_bounds_it[0.2]",
          "tests/test_greedy.py::test_batched_scoring_matches_evaluate_fallback[seeded-uniform-0.2]"),
     ),
     Mutant(
         "fixed-noise-builds-the-moves",
         "assortopt/oracles.py",
-        "kept, epsilons = range(len(values)), repeat(spec.eps)",
-        "kept = range(len(values)); epsilons = spec.move_epsilons(current, moves.at(kept))",
+        "[(1.0 - spec.eps) * value for value in values]",
+        "[(1.0 - spec.epsilon(current.after_move(*move))) * value"
+        " for move, value in zip(moves.at(picked), values)]",
         ("tests/test_oracles.py::TestScoreMoves::test_fixed_mode_builds_no_move_of_its_own",),
+    ),
+    Mutant(
+        "noise-stop-ignores-the-band",
+        "assortopt/oracles.py",
+        "values[i] < best * (1.0 - 4 * CONFIRM_BAND)",
+        "values[i] < best",
+        ("tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_hashes_every_move_that_can_reach_the_band",),
+    ),
+    Mutant(
+        "noise-stops-at-any-sign",
+        "assortopt/oracles.py",
+        "if top > 0 and values[i] < best",
+        "if values[i] < best",
+        ("tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_over_negative_and_mixed_estimates[0.5--1.0]",
+         "tests/test_oracles.py::TestScoreMoves::test_seeded_uniform_over_negative_and_mixed_estimates[0.9--0.5]"),
+    ),
+    Mutant(
+        "noise-seed-takes-a-bool",
+        "assortopt/oracles.py",
+        "if type(self.seed) is not int:",
+        "if not isinstance(self.seed, int):",
+        ("tests/test_oracles.py::TestNoisyOracle::test_seed_must_be_an_integer[True-fixed]",
+         "tests/test_oracles.py::TestNoisyOracle::test_seed_must_be_an_integer[True-seeded-uniform]"),
     ),
     Mutant(
         "assortment-compares-a-copied-tuple",
@@ -255,6 +279,22 @@ MUTANTS = [
         "        if bound > band_x:\n            return True\n",
         "",
         ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[generated]",),
+    ),
+    Mutant(
+        "event-walk-lists-outsiders-at-every-event",
+        "assortopt/transform.py",
+        "if self.listed == (weakest, members):",
+        "if False:",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[generated]",
+         "tests/test_reference.py::TestEventSweep::test_ranking_count_pins[dispersed_weights]"),
+    ),
+    Mutant(
+        "event-walk-lists-lighter-outsiders-of-a-list-not-full",
+        "assortopt/transform.py",
+        "if len(top) == self.size:",
+        "if True:",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[generated]",
+         "tests/test_reference.py::TestEventSweep::test_ranking_count_pins[tiny_weights]"),
     ),
     Mutant(
         "slack-cap-takes-any-eps",

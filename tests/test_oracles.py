@@ -44,15 +44,6 @@ def random_assortment(rng, instance, max_size=None):
     return Assortment.of(rng.sample(list(instance.ids()), size))
 
 
-def random_moves(rng, instance, current, count):
-    """``count`` random additions and exchanges on ``current``."""
-    outside = [i for i in instance.ids() if i not in current]
-    return [
-        (rng.choice(outside), rng.choice(current.ids) if current and rng.random() < 0.7 else None)
-        for _ in range(count)
-    ]
-
-
 def random_pass(rng, instance, current):
     """A non-empty ``MovePass`` on ``current`` with random ascending pools and members."""
     outside = [i for i in instance.ids() if i not in current]
@@ -84,6 +75,20 @@ class EvaluationLog(ExactMnlOracle):
     def evaluate(self, assortment):
         self.evaluated.append(assortment)
         return super().evaluate(assortment)
+
+
+class PlugIn:
+    """A hooked plug-in base with any revenue function, which logs the sets it evaluates."""
+
+    def __init__(self, revenue):
+        self.revenue, self.evaluated = revenue, []
+
+    def evaluate(self, assortment):
+        self.evaluated.append(assortment)
+        return self.revenue(assortment)
+
+    def score_moves(self, current, moves, beat):
+        return range(len(moves)), [self.revenue(current.after_move(*move)) for move in moves]
 
 
 def scorer(oracle):
@@ -206,23 +211,6 @@ class TestNoisyOracle:
             spec = NoiseSpec(mode="seeded-uniform", eps=0.5, seed=seed)
             assert spec.epsilon(Assortment.of(ids)) == expected
 
-    def test_batched_factors_match_scalar_bit_for_bit(self):
-        rng = random.Random(4321)
-        checked = 0
-        while checked < 1000:
-            inst = random_instance(rng, rng.randint(2, 30))
-            current = random_assortment(rng, inst, max_size=inst.n - 1)
-            moves = random_moves(rng, inst, current, 25)
-            spec = NoiseSpec(mode="seeded-uniform", eps=rng.choice([0.001, 0.2, 0.9]),
-                             seed=rng.getrandbits(64))
-            batched = [1.0 - eps for eps in spec.move_epsilons(current, moves)]
-            encodings = current.encode_moves(moves)
-            for move, factor, encoding in zip(moves, batched, encodings):
-                candidate = current.after_move(*move)
-                assert encoding == candidate.encode()
-                assert factor == 1 - spec.epsilon(candidate)
-            checked += len(moves)
-
     def test_spec_survives_pickle_and_deepcopy(self):
         import copy
         import pickle
@@ -250,7 +238,9 @@ class TestNoisyOracle:
         for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             assert (clone.mode, clone.eps, clone.seed) == (spec.mode, spec.eps, spec.seed)
             assert clone == spec
-            assert clone.move_epsilons(current, moves) == spec.move_epsilons(current, moves)
+            assert [clone.epsilon(current.after_move(*move)) for move in moves] == [
+                spec.epsilon(current.after_move(*move)) for move in moves
+            ]
 
     @pytest.mark.parametrize("eps", [0.5, -0.5, 1.5, math.nan])
     def test_no_level_without_a_noisy_mode(self, eps):
@@ -264,6 +254,15 @@ class TestNoisyOracle:
         with pytest.raises(ValidationError) as exc:
             NoiseSpec(mode="none", seed=seed)
         assert exc.value.code == "bad-noise"
+
+    @pytest.mark.parametrize("mode", ["none", "fixed", "seeded-uniform"])
+    @pytest.mark.parametrize("seed", [1.5, True, False, "3"])
+    def test_seed_must_be_an_integer(self, mode, seed):
+        # as a report's seed is read: 1.5 cannot key the hash, and a bool is no integer
+        with pytest.raises(ValidationError) as exc:
+            NoiseSpec(mode, 0.0 if mode == "none" else 0.1, seed)
+        assert exc.value.code == "bad-noise"
+        assert "noise seed must be an integer" in str(exc.value)
 
     def test_epsilon_depends_only_on_canonical_encoding(self):
         spec = NoiseSpec(mode="seeded-uniform", eps=0.3, seed=42)
@@ -420,26 +419,68 @@ class TestScoreMoves:
                 assert value == pytest.approx(noisy, rel=1e-13) or value == pytest.approx(base, rel=1e-13)
                 assert value >= noisy * (1 - 1e-13)
 
-    def test_seeded_uniform_hashes_only_moves_that_can_win(self, monkeypatch):
+    @pytest.mark.parametrize("eps_max, count", [(0.001, 1), (0.2, 5)])
+    def test_seeded_uniform_hashes_only_moves_that_can_win(self, monkeypatch, eps_max, count):
+        # one score_moves call hashes ``count`` of the 378 moves: those whose base
+        # estimate reaches the cut, until the next one falls below the best noisy value
+        # less 4 * CONFIRM_BAND; best_move's confirmations are not counted
         hashed = []
-        move_epsilons = NoiseSpec.move_epsilons
+        epsilon = NoiseSpec.epsilon
 
-        def counting_move_epsilons(spec, current, moves):
-            hashed.extend(moves)
-            return move_epsilons(spec, current, moves)
+        def counting_epsilon(spec, assortment):
+            hashed.append(assortment)
+            return epsilon(spec, assortment)
 
-        monkeypatch.setattr(NoiseSpec, "move_epsilons", counting_move_epsilons)
         rng = random.Random(60)
         inst = random_instance(rng, 60)
         current = Assortment.of(rng.sample(inst.ids(), 6))
         outside = [i for i in inst.ids() if i not in current]
         moves = MovePass(outside, current.ids, outside)
         oracle = NoisyOracle(ExactMnlOracle(inst),
-                                   NoiseSpec(mode="seeded-uniform", eps=0.001, seed=3))
+                             NoiseSpec(mode="seeded-uniform", eps=eps_max, seed=3))
+        monkeypatch.setattr(NoiseSpec, "epsilon", counting_epsilon)
+        oracle.score_moves(current, moves, -math.inf)
+        assert (len(hashed), len(moves)) == (count, 378)
+        monkeypatch.undo()
         index, _value = best_move(oracle, current, moves, -math.inf)
-        assert 0 < len(hashed) < len(moves) / 2
         truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
         assert index == truth.index(max(truth))
+
+    def test_seeded_uniform_hashes_every_move_that_can_reach_the_band(self):
+        # the second move's base value lies within CONFIRM_BAND under the first's noisy
+        # value, so it is hashed, and its noisy value, far below the band, is never confirmed
+        spec = NoiseSpec(mode="seeded-uniform", eps=0.5, seed=5)
+        current = Assortment.of([1])
+        first, second = Assortment.of([1, 2]), Assortment.of([1, 3])
+        best = (1.0 - spec.epsilon(first)) * 1.0
+        base = PlugIn({first: 1.0, second: best * (1.0 - CONFIRM_BAND / 2)}.__getitem__)
+        oracle = NoisyOracle(base, spec)
+        moves = MovePass((), current.ids, (2, 3))
+        truth = [oracle.evaluate(first), oracle.evaluate(second)]
+        assert truth[1] < best * (1.0 - CONFIRM_BAND)
+        assert pass_estimates(oracle, current, moves) == truth
+        base.evaluated.clear()
+        assert best_move(oracle, current, moves, -math.inf) == (0, best)
+        assert base.evaluated == [first]
+
+    @pytest.mark.parametrize("shift", [-1.0, -0.5])
+    @pytest.mark.parametrize("eps_max", [0.2, 0.5, 0.9])
+    def test_seeded_uniform_over_negative_and_mixed_estimates(self, shift, eps_max):
+        # revenues drawn in [shift, shift + 1): noise raises a negative value, so with
+        # every estimate below 0 each move is hashed; with mixed signs the stop rule
+        # runs over the positive ones
+        rng = random.Random(f"{shift}/{eps_max}")
+        for _ in range(100):
+            inst = random_instance(rng, rng.randint(2, 25))
+            current = random_assortment(rng, inst, max_size=inst.n - 1)
+            moves = random_pass(rng, inst, current)
+            key = rng.getrandbits(32)
+            base = PlugIn(lambda m: shift + random.Random(f"{key}:{m.encode()}").random())
+            oracle = NoisyOracle(base, NoiseSpec(mode="seeded-uniform", eps=eps_max,
+                                                 seed=rng.getrandbits(32)))
+            truth = [oracle.evaluate(current.after_move(*m)) for m in moves]
+            index, value = best_move(oracle, current, moves, -math.inf)
+            assert (index, value) == (truth.index(max(truth)), max(truth))
 
     def test_near_tie_is_ranked_by_evaluate(self):
         # the batched sums round (3, 1) below (4, 1) although evaluate ranks it above

@@ -681,40 +681,57 @@ class TestEventSweep:
         assert (len(walked), len(windows), probes) == counts
 
     @pytest.mark.parametrize(
-        "family, ranked, gaps",
-        [(generated, 21_449, 33_173), (duplicated_products, 10_661, 8_292),
-         (zero_prices, 1_616, 1_616), (integer_grid, 22_767, 8_496),
-         (priced_at_a_set_revenue, 26_581, 17_103), (weights_one_ulp_apart, 47_859, 5_007),
-         (tiny_weights, 27_456, 12_196), (subnormal_weights, 30_333, 5_072),
-         (dispersed_weights, 57_343, 12_863)],
+        "family, ranked, gaps, listings, listed",
+        [(generated, 21_449, 33_173, 11_724, 33_711),
+         (duplicated_products, 10_661, 8_292, 2_196, 3_570),
+         (zero_prices, 1_616, 1_616, 0, 0),
+         (integer_grid, 22_767, 8_496, 3_384, 7_516),
+         (priced_at_a_set_revenue, 26_581, 17_103, 5_720, 16_146),
+         (weights_one_ulp_apart, 47_859, 5_007, 2_255, 8_829),
+         (tiny_weights, 27_456, 12_196, 4_468, 5_582),
+         (subnormal_weights, 30_333, 5_072, 2_184, 4_786),
+         (dispersed_weights, 57_343, 12_863, 7_413, 13_318)],
         ids=["generated", "duplicated_products", "zero_prices", "integer_grid",
              "priced_at_a_set_revenue", "weights_one_ulp_apart", "tiny_weights",
              "subnormal_weights", "dispersed_weights"],
     )
-    def test_ranking_count_pins(self, monkeypatch, family, ranked, gaps):
+    def test_ranking_count_pins(self, monkeypatch, family, ranked, gaps, listings, listed):
         """Over 40 instances, at every size from -1 to N + 1, for the top lists and the slack
         sets at delta = 0, 1e-3 and 0.1: the set of values is the reference's, the walk and
-        its windows rank ``ranked`` offsets in all, and the walk takes ``gaps`` least gaps
-        (``_EventWalk.narrowest`` calls). A value kept without room for a probe, twins tested
-        against each other, or ``joined`` without its interpolation, each moves a ranking
-        count but no value; ``joined`` without its steepest-slope bound moves the gap count."""
+        its windows rank ``ranked`` offsets in all, the walk takes ``gaps`` least gaps
+        (``_EventWalk.narrowest`` calls), and ``outsider_events`` lists the outsiders'
+        crossings ``listings`` times, ``listed`` crossings in all. A value kept without room
+        for a probe, twins tested against each other, or ``joined`` without its
+        interpolation, each moves a ranking count but no value; ``joined`` without its
+        steepest-slope bound moves the gap count; listing again for the same weakest and
+        members moves the listings, and listing the lighter products of a list that is not
+        full moves the crossings listed."""
         rng = random.Random(family.__name__)
         calls = counting_rankings(monkeypatch)
-        least = []
+        least, queues = [], []
         narrowest = transform._EventWalk.narrowest
+        outsider_events = transform._EventWalk.outsider_events
 
         def counting_narrowest(walk, state, x, ranked, skip):
             least.append(x)
             return narrowest(walk, state, x, ranked, skip)
 
+        def counting_outsider_events(walk, state):
+            cached = walk.queue
+            queue = outsider_events(walk, state)
+            if queue is not cached:
+                queues.append(len(queue))
+            return queue
+
         monkeypatch.setattr(transform._EventWalk, "narrowest", counting_narrowest)
+        monkeypatch.setattr(transform._EventWalk, "outsider_events", counting_outsider_events)
         for _ in range(40):
             inst = family(rng)
             for k in range(-1, inst.n + 2):
                 for delta in (None, 0.0, 1e-3, 0.1):
                     runs = {repr(value) for _, value in event_sweep(inst, k, delta)}
                     assert runs == set(map(repr, reference_runs(inst, k, delta)))
-        assert (len(calls), len(least)) == (ranked, gaps)
+        assert (len(calls), len(least), len(queues), sum(queues)) == (ranked, gaps, listings, listed)
 
     def test_margins_that_round_to_zero_end_the_walk_at_0(self, monkeypatch):
         """At weight 5e-324 and price 0.5 the margin rounds to 0 below the price and is
