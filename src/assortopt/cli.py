@@ -15,10 +15,11 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import random
 import sys
 import time
-from math import comb
+from collections.abc import Sequence
 
 from . import bench as bench_mod
 from . import io as io_mod
@@ -266,25 +267,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         problems.extend(_optimum_claim_problems(config, noise, result, opt, gap, bound))
 
     rng = random.Random(derive_seed("verify", document.get("instance_digest", ""), noise.seed))
-    ids = list(instance.ids())
-    pair_checks = 0
-    if ids:
-        for _ in range(100):
-            size1 = rng.randint(0, min(config.capacity, len(ids)))
-            size2 = rng.randint(0, min(config.capacity, len(ids)))
-            m1 = Assortment.of(rng.sample(ids, size1))
-            m2 = Assortment.of(rng.sample(ids, size2))
-            report = check_margin_revenue_equivalence(instance, m1, m2)
-            pair_checks += 1
-            if not report.agree:
-                problems.append(
-                    f"margin/revenue comparison disagreed on {m1.ids} vs {m2.ids}"
-                )
+    ids = instance.ids()
+    pairs = _comparison_pairs(rng, ids, min(config.capacity, len(ids)), 100) if ids else []
+    for m1, m2 in pairs:
+        if not check_margin_revenue_equivalence(instance, m1, m2).agree:
+            problems.append(f"margin/revenue comparison disagreed on {m1.ids} vs {m2.ids}")
 
     status = "FAIL" if problems else "PASS"
     sys.stdout.write(
         f"verify {status}: digest ok={digest == document.get('instance_digest')}, "
-        f"trace steps checked={trace_steps}, comparison pairs checked={pair_checks}\n"
+        f"trace steps checked={trace_steps}, comparison pairs checked={len(pairs)}\n"
     )
     for problem in problems:
         sys.stdout.write(f"  violation: {problem}\n")
@@ -293,10 +285,64 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _comparison_pairs(
+    rng: random.Random, ids: Sequence[int], cap: int, count: int
+) -> list[tuple[Assortment, Assortment]]:
+    """``count`` pairs of sets of 0 to ``cap`` of the distinct ``ids`` (``cap <= len(ids)``),
+    drawn from ``rng``: the pairs that ``count`` rounds of ``randint(0, cap)`` twice, then
+    ``Assortment.of(sample(ids, size))`` for each size, give, bit for bit.
+
+    Each draw below ``m`` is CPython's ``Random._randbelow_with_getrandbits``:
+    ``getrandbits(m.bit_length())``, again while the number is ``m`` or more.
+    ``sample`` picks ``k`` of ``n`` from a shuffled copy of the ids when ``n`` is
+    at most its ``setsize`` (21, plus ``4 ** ceil(log(3k, 4))`` for ``k > 5``),
+    and otherwise draws indices below ``n`` until ``k`` are distinct. An
+    ``Assortment`` sorts its ids, so only which ids are picked matters; each
+    set is sorted here, where the constructor finds it canonical.
+    """
+    getrandbits = rng.getrandbits
+    n = len(ids)
+    n_bits = n.bit_length()
+    size_bits = (cap + 1).bit_length()
+    shuffled = [
+        n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0) for k in range(cap + 1)
+    ]
+    pairs = []
+    for _ in range(count):
+        first = getrandbits(size_bits)
+        while first > cap:
+            first = getrandbits(size_bits)
+        second = getrandbits(size_bits)
+        while second > cap:
+            second = getrandbits(size_bits)
+        sets = []
+        for k in (first, second):
+            if shuffled[k]:
+                pool = list(ids)
+                picked = []
+                for left in range(n, n - k, -1):
+                    bits = left.bit_length()
+                    j = getrandbits(bits)
+                    while j >= left:
+                        j = getrandbits(bits)
+                    picked.append(pool[j])
+                    pool[j] = pool[left - 1]
+                sets.append(Assortment(tuple(sorted(picked))))
+            else:
+                indices = set()
+                while len(indices) < k:
+                    j = getrandbits(n_bits)
+                    if j < n:
+                        indices.add(j)
+                sets.append(Assortment(tuple(sorted(map(ids.__getitem__, indices)))))
+        pairs.append((sets[0], sets[1]))
+    return pairs
+
+
 def _result_config_problems(n: int, config: GreedyConfig, result: SolveReport) -> list[str]:
     """What a report's result claims that its config rules out."""
     problems = []
-    seeds = comb(n, config.seed_size)
+    seeds = math.comb(n, config.seed_size)
     if len(result.best_assortment) > config.capacity:
         problems.append(
             f"best assortment has {len(result.best_assortment)} products, above C={config.capacity}"

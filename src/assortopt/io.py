@@ -7,10 +7,13 @@ reports are byte-reproducible. Instances embed into run reports, making
 a report self-describing: verification needs no other inputs. Every
 document (instance, run report, ``exact`` output, bench.json) is written
 by ``dumps_document``, byte for byte as ``json.dumps(doc, indent=2)``
-followed by a newline; one loop writes its lists and dicts alike. A flat
-record whose document is its fields, named and ordered as declared (the
-report's ``GapBound``, ``gen``'s ``GeneratorSpec``), is written by the one
-field walk ``fields_to_document``, so a field it gains is written too.
+followed by a newline; one loop writes its lists and dicts alike, and a
+list of flat objects (an instance's products, bench.json's cells) in one
+encoder call. A flat record whose document is its fields, named and ordered
+as declared (the report's ``GapBound``, ``gen``'s ``GeneratorSpec``), is
+written by the one field walk ``fields_to_document``, so a field it gains is
+written too. An instance's digest hashes one compact text of its content,
+formatted in one join.
 """
 
 from __future__ import annotations
@@ -43,11 +46,15 @@ def dumps_document(doc: Any) -> str:
     ``json`` writes it, and a list, tuple or ``str``-keyed dict of leaves is
     written by one call of the stdlib's C encoder, whose item separator
     carries the line break and indent: a traced report is mostly lists of
-    product ids and dicts of scalar fields. Any other such container is
-    written item by item, a dict's items after their keys. Anything else
-    (subclasses, dicts with a key that is not a ``str``) is left to
-    ``json.dumps`` and re-indented: encoded JSON holds no raw newline, so
-    that is exact.
+    product ids and dicts of scalar fields. A list or tuple of non-empty,
+    ``str``-keyed dicts of leaves (an instance's products, bench.json's
+    cells) is one such call too, at the dicts' depth: the list's item
+    separator then carries the dicts' indent, and one ``str.replace`` moves
+    each ``},`` boundary between two dicts to its own lines. Any other such
+    container is written item by item, a dict's items after their keys.
+    Anything else (subclasses, dicts with a key that is not a ``str``) is
+    left to ``json.dumps`` and re-indented: encoded JSON holds no raw
+    newline, so that is exact.
     """
     out: list[str] = []
     _write_value(doc, "\n", out)
@@ -70,6 +77,8 @@ def _leaf(value: Any) -> str | None:
 
 
 _LEAF_TYPES = frozenset({str, int, float, bool, type(None)})
+#: the (key type, value type) of every item of a flat ``str``-keyed dict
+_FLAT_ITEM_TYPES = frozenset((str, leaf) for leaf in _LEAF_TYPES)
 
 
 @functools.cache  # one writer per depth a document reaches
@@ -102,6 +111,14 @@ def _write_value(value: Any, newline: str, out: list[str]) -> None:
         out.append(opening + closing)
     elif set(map(type, value.values() if is_dict else value)) <= _LEAF_TYPES:
         out.append(f"{opening}{inner}{_flat_writer(inner)(value)[1:-1]}{newline}{closing}")
+    elif not is_dict and _flat_dicts(value):
+        # "[{" + the dicts, their items one per ``deeper`` line and each two apart by
+        # "}," + deeper + "{", + "}]"; encoded JSON holds no raw newline and a leaf ends
+        # in no "}", so each such text is a boundary between two dicts
+        deeper = inner + "  "
+        dicts = _flat_writer(deeper)(value)[2:-2]
+        dicts = dicts.replace("}," + deeper + "{", f"{inner}}},{inner}{{{deeper}")
+        out.append(f"[{inner}{{{deeper}{dicts}{inner}}}{newline}]")
     else:
         out.append(opening)
         for i, item in enumerate(value):  # a dict yields its keys
@@ -111,6 +128,16 @@ def _write_value(value: Any, newline: str, out: list[str]) -> None:
                 item = value[item]
             _write_value(item, inner, out)
         out.append(newline + closing)
+
+
+def _flat_dicts(items: list | tuple) -> bool:
+    """Whether every item is a non-empty ``dict`` whose keys are ``str`` and values leaves."""
+    kinds = {
+        (type(key), type(leaf))
+        for item in items
+        for key, leaf in (item.items() if type(item) is dict and item else [(None, None)])
+    }
+    return kinds <= _FLAT_ITEM_TYPES
 
 
 def _format_float(value: float) -> str:
@@ -247,10 +274,22 @@ def instance_digest(instance: Instance) -> str:
 
 
 def _document_digest(doc: dict) -> str:
-    """``instance_digest`` of the instance whose ``instance_to_document`` is ``doc``."""
-    content = {key: value for key, value in doc.items() if key != "metadata"}
-    payload = json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    """``instance_digest`` of the instance whose ``instance_to_document`` is ``doc``: the
+    SHA-256 of ``doc`` less ``metadata``, as compact JSON with sorted keys.
+
+    The text is formatted in one join: its keys are fixed, an id and the capacity
+    are ``int`` text (``%d``, as ``json`` writes an ``int``) and a weight or price
+    is ``_format_float`` text, which holds no character that JSON escapes.
+    """
+    text = ",".join([
+        '{"id":%d,"price":"%s","weight":"%s"}' % (product["id"], product["price"], product["weight"])
+        for product in doc["products"]
+    ])
+    capacity = doc["capacity"]
+    payload = '{"capacity":%s,"products":[%s],"schema_version":"%s"}' % (
+        "null" if capacity is None else "%d" % capacity, text, doc["schema_version"]
+    )
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 # --- run reports -----------------------------------------------------------

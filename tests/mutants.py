@@ -340,6 +340,31 @@ MUTANTS = [
         'added, removed = doc.get("added"), doc.get("removed")',
         ("tests/test_cli.py::test_failure_exits_three_with_json_error[verify-record-without-added]",),
     ),
+    Mutant(
+        "flat-dicts-boundary-at-list-indent",
+        "assortopt/io.py",
+        'f"{inner}}},{inner}{{{deeper}"',
+        'f"{newline}}},{inner}{{{deeper}"',
+        ("tests/test_instance_io.py::TestDumpsDocument::test_lists_of_flat_dicts[products-0]",
+         "tests/test_instance_io.py::TestDumpsDocument::test_lists_of_flat_dicts[tuple-3]",
+         "tests/test_instance_io.py::TestDumpsDocument::test_every_fixture"),
+    ),
+    Mutant(
+        "flat-dicts-any-items",
+        "assortopt/io.py",
+        "return kinds <= _FLAT_ITEM_TYPES",
+        "return bool(kinds)",
+        ("tests/test_instance_io.py::TestDumpsDocument::test_lists_of_flat_dicts[empty-dict-0]",
+         "tests/test_instance_io.py::TestDumpsDocument::test_lists_of_flat_dicts[mixed-with-ints-2]",
+         "tests/test_instance_io.py::TestDumpsDocument::test_lists_of_flat_dicts[nested-value-1]"),
+    ),
+    Mutant(
+        "sample-pool-below-setsize-only",
+        "assortopt/cli.py",
+        "n <= 21 + (4 ** ",
+        "n < 21 + (4 ** ",
+        ("tests/test_cli.py::TestVerify::test_comparison_pairs_are_the_randint_and_sample_pairs[21]",),
+    ),
 ]
 
 #: a line of pytest's short summary: the outcome, then the node id, then " - " and a message

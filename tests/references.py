@@ -8,16 +8,24 @@ rather than in the package:
   must meet at every probe,
 * the probes themselves: one offset inside each interval between the
   breakpoints, over the full range (the sweeps list only a window of them),
-* the nesting-witness search behind ``fixtures/nesting_witness.json``.
+* the nesting-witness search behind ``fixtures/nesting_witness.json``,
+* ``verify``'s comparison pairs drawn through ``randint`` and ``sample``,
+  which ``cli._comparison_pairs`` draws straight from ``getrandbits``,
+* the instance digest as ``json.dumps`` of the instance document, which
+  ``io.instance_digest`` formats in one join.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from dataclasses import dataclass
 
 from assortopt.errors import AssortoptError, ValidationError
 from assortopt.generate import GeneratorSpec, derive_seed, generate_instance
 from assortopt.instance import Assortment, Instance
+from assortopt.io import instance_to_document
 from assortopt.oracles import ExactMnlOracle, total_weight
 from assortopt.reference import brute_force_opt
 from assortopt.transform import scaled_margin, top_margin_set
@@ -135,3 +143,26 @@ def interval_offsets(breakpoints: list[float]) -> list[float]:
         prev = b
     samples.append(prev + 1.0)
     return samples
+
+
+def comparison_pairs(
+    rng: random.Random, ids: list[int], cap: int, count: int
+) -> list[tuple[Assortment, Assortment]]:
+    """``count`` pairs of random sets of 0 to ``cap`` of the ``ids``: two sizes by
+    ``randint``, then one ``sample`` of the ids per size, in that order."""
+    pairs = []
+    for _ in range(count):
+        size1 = rng.randint(0, cap)
+        size2 = rng.randint(0, cap)
+        m1 = Assortment.of(rng.sample(ids, size1))
+        m2 = Assortment.of(rng.sample(ids, size2))
+        pairs.append((m1, m2))
+    return pairs
+
+
+def instance_digest(instance: Instance) -> str:
+    """SHA-256 of the instance's document less ``metadata``, as compact JSON with sorted keys."""
+    doc = instance_to_document(instance)
+    content = {key: value for key, value in doc.items() if key != "metadata"}
+    payload = json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from assortopt import ConfigError, ExactMnlOracle, Instance, ValidationError, ca
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
 from assortopt.oracles import NOISE_MODES
+from references import comparison_pairs
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +231,17 @@ class TestVerify:
         assert len(drawn) == 100
         assert drawn[:3] == [((7, 8), (3,)), ((1, 2, 6, 7), ()), ((1, 2, 6), (4, 5))]
         assert drawn[-1] == ((3, 5, 6), (1, 4, 5, 7))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 21, 22, 60, 200])
+    def test_comparison_pairs_are_the_randint_and_sample_pairs(self, n):
+        # sample shuffles a pool when n is at most its setsize (21, more for k > 5) and
+        # else draws distinct indices: n = 21 and 22 sit on each side of the rule at
+        # k <= 5, cap 6 grows the setsize, and cap 0 still draws a word per size
+        ids = list(range(3, 3 + 2 * n, 2))
+        for cap in sorted({min(cap, n) for cap in (0, 1, 5, 6, 15, n)}):
+            for seed in range(20):
+                drawn = cli_module._comparison_pairs(random.Random(seed), ids, cap, 100)
+                assert drawn == comparison_pairs(random.Random(seed), ids, cap, 100)
 
     @pytest.mark.parametrize(
         "mode, key, level",

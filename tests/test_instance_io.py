@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,7 @@ from assortopt.io import (
     solve_report_from_document,
     solve_report_to_document,
 )
+from references import instance_digest as reference_digest
 
 
 class TestInstanceValidation:
@@ -208,6 +210,42 @@ class TestInstanceFiles:
         for original, back in zip(inst.products, parsed.products):
             assert back.weight == original.weight
             assert back.price == original.price
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            generate_instance(GeneratorSpec(8, seed=7)),
+            Instance(generate_instance(GeneratorSpec(8, seed=7)).products, 3),
+            Instance.of([(1, 2, 3), (4, 1, 0)], 2),
+            Instance((Product(1, 2, 3), Product(2, True, 0))),
+            Instance.of([(1, 5e-324, 1e300), (2, 1.0, 5e-324), (3, 1.0, 0.0)]),
+            Instance.of([(1, 1e300, 5e-324), (2, 5e-324, 0.0)]),
+            Instance.of([(10**12, 0.5, 2.0), (999_999_999_999, 3.0, 1.5), (1, 1e-3, 7.0)], 1),
+            Instance(()),
+        ],
+        ids=["capacity-none", "capacity-int", "of-int-weights", "int-and-bool-values",
+             "tiny-weight-huge-price", "huge-weight-tiny-price", "large-ids", "empty"],
+    )
+    def test_digest_is_the_compact_sorted_json_of_the_document(self, instance):
+        assert instance_digest(instance) == reference_digest(instance)
+
+    def test_every_fixture_keeps_its_digest(self, fixtures_dir):
+        # an exact output records the digest of the instance file it was run on
+        checked = 0
+        for path in sorted(fixtures_dir.glob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            if "products" in doc:
+                instance = parse_instance(doc)[0]
+                assert instance_digest(instance) == reference_digest(instance), path.name
+            if "instance_digest" in doc:
+                if "instance" in doc:
+                    instance = parse_instance(doc["instance"])[0]
+                else:
+                    source = re.fullmatch(r"exact_(.+)_C\d+\.json", path.name).group(1)
+                    instance = load_instance(str(fixtures_dir / f"{source}.json"))[0]
+                assert instance_digest(instance) == doc["instance_digest"], path.name
+                checked += 1
+        assert checked == 3
 
     def test_digest_ignores_metadata(self):
         inst = generate_instance(GeneratorSpec(4, seed=3))
@@ -421,6 +459,34 @@ class TestDumpsDocument:
         assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
         for leaf in self.LEAVES:
             assert dumps_document(leaf) == json.dumps(leaf, indent=2) + "\n"
+
+    class Cell(dict):
+        """A dict subclass, which goes to ``json.dumps`` whole."""
+
+    FLAT_DICT_LISTS = {
+        "products": [{"id": i, "weight": repr(i / 7), "price": "2.5"} for i in range(1, 6)],
+        "braces-in-strings": [{"a": "}\n{", "b": "},{"}, {"c": "},\n      {", "d": "}"}],
+        "non-ascii": [{"é": "naïve ∑ 😀"}, {"ctl": "\x00\x1f\t\"\\/\x7f"}],
+        "non-finite-bools-none": [{"n": float("nan"), "i": float("inf")}, {"m": -float("inf")},
+                                  {"t": True, "f": False, "z": None}],
+        "one-dict": [{"only": 1}],
+        "tuple": ({"a": 1}, {"b": 2.5}),
+        "empty-dict": [{"a": 1}, {}, {"b": 2}],
+        "dict-subclass": [{"a": 1}, Cell(b=2)],
+        "non-str-key": [{"a": 1}, {2: "b"}],
+        "mixed-with-ints": [{"a": 1}, 2, {"b": 3}],
+        "nested-value": [{"a": [1, 2]}, {"b": {"c": 3}}],
+    }
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("case", list(FLAT_DICT_LISTS))
+    def test_lists_of_flat_dicts(self, case, depth):
+        # a list of non-empty str-keyed dicts of leaves is one encoder call at the dicts'
+        # depth; every other list of dicts, at any depth, is written as json.dumps writes it
+        doc = self.FLAT_DICT_LISTS[case]
+        for level in range(depth):
+            doc = {"cells": doc, "n": level} if level % 2 == 0 else [level, doc]
+        assert dumps_document(doc) == json.dumps(doc, indent=2) + "\n"
 
     def test_random_documents(self):
         rng = random.Random(2020)
