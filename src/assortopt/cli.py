@@ -289,54 +289,18 @@ def _comparison_pairs(
     rng: random.Random, ids: Sequence[int], cap: int, count: int
 ) -> list[tuple[Assortment, Assortment]]:
     """``count`` pairs of sets of 0 to ``cap`` of the distinct ``ids`` (``cap <= len(ids)``),
-    drawn from ``rng``: the pairs that ``count`` rounds of ``randint(0, cap)`` twice, then
-    ``Assortment.of(sample(ids, size))`` for each size, give, bit for bit.
-
-    Each draw below ``m`` is CPython's ``Random._randbelow_with_getrandbits``:
-    ``getrandbits(m.bit_length())``, again while the number is ``m`` or more.
-    ``sample`` picks ``k`` of ``n`` from a shuffled copy of the ids when ``n`` is
-    at most its ``setsize`` (21, plus ``4 ** ceil(log(3k, 4))`` for ``k > 5``),
-    and otherwise draws indices below ``n`` until ``k`` are distinct. An
-    ``Assortment`` sorts its ids, so only which ids are picked matters; each
-    set is sorted here, where the constructor finds it canonical.
-    """
-    getrandbits = rng.getrandbits
-    n = len(ids)
-    n_bits = n.bit_length()
-    size_bits = (cap + 1).bit_length()
-    shuffled = [
-        n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0) for k in range(cap + 1)
-    ]
-    pairs = []
-    for _ in range(count):
-        first = getrandbits(size_bits)
-        while first > cap:
-            first = getrandbits(size_bits)
-        second = getrandbits(size_bits)
-        while second > cap:
-            second = getrandbits(size_bits)
-        sets = []
-        for k in (first, second):
-            if shuffled[k]:
-                pool = list(ids)
-                picked = []
-                for left in range(n, n - k, -1):
-                    bits = left.bit_length()
-                    j = getrandbits(bits)
-                    while j >= left:
-                        j = getrandbits(bits)
-                    picked.append(pool[j])
-                    pool[j] = pool[left - 1]
-                sets.append(Assortment(tuple(sorted(picked))))
-            else:
-                indices = set()
-                while len(indices) < k:
-                    j = getrandbits(n_bits)
-                    if j < n:
-                        indices.add(j)
-                sets.append(Assortment(tuple(sorted(map(ids.__getitem__, indices)))))
-        pairs.append((sets[0], sets[1]))
-    return pairs
+    drawn from ``rng.random`` alone, the one stream Python repeats across versions for a
+    seed. A set's size is uniform over 0..cap, then its ids are drawn one at a time, again
+    on a repeat, so the set is uniform among those of its size."""
+    uniform, n = rng.random, len(ids)
+    sets = []
+    for _ in range(2 * count):
+        size = int(uniform() * (cap + 1))
+        picked = set()
+        while len(picked) < size:
+            picked.add(ids[int(uniform() * n)])
+        sets.append(Assortment(tuple(sorted(picked))))
+    return list(zip(sets[::2], sets[1::2]))
 
 
 def _result_config_problems(n: int, config: GreedyConfig, result: SolveReport) -> list[str]:

@@ -393,12 +393,16 @@ def _exchange_out_counts(doc: Any) -> dict[int, int]:
 
 def record_from_document(doc: dict) -> IterationRecord:
     with _schema_errors("trace record"):
-        added, removed = doc["added"], doc["removed"]
-        if doc["action"] not in ("add", "exchange", "terminate"):
-            raise ValueError(f"unknown action {doc['action']!r}")
+        action, added, removed = doc["action"], doc["added"], doc["removed"]
+        if action not in ("add", "exchange", "terminate"):
+            raise ValueError(f"unknown action {action!r}")
+        # a move names the product it adds, and an exchange the one it removes
+        if added is None and action != "terminate" or removed is None and action == "exchange":
+            missing = "added" if added is None else "removed"
+            raise ValueError(f"{action} record names no {missing} product")
         return IterationRecord(
             step_index=_integer(doc["step"], "step"),
-            action=doc["action"],
+            action=action,
             added=None if added is None else _product_id(added),
             removed=None if removed is None else _product_id(removed),
             revenue_after=_parse_float(doc["revenue_after"], "schema", "revenue_after"),

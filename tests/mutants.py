@@ -336,9 +336,9 @@ MUTANTS = [
     Mutant(
         "record-added-removed-optional",
         "assortopt/io.py",
-        'added, removed = doc["added"], doc["removed"]',
-        'added, removed = doc.get("added"), doc.get("removed")',
-        ("tests/test_cli.py::test_failure_exits_three_with_json_error[verify-record-without-added]",),
+        'doc["added"], doc["removed"]',
+        'doc.get("added"), doc.get("removed")',
+        ("tests/test_cli.py::test_failure_exits_three_with_json_error[verify-terminate-without-added]",),
     ),
     Mutant(
         "flat-dicts-boundary-at-list-indent",
@@ -359,11 +359,37 @@ MUTANTS = [
          "tests/test_instance_io.py::TestDumpsDocument::test_lists_of_flat_dicts[nested-value-1]"),
     ),
     Mutant(
-        "sample-pool-below-setsize-only",
+        "record-move-product-optional",
+        "assortopt/io.py",
+        '        if added is None and action != "terminate" or removed is None and action == "exchange":\n',
+        "        if False:\n",
+        ("tests/test_cli.py::test_failure_exits_three_with_json_error[verify-add-of-null]",
+         "tests/test_cli.py::test_failure_exits_three_with_json_error[verify-exchange-in-of-null]",
+         "tests/test_cli.py::test_failure_exits_three_with_json_error[verify-exchange-out-of-null]"),
+    ),
+    Mutant(
+        "pair-sizes-below-cap",
         "assortopt/cli.py",
-        "n <= 21 + (4 ** ",
-        "n < 21 + (4 ** ",
-        ("tests/test_cli.py::TestVerify::test_comparison_pairs_are_the_randint_and_sample_pairs[21]",),
+        "size = int(uniform() * (cap + 1))",
+        "size = int(uniform() * cap)",
+        ("tests/test_cli.py::TestVerify::test_comparison_pairs_draw_from_random_alone[2]",
+         "tests/test_cli.py::TestVerify::test_comparison_pairs_draw_from_random_alone[200]"),
+    ),
+    Mutant(
+        "pair-ids-keep-repeats",
+        "assortopt/cli.py",
+        "while len(picked) < size:",
+        "for _ in range(size):",
+        ("tests/test_cli.py::TestVerify::test_comparison_pairs_draw_from_random_alone[200]",
+         "tests/test_cli.py::TestVerify::test_comparison_pairs_are_pinned"),
+    ),
+    Mutant(
+        "slack-outsider-scan-from-the-top",
+        "assortopt/transform.py",
+        "itertools.islice(ranked, state.within if own else 0, None)",
+        "itertools.islice(ranked, 0, None)",
+        ("tests/test_reference.py::TestEventSweep::test_ranking_count_pins[generated]",
+         "tests/test_reference.py::TestEventSweep::test_ranking_count_pins[dispersed_weights]"),
     ),
 ]
 

@@ -9,8 +9,6 @@ rather than in the package:
 * the probes themselves: one offset inside each interval between the
   breakpoints, over the full range (the sweeps list only a window of them),
 * the nesting-witness search behind ``fixtures/nesting_witness.json``,
-* ``verify``'s comparison pairs drawn through ``randint`` and ``sample``,
-  which ``cli._comparison_pairs`` draws straight from ``getrandbits``,
 * the instance digest as ``json.dumps`` of the instance document, which
   ``io.instance_digest`` formats in one join.
 """
@@ -19,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import dataclass
 
 from assortopt.errors import AssortoptError, ValidationError
@@ -143,21 +140,6 @@ def interval_offsets(breakpoints: list[float]) -> list[float]:
         prev = b
     samples.append(prev + 1.0)
     return samples
-
-
-def comparison_pairs(
-    rng: random.Random, ids: list[int], cap: int, count: int
-) -> list[tuple[Assortment, Assortment]]:
-    """``count`` pairs of random sets of 0 to ``cap`` of the ``ids``: two sizes by
-    ``randint``, then one ``sample`` of the ids per size, in that order."""
-    pairs = []
-    for _ in range(count):
-        size1 = rng.randint(0, cap)
-        size2 = rng.randint(0, cap)
-        m1 = Assortment.of(rng.sample(ids, size1))
-        m2 = Assortment.of(rng.sample(ids, size2))
-        pairs.append((m1, m2))
-    return pairs
 
 
 def instance_digest(instance: Instance) -> str:

@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import itertools
 import json
 import random
+import types
 
 import pytest
 
@@ -13,7 +15,6 @@ from assortopt import ConfigError, ExactMnlOracle, Instance, ValidationError, ca
 from assortopt.cli import main
 from assortopt.io import load_instance, load_report, serialize_instance
 from assortopt.oracles import NOISE_MODES
-from references import comparison_pairs
 
 
 def run_cli(capsys, *argv):
@@ -229,19 +230,25 @@ class TestVerify:
         assert code == 0
         assert "comparison pairs checked=100" in out
         assert len(drawn) == 100
-        assert drawn[:3] == [((7, 8), (3,)), ((1, 2, 6, 7), ()), ((1, 2, 6), (4, 5))]
-        assert drawn[-1] == ((3, 5, 6), (1, 4, 5, 7))
+        assert drawn[:3] == [((8,), (4, 6, 8)), ((1, 4, 8), (1,)), ((1, 3, 4), (2, 3, 4))]
+        assert drawn[-1] == ((4, 5, 6, 8), (1, 3, 4, 8))
 
-    @pytest.mark.parametrize("n", [1, 2, 8, 21, 22, 60, 200])
-    def test_comparison_pairs_are_the_randint_and_sample_pairs(self, n):
-        # sample shuffles a pool when n is at most its setsize (21, more for k > 5) and
-        # else draws distinct indices: n = 21 and 22 sit on each side of the rule at
-        # k <= 5, cap 6 grows the setsize, and cap 0 still draws a word per size
+    @pytest.mark.parametrize("n", [1, 2, 8, 200])
+    def test_comparison_pairs_draw_from_random_alone(self, n):
+        # over 20 seeds: each set holds distinct ids, at most cap of them, and every size
+        # from 0 to cap occurs (at n = cap = 200 only if a repeated id is drawn again);
+        # a stub with only ``random`` draws the same pairs, so nothing else is read
         ids = list(range(3, 3 + 2 * n, 2))
-        for cap in sorted({min(cap, n) for cap in (0, 1, 5, 6, 15, n)}):
+        for cap in sorted({0, 1, min(5, n), n}):
+            sizes = set()
             for seed in range(20):
-                drawn = cli_module._comparison_pairs(random.Random(seed), ids, cap, 100)
-                assert drawn == comparison_pairs(random.Random(seed), ids, cap, 100)
+                pairs = cli_module._comparison_pairs(random.Random(seed), ids, cap, 100)
+                stub = types.SimpleNamespace(random=random.Random(seed).random)
+                assert cli_module._comparison_pairs(stub, ids, cap, 100) == pairs
+                for m in itertools.chain.from_iterable(pairs):
+                    assert len(m) <= cap and set(m) <= set(ids)
+                    sizes.add(len(m))
+            assert sizes == set(range(cap + 1))
 
     @pytest.mark.parametrize(
         "mode, key, level",
@@ -652,6 +659,10 @@ def _drop_first_added(doc):
     del doc["result"]["traces"][0]["records"][0]["added"]
 
 
+def _drop_terminate_added(doc):
+    del doc["result"]["traces"][0]["records"][-1]["added"]
+
+
 def _set_first_record(**fields):
     return lambda doc: doc["result"]["traces"][0]["records"][0].update(fields)
 
@@ -694,6 +705,12 @@ def _instance_bytes(weight, price, **fields):
         (["verify"], _set_first_record(pool_before=[[1]]), "schema"),
         (["verify"], _set_first_record(action="bogus"), "schema"),
         (["verify"], _drop_first_added, "schema"),
+        # a terminate record names added and removed too, as null
+        (["verify"], _drop_terminate_added, "schema"),
+        # a move names its product, and an exchange the product it removes, never as null
+        (["verify"], _set_first_record(added=None), "schema"),
+        (["verify"], _set_first_record(action="exchange", added=None, removed=5), "schema"),
+        (["verify"], _set_first_record(action="exchange", removed=None), "schema"),
         # integer fields are read as JSON integers, never truncated or coerced
         (["verify"], lambda doc: doc["result"].update(oracle_calls=True), "schema"),
         (["verify"], lambda doc: doc["result"].update(oracle_calls="62"), "schema"),
@@ -744,6 +761,10 @@ def _instance_bytes(weight, price, **fields):
         "verify-list-in-pool-before",
         "verify-bogus-action",
         "verify-record-without-added",
+        "verify-terminate-without-added",
+        "verify-add-of-null",
+        "verify-exchange-in-of-null",
+        "verify-exchange-out-of-null",
         "verify-bool-oracle-calls",
         "verify-string-oracle-calls",
         "verify-fractional-oracle-calls",
@@ -1052,3 +1073,37 @@ def test_solve_exact_past_enumeration_cap(tmp_path, capsys):
         entry = exact["per_size_optima"][str(k)]
         assert entry["assortment"] == list(assortment.ids)
         assert float(entry["revenue"]) == pytest.approx(revenue, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "argv, stdout_fixture, output_fixture",
+    [
+        (["exact", "generated_n8_seed7.json", "--C", "4"], "exact_generated_n8_seed7_C4.json", None),
+        (["exact", "integer_grid_n8_ties.json", "--C", "4"], "exact_integer_grid_n8_ties_C4.json", None),
+        (["solve", "generated_n8_seed7.json", "--C", "4", "--trace", "--exact",
+          "--noise-mode", "seeded-uniform", "--eps", "0.01", "--seed", "3"],
+         None, "solve_generated_n8_seed7_C4.json"),
+        (["bench", "--suite", "full", "--N", "6", "8", "--C", "2", "3", "--b", "C", "C+1", "2C",
+          "auto", "--eps", "0", "0.01", "--seeds", "2"],
+         "bench_full_N6_8_C2_3_seeds2.txt", "bench_full_N6_8_C2_3_seeds2.json"),
+    ],
+    ids=["exact", "exact-ties", "solve-traced-noisy", "bench-full"],
+)
+def test_output_matches_its_fixture(tmp_path, capsys, fixtures_dir, argv, stdout_fixture, output_fixture):
+    """The committed bytes of each reference solver's output, a traced noisy run report (its
+    ``timing_ms`` nulled) and a bench sweep: a change to the solvers, the tie rule, the
+    plumbing from solver to report or the bench cells must not change them."""
+    command, *rest = argv
+    rest = [str(fixtures_dir / arg) if arg.endswith(".json") else arg for arg in rest]
+    output = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, command, *rest, *(["-o", str(output)] if output_fixture else []))
+    assert (code, err) == (0, "")
+    if stdout_fixture is not None:
+        assert out == (fixtures_dir / stdout_fixture).read_text()
+    if output_fixture is not None:
+        text = output.read_text()
+        if command == "solve":
+            document = json.loads(text)
+            document["timing_ms"] = None
+            text = json.dumps(document, indent=2) + "\n"
+        assert text == (fixtures_dir / output_fixture).read_text()

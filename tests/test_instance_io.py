@@ -369,6 +369,27 @@ class TestReportRoundTrip:
             record_from_document(dict(doc, exchange_out_counts=counts))
         assert exc.value.code == "schema"
 
+    @pytest.mark.parametrize(
+        "action, added, removed, missing",
+        [("add", None, None, "added"), ("exchange", None, 5, "added"),
+         ("exchange", 5, None, "removed"), ("exchange", None, None, "added"),
+         ("add", 5, None, None), ("exchange", 5, 2, None), ("terminate", None, None, None),
+         ("add", 99, None, None)],
+    )
+    def test_a_move_record_names_its_products(self, action, added, removed, missing):
+        """A null product of a move is a schema error that names the action; whether a named
+        id is one of the instance's is left to the trace checks."""
+        inst = generate_instance(GeneratorSpec(6, seed=3))
+        report = greedy_opt(GreedyConfig(0, 2, 3), inst.ids(), ExactMnlOracle(inst), trace=True)
+        doc = dict(record_to_document(report.traces[0][1][0]), action=action, added=added, removed=removed)
+        if missing is None:
+            record = record_from_document(doc)
+            assert (record.action, record.added, record.removed) == (action, added, removed)
+            return
+        with pytest.raises(ValidationError, match=f"{action} record names no {missing} product") as exc:
+            record_from_document(doc)
+        assert exc.value.code == "schema"
+
     @pytest.mark.parametrize("ids", [[True], [1, 2.0], ["3"], [1, None], [[1]], "12", 7, {"1": 1}])
     def test_id_lists_hold_json_integers(self, ids):
         inst = generate_instance(GeneratorSpec(6, seed=3))
